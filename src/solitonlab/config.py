@@ -295,6 +295,16 @@ def serialize(config: ScenarioConfig) -> str:
     return "\n".join(out)
 
 
+def coerce_number(section: str, key: str, value: float) -> Any:
+    """Coerce a numeric value (a sweep value) to the schema type of
+    section.key, exactly as the parser would read it from a file."""
+    if section not in SCHEMA or key not in SCHEMA[section]:
+        raise ConfigError(f"unknown setting {section}.{key}")
+    value = float(value)
+    token = str(int(value)) if value.is_integer() else repr(value)
+    return _coerce(section, key, token, 0)
+
+
 def apply_overrides(config: ScenarioConfig,
                     overrides: list[str]) -> ScenarioConfig:
     """Apply repeatable --override section.key=value pairs."""

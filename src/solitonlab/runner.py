@@ -24,7 +24,7 @@ import numpy as np
 
 from .artifacts import (write_observables_csv, write_plot_script,
                         write_snapshot)
-from .config import ConfigError, ScenarioConfig, serialize
+from .config import ConfigError, ScenarioConfig, coerce_number, serialize
 from .diagnostics import (ObservableRecord, SeriesObserver, VelocityFit,
                           fit_velocity, free_spreading_width,
                           spreading_ratio)
@@ -223,10 +223,10 @@ def _stride(config: ScenarioConfig, n_steps: int) -> int:
     stride = config.get("run", "stride")
     if stride is None:
         return max(1, n_steps // 200)
-    stride = int(stride)
-    if stride < 1:
-        raise ConfigError(f"run.stride must be >= 1, got {stride}")
-    return stride
+    if stride < 1 or not float(stride).is_integer():
+        raise ConfigError(f"run.stride must be an integer >= 1, "
+                          f"got {stride:g}")
+    return int(stride)
 
 
 def _fit_dict(fit: VelocityFit, use: str = "peak_pos") -> dict[str, Any]:
@@ -750,7 +750,7 @@ def _scenario_param_sweep(config: ScenarioConfig,
         settings = {s: dict(kv) for s, kv in config.settings.items()}
         settings["run"]["scenario"] = child_name
         child = ScenarioConfig(scenario=child_name, settings=settings)
-        return child.replace(section, key, value)
+        return child.replace(section, key, coerce_number(section, key, value))
 
     cases = [(i, v, child_config(v),
               out / f"case_{i:02d}_{section}.{key}_{v:g}")
@@ -800,6 +800,9 @@ def _scenario_param_sweep(config: ScenarioConfig,
             comparison=worst.comparison,
             passed=all(c.passed for c in checks) and aborted == 0))
     if aborted:
+        report.checks.append(_check(
+            "sweep", f"sweep cases aborted (of {len(values)})", aborted, 0,
+            "<="))
         report.findings.append(f"{aborted}/{len(values)} sweep cases "
                                "aborted; their criteria count as failed")
 

@@ -19,6 +19,7 @@ cancels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,10 @@ __all__ = [
     "MAX_DIRECT_POINTS",
 ]
 
-# The direct convolution is O(points^2); the 3D acceptance size 32^3 = 2^15
-# takes about a minute, anything larger is rejected.
+# The direct apply costs points^2 multiply-adds and gathers a dense
+# n^2 x n^2 block per offset in 3D; the 3D acceptance size 32^3 = 2^15 takes
+# about a second including the weight build (2-core Xeon, OpenBLAS), and
+# anything larger is rejected.
 MAX_DIRECT_POINTS = 2**15
 
 
@@ -143,8 +146,11 @@ def yukawa_convolve_direct(source: np.ndarray, m: float, grid: Grid) -> np.ndarr
 
     Independent oracle for yukawa_invert: convolves the source with the
     periodic screened-Coulomb kernel (cosh closed form in 1D, minimum-image
-    exp(-m r)/(4 pi r) in 3D) using per-cell product integration. O(points^2)
-    apply; guarded to MAX_DIRECT_POINTS total points.
+    exp(-m r)/(4 pi r) in 3D) using per-cell product integration. The apply
+    is a dense circulant matrix product, points^2 multiply-adds: in 1D one
+    matrix-vector product, in 3D one BLAS matmul per offset along the first
+    axis against the 2D-circulant block of the remaining two. No FFT is
+    involved. Guarded to MAX_DIRECT_POINTS total points.
     """
     if m <= 0.0:
         raise ValueError(f"scalar mass must be positive, got {m}")
@@ -156,26 +162,23 @@ def yukawa_convolve_direct(source: np.ndarray, m: float, grid: Grid) -> np.ndarr
         raise ValueError(
             f"direct convolution limited to {MAX_DIRECT_POINTS} points, "
             f"got {source.size}")
-    w = _direct_weights(grid.dim, grid.n, grid.length, m)
-    return -_convolve_gather(w, np.ascontiguousarray(source, dtype=float))
+    w = _direct_weights(grid.dim, grid.n, float(grid.length), float(m))
+    return -_circulant_apply(w, np.asarray(source, dtype=float))
 
 
 _P = 8            # Lagrange stencil size per axis (degree 7)
 _HALF = _P // 2 - 1   # stencil spans nodes [-3 .. 4] around the cell [0, 1]
 
-_weight_cache: dict[tuple, np.ndarray] = {}
 
-
+@functools.lru_cache(maxsize=8)
 def _direct_weights(dim: int, n: int, length: float, m: float) -> np.ndarray:
-    key = (dim, n, float(length).hex(), float(m).hex())
-    if key not in _weight_cache:
-        if dim == 1:
-            _weight_cache[key] = _direct_weights_1d(n, length, m)
-        else:
-            _weight_cache[key] = _direct_weights_3d(n, length, m)
-        if len(_weight_cache) > 8:
-            _weight_cache.pop(next(iter(_weight_cache)))
-    return _weight_cache[key]
+    """Cached, read-only weight table for one (dim, n, length, m)."""
+    if dim == 1:
+        w = _direct_weights_1d(n, length, m)
+    else:
+        w = _direct_weights_3d(n, length, m)
+    w.flags.writeable = False
+    return w
 
 
 def _lagrange_basis(tau: np.ndarray) -> np.ndarray:
@@ -226,15 +229,19 @@ def _direct_weights_3d(n: int, length: float, m: float,
     the 8 cells touching the singularity get a Duffy-transformed rule
     (the tau^2 Jacobian of xi = tau*(1, u, v) cancels the 1/r), the
     surrounding 4^3-block shell gets dense tensor Gauss, and the smooth
-    bulk gets q=6 tensor Gauss evaluated for all cells at once with the
-    Lagrange contraction done axis by axis. The first shell of periodic
-    images is summed with the bulk rule (those terms stay a distance
-    >= L/2 from the singularity, so they are smooth on every cell);
-    images beyond it are below e^(-3mL/2) and ignored. Domains shorter
-    than ~10/m should not use this route.
+    bulk gets q=6 tensor Gauss. The first shell of periodic images is
+    summed with the bulk rule (those terms stay a distance >= L/2 from the
+    singularity, so they are smooth on every cell); images beyond it are
+    below e^(-3mL/2) and ignored. Domains shorter than ~10/m should not use
+    this route.
+
+    The bulk integrand (direct term plus image shell) is even in each axis,
+    so it is evaluated once per distinct |offset|: cells e >= 0 at their
+    own nodes, which cell -1-e reads back with the node order reversed.
+    The Lagrange contraction and the scatter onto the nodes then run axis
+    by axis on that table.
     """
     dx = length / n
-    idx = np.arange(n)
     w = np.zeros((n, n, n))
 
     def kernel(r: np.ndarray) -> np.ndarray:
@@ -246,44 +253,36 @@ def _direct_weights_3d(n: int, length: float, m: float,
         d3 = (e3 - _HALF + np.arange(_P)) % n
         w[np.ix_(d1, d2, d3)] += block
 
-    # bulk
+    # bulk, on the distinct offsets y = (e + tb) dx, e = 0 .. n/2 - 1; the
+    # direct term is left out on the 4^3 special block (e in {-2..1} per
+    # axis, i.e. e < 2 here), whose cells the shell and corner rules cover
     tb, ob = _gauss01(q_bulk)
-    Bb = _lagrange_basis(tb)
-    e_mi = (idx + n / 2) % n - n / 2
-    arg = (e_mi[:, None] + tb[None, :] + n / 2) % n - n / 2
-    special_ax = np.isin(e_mi, (-2, -1, 0, 1))
-    r2x = (arg * dx) ** 2
-    X = np.sqrt(r2x[:, None, None, :, None, None]
-                + r2x[None, :, None, None, :, None]
-                + r2x[None, None, :, None, None, :])
-    X = kernel(X)
-    X[special_ax[:, None, None] & special_ax[None, :, None]
-      & special_ax[None, None, :]] = 0.0
-    y2 = {s: (arg * dx + s * length) ** 2 for s in (-1, 0, 1)}
+    half = n // 2
+    y = (np.arange(half)[:, None] + tb[None, :]).ravel() * dx
+    y2 = {s: (y + s * length) ** 2 for s in (-1, 0, 1)}
+    T = kernel(np.sqrt(y2[0][:, None, None] + y2[0][None, :, None]
+                       + y2[0][None, None, :]))
+    T[:2 * q_bulk, :2 * q_bulk, :2 * q_bulk] = 0.0
     for v1 in (-1, 0, 1):
         for v2 in (-1, 0, 1):
             for v3 in (-1, 0, 1):
                 nnz = abs(v1) + abs(v2) + abs(v3)
                 if nnz == 0 or m * length * np.sqrt(nnz) > 80.0:
                     continue
-                X += kernel(np.sqrt(
-                    y2[v1][:, None, None, :, None, None]
-                    + y2[v2][None, :, None, None, :, None]
-                    + y2[v3][None, None, :, None, None, :]))
-    X *= ob[:, None, None] * ob[None, :, None] * ob[None, None, :]
-    X = np.tensordot(X, Bb, axes=([5], [0]))
-    X = np.tensordot(X, Bb, axes=([4], [0]))
-    X = np.tensordot(X, Bb, axes=([3], [0]))              # (e1,e2,e3,a3,a2,a1)
-    X = np.moveaxis(X, (3, 4, 5), (5, 4, 3))
-    X *= dx**3
-    for a1 in range(_P):
-        d1 = (idx - _HALF + a1) % n
-        for a2 in range(_P):
-            d2 = (idx - _HALF + a2) % n
-            for a3 in range(_P):
-                d3 = (idx - _HALF + a3) % n
-                w[np.ix_(d1, d2, d3)] += X[:, :, :, a1, a2, a3]
-    del X
+                T += kernel(np.sqrt(y2[v1][:, None, None]
+                                    + y2[v2][None, :, None]
+                                    + y2[v3][None, None, :]))
+    # per axis: Gauss-weighted basis contraction of each cell, cells -1-e
+    # from the reversed nodes, then node d collects cell d + _HALF - a
+    c = (_lagrange_basis(tb) * ob[:, None]).T            # (P, q)
+    for _ in range(3):
+        rest = T.shape[1:]
+        cells = T.reshape(half, q_bulk, -1)
+        per_cell = np.concatenate([c @ cells,
+                                   (c[:, ::-1] @ cells)[::-1]])  # (n, P, rest)
+        T = sum(np.roll(per_cell[:, a], a - _HALF, axis=0) for a in range(_P))
+        T = np.moveaxis(T.reshape((n,) + rest), 0, -1)
+    w += T * dx**3
 
     # shell: the 4^3 block minus the 8 singular corner cells
     ts, os_ = _gauss01(q_shell)
@@ -314,42 +313,43 @@ def _direct_weights_3d(n: int, length: float, m: float,
     WT = od[:, None, None] * od[None, :, None] * od[None, None, :]
     R = np.sqrt(1.0 + U**2 + V**2)
     core = (T * np.exp(-m * dx * T * R) / (4.0 * np.pi * R) * WT * dx**2).ravel()
-    pyramids = ((T, T * U, T * V), (T * U, T, T * V), (T * U, T * V, T))
+    # pyramid coordinates per axis are T, T*U or T*V; the basis of each, at
+    # the position within the cell in [0, 1], which is mirrored (1 - xi) for
+    # cells on the negative side of the node
+    xis = (T.ravel(), (T * U).ravel(), (T * V).ravel())
+    basis = {(k, s): _lagrange_basis(xi if s > 0 else 1.0 - xi)
+             for k, xi in enumerate(xis) for s in (1, -1)}
+    pyramids = ((0, 1, 2), (1, 0, 2), (1, 2, 0))
     for s1 in (1, -1):
         for s2 in (1, -1):
             for s3 in (1, -1):
-                acc = np.zeros((_P, _P, _P))
-                for xi in pyramids:
-                    # position within the cell in [0, 1] per axis; cells on the
-                    # negative side of the node are mirrored
-                    q1 = xi[0] if s1 > 0 else 1.0 - xi[0]
-                    q2 = xi[1] if s2 > 0 else 1.0 - xi[1]
-                    q3 = xi[2] if s3 > 0 else 1.0 - xi[2]
-                    B1 = _lagrange_basis(q1.ravel())
-                    B2 = _lagrange_basis(q2.ravel())
-                    B3 = _lagrange_basis(q3.ravel())
-                    acc += np.einsum("g,ga,gb,gc->abc", core, B1, B2, B3,
-                                     optimize=True)
-                scatter(acc, 0 if s1 > 0 else -1, 0 if s2 > 0 else -1,
-                        0 if s3 > 0 else -1)
+                acc = np.zeros((_P, _P * _P))
+                for k1, k2, k3 in pyramids:
+                    B23 = basis[k2, s2][:, :, None] * basis[k3, s3][:, None, :]
+                    acc += (core[:, None] * basis[k1, s1]).T \
+                        @ B23.reshape(-1, _P * _P)
+                scatter(acc.reshape(_P, _P, _P), 0 if s1 > 0 else -1,
+                        0 if s2 > 0 else -1, 0 if s3 > 0 else -1)
     return w
 
 
-def _convolve_gather(w: np.ndarray, s: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Dense circulant apply out_i = sum_j w[(j - i) mod n per axis] s_j."""
-    shape = s.shape
-    n = shape[0]
-    N = s.size
-    sf = s.ravel()
-    wf = w.ravel()
-    grids = np.indices(shape).reshape(s.ndim, N).astype(np.int32)
-    strides = np.array([int(np.prod(shape[a + 1:], dtype=int))
-                        for a in range(s.ndim)], dtype=np.int32)
-    out = np.empty(N)
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        flat = np.zeros((hi - lo, N), dtype=np.int32)
-        for a in range(s.ndim):
-            flat += ((grids[a][None, :] - grids[a][lo:hi, None]) % n) * strides[a]
-        out[lo:hi] = wf[flat] @ sf
-    return out.reshape(shape)
+def _circulant_apply(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Dense circulant apply out_i = sum_j w[(j - i) mod n per axis] s_j.
+
+    In 3D the matrix is block circulant along the first axis: offset d1
+    contributes roll(s, -d1, 0) (n x n^2) times the transposed n^2 x n^2
+    2D-circulant block gathered from w[d1], one BLAS matmul per offset.
+    """
+    n = s.shape[0]
+    i = np.arange(n)
+    offset = (i[None, :] - i[:, None]) % n               # (j - i) mod n
+    if s.ndim == 1:
+        return w[offset] @ s
+    # block entry (i2 i3, j2 j3) -> flat index of w[d1] at (j2 - i2, j3 - i3)
+    table = (offset[:, None, :, None] * n
+             + offset[None, :, None, :]).reshape(n * n, n * n)
+    out = np.zeros((n, n * n))
+    for d1 in range(n):
+        out += np.roll(s, -d1, axis=0).reshape(n, n * n) \
+            @ w[d1].ravel()[table].T
+    return out.reshape(s.shape)

@@ -13,7 +13,8 @@ import math
 import pytest
 
 from solitonlab.cli import main
-from solitonlab.config import apply_overrides, default_config, parse_config
+from solitonlab.config import (ConfigError, ScenarioConfig, apply_overrides,
+                               default_config, parse_config)
 from solitonlab.evolution import StabilityError
 from solitonlab.runner import FAILED_MARKER, _check, run_scenario
 
@@ -84,7 +85,6 @@ class TestRunScenario:
         assert not (tmp_path / FAILED_MARKER).exists()
 
     def test_unknown_scenario_refused(self, tmp_path):
-        from solitonlab.config import ConfigError, ScenarioConfig
         with pytest.raises(ConfigError, match="unknown scenario"):
             run_scenario(ScenarioConfig("warp-drive", {}),
                          out_dir=tmp_path / "nope")
@@ -136,6 +136,41 @@ class TestParamSweep:
         assert len(report.details["cases"]) == 2
         assert [c["params.m"] for c in report.details["cases"]] == [0.6, 0.4]
 
+    def test_integer_key_reaches_children_as_int(self, tmp_path):
+        cfg = apply_overrides(
+            default_config("param-sweep"),
+            ["sweep.key=oracle.n_1d", "sweep.values=64,128",
+             "sweep.scenario=yukawa-oracle", "oracle.run_3d=false"])
+        report = run_scenario(cfg, out_dir=tmp_path)
+        assert report.passed
+        assert [c["status"] for c in report.details["cases"]] \
+            == ["passed", "passed"]
+        for i, n in enumerate((64, 128)):
+            child = json.loads((tmp_path / f"case_{i:02d}_oracle.n_1d_{n}"
+                                / "report.json").read_text())
+            assert child["config"]["oracle"]["n_1d"] == n
+            assert isinstance(child["config"]["oracle"]["n_1d"], int)
+
+    def test_fractional_integer_value_is_a_config_error(self, tmp_path):
+        cfg = apply_overrides(
+            default_config("param-sweep"),
+            ["sweep.key=oracle.n_1d", "sweep.values=64.5",
+             "sweep.scenario=yukawa-oracle"])
+        with pytest.raises(ConfigError, match="integer"):
+            run_scenario(cfg, out_dir=tmp_path)
+
+    def test_all_cases_aborted_fails(self, tmp_path):
+        cfg = apply_overrides(
+            default_config("param-sweep"),
+            ["sweep.key=oracle.cases", "sweep.values=0,-1",
+             "sweep.scenario=yukawa-oracle"])
+        report = run_scenario(cfg, out_dir=tmp_path)
+        assert not report.passed
+        assert [c["status"] for c in report.details["cases"]] \
+            == ["aborted", "aborted"]
+        assert [c.criterion for c in report.checks if not c.passed] \
+            == ["sweep"]
+
 
 class TestCliExitCodes:
     def test_pass_is_zero(self, tmp_path, capsys):
@@ -170,6 +205,22 @@ class TestCliExitCodes:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "mismatch" in capsys.readouterr().err
+
+    def test_all_aborted_sweep_is_nonzero(self, tmp_path, capsys):
+        code = main(["param-sweep", "--out", str(tmp_path),
+                     "--override", "sweep.key=oracle.cases",
+                     "--override", "sweep.values=0,-1",
+                     "--override", "sweep.scenario=yukawa-oracle"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "param-sweep: failed" in out
+        assert "[FAIL] sweep" in out
+
+    def test_fractional_stride_is_two(self, tmp_path, capsys):
+        code = main(["free-spreading", "--out", str(tmp_path),
+                     "--override", "run.stride=2.7"])
+        assert code == 2
+        assert "run.stride" in capsys.readouterr().err
 
     def test_numerical_abort_is_three(self, tmp_path, capsys):
         code = main(["soliton-propagation", "--out", str(tmp_path),

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.special import erfc
 
 from solitonlab.model import make_grid
 from solitonlab.spectral import (
-    MAX_DIRECT_POINTS, forward_transform, inverse_transform, laplacian,
-    spectral_derivative, yukawa_convolve_direct, yukawa_invert,
+    MAX_DIRECT_POINTS, _circulant_apply, _direct_weights, _direct_weights_1d,
+    forward_transform, inverse_transform, laplacian, spectral_derivative,
+    yukawa_convolve_direct, yukawa_invert,
 )
 
 RNG = np.random.default_rng(42)
@@ -30,6 +34,26 @@ def wrapped_gaussians(grid, rng, count=4, sig_lo=6.0, sig_hi=8.0):
                 r2 = r2 + (x - c[ax] + (s - 1) * L) ** 2
             out += amp * np.exp(-0.5 * r2 / sig**2)
     return out
+
+
+def gather_apply(w, s, chunk=256):
+    """Reference circulant apply out_i = sum_j w[(j - i) mod n per axis] s_j
+    by an explicit flat-index gather, one block of target points at a time."""
+    shape = s.shape
+    n = shape[0]
+    N = s.size
+    grids = np.indices(shape).reshape(s.ndim, N).astype(np.int32)
+    strides = np.array([int(np.prod(shape[a + 1:], dtype=int))
+                        for a in range(s.ndim)], dtype=np.int32)
+    out = np.empty(N)
+    for lo in range(0, N, chunk):
+        hi = min(lo + chunk, N)
+        flat = np.zeros((hi - lo, N), dtype=np.int32)
+        for a in range(s.ndim):
+            flat += ((grids[a][None, :] - grids[a][lo:hi, None]) % n) \
+                * strides[a]
+        out[lo:hi] = w.ravel()[flat] @ s.ravel()
+    return out.reshape(shape)
 
 
 class TestTransforms:
@@ -232,3 +256,53 @@ class TestYukawaDirect:
         g = make_grid(3, 16, 16.0)
         out = yukawa_convolve_direct(np.full(g.shape, 0.5), m=2.5, grid=g)
         np.testing.assert_allclose(out, -0.5 / 2.5**2, rtol=0, atol=1e-8)
+
+
+class TestDirectApply:
+    @pytest.mark.parametrize("shape", [(128,), (8, 8, 8), (16, 16, 16)])
+    def test_matches_gather_reference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        w = rng.normal(size=shape)
+        s = rng.normal(size=shape)
+        ref = gather_apply(w, s)
+        out = _circulant_apply(w, s)
+        assert np.abs(out - ref).max() / np.abs(ref).max() <= 1e-13
+
+
+class TestDirectWeights:
+    def test_3d_weights_are_cubic_symmetric(self):
+        # the kernel and the quadrature rule treat the three axes alike and
+        # are even in each, so the weights must be too (the bulk build
+        # evaluates each axis on |offset| only and relies on this)
+        w = np.asarray(_direct_weights(3, 16, 16.0, 2.5))
+        scale = np.abs(w).max()
+        for perm in [(1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]:
+            assert np.abs(w.transpose(perm) - w).max() / scale <= 1e-14
+        reflected = np.roll(w[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
+        assert np.abs(reflected - w).max() / scale <= 1e-14
+
+    def test_cached_weights_are_read_only(self):
+        w = _direct_weights(1, 64, 16.0, 1.0)
+        assert w is _direct_weights(1, 64, 16.0, 1.0)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_cache_is_safe_under_a_thread_pool(self):
+        # more distinct keys than the cache holds, each requested several
+        # times from more workers than cores, with a short switch interval
+        masses = [0.5 + 0.1 * i for i in range(12)]
+        serial = {m: _direct_weights_1d(64, 16.0, m) for m in masses}
+        _direct_weights.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [(m, pool.submit(_direct_weights, 1, 64, 16.0, m))
+                           for m in masses * 4]
+                results = [(m, f.result(timeout=60)) for m, f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4 * len(masses)
+        for m, w in results:
+            np.testing.assert_array_equal(w, serial[m])
+            assert not w.flags.writeable
