@@ -74,7 +74,7 @@ def measure(state: FieldState,
         return ObservableRecord(t=state.t, norm=0.0, centroid=math.nan,
                                 width=math.nan, peak_pos=math.nan,
                                 phi_min=phi_min, valid=valid)
-    angle = np.angle(np.sum(d * np.exp(2j * np.pi * grid.axis / L)))
+    angle = np.angle(np.sum(d * grid.circular_phase))
     centroid = angle * L / (2.0 * np.pi)
     dist = np.mod(grid.axis - centroid + 0.5 * L, L) - 0.5 * L
     width = math.sqrt(float(np.sum(dist * dist * d)) / total)

@@ -9,13 +9,22 @@ time symmetric, so a trajectory can be retraced exactly: conjugate the
 matter field and hand the leapfrog its forward-time next field as the new
 previous one.
 
-Three modes share the stepper:
+The closing half kick of one step and the opening half kick of the next
+are both exp(-i M dt/2 phi) with the same phi, so the loop merges them into
+one full kick and keeps the closing half pending. The pending half kick is
+applied only before a snapshot, an observer call or the return, so
+everything outside the loop sees fully kicked states, the same ones the
+unmerged scheme produces up to roundoff. The blow-up guard reads |psi|,
+which a kick does not change, so it runs every step regardless.
+
+Three modes share one loop body (optional kick, drift, scalar update):
 
   coupled   full dynamics, scalar field carries its own wave equation
+            (leapfrog with the density source)
   choquard  scalar field slaved to the instantaneous density through the
-            static screened inverse, refreshed at every half kick
-  free      coupling switched off: matter drifts freely, scalar field obeys
-            the sourceless wave equation
+            static screened inverse, refreshed after every drift
+  free      coupling switched off: no kicks, matter drifts freely, scalar
+            field obeys the sourceless wave equation (leapfrog)
 
 The step-size guard dt <= min(dx/2, 1/2m) keeps the scalar leapfrog inside
 its spectral stability window (dt < 2/w_max ~ 0.64 dx) and resolves the
@@ -32,6 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -93,6 +103,7 @@ class Trajectory:
     states: tuple[FieldState, ...]
     records: tuple
     step_count: int
+    kicks: int
     dt: float
     mode: EvolutionMode
     wall_time: float
@@ -106,13 +117,26 @@ class Trajectory:
         return self.states[-1]
 
 
-def _source(psi: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    return (2.0 * params.M / params.v**2) * (psi.real**2 + psi.imag**2)
+def _density(psi: np.ndarray) -> np.ndarray:
+    return psi.real**2 + psi.imag**2
 
 
-def _slaved_field(psi: np.ndarray, params: PhysicalParams, grid: Grid,
+def _source(density: np.ndarray, params: PhysicalParams) -> np.ndarray:
+    return (2.0 * params.M / params.v**2) * density
+
+
+def _phase_kick(psi: np.ndarray, phi: np.ndarray, rate: float,
+                phase: np.ndarray, kick: np.ndarray) -> None:
+    """psi *= exp(i rate phi) in place, through the buffers phase and kick."""
+    np.multiply(phi, rate, out=phase)
+    np.cos(phase, out=kick.real)
+    np.sin(phase, out=kick.imag)
+    psi *= kick
+
+
+def _slaved_field(density: np.ndarray, params: PhysicalParams, grid: Grid,
                   kernel_prefactor: str) -> np.ndarray:
-    phi = yukawa_invert(_source(psi, params), m=params.m, grid=grid)
+    phi = yukawa_invert(_source(density, params), m=params.m, grid=grid)
     if kernel_prefactor == "half":
         phi = 0.5 * phi
     return phi
@@ -124,7 +148,7 @@ def scalar_acceleration(phi: np.ndarray, psi: np.ndarray,
     """d^2 phi/dt^2 = Lap phi - m^2 phi - (2M/v^2)|psi|^2."""
     acc = laplacian(phi, grid) - params.m**2 * phi
     if with_source:
-        acc = acc - _source(psi, params)
+        acc = acc - _source(_density(psi), params)
     return acc
 
 
@@ -144,6 +168,10 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     a positive stride also stores every stride-th intermediate state. The
     observer, when given, is called on the initial state and every
     observer_stride steps after that (plus the final state).
+    observer_stride must be an integer >= 1 and snapshot_stride an integer
+    >= 0. The returned trajectory counts the phase kicks it evaluated in
+    kicks: N + 1 for N coupled or choquard steps with nothing recorded in
+    between, up to 2N when every step is recorded, 0 in free mode.
     """
     mode = EvolutionMode.parse(mode)
     if kernel_prefactor not in KERNEL_PREFACTORS:
@@ -152,6 +180,11 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     if T < 0.0:
         raise ValueError("T must be nonnegative; retrace a trajectory by "
                          "reversing the final state and evolving forward")
+    for name, stride, low in (("observer_stride", observer_stride, 1),
+                              ("snapshot_stride", snapshot_stride, 0)):
+        if not isinstance(stride, numbers.Integral) or stride < low:
+            raise ValueError(f"{name} must be an integer >= {low}, "
+                             f"got {stride!r}")
     params, grid = initial.params, initial.grid
     limit = stability_limit(grid, params)
     if dt is None:
@@ -169,7 +202,8 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     if T == 0.0:
         recs = (observer(initial),) if observer is not None else ()
         return Trajectory(times=np.array([t0]), states=(initial,),
-                          records=recs, step_count=0, dt=dt, mode=mode,
+                          records=recs, step_count=0, kicks=0, dt=dt,
+                          mode=mode,
                           wall_time=time.perf_counter() - start)
 
     n_steps = max(1, math.ceil(T / dt - 1e-12))
@@ -185,29 +219,34 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
 
     psi = initial.psi.astype(complex, copy=True)
     phi = np.array(initial.phi, dtype=float, copy=True)
-    coupled = mode is not EvolutionMode.FREE
+    kicked = mode is not EvolutionMode.FREE
     leapfrog = mode is not EvolutionMode.CHOQUARD
+    density = _density(psi)
     if leapfrog:
         if initial.phi_prev is not None:
             phi_prev = np.array(initial.phi_prev, dtype=float, copy=True)
         else:
             # static Taylor start: phi(t - dt) ~ phi + (dt^2/2) phi_tt
             acc = scalar_acceleration(phi, psi, params, grid,
-                                      with_source=coupled)
+                                      with_source=kicked)
             phi_prev = phi + 0.5 * dt * dt * acc
     else:
+        # the density is kick-invariant, so the slaved field at a step start
+        # equals the one from the previous step end; compute it once here
         phi_prev = None
+        phi = _slaved_field(density, params, grid, kernel_prefactor)
 
     k2 = grid.k_squared + grid.transverse_k2
     drift_mult = np.exp(-0.5j * dt / params.M * k2)
     fftn, ifftn = sfft.fftn, sfft.ifftn
-    half_kick = -0.5j * params.M * dt
+    kick_rate = -params.M * dt
     m2 = params.m**2
     dt2 = dt * dt
-    if mode is EvolutionMode.CHOQUARD:
-        # the density is kick-invariant, so the slaved field at a step start
-        # equals the one from the previous step end; compute it once here
-        phi = _slaved_field(psi, params, grid, kernel_prefactor)
+    phase = np.empty(grid.shape)
+    kick = np.empty(grid.shape, dtype=complex)
+    kicks = 0
+    # psi still owes the closing half kick exp(-i M dt/2 phi) of the last step
+    pending = False
 
     initial_peak = float(np.max(np.abs(psi)))
     threshold = blowup_factor * max(initial_peak, 1e-300)
@@ -228,26 +267,28 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
         # running off the stability cliff overflows before the guard below
         # trips; the abort is the handler, so keep numpy quiet about it
         with np.errstate(over="ignore", invalid="ignore"):
-            if mode is EvolutionMode.COUPLED:
-                src = _source(psi, params)
-                psi *= np.exp(half_kick * phi)
-                psi = ifftn(drift_mult * fftn(psi))
-                phi_next = (2.0 * phi - phi_prev
-                            + dt2 * (laplacian(phi, grid) - m2 * phi - src))
-                psi *= np.exp(half_kick * phi_next)
-                phi_prev, phi = phi, phi_next
-            elif mode is EvolutionMode.CHOQUARD:
-                psi *= np.exp(half_kick * phi)
-                psi = ifftn(drift_mult * fftn(psi))
-                phi = _slaved_field(psi, params, grid, kernel_prefactor)
-                psi *= np.exp(half_kick * phi)
+            if kicked:
+                # the closing half kick of the last step and the opening one
+                # of this step share phi, so they merge into one full kick
+                _phase_kick(psi, phi, kick_rate if pending
+                            else 0.5 * kick_rate, phase, kick)
+                kicks += 1
+                pending = True
+            h = fftn(psi, overwrite_x=True)
+            h *= drift_mult
+            psi = ifftn(h, overwrite_x=True)
+            fresh = _density(psi)
+            if leapfrog:
+                acc = laplacian(phi, grid) - m2 * phi
+                if kicked:
+                    acc = acc - _source(density, params)
+                phi_prev, phi = phi, 2.0 * phi - phi_prev + dt2 * acc
             else:
-                psi = ifftn(drift_mult * fftn(psi))
-                phi_next = (2.0 * phi - phi_prev
-                            + dt2 * (laplacian(phi, grid) - m2 * phi))
-                phi_prev, phi = phi, phi_next
+                phi = _slaved_field(fresh, params, grid, kernel_prefactor)
+            density = fresh
 
-        peak = float(np.max(np.abs(psi)))
+        # max |psi| from the density; the pending half kick leaves it as is
+        peak = math.sqrt(float(np.max(density)))
         if peak > threshold or not np.isfinite(peak):
             raise BlowUpError(t0 + (i + 1) * dt, peak)
         if leapfrog:
@@ -261,6 +302,10 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
         want_obs = observer is not None and (
             last or (i + 1) % observer_stride == 0)
         if want_snap or want_obs:
+            if pending:
+                _phase_kick(psi, phi, 0.5 * kick_rate, phase, kick)
+                kicks += 1
+                pending = False
             st = materialize(i + 1)
             if want_snap:
                 states.append(st)
@@ -269,8 +314,9 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
                 records.append(observer(st))
 
     return Trajectory(times=np.array(times), states=tuple(states),
-                      records=tuple(records), step_count=n_steps, dt=dt,
-                      mode=mode, wall_time=time.perf_counter() - start)
+                      records=tuple(records), step_count=n_steps,
+                      kicks=kicks, dt=dt, mode=mode,
+                      wall_time=time.perf_counter() - start)
 
 
 def reverse_state(state: FieldState, dt: float,
@@ -328,8 +374,8 @@ def state_with_static_field(psi: np.ndarray, params: PhysicalParams,
     if kernel_prefactor not in KERNEL_PREFACTORS:
         raise ValueError(f"kernel_prefactor must be one of "
                          f"{KERNEL_PREFACTORS}, got {kernel_prefactor!r}")
-    phi = _slaved_field(np.asarray(psi, dtype=complex), params, grid,
-                        kernel_prefactor)
+    phi = _slaved_field(_density(np.asarray(psi, dtype=complex)), params,
+                        grid, kernel_prefactor)
     return FieldState(t=t0, psi=np.asarray(psi, dtype=complex), phi=phi,
                       params=params, grid=grid, phi_prev=phi.copy())
 

@@ -175,6 +175,13 @@ class Grid:
         return np.arange(self.n) * self.spacing - 0.5 * self.length
 
     @cached_property
+    def circular_phase(self) -> np.ndarray:
+        """exp(2 pi i x / L) on the axis: the circular-mean weights; read-only."""
+        phase = np.exp(2j * np.pi * self.axis / self.length)
+        phase.flags.writeable = False
+        return phase
+
+    @cached_property
     def coords(self) -> tuple[np.ndarray, ...]:
         """Broadcastable coordinate arrays, one per axis."""
         if self.dim == 1:

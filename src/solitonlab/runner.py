@@ -417,6 +417,7 @@ def _scenario_soliton_propagation(config: ScenarioConfig,
                   observer=obs, observer_stride=stride)
     recs = obs.records
     report.step_count = traj.step_count
+    report.details["kicks"] = traj.kicks
 
     v_closed = family_velocity(spec, params)
     fit = fit_velocity(recs, grid)

@@ -100,14 +100,21 @@ def spectral_derivative(field: np.ndarray, grid: Grid, axis: int = 0,
 
 
 def laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral Laplacian over all grid axes."""
+    """Spectral Laplacian over all grid axes.
+
+    A real field takes the real-to-complex path: rfftn, the cached
+    half-spectrum multiplier -k^2, irfftn. It returns a contiguous float64
+    array and costs about two thirds of the complex transform pair. A
+    complex field takes the full complex pair.
+    """
     if field.shape != grid.shape:
         raise ValueError(f"field shape {field.shape} does not match grid {grid.shape}")
-    hat = sfft.fftn(field) * (-grid.k_squared)
-    out = sfft.ifftn(hat)
-    if not np.iscomplexobj(field):
-        return out.real
-    return out
+    if np.iscomplexobj(field):
+        return sfft.ifftn(sfft.fftn(field) * (-grid.k_squared))
+    hat = sfft.rfftn(field)
+    hat *= _rfft_k_squared(grid.dim, grid.n, grid.length)
+    hat *= -1.0
+    return sfft.irfftn(hat, s=grid.shape)
 
 
 def yukawa_invert(source: np.ndarray, m: float, grid: Grid) -> np.ndarray:
@@ -124,17 +131,23 @@ def yukawa_invert(source: np.ndarray, m: float, grid: Grid) -> np.ndarray:
     if np.iscomplexobj(source):
         raise ValueError("source must be real-valued")
     hat = sfft.rfftn(source)
-    k2 = _rfft_k_squared(grid)
+    k2 = _rfft_k_squared(grid.dim, grid.n, grid.length)
     return -sfft.irfftn(hat / (m * m + k2), s=grid.shape)
 
 
-def _rfft_k_squared(grid: Grid) -> np.ndarray:
-    kfull = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
-    khalf = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)
-    if grid.dim == 1:
-        return khalf**2
-    return (kfull[:, None, None] ** 2 + kfull[None, :, None] ** 2
-            + khalf[None, None, :] ** 2)
+@functools.lru_cache(maxsize=8)
+def _rfft_k_squared(dim: int, n: int, length: float) -> np.ndarray:
+    """Cached, read-only |k|^2 on the rfftn half spectrum."""
+    spacing = length / n
+    kfull = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
+    khalf = 2.0 * np.pi * np.fft.rfftfreq(n, d=spacing)
+    if dim == 1:
+        k2 = khalf**2
+    else:
+        k2 = (kfull[:, None, None] ** 2 + kfull[None, :, None] ** 2
+              + khalf[None, None, :] ** 2)
+    k2.flags.writeable = False
+    return k2
 
 
 # ---------------------------------------------------------------------------

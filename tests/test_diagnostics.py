@@ -53,6 +53,15 @@ class TestMeasure:
         assert rec.width == pytest.approx(closed_form_width(spec_1d_b(P), P),
                                           rel=1e-6)
 
+    def test_cached_phase_factor_keeps_centroid_bitwise(self):
+        g = make_grid(1, 1024, 60.0)
+        st = state_from_solution(spec_1d_b(P), P, g, x0=0.31 * g.length)
+        d = st.psi.real**2 + st.psi.imag**2
+        angle = np.angle(np.sum(d * np.exp(2j * np.pi * g.axis / g.length)))
+        assert measure(st).centroid == angle * g.length / (2.0 * np.pi)
+        assert g.circular_phase is g.circular_phase
+        assert not g.circular_phase.flags.writeable
+
     def test_peak_refinement_resolves_subgrid_offsets(self):
         g = make_grid(1, 1024, 60.0)
         x0 = 0.37 * g.spacing

@@ -70,6 +70,19 @@ class TestStepControl:
             evolve(st, T=0.0, kernel_prefactor="double")
         assert EvolutionMode.parse("Coupled") is EvolutionMode.COUPLED
 
+    @pytest.mark.parametrize("kwargs", [
+        {"observer_stride": 0},
+        {"observer_stride": 2.5},
+        {"snapshot_stride": -3},
+    ])
+    def test_bad_stride_rejected_before_any_step(self, kwargs):
+        g = make_grid(1, 256, 30.0)
+        st = state_from_solution(spec_1d_b(P), P, g)
+        seen = []
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            evolve(st, T=1.0, dt=0.05, observer=seen.append, **kwargs)
+        assert seen == []
+
     def test_mismatched_history_step_warns(self):
         g = make_grid(1, 1024, 60.0)
         dt = 0.9 * stability_limit(g, P)  # does not divide T = 1
@@ -118,11 +131,15 @@ class TestConservationAndAccuracy:
     def test_reversal_retraces_exactly(self):
         g = make_grid(1, 1024, 60.0)
         dt = dividing_dt(2.0, g, P)
-        st = state_from_solution(spec_1d_b(P), P, g, dt=dt)
-        fwd = evolve(st, T=2.0, dt=dt)
-        back = evolve(reverse_state(fwd.final, dt), T=2.0, dt=dt)
-        assert np.max(np.abs(np.conj(back.final.psi) - st.psi)) < 1e-11
-        assert np.max(np.abs(back.final.phi - st.phi)) < 1e-11
+        coupled = state_from_solution(spec_1d_b(P), P, g, dt=dt)
+        for mode, st in (("coupled", coupled),
+                         ("choquard",
+                          state_with_static_field(coupled.psi, P, g))):
+            fwd = evolve(st, T=2.0, dt=dt, mode=mode)
+            back = evolve(reverse_state(fwd.final, dt, mode), T=2.0, dt=dt,
+                          mode=mode)
+            assert np.max(np.abs(np.conj(back.final.psi) - st.psi)) < 1e-11
+            assert np.max(np.abs(back.final.phi - st.phi)) < 1e-11
 
 
 class TestBlowUp:
@@ -131,6 +148,8 @@ class TestBlowUp:
         with pytest.raises(BlowUpError) as exc:
             evolve(st, T=50.0, dt=0.1, enforce_stability=False)
         assert 0.0 < exc.value.t <= 50.0
+        # the abort step is deterministic; kick merging must not move it
+        assert exc.value.t == pytest.approx(22.5, abs=1e-12)
         assert not np.isfinite(exc.value.amplitude) or \
             exc.value.amplitude > 1e3
 
@@ -159,6 +178,14 @@ class TestTrajectoryPlumbing:
         assert seen == pytest.approx([0.0, 0.005, 0.01])
         assert len(traj.records) == 3
 
+    def test_kick_count(self):
+        st, _ = soliton_state(dt=0.001)
+        assert evolve(st, T=0.01, dt=0.001).kicks == 11
+        flushed = evolve(st, T=0.01, dt=0.001, observer=lambda s: None,
+                         observer_stride=1)
+        assert flushed.kicks == 20
+        assert evolve(st, T=0.01, dt=0.001, mode="free").kicks == 0
+
     def test_snapshots_carry_leapfrog_history(self):
         st, g = soliton_state(dt=0.001)
         traj = evolve(st, T=0.01, dt=0.001)
@@ -167,6 +194,21 @@ class TestTrajectoryPlumbing:
 
 
 class TestModes:
+    @pytest.mark.parametrize("mode", ["coupled", "choquard", "free"])
+    def test_merged_kicks_match_every_step_flushed(self, mode):
+        # observer_stride=1 closes the pending half kick after every step,
+        # so nothing is merged; the merged run must land on the same state
+        g = make_grid(1, 1024, 60.0)
+        dt = dividing_dt(1.0, g, P)
+        st = state_from_solution(spec_1d_b(P), P, g, dt=dt)
+        if mode == "choquard":
+            st = state_with_static_field(st.psi, P, g)
+        merged = evolve(st, T=1.0, dt=dt, mode=mode)
+        flushed = evolve(st, T=1.0, dt=dt, mode=mode,
+                         observer=lambda s: None, observer_stride=1)
+        assert np.max(np.abs(merged.final.psi - flushed.final.psi)) <= 1e-12
+        assert np.max(np.abs(merged.final.phi - flushed.final.phi)) <= 1e-12
+
     def test_free_mode_matches_analytic_spreading(self):
         g = make_grid(1, 2048, 128.0)
         pk = gaussian_packet(g, P, sigma0=2.0)

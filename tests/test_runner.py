@@ -99,6 +99,17 @@ class TestRunScenario:
                      "snapshot_initial.csv", "snapshot_final.csv"):
             assert (tmp_path / name).exists(), name
 
+    def test_propagation_reports_kick_count(self, tmp_path):
+        cfg = apply_overrides(default_config("soliton-propagation"),
+                              ["grid.n=256", "run.T=1.0", "run.stride=4"])
+        report = run_scenario(cfg, out_dir=tmp_path)
+        data = json.loads((tmp_path / "report.json").read_text())
+        rows = (tmp_path / "observables.csv").read_text().splitlines()
+        recorded = len(rows) - 2  # header and the initial state
+        # one kick per step, plus one closing half kick per recorded state
+        assert data["details"]["kicks"] == report.step_count + recorded
+        assert recorded < report.step_count
+
 
 class TestDeterminism:
     def test_perturbation_repeat_is_byte_identical(self, tmp_path):

@@ -125,6 +125,18 @@ class TestSpectralDerivative:
         f = np.exp(1j * k * g.axis)
         np.testing.assert_allclose(laplacian(f, g), -k * k * f, atol=1e-11)
 
+    @pytest.mark.parametrize("grid", [
+        make_grid(1, 1024, 40.0),
+        make_grid(3, 16, 8.0),
+        make_grid(1, 512, 30.0, transverse_mode=(0.3, 0.4)),
+    ], ids=["1d", "3d", "quasi-1d"])
+    def test_real_field_laplacian_matches_complex_transform(self, grid):
+        f = wrapped_gaussians(grid, RNG, sig_lo=2.0, sig_hi=4.0)
+        out = laplacian(f, grid)
+        assert out.dtype == np.float64
+        ref = np.fft.ifftn(np.fft.fftn(f) * (-grid.k_squared)).real
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
 
 class TestYukawaInvert:
     def test_constant_source_identity(self):
