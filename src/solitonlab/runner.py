@@ -12,6 +12,7 @@ marker naming the scenario and the error, before the exception propagates.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import time
@@ -36,7 +37,8 @@ from .residuals import FamilyAuditEntry, ResidualReport, full_family_audit
 from .solutions import (closed_form_width, family_coefficients,
                         family_velocity, sample_solution, spec_1d_a,
                         spec_1d_b, spec_3d_a, spec_3d_b)
-from .spectral import yukawa_convolve_direct, yukawa_invert
+from .spectral import (MAX_DIRECT_POINTS, yukawa_convolve_direct,
+                       yukawa_invert)
 
 FAILED_MARKER = "FAILED"
 
@@ -597,7 +599,9 @@ def _smooth_random_source(grid: Grid, rng: np.random.Generator,
 
     Widths of 6 to 8 grid spacings keep the spectrum below machine noise
     at the Nyquist edge, so the spectral and quadrature routes see the
-    same function rather than disagreeing on unresolved content.
+    same function rather than disagreeing on unresolved content. A bump
+    and its periodic images factorize per axis: the outer product of the
+    per-axis sums of three images.
     """
     length = grid.length
     out = np.zeros(grid.shape)
@@ -605,13 +609,25 @@ def _smooth_random_source(grid: Grid, rng: np.random.Generator,
         center = rng.uniform(-length / 2, length / 2, size=grid.dim)
         sig = rng.uniform(6.0, 8.0) * grid.spacing
         amp = rng.uniform(-1.0, 1.0)
-        for shifts in np.ndindex(*(3,) * grid.dim):
-            r2 = np.zeros(grid.shape)
-            for ax in range(grid.dim):
-                d = grid.coords[ax] - center[ax] + (shifts[ax] - 1) * length
-                r2 = r2 + d**2
-            out += amp * np.exp(-0.5 * r2 / sig**2)
+        factors = [sum(np.exp(-0.5 * (grid.axis - c + shift * length) ** 2
+                              / sig**2) for shift in (-1, 0, 1))
+                   for c in center]
+        out += amp * functools.reduce(np.multiply.outer, factors)
     return out
+
+
+def _oracle_grid(config: ScenarioConfig, key: str, dim: int,
+                 length: float) -> Grid:
+    n = config.get("oracle", key)
+    try:
+        grid = make_grid(dim, n, length)
+    except ValueError as e:
+        raise ConfigError(f"invalid oracle.{key}: {e}") from None
+    if n**dim > MAX_DIRECT_POINTS:
+        raise ConfigError(
+            f"oracle.{key} = {n} gives {n**dim} points, over the direct "
+            f"quadrature's limit of {MAX_DIRECT_POINTS}")
+    return grid
 
 
 def _scenario_yukawa_oracle(config: ScenarioConfig,
@@ -624,10 +640,13 @@ def _scenario_yukawa_oracle(config: ScenarioConfig,
     cases = config.get("oracle", "cases")
     if cases < 1:
         raise ConfigError(f"oracle.cases must be >= 1, got {cases}")
+    g1 = _oracle_grid(config, "n_1d", 1, 40.0 / m)
+    run_3d = config.get("oracle", "run_3d")
+    if run_3d:
+        g3 = _oracle_grid(config, "n_3d", 3, 20.0 / m)
 
     rows = []
     worst_1d = 0.0
-    g1 = make_grid(1, config.get("oracle", "n_1d"), 40.0 / m)
     for i in range(cases):
         s = _smooth_random_source(g1, rng)
         t0 = time.perf_counter()
@@ -644,8 +663,7 @@ def _scenario_yukawa_oracle(config: ScenarioConfig,
         "criterion-7", f"1D spectral vs direct quadrature "
         f"({cases} random smooth sources)", worst_1d, 1e-6))
 
-    if config.get("oracle", "run_3d"):
-        g3 = make_grid(3, config.get("oracle", "n_3d"), 20.0 / m)
+    if run_3d:
         s3 = _smooth_random_source(g3, rng)
         t0 = time.perf_counter()
         spectral3 = yukawa_invert(s3, m=m, grid=g3)

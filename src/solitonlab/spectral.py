@@ -20,9 +20,11 @@ cancels.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy import fft as sfft
 
@@ -39,10 +41,10 @@ __all__ = [
     "MAX_DIRECT_POINTS",
 ]
 
-# The direct apply costs points^2 multiply-adds and gathers a dense
-# n^2 x n^2 block per offset in 3D; the 3D acceptance size 32^3 = 2^15 takes
-# about a second including the weight build (2-core Xeon, OpenBLAS), and
-# anything larger is rejected.
+# The direct apply costs points^2 multiply-adds (half that for the
+# mirror-folded 3D weights) and copies a dense n^2 x n^2 block per offset
+# pair in 3D; the 3D acceptance size 32^3 = 2^15 takes about 0.2 s including
+# the weight build (2-core Xeon, OpenBLAS), and anything larger is rejected.
 MAX_DIRECT_POINTS = 2**15
 
 
@@ -160,10 +162,11 @@ def yukawa_convolve_direct(source: np.ndarray, m: float, grid: Grid) -> np.ndarr
     Independent oracle for yukawa_invert: convolves the source with the
     periodic screened-Coulomb kernel (cosh closed form in 1D, minimum-image
     exp(-m r)/(4 pi r) in 3D) using per-cell product integration. The apply
-    is a dense circulant matrix product, points^2 multiply-adds: in 1D one
-    matrix-vector product, in 3D one BLAS matmul per offset along the first
-    axis against the 2D-circulant block of the remaining two. No FFT is
-    involved. Guarded to MAX_DIRECT_POINTS total points.
+    is a dense circulant matrix product: in 1D one matrix-vector product,
+    points^2 multiply-adds; in 3D one BLAS matmul per mirror pair of offsets
+    d, -d along the first axis against the 2D-circulant block of the
+    remaining two, about points^2/2 multiply-adds. No FFT is involved.
+    Guarded to MAX_DIRECT_POINTS total points.
     """
     if m <= 0.0:
         raise ValueError(f"scalar mass must be positive, got {m}")
@@ -249,10 +252,19 @@ def _direct_weights_3d(n: int, length: float, m: float,
     this route.
 
     The bulk integrand (direct term plus image shell) is even in each axis,
-    so it is evaluated once per distinct |offset|: cells e >= 0 at their
-    own nodes, which cell -1-e reads back with the node order reversed.
-    The Lagrange contraction and the scatter onto the nodes then run axis
-    by axis on that table.
+    so its table runs over the distinct |offset| per axis: cells e >= 0 at
+    their own nodes, which cell -1-e reads back with the node order
+    reversed. It is also unchanged when the axes are permuted, so it is
+    evaluated once per sorted index triple i <= j <= k of that axis (about
+    a sixth of the table) and expanded through an int32 rank map. The
+    Lagrange contraction and the scatter onto the nodes then run axis by
+    axis on the table.
+
+    Kernel, image shell and every rule share these symmetries, so each
+    weight of the finished table is read from its representative at sorted
+    |offset|s: the table is exactly, bitwise, even along each axis and
+    symmetric under axis permutation (the mirror fold of _circulant_apply
+    relies on the evenness).
     """
     dx = length / n
     w = np.zeros((n, n, n))
@@ -266,33 +278,20 @@ def _direct_weights_3d(n: int, length: float, m: float,
         d3 = (e3 - _HALF + np.arange(_P)) % n
         w[np.ix_(d1, d2, d3)] += block
 
-    # bulk, on the distinct offsets y = (e + tb) dx, e = 0 .. n/2 - 1; the
-    # direct term is left out on the 4^3 special block (e in {-2..1} per
-    # axis, i.e. e < 2 here), whose cells the shell and corner rules cover
+    # bulk, on the distinct offsets y = (e + tb) dx, e = 0 .. n/2 - 1
     tb, ob = _gauss01(q_bulk)
     half = n // 2
     y = (np.arange(half)[:, None] + tb[None, :]).ravel() * dx
-    y2 = {s: (y + s * length) ** 2 for s in (-1, 0, 1)}
-    T = kernel(np.sqrt(y2[0][:, None, None] + y2[0][None, :, None]
-                       + y2[0][None, None, :]))
-    T[:2 * q_bulk, :2 * q_bulk, :2 * q_bulk] = 0.0
-    for v1 in (-1, 0, 1):
-        for v2 in (-1, 0, 1):
-            for v3 in (-1, 0, 1):
-                nnz = abs(v1) + abs(v2) + abs(v3)
-                if nnz == 0 or m * length * np.sqrt(nnz) > 80.0:
-                    continue
-                T += kernel(np.sqrt(y2[v1][:, None, None]
-                                    + y2[v2][None, :, None]
-                                    + y2[v3][None, None, :]))
+    T = _bulk_table(y, length, m, kernel, 2 * q_bulk)
     # per axis: Gauss-weighted basis contraction of each cell, cells -1-e
     # from the reversed nodes, then node d collects cell d + _HALF - a
     c = (_lagrange_basis(tb) * ob[:, None]).T            # (P, q)
     for _ in range(3):
         rest = T.shape[1:]
         cells = T.reshape(half, q_bulk, -1)
-        per_cell = np.concatenate([c @ cells,
-                                   (c[:, ::-1] @ cells)[::-1]])  # (n, P, rest)
+        per_cell = np.empty((n, _P, cells.shape[-1]))
+        np.matmul(c, cells, out=per_cell[:half])
+        per_cell[half:] = (c[:, ::-1] @ cells)[::-1]
         T = sum(np.roll(per_cell[:, a], a - _HALF, axis=0) for a in range(_P))
         T = np.moveaxis(T.reshape((n,) + rest), 0, -1)
     w += T * dx**3
@@ -343,26 +342,91 @@ def _direct_weights_3d(n: int, length: float, m: float,
                         @ B23.reshape(-1, _P * _P)
                 scatter(acc.reshape(_P, _P, _P), 0 if s1 > 0 else -1,
                         0 if s2 > 0 else -1, 0 if s3 > 0 else -1)
-    return w
+    offset = np.arange(n)
+    return w[_min_mid_max(np.minimum(offset, n - offset))]
+
+
+def _bulk_table(y: np.ndarray, length: float, m: float,
+                kernel: Callable[[np.ndarray], np.ndarray],
+                special: int) -> np.ndarray:
+    """Bulk integrand on y^3: the direct term, left out where all three
+    indices are below special (the 4^3 special block, whose cells the shell
+    and corner rules cover), plus the 26 first-shell images.
+
+    Evaluated on the sorted triples i <= j <= k only and expanded through
+    the rank map; the triples and the map die with this call, before the
+    caller's contraction allocates its own temporaries.
+    """
+    size = y.size
+    idx = np.arange(size, dtype=np.int32)
+    # sorted triples a <= b <= c ordered by c, then b, then a: (a, b, c)
+    # has rank tetra[c] + tri[b] + a, tetra[c] = c(c+1)(c+2)/6 triples
+    # having a smaller c, tri[b] = b(b+1)/2 pairs having a smaller b
+    tri = idx * (idx + 1) // 2
+    tetra = idx * (idx + 1) * (idx + 2) // 6
+    per_max = tri + idx + 1                       # triples with largest c
+    pairs_b, pairs_a = np.tril_indices(size)      # a <= b, by b then a
+    c = np.repeat(idx, per_max)
+    pos = np.arange(c.size) - np.repeat(tetra, per_max)
+    sq = [{v: (y[i] + v * length) ** 2 for v in (-1, 0, 1)}
+          for i in (pairs_a[pos], pairs_b[pos], c)]
+    vals = kernel(np.sqrt(sq[0][0] + sq[1][0] + sq[2][0]))
+    vals[c < special] = 0.0
+    for v1 in (-1, 0, 1):
+        for v2 in (-1, 0, 1):
+            for v3 in (-1, 0, 1):
+                nnz = abs(v1) + abs(v2) + abs(v3)
+                if nnz == 0 or m * length * np.sqrt(nnz) > 80.0:
+                    continue
+                vals += kernel(np.sqrt(sq[0][v1] + sq[1][v2] + sq[2][v3]))
+    lo, mid, hi = _min_mid_max(idx)
+    rank = tetra[hi]
+    rank += tri[mid]
+    rank += lo
+    return vals[rank]
+
+
+def _min_mid_max(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
+    """Elementwise smallest, middle and largest of (idx_i, idx_j, idx_k)
+    over idx^3, without a sort."""
+    i, j, k = idx[:, None, None], idx[None, :, None], idx[None, None, :]
+    lo = np.minimum(np.minimum(i, j), k)
+    hi = np.maximum(np.maximum(i, j), k)
+    return lo, i + j + k - lo - hi, hi
 
 
 def _circulant_apply(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Dense circulant apply out_i = sum_j w[(j - i) mod n per axis] s_j.
 
     In 3D the matrix is block circulant along the first axis: offset d1
-    contributes roll(s, -d1, 0) (n x n^2) times the transposed n^2 x n^2
-    2D-circulant block gathered from w[d1], one BLAS matmul per offset.
+    contributes roll(s, -d1, 0) (n x n^2) times the n^2 x n^2 2D-circulant
+    block of w[d1], one BLAS matmul per offset. The block is a strided copy
+    of a reversed sliding window over the plane tiled 2 x 2, with no index
+    table. Offsets d1 and n - d1 whose planes w[d1] and w[n - d1] are
+    bitwise equal share one block and one matmul on
+    roll(s, -d1) + roll(s, d1): n/2 + 1 blocks instead of n for a table even
+    along its first axis, as the screened-kernel weights are. Other planes
+    get the unfolded sum.
     """
     n = s.shape[0]
-    i = np.arange(n)
-    offset = (i[None, :] - i[:, None]) % n               # (j - i) mod n
     if s.ndim == 1:
-        return w[offset] @ s
-    # block entry (i2 i3, j2 j3) -> flat index of w[d1] at (j2 - i2, j3 - i3)
-    table = (offset[:, None, :, None] * n
-             + offset[None, :, None, :]).reshape(n * n, n * n)
+        i = np.arange(n)
+        return w[(i[None, :] - i[:, None]) % n] @ s
+
+    def block(plane: np.ndarray) -> np.ndarray:
+        # entry (j2 j3, i2 i3) = plane[j2 - i2, j3 - i3] = tiled[n + j2 - i2,
+        # n + j3 - i3]
+        window = sliding_window_view(np.tile(plane, (2, 2)), (n, n))
+        return window[1:, 1:, ::-1, ::-1].reshape(n * n, n * n)
+
     out = np.zeros((n, n * n))
-    for d1 in range(n):
-        out += np.roll(s, -d1, axis=0).reshape(n, n * n) \
-            @ w[d1].ravel()[table].T
+    for d1 in range(n // 2 + 1):
+        mirror = -d1 % n
+        rows = np.roll(s, -d1, axis=0)
+        if mirror != d1 and np.array_equal(w[d1], w[mirror]):
+            rows += np.roll(s, d1, axis=0)
+        elif mirror != d1:
+            out += np.roll(s, d1, axis=0).reshape(n, n * n) @ block(w[mirror])
+        out += rows.reshape(n, n * n) @ block(w[d1])
     return out.reshape(s.shape)

@@ -16,6 +16,7 @@ from solitonlab.cli import main
 from solitonlab.config import (ConfigError, ScenarioConfig, apply_overrides,
                                default_config, parse_config)
 from solitonlab.evolution import StabilityError
+from solitonlab import runner
 from solitonlab.runner import FAILED_MARKER, _check, run_scenario
 
 
@@ -226,6 +227,22 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         assert "param-sweep: failed" in out
         assert "[FAIL] sweep" in out
+
+    @pytest.mark.parametrize("override", [
+        "oracle.n_3d=30", "oracle.n_3d=8", "oracle.n_1d=100",
+        "oracle.n_3d=64"])
+    def test_bad_oracle_size_is_two_before_any_work(self, tmp_path, capsys,
+                                                    monkeypatch, override):
+        # not a power of two >= 16, or over the direct route's point limit
+        # (64^3): refused before the first source is drawn
+        def no_work(*args, **kwargs):
+            raise AssertionError("oracle work ran before the size check")
+
+        monkeypatch.setattr(runner, "_smooth_random_source", no_work)
+        code = main(["yukawa-oracle", "--out", str(tmp_path),
+                     "--override", override])
+        assert code == 2
+        assert override.split("=")[0] in capsys.readouterr().err
 
     def test_fractional_stride_is_two(self, tmp_path, capsys):
         code = main(["free-spreading", "--out", str(tmp_path),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,8 +13,8 @@ from scipy.special import erfc
 from solitonlab.model import make_grid
 from solitonlab.spectral import (
     MAX_DIRECT_POINTS, _circulant_apply, _direct_weights, _direct_weights_1d,
-    forward_transform, inverse_transform, laplacian, spectral_derivative,
-    yukawa_convolve_direct, yukawa_invert,
+    _direct_weights_3d, forward_transform, inverse_transform, laplacian,
+    spectral_derivative, yukawa_convolve_direct, yukawa_invert,
 )
 
 RNG = np.random.default_rng(42)
@@ -280,6 +281,22 @@ class TestDirectApply:
         out = _circulant_apply(w, s)
         assert np.abs(out - ref).max() / np.abs(ref).max() <= 1e-13
 
+    @pytest.mark.parametrize("n", [8, 16, 9])
+    def test_mirror_fold_matches_gather_reference(self, n):
+        # weights exactly even along each axis take the folded path, one
+        # block per mirror pair of planes; n = 16 also has the self-paired
+        # plane n/2, n = 9 has none
+        rng = np.random.default_rng(n)
+        w = rng.normal(size=(n, n, n))
+        mirror = -np.arange(n) % n
+        for axis in range(3):
+            w = w + np.take(w, mirror, axis=axis)
+        assert all(np.array_equal(w[d], w[-d % n]) for d in range(n))
+        s = rng.normal(size=(n, n, n))
+        ref = gather_apply(w, s)
+        out = _circulant_apply(w, s)
+        assert np.abs(out - ref).max() / np.abs(ref).max() <= 1e-13
+
 
 class TestDirectWeights:
     def test_3d_weights_are_cubic_symmetric(self):
@@ -292,6 +309,28 @@ class TestDirectWeights:
             assert np.abs(w.transpose(perm) - w).max() / scale <= 1e-14
         reflected = np.roll(w[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
         assert np.abs(reflected - w).max() / scale <= 1e-14
+
+    def test_3d_weights_are_exactly_even_and_permutation_symmetric(self):
+        # bitwise: the apply folds mirror planes only when they are equal
+        w = np.asarray(_direct_weights(3, 16, 16.0, 2.5))
+        mirror = -np.arange(16) % 16
+        for axis in range(3):
+            np.testing.assert_array_equal(np.take(w, mirror, axis=axis), w)
+        for perm in [(1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]:
+            np.testing.assert_array_equal(w.transpose(perm), w)
+
+    def test_3d_weight_build_peak_memory(self):
+        # traced peak of an uncached 32^3 build. The full-table build that
+        # the sorted-triple table replaced peaked at 45_095_136 bytes in
+        # this suite (45_098_003 alone; numpy 2.4.6); the sorted-triple
+        # build peaks near 35.7 MB and must stay at or under the old peak
+        tracemalloc.start()
+        try:
+            _direct_weights_3d(32, 40.0, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45_095_136
 
     def test_cached_weights_are_read_only(self):
         w = _direct_weights(1, 64, 16.0, 1.0)
