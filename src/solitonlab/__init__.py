@@ -38,9 +38,6 @@ from .solutions import (
     closed_form_width,
 )
 from .spectral import (
-    Spectrum,
-    forward_transform,
-    inverse_transform,
     spectral_derivative,
     laplacian,
     yukawa_invert,
@@ -50,8 +47,6 @@ from .residuals import (
     ResidualReport,
     ConvergenceCheck,
     FamilyAuditEntry,
-    schrodinger_residual,
-    klein_gordon_residual,
     residual_pair,
     choquard_residual,
     convergence_check,

@@ -25,7 +25,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from .model import PHI_PROFILE_ALIASES, PHI_PROFILES, Family
+from .model import (KERNEL_PREFACTORS, PHI_PROFILE_ALIASES, PHI_PROFILES,
+                    Family)
 
 SCENARIOS = (
     "verify-residuals",
@@ -77,7 +78,7 @@ SCHEMA: dict[str, dict[str, tuple[str, Any, tuple | None]]] = {
         "length": (_FLOAT_OR_AUTO, None, None),
     },
     "toggles": {
-        "kernel_prefactor": (_STR, "full", ("full", "half")),
+        "kernel_prefactor": (_STR, "full", KERNEL_PREFACTORS),
         "phi_profile": (_STR, "sech", None),
     },
     "packet": {

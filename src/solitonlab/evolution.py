@@ -50,11 +50,11 @@ from typing import Callable
 import numpy as np
 from scipy import fft as sfft
 
-from .model import FieldState, Grid, PhysicalParams
+from .model import (FieldState, Grid, PhysicalParams, check_kernel_prefactor,
+                    scalar_source)
 from .solutions import sample_solution
 from .spectral import laplacian, yukawa_invert
 
-KERNEL_PREFACTORS = ("full", "half")
 BLOWUP_FACTOR = 1e3
 
 
@@ -121,10 +121,6 @@ def _density(psi: np.ndarray) -> np.ndarray:
     return psi.real**2 + psi.imag**2
 
 
-def _source(density: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    return (2.0 * params.M / params.v**2) * density
-
-
 def _phase_kick(psi: np.ndarray, phi: np.ndarray, rate: float,
                 phase: np.ndarray, kick: np.ndarray) -> None:
     """psi *= exp(i rate phi) in place, through the buffers phase and kick."""
@@ -136,10 +132,8 @@ def _phase_kick(psi: np.ndarray, phi: np.ndarray, rate: float,
 
 def _slaved_field(density: np.ndarray, params: PhysicalParams, grid: Grid,
                   kernel_prefactor: str) -> np.ndarray:
-    phi = yukawa_invert(_source(density, params), m=params.m, grid=grid)
-    if kernel_prefactor == "half":
-        phi = 0.5 * phi
-    return phi
+    return yukawa_invert(scalar_source(density, params, kernel_prefactor),
+                         m=params.m, grid=grid)
 
 
 def scalar_acceleration(phi: np.ndarray, psi: np.ndarray,
@@ -148,7 +142,7 @@ def scalar_acceleration(phi: np.ndarray, psi: np.ndarray,
     """d^2 phi/dt^2 = Lap phi - m^2 phi - (2M/v^2)|psi|^2."""
     acc = laplacian(phi, grid) - params.m**2 * phi
     if with_source:
-        acc = acc - _source(_density(psi), params)
+        acc = acc - scalar_source(_density(psi), params)
     return acc
 
 
@@ -174,9 +168,7 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     between, up to 2N when every step is recorded, 0 in free mode.
     """
     mode = EvolutionMode.parse(mode)
-    if kernel_prefactor not in KERNEL_PREFACTORS:
-        raise ValueError(f"kernel_prefactor must be one of "
-                         f"{KERNEL_PREFACTORS}, got {kernel_prefactor!r}")
+    check_kernel_prefactor(kernel_prefactor)
     if T < 0.0:
         raise ValueError("T must be nonnegative; retrace a trajectory by "
                          "reversing the final state and evolving forward")
@@ -281,7 +273,7 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
             if leapfrog:
                 acc = laplacian(phi, grid) - m2 * phi
                 if kicked:
-                    acc = acc - _source(density, params)
+                    acc = acc - scalar_source(density, params)
                 phi_prev, phi = phi, 2.0 * phi - phi_prev + dt2 * acc
             else:
                 phi = _slaved_field(fresh, params, grid, kernel_prefactor)
@@ -371,9 +363,6 @@ def state_with_static_field(psi: np.ndarray, params: PhysicalParams,
                             grid: Grid, t0: float = 0.0,
                             kernel_prefactor: str = "full") -> FieldState:
     """Initial data with the scalar field slaved to the given density."""
-    if kernel_prefactor not in KERNEL_PREFACTORS:
-        raise ValueError(f"kernel_prefactor must be one of "
-                         f"{KERNEL_PREFACTORS}, got {kernel_prefactor!r}")
     phi = _slaved_field(_density(np.asarray(psi, dtype=complex)), params,
                         grid, kernel_prefactor)
     return FieldState(t=t0, psi=np.asarray(psi, dtype=complex), phi=phi,

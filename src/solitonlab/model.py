@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +26,7 @@ __all__ = [
     "ConstraintCheck",
     "ValidationReport",
     "make_grid",
+    "scalar_source",
     "validate_params",
 ]
 
@@ -68,6 +69,9 @@ PHI_PROFILE_ALIASES = {
     "sech_squared": "sech_squared",
     "corrected_sech_squared": "sech_squared",
 }
+# Slaved-field source strength: "full" is the field equation's 2M/v^2,
+# "half" the alternative printed convention.
+KERNEL_PREFACTORS = ("full", "half")
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,27 @@ class PhysicalParams:
     def mv(self) -> float:
         """The combination m*v that sets the 1D family scales."""
         return self.m * self.v
+
+
+def check_kernel_prefactor(kernel_prefactor: str) -> None:
+    """Raise ValueError unless kernel_prefactor is one of KERNEL_PREFACTORS."""
+    if kernel_prefactor not in KERNEL_PREFACTORS:
+        raise ValueError(f"kernel_prefactor must be one of "
+                         f"{KERNEL_PREFACTORS}, got {kernel_prefactor!r}")
+
+
+def scalar_source(density: np.ndarray, params: PhysicalParams,
+                  kernel_prefactor: str = "full") -> np.ndarray:
+    """Source term (2M/v^2) |psi|^2 of the scalar equation, from |psi|^2.
+
+    kernel_prefactor "half" halves it (see KERNEL_PREFACTORS). The factor
+    0.5 is exact, so halving the source halves the slaved field bitwise.
+    """
+    check_kernel_prefactor(kernel_prefactor)
+    scale = 2.0 * params.M / params.v**2
+    if kernel_prefactor == "half":
+        scale *= 0.5
+    return scale * density
 
 
 @dataclass(frozen=True)
@@ -131,9 +156,6 @@ class SolitonSpec:
         if self.family in (Family.ONED_A, Family.ONED_B):
             if self.gamma != 0.0 or self.eps != 0.0:
                 raise ValueError("1D families carry no transverse wavenumbers")
-
-    def with_profile(self, phi_profile: str) -> "SolitonSpec":
-        return replace(self, phi_profile=phi_profile)
 
 
 @dataclass(frozen=True)

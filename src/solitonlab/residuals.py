@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Grid, PhysicalParams, SolitonSpec
-from .solutions import family_coefficients, sample_solution, spec_1d_a, \
-    spec_1d_b, spec_3d_a, spec_3d_b
+from .model import Grid, PhysicalParams, SolitonSpec, scalar_source
+from .solutions import family_coefficients, matched_length, \
+    sample_solution, spec_1d_a, spec_1d_b, spec_3d_a, spec_3d_b
 from .spectral import laplacian, yukawa_invert
 
 FD_ORDER = 6
@@ -108,7 +108,7 @@ def scalar_residual_from_stack(phi_stack: np.ndarray, psi: np.ndarray,
     phi_tt = np.tensordot(_D2, phi_stack, axes=(0, 0)) / (h * h)
     wave = laplacian(phi, grid) - phi_tt
     mass = params.m**2 * phi
-    source = (2.0 * params.M / params.v**2) * np.abs(psi) ** 2
+    source = scalar_source(np.abs(psi) ** 2, params)
     res = wave - mass - source
     terms = {
         "wave_operator": float(np.max(np.abs(wave))),
@@ -147,26 +147,6 @@ def _sample_stacks(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
     return psi_stack, phi_stack
 
 
-def schrodinger_residual(spec: SolitonSpec, params: PhysicalParams,
-                         grid: Grid, t: float = 0.0, x0: float = 0.0,
-                         h: float | None = None) -> ResidualReport:
-    """Matter-equation residual of a closed-form family member."""
-    if h is None:
-        h = auto_time_step(spec, params)
-    psi_stack, phi_stack = _sample_stacks(spec, params, grid, t, x0, h)
-    return matter_residual_from_stack(psi_stack, phi_stack[3], params, grid, h)
-
-
-def klein_gordon_residual(spec: SolitonSpec, params: PhysicalParams,
-                          grid: Grid, t: float = 0.0, x0: float = 0.0,
-                          h: float | None = None) -> ResidualReport:
-    """Scalar-equation residual of a closed-form family member."""
-    if h is None:
-        h = auto_time_step(spec, params)
-    psi_stack, phi_stack = _sample_stacks(spec, params, grid, t, x0, h)
-    return scalar_residual_from_stack(phi_stack, psi_stack[3], params, grid, h)
-
-
 def residual_pair(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
                   t: float = 0.0, x0: float = 0.0,
                   h: float | None = None) -> tuple[ResidualReport,
@@ -197,19 +177,15 @@ def choquard_residual(psi: np.ndarray, rotation_frequency: float,
     match the alternative printed convention. No time stencil is involved;
     the rotation term is exact.
     """
-    if kernel_prefactor not in ("full", "half"):
-        raise ValueError(f"kernel_prefactor must be 'full' or 'half', "
-                         f"got {kernel_prefactor!r}")
     if psi.shape != grid.shape:
         raise ValueError(f"psi shape {psi.shape} does not match grid "
                          f"{grid.shape}")
     if not np.any(psi):
         raise ValueError("choquard residual of an identically zero field "
                          "is undefined")
-    source = (2.0 * params.M / params.v**2) * np.abs(psi) ** 2
-    phi = yukawa_invert(source, m=params.m, grid=grid)
-    if kernel_prefactor == "half":
-        phi = 0.5 * phi
+    phi = yukawa_invert(scalar_source(np.abs(psi) ** 2, params,
+                                      kernel_prefactor),
+                        m=params.m, grid=grid)
     lap = laplacian(psi, grid) - grid.transverse_k2 * psi
     kinetic = lap / (2.0 * params.M)
     coupling = params.M * phi * psi
@@ -274,22 +250,18 @@ class FamilyAuditEntry:
                 and self.scalar.rel_residual < 1e-6)
 
 
-def _audit_grid(spec: SolitonSpec, params: PhysicalParams, n: int) -> Grid:
-    k = family_coefficients(spec, params).envelope_k
-    return Grid(dim=1, n=n, length=40.0 / k)
-
-
 def full_family_audit(params: PhysicalParams | None = None,
                       n: int = 2048, t: float = 0.3,
                       with_convergence: bool = False
                       ) -> list[FamilyAuditEntry]:
     """Residual audit of all four families on matched quasi-1D lattices.
 
-    Covers the bright-envelope member (width from the dispersion closure),
-    the moving sech^2 member at its exact point mu = m and at a generic
-    detuned momentum, and the unit-speed member under both printed and
-    corrected scalar profiles. Each entry states whether the pair satisfies
-    both equations at the 1e-6 relative gate.
+    The six entries come in this order: the bright-envelope member (width
+    from the dispersion closure), the moving sech^2 member at its exact
+    point mu = m and at a generic detuned momentum, the unit-speed member
+    under the printed and the corrected scalar profile, and the subluminal
+    sech^2 member. Each entry states whether the pair satisfies both
+    equations at the 1e-6 relative gate.
 
     With with_convergence the halving study runs n/2 -> n so that the
     reported residuals are the post-halving (n-point) ones and both levels
@@ -315,13 +287,14 @@ def full_family_audit(params: PhysicalParams | None = None,
     ]
     out = []
     for label, spec in cases:
+        length = matched_length(spec, params)
         if with_convergence:
-            half_grid = _audit_grid(spec, params, max(16, n // 2))
+            half_grid = Grid(dim=1, n=max(16, n // 2), length=length)
             check = convergence_check(spec, params, half_grid, t=t)
             matter, scalar = check.fine
             ratios = check.ratios
         else:
-            grid = _audit_grid(spec, params, n)
+            grid = Grid(dim=1, n=n, length=length)
             matter, scalar = residual_pair(spec, params, grid, t=t)
             ratios = {}
         out.append(FamilyAuditEntry(label=label, family=spec.family.value,

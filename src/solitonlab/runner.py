@@ -1,12 +1,15 @@
 """Config-driven experiment scenarios with reports and artifacts.
 
-Each scenario builds its inputs from a ScenarioConfig, runs the relevant
-engine pieces, and returns a RunReport whose pass/fail checks each carry
-the identifier of the acceptance criterion they realize. run_scenario
-wraps a scenario with artifact output: a JSON report, observable CSVs, a
-snapshot of the initial and final fields where fields exist, and a plot
-script. A run that dies part-way still flushes what it has, plus a FAILED
-marker naming the scenario and the error, before the exception propagates.
+Each scenario reads its inputs from a ScenarioConfig, runs the relevant
+engine pieces, and fills the RunReport that run_scenario hands it with
+pass/fail checks, each tied to the acceptance criterion it realizes.
+Soliton runs read their inputs through one run plan (_plan), every
+evolution goes through _evolve_observed, and a setting the engine would
+reject is a ConfigError before the first step. run_scenario writes the
+artifacts: a JSON report, observable CSVs, initial and final field
+snapshots where fields exist, and a plot script. A run that dies part-way
+still flushes what it has, plus a FAILED marker naming the scenario and
+the error, before the exception propagates.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import csv
 import functools
 import json
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -29,14 +33,15 @@ from .config import ConfigError, ScenarioConfig, coerce_number, serialize
 from .diagnostics import (ObservableRecord, SeriesObserver, VelocityFit,
                           fit_velocity, free_spreading_width,
                           spreading_ratio)
-from .evolution import (evolve, gaussian_packet, perturb, stability_limit,
-                        state_from_solution, state_with_static_field)
-from .model import (FieldState, Family, Grid, PhysicalParams, SolitonSpec,
-                    make_grid, validate_params)
+from .evolution import (Trajectory, evolve, gaussian_packet, perturb,
+                        stability_limit, state_from_solution,
+                        state_with_static_field)
+from .model import (KERNEL_PREFACTORS, FieldState, Family, Grid,
+                    PhysicalParams, SolitonSpec, make_grid, validate_params)
 from .residuals import FamilyAuditEntry, ResidualReport, full_family_audit
-from .solutions import (closed_form_width, family_coefficients,
-                        family_velocity, sample_solution, spec_1d_a,
-                        spec_1d_b, spec_3d_a, spec_3d_b)
+from .solutions import (closed_form_width, family_velocity, matched_length,
+                        sample_solution, spec_1d_a, spec_1d_b, spec_3d_a,
+                        spec_3d_b)
 from .spectral import (MAX_DIRECT_POINTS, yukawa_convolve_direct,
                        yukawa_invert)
 
@@ -57,10 +62,8 @@ class CriterionCheck:
 
 def _check(criterion: str, description: str, value: float,
            threshold: float, comparison: str = "<") -> CriterionCheck:
-    ops: dict[str, Callable[[float, float], bool]] = {
-        "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
-    }
+    ops = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+           ">=": operator.ge}
     value = float(value)
     # NaN compares false against anything, which is the right failure mode
     passed = bool(ops[comparison](value, threshold))
@@ -127,13 +130,6 @@ class ScenarioArtifacts:
     snapshots: dict[str, FieldState] = field(default_factory=dict)
 
 
-def _report_for(config: ScenarioConfig) -> RunReport:
-    return RunReport(scenario=config.scenario,
-                     config_echo={s: dict(kv)
-                                  for s, kv in config.settings.items()},
-                     config_text=serialize(config))
-
-
 def _physical_params(config: ScenarioConfig) -> PhysicalParams:
     try:
         return PhysicalParams(M=config.get("params", "M"),
@@ -141,6 +137,11 @@ def _physical_params(config: ScenarioConfig) -> PhysicalParams:
                               v=config.get("params", "v"))
     except ValueError as e:
         raise ConfigError(f"invalid [params]: {e}") from None
+
+
+def _mu(config: ScenarioConfig, params: PhysicalParams) -> float:
+    mu = config.get("soliton", "mu")
+    return 0.5 * params.M if mu is None else mu
 
 
 def _soliton_spec(config: ScenarioConfig,
@@ -157,10 +158,8 @@ def _soliton_spec(config: ScenarioConfig,
             return spec_3d_a(params, alpha=alpha, omega=omega,
                              gamma=gamma, eps=eps)
         if fam is Family.THREED_B:
-            mu = config.get("soliton", "mu")
-            if mu is None:
-                mu = 0.5 * params.M
-            return spec_3d_b(params, mu=mu, gamma=gamma, eps=eps)
+            return spec_3d_b(params, mu=_mu(config, params), gamma=gamma,
+                             eps=eps)
         if fam is Family.ONED_A:
             return spec_1d_a(params,
                              phi_profile=config.get("toggles", "phi_profile"))
@@ -169,8 +168,8 @@ def _soliton_spec(config: ScenarioConfig,
         raise ConfigError(f"invalid [soliton]: {e}") from None
 
 
-def _validated(config: ScenarioConfig, params: PhysicalParams,
-               spec: SolitonSpec, findings: list[str]) -> None:
+def _validated(params: PhysicalParams, spec: SolitonSpec,
+               findings: list[str]) -> None:
     """Constraint failures are configuration errors; advisories are notes."""
     report = validate_params(params, spec)
     if not report.passed:
@@ -183,31 +182,26 @@ def _validated(config: ScenarioConfig, params: PhysicalParams,
         findings.append(f"advisory {c.name}: {c.detail}")
 
 
-def _grid_for(config: ScenarioConfig, spec: SolitonSpec,
-              params: PhysicalParams) -> Grid:
-    n = config.get("grid", "n")
-    dim = config.get("grid", "dim")
+def _grid_for(config: ScenarioConfig, default_length: float) -> Grid:
     length = config.get("grid", "length")
-    if length is None:
-        k = family_coefficients(spec, params).envelope_k
-        length = 40.0 / k
     try:
-        return make_grid(dim, n, length)
+        return make_grid(config.get("grid", "dim"), config.get("grid", "n"),
+                         default_length if length is None else length)
     except ValueError as e:
-        raise ConfigError(f"invalid [grid]: {e}") from None
+        # Grid's messages open with the name of the offending field
+        raise ConfigError(f"invalid [grid]: grid.{e}") from None
 
 
-def _dividing_dt(config: ScenarioConfig, grid: Grid, params: PhysicalParams,
+def _dividing_dt(requested: float | None, grid: Grid, params: PhysicalParams,
                  T: float) -> float:
     """A step that divides T exactly, at or under the requested/guard step.
 
     Landing on T without adjustment keeps an analytically sampled leapfrog
     history consistent with the step actually taken.
     """
-    dt = config.get("run", "dt")
-    if dt is None:
-        dt = 0.9 * stability_limit(grid, params)
-    elif dt <= 0.0:
+    dt = 0.9 * stability_limit(grid, params) if requested is None \
+        else requested
+    if dt <= 0.0:
         raise ConfigError(f"run.dt must be positive, got {dt}")
     return T / max(1, math.ceil(T / dt - 1e-12))
 
@@ -231,10 +225,47 @@ def _stride(config: ScenarioConfig, n_steps: int) -> int:
     return int(stride)
 
 
-def _fit_dict(fit: VelocityFit, use: str = "peak_pos") -> dict[str, Any]:
-    d = asdict(fit)
-    d["use"] = use
-    return d
+def _plan(config: ScenarioConfig, findings: list[str],
+          spec_for: Callable[[PhysicalParams], SolitonSpec], T_default: float
+          ) -> tuple[PhysicalParams, SolitonSpec, Grid, float, float, int]:
+    """params, spec (validated), grid (auto: matched), T, dt, stride."""
+    params = _physical_params(config)
+    spec = spec_for(params)
+    _validated(params, spec, findings)
+    grid = _grid_for(config, matched_length(spec, params))
+    T = _run_T(config, T_default)
+    dt = _dividing_dt(config.get("run", "dt"), grid, params, T)
+    return params, spec, grid, T, dt, _stride(config, round(T / dt))
+
+
+def _evolve_observed(report: RunReport, initial: FieldState, T: float,
+                     dt: float, stride: int, mode: str,
+                     kernel_prefactor: str = "full"
+                     ) -> tuple[list[ObservableRecord], Trajectory]:
+    """evolve, observed every stride steps; its steps count on the report."""
+    observer = SeriesObserver()
+    traj = evolve(initial, T, dt, mode=mode,
+                  kernel_prefactor=kernel_prefactor, observer=observer,
+                  observer_stride=stride)
+    report.step_count += traj.step_count
+    return observer.records, traj
+
+
+def _matched_state(spec: SolitonSpec, params: PhysicalParams) -> FieldState:
+    """The member at t = 0 on its matched 2048-point lattice."""
+    return state_from_solution(
+        spec, params, make_grid(1, 2048, matched_length(spec, params)))
+
+
+def _slaved_depths(state: FieldState) -> tuple[float, ...]:
+    """min(phi) slaved to the density under each of KERNEL_PREFACTORS."""
+    return tuple(float(state_with_static_field(
+        state.psi, state.params, state.grid, kernel_prefactor=p).phi.min())
+        for p in KERNEL_PREFACTORS)
+
+
+def _fit_dict(fit: VelocityFit) -> dict[str, Any]:
+    return {**asdict(fit), "use": "peak_pos"}
 
 
 def _residual_dict(r: ResidualReport) -> dict[str, Any]:
@@ -256,23 +287,17 @@ def _audit_dict(e: FamilyAuditEntry) -> dict[str, Any]:
 # scenarios
 
 
-def _scenario_verify_residuals(config: ScenarioConfig,
-                               out: Path) -> tuple[RunReport,
-                                                   ScenarioArtifacts]:
-    report = _report_for(config)
+def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
+                               out: Path) -> ScenarioArtifacts:
     params = _physical_params(config)
-    n = config.get("grid", "n")
+    # the moving member's lattice is the [grid] one; building it first
+    # checks grid.n before the audit halves it
+    spec_b = spec_3d_b(params, mu=_mu(config, params))
+    grid_b = _grid_for(config, matched_length(spec_b, params))
     rng = np.random.default_rng(config.get("run", "seed"))
 
-    audit = full_family_audit(params, n=n, with_convergence=True)
-    by_key = {(e.family, e.phi_profile): e for e in audit}
-    e_3da = by_key[("3d_a", "sech")]
-    e_3db = next(e for e in audit if e.family == "3d_b"
-                 and "matched" in e.label)
-    e_3db_detuned = next(e for e in audit if "detuned" in e.label)
-    e_1da_printed = by_key[("1d_a", "sech")]
-    e_1da_fixed = by_key[("1d_a", "sech_squared")]
-    e_1db = by_key[("1d_b", "sech")]
+    audit = full_family_audit(params, n=grid_b.n, with_convergence=True)
+    e_3da, e_3db, e_3db_detuned, e_1da_printed, e_1da_fixed, e_1db = audit
     report.details["family_audit"] = [_audit_dict(e) for e in audit]
 
     def residual_checks(criterion: str, entry: FamilyAuditEntry,
@@ -289,16 +314,11 @@ def _scenario_verify_residuals(config: ScenarioConfig,
     residual_checks("criterion-2", e_3db, "moving sech^2 at matched momentum")
 
     # translation speed of the sampled moving family, peak-position fit
-    mu = config.get("soliton", "mu")
-    if mu is None:
-        mu = 0.5 * params.M
-    spec_b = spec_3d_b(params, mu=mu)
-    grid_b = _grid_for(config, spec_b, params)
     obs = SeriesObserver()
     for t in np.linspace(0.0, 20.0, 11):
         obs(state_from_solution(spec_b, params, grid_b, t0=t))
     fit = fit_velocity(obs.records, grid_b)
-    target = mu / params.M
+    target = spec_b.mu / params.M
     report.details["construction_velocity_fit"] = _fit_dict(fit)
     report.checks.append(_check(
         "criterion-2", f"sampled translation speed vs mu/M = {target:g}",
@@ -342,9 +362,7 @@ def _scenario_verify_residuals(config: ScenarioConfig,
             if validate_params(trial, Family.ONED_B).passed:
                 break
         for spec in (spec_1d_a(trial), spec_1d_b(trial)):
-            g = _audit_norm_grid(spec, trial)
-            s = sample_solution(spec, trial, g, t=0.0)
-            norm = float(np.sum(np.abs(s.psi) ** 2)) * g.spacing
+            norm = _matched_state(spec, trial).norm()
             worst = max(worst, abs(norm - 1.0))
             norm_rows.append({"family": spec.family.value,
                               "M": trial.M, "m": trial.m, "v": trial.v,
@@ -355,15 +373,9 @@ def _scenario_verify_residuals(config: ScenarioConfig,
         "(3 random valid triples)", worst, 1e-8))
 
     alpha_star = params.M**3 / (params.m * params.v) ** 2
-    spec_at = spec_3d_a(params, alpha=alpha_star)
-    g = _audit_norm_grid(spec_at, params)
-    s = sample_solution(spec_at, params, g, t=0.0)
-    norm_at = float(np.sum(np.abs(s.psi) ** 2)) * g.spacing
-    spec_off = spec_3d_a(params, alpha=1.1 * alpha_star)
-    s_off = sample_solution(spec_off, params,
-                            _audit_norm_grid(spec_off, params), t=0.0)
-    norm_off = float(np.sum(np.abs(s_off.psi) ** 2)) \
-        * _audit_norm_grid(spec_off, params).spacing
+    norm_at, norm_off = (_matched_state(spec_3d_a(params, alpha=a),
+                                        params).norm()
+                         for a in (alpha_star, 1.1 * alpha_star))
     report.details["threed_a_norms"] = {
         "alpha_star": alpha_star, "norm_at_alpha_star": norm_at,
         "norm_at_1.1_alpha_star": norm_off}
@@ -375,50 +387,28 @@ def _scenario_verify_residuals(config: ScenarioConfig,
         "normalizing alpha", abs(norm_off - 1.0), 0.05, ">"))
 
     # kernel prefactor contrast on a reference density
-    ref = sample_solution(spec_1d_b(params), params,
-                          _audit_norm_grid(spec_1d_b(params), params), t=0.0)
-    grid_ref = _audit_norm_grid(spec_1d_b(params), params)
-    full = state_with_static_field(ref.psi, params, grid_ref,
-                                   kernel_prefactor="full")
-    half = state_with_static_field(ref.psi, params, grid_ref,
-                                   kernel_prefactor="half")
-    depth_ratio = float(full.phi.min() / half.phi.min())
+    full, half = _slaved_depths(_matched_state(spec_1d_b(params), params))
+    depth_ratio = full / half
     report.details["kernel_prefactor_depth_ratio"] = depth_ratio
     report.findings.append(
         "kernel prefactor audit: the scalar equation's static reduction "
         "slaves phi to the density with source prefactor 2M/v^2; the "
         "half-strength closed-kernel convention gives exactly half the "
         f"field depth (measured depth ratio {depth_ratio:.9f}).")
-    return report, ScenarioArtifacts()
+    return ScenarioArtifacts()
 
 
-def _audit_norm_grid(spec: SolitonSpec, params: PhysicalParams) -> Grid:
-    k = family_coefficients(spec, params).envelope_k
-    return make_grid(1, 2048, 40.0 / k)
-
-
-def _scenario_soliton_propagation(config: ScenarioConfig,
-                                  out: Path) -> tuple[RunReport,
-                                                      ScenarioArtifacts]:
-    report = _report_for(config)
-    params = _physical_params(config)
-    spec = _soliton_spec(config, params)
-    _validated(config, params, spec, report.findings)
-    grid = _grid_for(config, spec, params)
-    T = _run_T(config, 20.0)
-    dt = _dividing_dt(config, grid, params, T)
-    n_steps = round(T / dt)
-    stride = _stride(config, n_steps)
+def _scenario_soliton_propagation(config: ScenarioConfig, report: RunReport,
+                                  out: Path) -> ScenarioArtifacts:
+    params, spec, grid, T, dt, stride = _plan(
+        config, report.findings, functools.partial(_soliton_spec, config),
+        20.0)
     mode = config.get("run", "mode") or "coupled"
 
     initial = state_from_solution(spec, params, grid, t0=0.0, dt=dt,
                                   x0=config.get("soliton", "x0"))
-    obs = SeriesObserver()
-    traj = evolve(initial, T, dt, mode=mode,
-                  kernel_prefactor=config.get("toggles", "kernel_prefactor"),
-                  observer=obs, observer_stride=stride)
-    recs = obs.records
-    report.step_count = traj.step_count
+    recs, traj = _evolve_observed(report, initial, T, dt, stride, mode,
+                                  config.get("toggles", "kernel_prefactor"))
     report.details["kicks"] = traj.kicks
 
     v_closed = family_velocity(spec, params)
@@ -440,10 +430,10 @@ def _scenario_soliton_propagation(config: ScenarioConfig,
             crit, f"fitted velocity vs closed form {v_closed:.6f}",
             abs(fit.velocity - v_closed) / abs(v_closed), 0.01))
     elif spec.family is Family.THREED_B and mode == "coupled":
-        target = family_velocity(spec, params)
         report.checks.append(_check(
-            "criterion-2", f"evolved translation speed vs mu/M = {target:g}",
-            abs(fit.velocity - target) / abs(target), 0.01))
+            "criterion-2", f"evolved translation speed vs mu/M = "
+            f"{v_closed:g}", abs(fit.velocity - v_closed) / abs(v_closed),
+            0.01))
     else:
         report.findings.append(
             "no acceptance criterion pins this family/mode combination; "
@@ -453,42 +443,35 @@ def _scenario_soliton_propagation(config: ScenarioConfig,
         report.findings.append(
             f"{invalid}/{len(recs)} records exceed the weak-coupling "
             "validity bound max|phi| < M")
-    return report, ScenarioArtifacts(
+    return ScenarioArtifacts(
         records={"observables": recs},
         snapshots={"initial": traj.initial, "final": traj.final})
 
 
-def _scenario_free_spreading(config: ScenarioConfig,
-                             out: Path) -> tuple[RunReport,
-                                                 ScenarioArtifacts]:
-    report = _report_for(config)
+def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
+                             out: Path) -> ScenarioArtifacts:
     params = _physical_params(config)
+    spec = spec_1d_b(params)
+    _validated(params, spec, report.findings)
     T = _run_T(config, 20.0)
     sigma0 = config.get("packet", "sigma0")
     if sigma0 is None:
         # match the subluminal soliton's width so the contrast is like
         # against like
-        sigma0 = closed_form_width(spec_1d_b(params), params)
+        sigma0 = closed_form_width(spec, params)
     elif sigma0 <= 0.0:
         raise ConfigError(f"packet.sigma0 must be positive, got {sigma0}")
     sigma_T = free_spreading_width(sigma0, params.M, T)
 
-    length = config.get("grid", "length")
-    if length is None:
-        length = max(14.0 * sigma_T, 40.0 * sigma0)
-    grid = make_grid(config.get("grid", "dim"), config.get("grid", "n"),
-                     length)
-    dt = _dividing_dt(config, grid, params, T)
-    n_steps = round(T / dt)
-    stride = _stride(config, n_steps)
-
-    packet = gaussian_packet(grid, params, sigma0,
-                             k0=config.get("packet", "k0"))
-    obs = SeriesObserver()
-    traj = evolve(packet, T, dt, mode="free", observer=obs,
-                  observer_stride=stride)
-    recs = obs.records
-    report.step_count = traj.step_count
+    grid = _grid_for(config, max(14.0 * sigma_T, 40.0 * sigma0))
+    dt = _dividing_dt(config.get("run", "dt"), grid, params, T)
+    stride = _stride(config, round(T / dt))
+    try:
+        packet = gaussian_packet(grid, params, sigma0,
+                                 k0=config.get("packet", "k0"))
+    except ValueError as e:
+        raise ConfigError(f"invalid [grid] for the packet: {e}") from None
+    recs, traj = _evolve_observed(report, packet, T, dt, stride, "free")
 
     t_double = 2.0 * params.M * sigma0**2 * math.sqrt(3.0)
     early = [r for r in recs if r.t <= t_double * (1.0 + 1e-9)]
@@ -504,19 +487,13 @@ def _scenario_free_spreading(config: ScenarioConfig,
         law_err, 0.005))
 
     # self-trapped reference over the same span, on its own matched lattice
-    spec = spec_1d_b(params)
-    _validated(config, params, spec, report.findings)
-    k = family_coefficients(spec, params).envelope_k
-    sol_grid = make_grid(1, 1024, 40.0 / k)
-    sol_dt = (T / max(1, math.ceil(
-        T / (0.9 * stability_limit(sol_grid, params)) - 1e-12)))
-    sol_obs = SeriesObserver()
-    sol_traj = evolve(
-        state_from_solution(spec, params, sol_grid, t0=0.0, dt=sol_dt),
-        T, sol_dt, mode="coupled", observer=sol_obs,
-        observer_stride=max(1, round(T / sol_dt) // 50))
-    ratio = spreading_ratio(sol_obs.records, recs)
-    report.step_count += sol_traj.step_count
+    # at the guard step: run.dt and run.stride set the packet run only
+    sol_grid = make_grid(1, 1024, matched_length(spec, params))
+    sol_dt = _dividing_dt(None, sol_grid, params, T)
+    sol_recs, _ = _evolve_observed(
+        report, state_from_solution(spec, params, sol_grid, t0=0.0, dt=sol_dt),
+        T, sol_dt, max(1, round(T / sol_dt) // 50), "coupled")
+    ratio = spreading_ratio(sol_recs, recs)
     report.details["spreading_ratio"] = ratio
     report.checks.append(_check(
         "criterion-6", "soliton/free relative width growth over the span",
@@ -524,40 +501,29 @@ def _scenario_free_spreading(config: ScenarioConfig,
     report.findings.append(
         f"free packet width grew {recs[-1].width / recs[0].width:.1f}x "
         f"over T = {T:g} while the matched-width soliton grew "
-        f"{sol_obs.records[-1].width / sol_obs.records[0].width:.4f}x")
-    return report, ScenarioArtifacts(
-        records={"observables": recs, "soliton_reference": sol_obs.records},
+        f"{sol_recs[-1].width / sol_recs[0].width:.4f}x")
+    return ScenarioArtifacts(
+        records={"observables": recs, "soliton_reference": sol_recs},
         snapshots={"initial": traj.initial, "final": traj.final})
 
 
-def _scenario_choquard_stationary(config: ScenarioConfig,
-                                  out: Path) -> tuple[RunReport,
-                                                      ScenarioArtifacts]:
-    report = _report_for(config)
-    params = _physical_params(config)
-    spec = spec_1d_b(params)
-    _validated(config, params, spec, report.findings)
+def _scenario_choquard_stationary(config: ScenarioConfig, report: RunReport,
+                                  out: Path) -> ScenarioArtifacts:
+    params, spec, grid, T, dt, stride = _plan(config, report.findings,
+                                              spec_1d_b, 50.0)
     v_s = family_velocity(spec, params)
     if abs(v_s) > 1e-9:
         report.findings.append(
             f"V_s = {v_s:.6g} is not zero at these parameters; the "
             "stationarity checks below assume the standing member "
             "(m^3 v^2 = (2/3) M^3)")
-    grid = _grid_for(config, spec, params)
-    T = _run_T(config, 50.0)
-    dt = _dividing_dt(config, grid, params, T)
-    stride = _stride(config, round(T / dt))
     prefactor = config.get("toggles", "kernel_prefactor")
 
     psi0 = sample_solution(spec, params, grid, t=0.0).psi
     initial = state_with_static_field(psi0, params, grid,
                                       kernel_prefactor=prefactor)
-    obs = SeriesObserver()
-    traj = evolve(initial, T, dt, mode="choquard",
-                  kernel_prefactor=prefactor, observer=obs,
-                  observer_stride=stride)
-    recs = obs.records
-    report.step_count = traj.step_count
+    recs, traj = _evolve_observed(report, initial, T, dt, stride,
+                                  "choquard", prefactor)
 
     width_drift = max(abs(r.width - recs[0].width) for r in recs) \
         / recs[0].width
@@ -572,30 +538,26 @@ def _scenario_choquard_stationary(config: ScenarioConfig,
         "criterion-8", "|psi| profile drift vs t=0 (max-abs)",
         profile_drift, 1e-4))
 
-    full = state_with_static_field(psi0, params, grid,
-                                   kernel_prefactor="full")
-    half = state_with_static_field(psi0, params, grid,
-                                   kernel_prefactor="half")
-    ratio = float(full.phi.min() / half.phi.min())
-    report.details["slaved_depth_full"] = float(full.phi.min())
-    report.details["slaved_depth_half"] = float(half.phi.min())
+    full, half = _slaved_depths(initial)
+    ratio = full / half
+    report.details["slaved_depth_full"] = full
+    report.details["slaved_depth_half"] = half
     report.details["slaved_depth_ratio"] = ratio
     report.checks.append(_check(
         "criterion-8", "slaved-field depth ratio between kernel "
         "prefactor conventions vs 2", abs(ratio - 2.0), 0.01))
     report.findings.append(
-        f"slaved scalar depth: {full.phi.min():.6f} under the full 2M/v^2 "
-        f"source prefactor, {half.phi.min():.6f} under the half "
+        f"slaved scalar depth: {full:.6f} under the full 2M/v^2 "
+        f"source prefactor, {half:.6f} under the half "
         f"convention (ratio {ratio:.6f}); only the full convention "
         "reproduces the closed-form profile depth")
-    return report, ScenarioArtifacts(
+    return ScenarioArtifacts(
         records={"observables": recs},
         snapshots={"initial": traj.initial, "final": traj.final})
 
 
-def _smooth_random_source(grid: Grid, rng: np.random.Generator,
-                          count: int = 4) -> np.ndarray:
-    """Random superposition of periodized Gaussian bumps.
+def _smooth_random_source(grid: Grid, rng: np.random.Generator) -> np.ndarray:
+    """Random superposition of four periodized Gaussian bumps.
 
     Widths of 6 to 8 grid spacings keep the spectrum below machine noise
     at the Nyquist edge, so the spectral and quadrature routes see the
@@ -605,7 +567,7 @@ def _smooth_random_source(grid: Grid, rng: np.random.Generator,
     """
     length = grid.length
     out = np.zeros(grid.shape)
-    for _ in range(count):
+    for _ in range(4):
         center = rng.uniform(-length / 2, length / 2, size=grid.dim)
         sig = rng.uniform(6.0, 8.0) * grid.spacing
         amp = rng.uniform(-1.0, 1.0)
@@ -630,12 +592,23 @@ def _oracle_grid(config: ScenarioConfig, key: str, dim: int,
     return grid
 
 
-def _scenario_yukawa_oracle(config: ScenarioConfig,
-                            out: Path) -> tuple[RunReport,
-                                                ScenarioArtifacts]:
-    report = _report_for(config)
-    params = _physical_params(config)
-    m = params.m
+def _oracle_case(grid: Grid, rng: np.random.Generator, m: float,
+                 case: int) -> dict[str, Any]:
+    """Spectral vs direct screened inverse of one random smooth source."""
+    s = _smooth_random_source(grid, rng)
+    t0 = time.perf_counter()
+    spectral = yukawa_invert(s, m=m, grid=grid)
+    t1 = time.perf_counter()
+    direct = yukawa_convolve_direct(s, m=m, grid=grid)
+    t2 = time.perf_counter()
+    rel = float(np.max(np.abs(spectral - direct)) / np.max(np.abs(direct)))
+    return {"case": case, "dim": grid.dim, "n": grid.n, "rel_maxabs": rel,
+            "spectral_seconds": t1 - t0, "direct_seconds": t2 - t1}
+
+
+def _scenario_yukawa_oracle(config: ScenarioConfig, report: RunReport,
+                            out: Path) -> ScenarioArtifacts:
+    m = _physical_params(config).m
     rng = np.random.default_rng(config.get("run", "seed"))
     cases = config.get("oracle", "cases")
     if cases < 1:
@@ -645,39 +618,16 @@ def _scenario_yukawa_oracle(config: ScenarioConfig,
     if run_3d:
         g3 = _oracle_grid(config, "n_3d", 3, 20.0 / m)
 
-    rows = []
-    worst_1d = 0.0
-    for i in range(cases):
-        s = _smooth_random_source(g1, rng)
-        t0 = time.perf_counter()
-        spectral = yukawa_invert(s, m=m, grid=g1)
-        t1 = time.perf_counter()
-        direct = yukawa_convolve_direct(s, m=m, grid=g1)
-        t2 = time.perf_counter()
-        rel = float(np.max(np.abs(spectral - direct))
-                    / np.max(np.abs(direct)))
-        worst_1d = max(worst_1d, rel)
-        rows.append({"case": i, "dim": 1, "n": g1.n, "rel_maxabs": rel,
-                     "spectral_seconds": t1 - t0, "direct_seconds": t2 - t1})
+    rows = [_oracle_case(g1, rng, m, i) for i in range(cases)]
     report.checks.append(_check(
         "criterion-7", f"1D spectral vs direct quadrature "
-        f"({cases} random smooth sources)", worst_1d, 1e-6))
-
+        f"({cases} random smooth sources)",
+        max(r["rel_maxabs"] for r in rows), 1e-6))
     if run_3d:
-        s3 = _smooth_random_source(g3, rng)
-        t0 = time.perf_counter()
-        spectral3 = yukawa_invert(s3, m=m, grid=g3)
-        t1 = time.perf_counter()
-        direct3 = yukawa_convolve_direct(s3, m=m, grid=g3)
-        t2 = time.perf_counter()
-        rel3 = float(np.max(np.abs(spectral3 - direct3))
-                     / np.max(np.abs(direct3)))
-        rows.append({"case": 0, "dim": 3, "n": g3.n, "rel_maxabs": rel3,
-                     "spectral_seconds": t1 - t0,
-                     "direct_seconds": t2 - t1})
+        rows.append(_oracle_case(g3, rng, m, 0))
         report.checks.append(_check(
             "criterion-7", "3D spectral vs direct quadrature "
-            "(random smooth source)", rel3, 1e-6))
+            "(random smooth source)", rows[-1]["rel_maxabs"], 1e-6))
 
     s0 = float(rng.uniform(0.5, 2.0))
     const = np.full(g1.shape, s0)
@@ -690,47 +640,38 @@ def _scenario_yukawa_oracle(config: ScenarioConfig,
     report.checks.append(_check(
         "criterion-7", "constant source identity phi = -s0/m^2",
         const_err, 1e-12))
-    return report, ScenarioArtifacts()
+    return ScenarioArtifacts()
 
 
-def _scenario_perturbation_stability(config: ScenarioConfig,
-                                     out: Path) -> tuple[RunReport,
-                                                         ScenarioArtifacts]:
-    report = _report_for(config)
-    params = _physical_params(config)
-    spec = spec_1d_b(params)
-    _validated(config, params, spec, report.findings)
-    grid = _grid_for(config, spec, params)
-    T = _run_T(config, 20.0)
-    dt = _dividing_dt(config, grid, params, T)
-    stride = _stride(config, round(T / dt))
+def _scenario_perturbation_stability(config: ScenarioConfig, report: RunReport,
+                                     out: Path) -> ScenarioArtifacts:
+    params, spec, grid, T, dt, stride = _plan(config, report.findings,
+                                              spec_1d_b, 20.0)
     kind = config.get("perturb", "kind")
     strength = config.get("perturb", "strength")
     seed = config.get("run", "seed")
 
-    def one_run() -> tuple[SeriesObserver, int, FieldState, FieldState]:
+    def one_run() -> tuple[list[ObservableRecord], Trajectory]:
         base = state_from_solution(spec, params, grid, t0=0.0, dt=dt)
-        noisy = perturb(base, kind, strength, seed=seed)
-        obs = SeriesObserver()
-        traj = evolve(noisy, T, dt, mode="coupled", observer=obs,
-                      observer_stride=stride)
-        return obs, traj.step_count, traj.initial, traj.final
+        try:
+            noisy = perturb(base, kind, strength, seed=seed)
+        except ValueError as e:
+            raise ConfigError(f"invalid [perturb]: {e}") from None
+        return _evolve_observed(report, noisy, T, dt, stride, "coupled")
 
-    obs_a, steps, initial, final = one_run()
-    obs_b, _, _, _ = one_run()
-    report.step_count = 2 * steps
+    recs, traj = one_run()
+    repeat, _ = one_run()
 
     path_a = out / "observables.csv"
     path_b = out / "observables_repeat.csv"
-    write_observables_csv(str(path_a), obs_a.records)
-    write_observables_csv(str(path_b), obs_b.records)
+    write_observables_csv(str(path_a), recs)
+    write_observables_csv(str(path_b), repeat)
     identical = path_a.read_bytes() == path_b.read_bytes()
     report.details["repeat_runs_identical"] = identical
     report.checks.append(_check(
         "criterion-10", "repeated run under the same seed is byte-identical "
         "(0 = identical)", 0.0 if identical else 1.0, 0.5))
 
-    recs = obs_a.records
     width_ratio = recs[-1].width / recs[0].width
     norm_drift = max(abs(r.norm - recs[0].norm) for r in recs)
     survived = width_ratio < 2.0
@@ -745,21 +686,19 @@ def _scenario_perturbation_stability(config: ScenarioConfig,
         f"{'survived' if survived else 'dispersed'} (final/initial width "
         f"{width_ratio:.4f}, threshold 2); classification is exploratory, "
         "determinism is the pass condition")
-    return report, ScenarioArtifacts(
-        records={},  # the two CSVs are written above, byte-compared
-        snapshots={"initial": initial, "final": final})
+    # the two CSVs are written above, byte-compared
+    return ScenarioArtifacts(
+        snapshots={"initial": traj.initial, "final": traj.final})
 
 
-def _scenario_param_sweep(config: ScenarioConfig,
-                          out: Path) -> tuple[RunReport, ScenarioArtifacts]:
-    report = _report_for(config)
+def _scenario_param_sweep(config: ScenarioConfig, report: RunReport,
+                          out: Path) -> ScenarioArtifacts:
     child_name = config.get("sweep", "scenario")
     if child_name == "param-sweep":
         raise ConfigError("sweep.scenario must name a non-sweep scenario")
     if child_name not in _IMPLS:
         raise ConfigError(f"sweep.scenario {child_name!r} is unknown")
-    dotted = config.get("sweep", "key")
-    section, _, key = dotted.partition(".")
+    section, _, key = config.get("sweep", "key").partition(".")
     values = config.get("sweep", "values")
     workers = config.get("sweep", "workers")
     if workers < 1:
@@ -775,21 +714,20 @@ def _scenario_param_sweep(config: ScenarioConfig,
               out / f"case_{i:02d}_{section}.{key}_{v:g}")
              for i, v in enumerate(values)]
 
-    def run_case(case) -> tuple[int, RunReport | None, str]:
-        i, v, cfg, child_out = case
+    def run_case(case) -> tuple[RunReport | None, str]:
+        _, _, cfg, child_out = case
         try:
-            return i, run_scenario(cfg, out_dir=child_out), ""
+            return run_scenario(cfg, out_dir=child_out), ""
         except Exception as e:  # noqa: BLE001 - collected into the merge
-            return i, None, f"{type(e).__name__}: {e}"
+            return None, f"{type(e).__name__}: {e}"
 
-    # children write only their own directory; merge order is input order
+    # children write only their own directory; map keeps the input order
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run_case, cases))
-    results.sort(key=lambda r: r[0])
 
     merged = []
     criteria: dict[str, list[CriterionCheck]] = {}
-    for (i, v, cfg, child_out), (_, child, err) in zip(cases, results):
+    for (i, v, cfg, child_out), (child, err) in zip(cases, results):
         row: dict[str, Any] = {"case": i, f"{section}.{key}": v,
                                "output_dir": str(child_out)}
         if child is None:
@@ -825,18 +763,17 @@ def _scenario_param_sweep(config: ScenarioConfig,
         report.findings.append(f"{aborted}/{len(values)} sweep cases "
                                "aborted; their criteria count as failed")
 
-    summary = out / "sweep_summary.csv"
-    with open(summary, "w", newline="") as fh:
+    with open(out / "sweep_summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["case", f"{section}.{key}", "status", "steps"])
         for row in merged:
             w.writerow([row["case"], repr(float(row[f"{section}.{key}"])),
                         row["status"], row.get("step_count", "")])
-    return report, ScenarioArtifacts()
+    return ScenarioArtifacts()
 
 
-_IMPLS: dict[str, Callable[[ScenarioConfig, Path],
-                           tuple[RunReport, ScenarioArtifacts]]] = {
+_IMPLS: dict[str, Callable[[ScenarioConfig, RunReport, Path],
+                           ScenarioArtifacts]] = {
     "verify-residuals": _scenario_verify_residuals,
     "soliton-propagation": _scenario_soliton_propagation,
     "free-spreading": _scenario_free_spreading,
@@ -866,17 +803,19 @@ def run_scenario(config: ScenarioConfig,
              or f"runs/{config.scenario}")
     out.mkdir(parents=True, exist_ok=True)
     marker = out / FAILED_MARKER
-    if marker.exists():
-        marker.unlink()
+    marker.unlink(missing_ok=True)
+    report = RunReport(scenario=config.scenario,
+                       config_echo={s: dict(kv)
+                                    for s, kv in config.settings.items()},
+                       config_text=serialize(config))
     try:
-        report, artifacts = _IMPLS[config.scenario](config, out)
+        artifacts = _IMPLS[config.scenario](config, report, out)
     except Exception as e:
         marker.write_text(f"scenario {config.scenario} aborted: "
                           f"{type(e).__name__}: {e}\n")
         partial = {"scenario": config.scenario, "status": "aborted",
                    "error": f"{type(e).__name__}: {e}",
-                   "config": {s: dict(kv)
-                              for s, kv in config.settings.items()},
+                   "config": report.config_echo,
                    "wall_time_seconds": time.perf_counter() - start}
         (out / "report.json").write_text(json.dumps(partial, indent=2,
                                                     default=str) + "\n")
@@ -886,8 +825,7 @@ def run_scenario(config: ScenarioConfig,
     for name, series in artifacts.records.items():
         write_observables_csv(str(out / f"{name}.csv"), series)
     main_csv = "observables.csv"
-    if "observables" in artifacts.records \
-            or (out / main_csv).exists():
+    if (out / main_csv).exists():
         write_plot_script(str(out / "plot.gp"), main_csv, config.scenario)
     for name, state in artifacts.snapshots.items():
         ext = "csv" if state.grid.dim == 1 else "bin"

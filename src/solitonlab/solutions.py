@@ -34,6 +34,7 @@ __all__ = [
     "soliton_velocity_1d_b",
     "phase_velocity",
     "localization_length",
+    "matched_length",
     "family_velocity",
     "sample_solution",
     "closed_form_norm",
@@ -234,6 +235,15 @@ def localization_length(spec: SolitonSpec, params: PhysicalParams) -> float:
         warnings.warn("|mu| = M: zero-width degenerate member", stacklevel=2)
         return 0.0
     return 1.0 / family_coefficients(spec, params).envelope_k
+
+
+def matched_length(spec: SolitonSpec, params: PhysicalParams) -> float:
+    """Box length of 40 envelope decay lengths 1/k, the matched lattice.
+
+    The residual audit, the lattice norms and the soliton runs size their
+    box by it unless given a length; it clears MIN_DOMAIN_WIDTHS.
+    """
+    return 40.0 / family_coefficients(spec, params).envelope_k
 
 
 @dataclass(frozen=True)

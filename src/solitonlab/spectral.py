@@ -1,4 +1,4 @@
-"""Periodic spectral transforms, derivatives, and the screened-Poisson solver.
+"""Periodic spectral derivatives and the screened-Poisson solver.
 
 Two independent routes are provided for the static scalar field:
 
@@ -12,16 +12,14 @@ Two independent routes are provided for the static scalar field:
   share nothing beyond the lattice, which is what makes their agreement a
   meaningful cross-check.
 
-Transform normalization for stored spectra is unitary (norm="ortho");
-operators below use plain forward/inverse pairs where the convention
-cancels.
+The spectral operators run plain forward/inverse transform pairs, so the
+normalization convention cancels.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,9 +29,6 @@ from scipy import fft as sfft
 from .model import Grid
 
 __all__ = [
-    "Spectrum",
-    "forward_transform",
-    "inverse_transform",
     "spectral_derivative",
     "laplacian",
     "yukawa_invert",
@@ -46,30 +41,6 @@ __all__ = [
 # pair in 3D; the 3D acceptance size 32^3 = 2^15 takes about 0.2 s including
 # the weight build (2-core Xeon, OpenBLAS), and anything larger is rejected.
 MAX_DIRECT_POINTS = 2**15
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Unitary-normalized spectral coefficients tied to their grid."""
-
-    coefficients: np.ndarray
-    grid: Grid
-
-    def __post_init__(self) -> None:
-        if self.coefficients.shape != self.grid.shape:
-            raise ValueError(
-                f"coefficient shape {self.coefficients.shape} does not match "
-                f"grid {self.grid.shape}")
-
-
-def forward_transform(field: np.ndarray, grid: Grid) -> Spectrum:
-    if field.shape != grid.shape:
-        raise ValueError(f"field shape {field.shape} does not match grid {grid.shape}")
-    return Spectrum(coefficients=sfft.fftn(field, norm="ortho"), grid=grid)
-
-
-def inverse_transform(spectrum: Spectrum) -> np.ndarray:
-    return sfft.ifftn(spectrum.coefficients, norm="ortho")
 
 
 def spectral_derivative(field: np.ndarray, grid: Grid, axis: int = 0,

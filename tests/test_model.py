@@ -56,11 +56,6 @@ class TestSolitonSpec:
         with pytest.raises(ValueError, match="transverse"):
             SolitonSpec(family=Family.ONED_B, gamma=0.3)
 
-    def test_with_profile(self):
-        s = SolitonSpec(family=Family.ONED_A)
-        assert s.phi_profile == "sech"
-        assert s.with_profile("sech_squared").phi_profile == "sech_squared"
-
 
 class TestGrid:
     def test_basic_1d(self):

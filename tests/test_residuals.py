@@ -10,9 +10,8 @@ import pytest
 from solitonlab.model import PhysicalParams, make_grid
 from solitonlab.residuals import (
     ConvergenceCheck, ResidualReport, auto_time_step, choquard_residual,
-    convergence_check, full_family_audit, klein_gordon_residual,
-    matter_residual_from_stack, residual_pair, scalar_residual_from_stack,
-    schrodinger_residual,
+    convergence_check, full_family_audit, matter_residual_from_stack,
+    residual_pair, scalar_residual_from_stack,
 )
 from solitonlab.solutions import (
     sample_solution, spec_1d_a, spec_1d_b, spec_3d_a, spec_3d_b,
@@ -42,11 +41,11 @@ class TestExactFamilies:
 
     def test_reports_carry_terms_and_step(self):
         spec = spec_1d_b(P)
-        rep = schrodinger_residual(spec, P, grid_for(spec))
+        rep = residual_pair(spec, P, grid_for(spec))[0]
         assert set(rep.term_magnitudes) == {"time", "kinetic", "coupling"}
         assert rep.fd_step == pytest.approx(auto_time_step(spec, P))
         assert rep.fd_order == 6
-        rep = klein_gordon_residual(spec, P, grid_for(spec))
+        rep = residual_pair(spec, P, grid_for(spec))[1]
         assert set(rep.term_magnitudes) == {"wave_operator", "mass", "source"}
 
     def test_scalar_wave_operator_is_grouped(self):
@@ -54,7 +53,7 @@ class TestExactFamilies:
         # while the grouped wave operator stays O(1): the grouping is what
         # makes the relative defect honest
         spec = spec_1d_a(P)
-        rep = klein_gordon_residual(spec, P, grid_for(spec))
+        rep = residual_pair(spec, P, grid_for(spec))[1]
         assert rep.term_magnitudes["wave_operator"] < 10.0
         assert rep.rel_residual == pytest.approx(0.25, abs=2e-4)
 
@@ -64,12 +63,12 @@ class TestPrintedUnitSpeedProfile:
 
     def test_matter_defect(self):
         spec = spec_1d_a(P, phi_profile="sech")
-        rep = schrodinger_residual(spec, P, grid_for(spec))
+        rep = residual_pair(spec, P, grid_for(spec))[0]
         assert rep.rel_residual == pytest.approx(0.1482, abs=2e-3)
 
     def test_scalar_defect(self):
         spec = spec_1d_a(P, phi_profile="sech")
-        rep = klein_gordon_residual(spec, P, grid_for(spec))
+        rep = residual_pair(spec, P, grid_for(spec))[1]
         assert rep.rel_residual == pytest.approx(0.25, abs=2e-3)
 
     def test_defect_is_resolution_independent(self):

@@ -244,6 +244,32 @@ class TestCliExitCodes:
         assert code == 2
         assert override.split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario,overrides,named", [
+        ("free-spreading", ["grid.n=1000"], "grid.n"),
+        ("free-spreading", ["grid.dim=3"], "1D"),
+        ("free-spreading", ["grid.length=10", "packet.sigma0=1"],
+         "too short"),
+        ("verify-residuals", ["grid.n=1000"], "grid.n"),
+        ("perturbation-stability",
+         ["perturb.kind=width_rescale", "perturb.strength=-2"], "strength"),
+    ], ids=["free-n", "free-dim", "free-length", "verify-n",
+            "rescale-strength"])
+    def test_engine_rejected_setting_is_two_before_any_work(
+            self, tmp_path, capsys, monkeypatch, scenario, overrides, named):
+        # lattice sizes, packet widths and rescale strengths the engine
+        # would reject are configuration errors, raised before any
+        # evolution or residual audit starts
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the settings were checked")
+
+        monkeypatch.setattr(runner, "evolve", no_work)
+        monkeypatch.setattr(runner, "full_family_audit", no_work)
+        argv = [scenario, "--out", str(tmp_path)]
+        for override in overrides:
+            argv += ["--override", override]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+
     def test_fractional_stride_is_two(self, tmp_path, capsys):
         code = main(["free-spreading", "--out", str(tmp_path),
                      "--override", "run.stride=2.7"])

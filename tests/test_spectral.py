@@ -1,4 +1,4 @@
-"""Transforms, spectral derivatives, and the two screened-Poisson routes."""
+"""Spectral derivatives and the two screened-Poisson routes."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from scipy.special import erfc
 from solitonlab.model import make_grid
 from solitonlab.spectral import (
     MAX_DIRECT_POINTS, _circulant_apply, _direct_weights, _direct_weights_1d,
-    _direct_weights_3d, forward_transform, inverse_transform, laplacian,
-    spectral_derivative, yukawa_convolve_direct, yukawa_invert,
+    _direct_weights_3d, laplacian, spectral_derivative,
+    yukawa_convolve_direct, yukawa_invert,
 )
 
 RNG = np.random.default_rng(42)
@@ -55,27 +55,6 @@ def gather_apply(w, s, chunk=256):
                 * strides[a]
         out[lo:hi] = w.ravel()[flat] @ s.ravel()
     return out.reshape(shape)
-
-
-class TestTransforms:
-    @pytest.mark.parametrize("dim,n", [(1, 64), (3, 16)])
-    def test_round_trip(self, dim, n):
-        g = make_grid(dim, n, 10.0)
-        f = RNG.normal(size=g.shape) + 1j * RNG.normal(size=g.shape)
-        back = inverse_transform(forward_transform(f, g))
-        np.testing.assert_allclose(back, f, rtol=1e-12, atol=1e-12)
-
-    def test_parseval(self):
-        g = make_grid(1, 128, 10.0)
-        f = RNG.normal(size=g.shape) + 1j * RNG.normal(size=g.shape)
-        spec = forward_transform(f, g)
-        assert np.linalg.norm(spec.coefficients) == pytest.approx(
-            np.linalg.norm(f), rel=1e-12)
-
-    def test_shape_mismatch(self):
-        g = make_grid(1, 64, 10.0)
-        with pytest.raises(ValueError, match="shape"):
-            forward_transform(np.zeros(32), g)
 
 
 class TestSpectralDerivative:
