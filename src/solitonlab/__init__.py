@@ -7,8 +7,9 @@ A non-relativistic matter field psi coupled to a real scalar field phi:
 
 The package provides the four closed-form traveling-soliton families of this
 system, a spectral residual audit that checks them against the equations, a
-split-step/leapfrog evolution engine (coupled, slaved-field, and free modes),
-diagnostics, and a config-driven experiment runner.
+split-step evolution engine with a leapfrog or Gautschi scalar update
+(coupled, slaved-field, and free modes), diagnostics, and a config-driven
+experiment runner.
 """
 
 from .model import (
@@ -58,7 +59,6 @@ from .evolution import (
     BlowUpError,
     Trajectory,
     stability_limit,
-    scalar_acceleration,
     evolve,
     reverse_state,
     state_from_solution,

@@ -5,7 +5,9 @@
 
 Exit codes: 0 all criterion checks passed, 1 at least one check failed,
 2 configuration problem, 3 numerical abort (instability guard or field
-blow-up).
+blow-up), 4 internal error (any other exception, reported on one line; a
+run that had started keeps a FAILED marker naming it). Exit 1 therefore
+means only that the run finished and a check failed.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ EXIT_PASS = 0
 EXIT_CHECKS_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ABORT = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,6 +71,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[{args.scenario}] numerical abort: "
               f"{type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_NUMERICAL_ABORT
+    except Exception as e:  # noqa: BLE001 - the process boundary
+        print(f"[{args.scenario}] internal error: "
+              f"{type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     print("\n".join(report.summary_lines()))
     return EXIT_PASS if report.passed else EXIT_CHECKS_FAILED
 

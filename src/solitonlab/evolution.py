@@ -2,12 +2,29 @@
 
 The matter field advances by Strang splitting: a half kick by the scalar
 potential, a full spectral kinetic drift, and a second half kick by the
-updated potential. The scalar field advances by a leapfrog second-difference
-step of the driven wave equation, with the source density captured at the
-step start (phase kicks do not change it, the drift would). Both pieces are
-time symmetric, so a trajectory can be retraced exactly: conjugate the
-matter field and hand the leapfrog its forward-time next field as the new
-previous one.
+updated potential. The scalar field advances by one scalar update, which
+the loop hands phi(t), phi(t - dt) and a source density and which hands
+back phi(t + dt). There are three:
+
+  leapfrog  second difference of the driven wave equation,
+            phi+ = 2 phi - phi- + dt^2 (Lap phi - m^2 phi - s), with the
+            source s = (2M/v^2)|psi|^2 captured at the step start (phase
+            kicks do not change it, the drift would)
+  gautschi  the same recurrence with the exact-in-time multipliers of the
+            wave equation under that frozen source: per rfft mode,
+            phi+ = 2 phi - phi- + A (phi^ + s^/w^2), A = 2 cos(w dt) - 2,
+            w^2 = k^2 + m^2, with the k^2 the Laplacian uses (so no
+            transverse term, as in leapfrog). It tends to leapfrog as
+            dt -> 0 and is exact for the linear part at any dt. phi^ and
+            s^ come from one complex FFT of phi + i s, split by Hermitian
+            symmetry, and the update returns through one irfft: two
+            transforms per step, as the leapfrog Laplacian takes
+  slaved    the choquard mode's field, the static screened inverse of the
+            post-drift density; evolve's scheme does not apply to it
+
+Both wave updates are time symmetric, and so is the Strang step, so a
+trajectory can be retraced exactly: conjugate the matter field and hand
+the scalar update its own forward-time next field as the new previous one.
 
 The closing half kick of one step and the opening half kick of the next
 are both exp(-i M dt/2 phi) with the same phi, so the loop merges them into
@@ -20,21 +37,23 @@ which a kick does not change, so it runs every step regardless.
 Three modes share one loop body (optional kick, drift, scalar update):
 
   coupled   full dynamics, scalar field carries its own wave equation
-            (leapfrog with the density source)
+            (leapfrog or gautschi with the density source)
   choquard  scalar field slaved to the instantaneous density through the
             static screened inverse, refreshed after every drift
   free      coupling switched off: no kicks, matter drifts freely, scalar
-            field obeys the sourceless wave equation (leapfrog)
+            field obeys the sourceless wave equation (leapfrog or gautschi)
 
 The step-size guard dt <= min(dx/2, 1/2m) keeps the scalar leapfrog inside
 its spectral stability window (dt < 2/w_max ~ 0.64 dx) and resolves the
-scalar mass oscillation; it can be lifted explicitly for experiments on
-the unstable side. The matter kick and drift are exact unitary maps at any
-dt, so the guard is about the wave equation, not the Schroedinger half.
-For initial data with appreciable power near the lattice Nyquist mode
-(noise studies), dt <= M dx^2 additionally keeps every kinetic phase
-increment below 2 pi and rules out split-step resonances; pass such a dt
-explicitly where that matters.
+scalar mass oscillation; it applies to leapfrog and to the slaved field and
+can be lifted explicitly for experiments on the unstable side. Gautschi has
+no stability window and no guard: its default step comes from accuracy
+(default_dt), so a finer lattice does not force more steps. The matter kick
+and drift are exact unitary maps at any dt, so the guard is about the wave
+equation, not the Schroedinger half. For initial data with appreciable
+power near the lattice Nyquist mode (noise studies), dt <= M dx^2
+additionally keeps every kinetic phase increment below 2 pi and rules out
+split-step resonances; pass such a dt explicitly where that matters.
 """
 
 from __future__ import annotations
@@ -53,7 +72,7 @@ from scipy import fft as sfft
 from .model import (FieldState, Grid, PhysicalParams, check_kernel_prefactor,
                     scalar_source)
 from .solutions import sample_solution
-from .spectral import laplacian, yukawa_invert
+from .spectral import laplacian, rfft_k_squared, yukawa_invert
 
 BLOWUP_FACTOR = 1e3
 
@@ -89,10 +108,47 @@ class BlowUpError(RuntimeError):
                          f"blow-up threshold at t = {t:.6g}")
 
 
+SCHEMES = ("gautschi", "leapfrog")
+
+
+def _check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scalar scheme {scheme!r} "
+                         f"(valid: {', '.join(SCHEMES)})")
+
+
+def _guarded(scheme: str, mode: EvolutionMode) -> bool:
+    """Whether the step is held to the stability guard: every scalar
+    update but Gautschi's, which the choquard mode does not use."""
+    return scheme == "leapfrog" or mode is EvolutionMode.CHOQUARD
+
+
 def stability_limit(grid: Grid, params: PhysicalParams) -> float:
     """Largest admissible step: min(dx/2, 1/2m)."""
     dx = grid.spacing
     return min(0.5 * dx, 0.5 / params.m)
+
+
+def default_dt(initial: FieldState, scheme: str = "leapfrog",
+               mode: EvolutionMode | str = EvolutionMode.COUPLED) -> float:
+    """The step evolve takes from initial when none is given, before it
+    lands on T.
+
+    Under the stability guard (leapfrog, and the slaved field whatever the
+    scheme): 90% of stability_limit. Gautschi: max(0.9 stability_limit,
+    min(0.9/2m, 1/(8 M max|phi|))) for the initial scalar field phi. The
+    first bound resolves the scalar mass oscillation as the guard does; the
+    second keeps the phase one kick turns at the field's peak below 1/8.
+    The outer max means Gautschi never takes more steps than leapfrog.
+    """
+    _check_scheme(scheme)
+    params = initial.params
+    guard = 0.9 * stability_limit(initial.grid, params)
+    if _guarded(scheme, EvolutionMode.parse(mode)):
+        return guard
+    peak = float(np.max(np.abs(initial.phi)))
+    kick = 1.0 / (8.0 * params.M * peak) if peak > 0.0 else math.inf
+    return max(guard, min(0.9 / (2.0 * params.m), kick))
 
 
 @dataclass(frozen=True)
@@ -136,18 +192,144 @@ def _slaved_field(density: np.ndarray, params: PhysicalParams, grid: Grid,
                          m=params.m, grid=grid)
 
 
-def scalar_acceleration(phi: np.ndarray, psi: np.ndarray,
-                        params: PhysicalParams, grid: Grid,
-                        with_source: bool = True) -> np.ndarray:
-    """d^2 phi/dt^2 = Lap phi - m^2 phi - (2M/v^2)|psi|^2."""
-    acc = laplacian(phi, grid) - params.m**2 * phi
-    if with_source:
-        acc = acc - scalar_source(_density(psi), params)
-    return acc
+class _ScalarUpdate:
+    """One scalar-field update at a fixed step dt.
+
+    start turns the initial (phi, phi_prev) into the loop's pair, filling
+    in a history when phi_prev is None; step maps phi(t), phi(t - dt) and
+    the source density to (phi(t + dt), phi(t)); reverse gives the history
+    of the time-reversed state. A wave update reads the density captured at
+    the step start; one with instantaneous set reads the post-drift one.
+    """
+
+    instantaneous = False
+
+    def start(self, phi: np.ndarray, phi_prev: np.ndarray | None,
+              density: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        if phi_prev is not None:
+            return phi, np.array(phi_prev, dtype=float, copy=True)
+        return phi, self._at_rest(phi, density)
+
+    def step(self, phi: np.ndarray, phi_prev: np.ndarray | None,
+             density: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        raise NotImplementedError
+
+    def reverse(self, phi: np.ndarray, phi_prev: np.ndarray,
+                density: np.ndarray) -> np.ndarray | None:
+        """phi(t + dt), which is phi(t - dt) once time runs backwards."""
+        return self.step(phi, phi_prev, density)[0]
+
+    def _at_rest(self, phi: np.ndarray, density: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+
+class _Leapfrog(_ScalarUpdate):
+    """phi+ = 2 phi - phi- + dt^2 (Lap phi - m^2 phi [- source])."""
+
+    def __init__(self, params: PhysicalParams, grid: Grid, dt: float,
+                 sourced: bool):
+        self.params, self.grid, self.dt = params, grid, dt
+        self.sourced = sourced
+        self.m2 = params.m**2
+        self.dt2 = dt * dt
+
+    def _acceleration(self, phi: np.ndarray,
+                      density: np.ndarray) -> np.ndarray:
+        acc = laplacian(phi, self.grid) - self.m2 * phi
+        if self.sourced:
+            acc = acc - scalar_source(density, self.params)
+        return acc
+
+    def step(self, phi, phi_prev, density):
+        acc = self._acceleration(phi, density)
+        return 2.0 * phi - phi_prev + self.dt2 * acc, phi
+
+    def _at_rest(self, phi, density):
+        # static Taylor start: phi(t - dt) ~ phi + (dt^2/2) phi_tt
+        return phi + 0.5 * self.dt * self.dt * self._acceleration(phi,
+                                                                  density)
+
+
+class _Gautschi(_ScalarUpdate):
+    """phi+ = 2 phi - phi- + irfft(A (phi^ + s^/w^2)), exact in time for a
+    frozen source: A = 2 cos(w dt) - 2 = -4 sin^2(w dt/2), w^2 = k^2 + m^2.
+
+    With a source, phi^ and s^ come from the full transform Z of the packed
+    field phi + i s: phi^(k) = (Z(k) + conj Z(-k))/2 and
+    s^(k) = (Z(k) - conj Z(-k))/2i, so the increment is
+    P Z(k) + Q conj Z(-k) on the half spectrum, P, Q = A (1 -+ i/w^2)/2.
+    """
+
+    def __init__(self, params: PhysicalParams, grid: Grid, dt: float,
+                 sourced: bool):
+        self.params, self.shape, self.sourced = params, grid.shape, sourced
+        w2 = rfft_k_squared(grid) + params.m**2
+        # the sine form keeps full relative precision where w dt is small
+        self.a = -4.0 * np.sin(0.5 * dt * np.sqrt(w2)) ** 2
+        self.p = 0.5 * self.a * (1.0 - 1j / w2)
+        self.q = 0.5 * self.a * (1.0 + 1j / w2)
+        half = grid.n // 2 + 1
+        neg = -np.arange(grid.n) % grid.n
+        # Z(k) for the rfft modes k, and Z(-k), from the full transform
+        self.half = (Ellipsis, slice(0, half))
+        self.mirror = np.ix_(*[neg] * (grid.dim - 1), neg[:half])
+        self.packed = np.empty(grid.shape, dtype=complex)
+
+    def _increment(self, phi: np.ndarray, density: np.ndarray) -> np.ndarray:
+        if self.sourced:
+            self.packed.real = phi
+            self.packed.imag = scalar_source(density, self.params)
+            z = sfft.fftn(self.packed, overwrite_x=True)
+            hat = self.p * z[self.half]
+            hat += self.q * np.conj(z[self.mirror])
+        else:
+            hat = sfft.rfftn(phi)
+            hat *= self.a
+        return sfft.irfftn(hat, s=self.shape, overwrite_x=True)
+
+    def step(self, phi, phi_prev, density):
+        return 2.0 * phi - phi_prev + self._increment(phi, density), phi
+
+    def _at_rest(self, phi, density):
+        # a field at rest has phi(t - dt) = phi(t + dt): half the increment
+        return phi + 0.5 * self._increment(phi, density)
+
+
+class _Slaved(_ScalarUpdate):
+    """phi = static screened inverse of the post-drift density; no history."""
+
+    instantaneous = True
+
+    def __init__(self, params: PhysicalParams, grid: Grid,
+                 kernel_prefactor: str):
+        self.params, self.grid = params, grid
+        self.kernel_prefactor = kernel_prefactor
+
+    def start(self, phi, phi_prev, density):
+        # the density is kick-invariant, so the slaved field at a step start
+        # equals the one from the previous step end; compute it once here
+        return self.step(phi, phi_prev, density)
+
+    def step(self, phi, phi_prev, density):
+        return _slaved_field(density, self.params, self.grid,
+                             self.kernel_prefactor), None
+
+    def reverse(self, phi, phi_prev, density):
+        return None
+
+
+def _scalar_update(mode: EvolutionMode, scheme: str, params: PhysicalParams,
+                   grid: Grid, dt: float,
+                   kernel_prefactor: str = "full") -> _ScalarUpdate:
+    if mode is EvolutionMode.CHOQUARD:
+        return _Slaved(params, grid, kernel_prefactor)
+    wave = _Gautschi if scheme == "gautschi" else _Leapfrog
+    return wave(params, grid, dt, sourced=mode is EvolutionMode.COUPLED)
 
 
 def evolve(initial: FieldState, T: float, dt: float | None = None, *,
            mode: EvolutionMode | str = EvolutionMode.COUPLED,
+           scheme: str = "leapfrog",
            kernel_prefactor: str = "full",
            snapshot_stride: int = 0,
            observer: Callable[[FieldState], object] | None = None,
@@ -157,8 +339,12 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     """Advance a state by T and return the recorded trajectory.
 
     The step count is ceil(T/dt), with the actual step shrunk to land on T
-    exactly; the requested dt is never exceeded. dt defaults to 90% of the
-    stability guard. snapshot_stride = 0 keeps only the endpoint states;
+    exactly; the requested dt is never exceeded. dt defaults to
+    default_dt for the scheme and the initial field. scheme picks the wave
+    update of the coupled and free modes, leapfrog or gautschi; the choquard
+    mode slaves the field and ignores it. The stability guard applies to
+    leapfrog and choquard steps unless enforce_stability is off.
+    snapshot_stride = 0 keeps only the endpoint states;
     a positive stride also stores every stride-th intermediate state. The
     observer, when given, is called on the initial state and every
     observer_stride steps after that (plus the final state).
@@ -168,6 +354,7 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     between, up to 2N when every step is recorded, 0 in free mode.
     """
     mode = EvolutionMode.parse(mode)
+    _check_scheme(scheme)
     check_kernel_prefactor(kernel_prefactor)
     if T < 0.0:
         raise ValueError("T must be nonnegative; retrace a trajectory by "
@@ -180,10 +367,11 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     params, grid = initial.params, initial.grid
     limit = stability_limit(grid, params)
     if dt is None:
-        dt = 0.9 * limit
+        dt = default_dt(initial, scheme, mode)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if enforce_stability and dt > limit * (1.0 + 1e-12):
+    if enforce_stability and _guarded(scheme, mode) \
+            and dt > limit * (1.0 + 1e-12):
         raise StabilityError(
             f"dt = {dt:.3e} exceeds the stability guard {limit:.3e} "
             f"= min(dx/2, 1/2m); pass enforce_stability=False "
@@ -204,36 +392,23 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
             and abs(dt - requested_dt) > 1e-9 * requested_dt):
         warnings.warn(
             f"dt adjusted from {requested_dt:.6e} to {dt:.6e} to land on T "
-            f"exactly, but the supplied leapfrog history phi_prev was "
+            f"exactly, but the supplied scalar history phi_prev was "
             f"presumably built for the requested step; the mismatch acts as "
             f"a spurious initial field velocity. Pass a dt that divides T.",
             stacklevel=2)
 
     psi = initial.psi.astype(complex, copy=True)
-    phi = np.array(initial.phi, dtype=float, copy=True)
     kicked = mode is not EvolutionMode.FREE
-    leapfrog = mode is not EvolutionMode.CHOQUARD
     density = _density(psi)
-    if leapfrog:
-        if initial.phi_prev is not None:
-            phi_prev = np.array(initial.phi_prev, dtype=float, copy=True)
-        else:
-            # static Taylor start: phi(t - dt) ~ phi + (dt^2/2) phi_tt
-            acc = scalar_acceleration(phi, psi, params, grid,
-                                      with_source=kicked)
-            phi_prev = phi + 0.5 * dt * dt * acc
-    else:
-        # the density is kick-invariant, so the slaved field at a step start
-        # equals the one from the previous step end; compute it once here
-        phi_prev = None
-        phi = _slaved_field(density, params, grid, kernel_prefactor)
+    scalar = _scalar_update(mode, scheme, params, grid, dt, kernel_prefactor)
+    phi, phi_prev = scalar.start(
+        np.array(initial.phi, dtype=float, copy=True), initial.phi_prev,
+        density)
 
     k2 = grid.k_squared + grid.transverse_k2
     drift_mult = np.exp(-0.5j * dt / params.M * k2)
     fftn, ifftn = sfft.fftn, sfft.ifftn
     kick_rate = -params.M * dt
-    m2 = params.m**2
-    dt2 = dt * dt
     phase = np.empty(grid.shape)
     kick = np.empty(grid.shape, dtype=complex)
     kicks = 0
@@ -270,20 +445,15 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
             h *= drift_mult
             psi = ifftn(h, overwrite_x=True)
             fresh = _density(psi)
-            if leapfrog:
-                acc = laplacian(phi, grid) - m2 * phi
-                if kicked:
-                    acc = acc - scalar_source(density, params)
-                phi_prev, phi = phi, 2.0 * phi - phi_prev + dt2 * acc
-            else:
-                phi = _slaved_field(fresh, params, grid, kernel_prefactor)
+            phi, phi_prev = scalar.step(
+                phi, phi_prev, fresh if scalar.instantaneous else density)
             density = fresh
 
         # max |psi| from the density; the pending half kick leaves it as is
         peak = math.sqrt(float(np.max(density)))
         if peak > threshold or not np.isfinite(peak):
             raise BlowUpError(t0 + (i + 1) * dt, peak)
-        if leapfrog:
+        if not scalar.instantaneous:
             phi_peak = float(np.max(np.abs(phi)))
             if not np.isfinite(phi_peak):
                 raise BlowUpError(t0 + (i + 1) * dt, phi_peak)
@@ -312,24 +482,24 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
 
 
 def reverse_state(state: FieldState, dt: float,
-                  mode: EvolutionMode | str = EvolutionMode.COUPLED
-                  ) -> FieldState:
+                  mode: EvolutionMode | str = EvolutionMode.COUPLED,
+                  scheme: str = "leapfrog") -> FieldState:
     """Turn a state around for exact retracing.
 
     Conjugating the matter field reverses its motion under the same
-    Hamiltonian. The leapfrog scalar history flips by handing over the
-    forward-time next field, phi(t + dt) = 2 phi - phi_prev + dt^2 phi_tt,
-    as the backward-time previous field. Evolving the result forward by T
+    Hamiltonian. The state holds phi(t) and phi(t - dt); with time running
+    backwards the previous field is phi(t + dt), which the scheme's own
+    step supplies (swapping the two would move the state back by dt).
+    Evolving the result forward by T with the same dt, mode and scheme
     reproduces the state from T earlier, exactly up to roundoff.
     """
     mode = EvolutionMode.parse(mode)
-    if state.phi_prev is None or mode is EvolutionMode.CHOQUARD:
-        phi_prev_back = None
-    else:
-        acc = scalar_acceleration(state.phi, state.psi, state.params,
-                                  state.grid,
-                                  with_source=mode is EvolutionMode.COUPLED)
-        phi_prev_back = 2.0 * state.phi - state.phi_prev + dt * dt * acc
+    _check_scheme(scheme)
+    phi_prev_back = None
+    if state.phi_prev is not None:
+        phi_prev_back = _scalar_update(
+            mode, scheme, state.params, state.grid, dt).reverse(
+                state.phi, state.phi_prev, _density(state.psi))
     return FieldState(t=state.t, psi=np.conj(state.psi), phi=state.phi,
                       params=state.params, grid=state.grid,
                       phi_prev=phi_prev_back)
@@ -340,9 +510,9 @@ def state_from_solution(spec, params: PhysicalParams, grid: Grid,
                         x0: float = 0.0) -> FieldState:
     """Initial data from a closed-form family member.
 
-    When dt is given, the leapfrog history phi(t0 - dt) is sampled
-    analytically, which starts the scalar integrator on the exact
-    trajectory instead of the static Taylor guess.
+    When dt is given, the scalar history phi(t0 - dt) is sampled
+    analytically, which starts the scalar update on the exact trajectory
+    instead of a field at rest.
     """
     if grid.dim == 1:
         spec_k2 = spec.gamma**2 + spec.eps**2

@@ -128,7 +128,7 @@ class SolitonSpec:
 
     - THREED_A: alpha (inverse width), omega (frequency), gamma, eps.
       Tied by alpha^2 = 2 M omega + M^2 + gamma^2 + eps^2.
-    - THREED_B: mu (longitudinal momentum, mu <= M), gamma, eps, and
+    - THREED_B: mu (longitudinal momentum, |mu| < M), gamma, eps, and
       alpha = sqrt(mu^2 + gamma^2 + eps^2).
     - ONED_A: phi_profile selects the scalar profile; "sech" is the
       printed first-power form, "sech_squared" the corrected one. Both are
@@ -353,8 +353,10 @@ def validate_params(params: PhysicalParams,
     elif fam is Family.THREED_B:
         if spec.mu is not None:
             checks.append(ConstraintCheck(
-                name="momentum_bound", passed=spec.mu <= M, margin=M - spec.mu,
-                detail="mu <= M (envelope width factor sqrt(1 - mu^2/M^2) real)"))
+                name="momentum_bound", passed=abs(spec.mu) < M,
+                margin=M - abs(spec.mu),
+                detail="|mu| < M (envelope width factor sqrt(1 - mu^2/M^2) "
+                       "real and nonzero)"))
             if spec.alpha is not None:
                 target = spec.mu**2 + spec.gamma**2 + spec.eps**2
                 err = abs(spec.alpha**2 - target)

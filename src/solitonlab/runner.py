@@ -33,8 +33,8 @@ from .config import ConfigError, ScenarioConfig, coerce_number, serialize
 from .diagnostics import (ObservableRecord, SeriesObserver, VelocityFit,
                           fit_velocity, free_spreading_width,
                           spreading_ratio)
-from .evolution import (Trajectory, evolve, gaussian_packet, perturb,
-                        stability_limit, state_from_solution,
+from .evolution import (Trajectory, default_dt, evolve, gaussian_packet,
+                        perturb, state_from_solution,
                         state_with_static_field)
 from .model import (KERNEL_PREFACTORS, FieldState, Family, Grid,
                     PhysicalParams, SolitonSpec, make_grid, validate_params)
@@ -192,15 +192,16 @@ def _grid_for(config: ScenarioConfig, default_length: float) -> Grid:
         raise ConfigError(f"invalid [grid]: grid.{e}") from None
 
 
-def _dividing_dt(requested: float | None, grid: Grid, params: PhysicalParams,
-                 T: float) -> float:
-    """A step that divides T exactly, at or under the requested/guard step.
+def _dividing_dt(config: ScenarioConfig, T: float, initial: FieldState,
+                 mode: str, requested: float | None) -> float:
+    """A step that divides T exactly, at or under the requested step, else
+    under evolution.default_dt for run.scheme, the mode and initial.
 
-    Landing on T without adjustment keeps an analytically sampled leapfrog
+    Landing on T without adjustment keeps an analytically sampled scalar
     history consistent with the step actually taken.
     """
-    dt = 0.9 * stability_limit(grid, params) if requested is None \
-        else requested
+    dt = default_dt(initial, config.get("run", "scheme"), mode) \
+        if requested is None else requested
     if dt <= 0.0:
         raise ConfigError(f"run.dt must be positive, got {dt}")
     return T / max(1, math.ceil(T / dt - 1e-12))
@@ -226,25 +227,32 @@ def _stride(config: ScenarioConfig, n_steps: int) -> int:
 
 
 def _plan(config: ScenarioConfig, findings: list[str],
-          spec_for: Callable[[PhysicalParams], SolitonSpec], T_default: float
+          spec_for: Callable[[PhysicalParams], SolitonSpec], T_default: float,
+          mode: str = "coupled", x0: float = 0.0
           ) -> tuple[PhysicalParams, SolitonSpec, Grid, float, float, int]:
-    """params, spec (validated), grid (auto: matched), T, dt, stride."""
+    """params, spec (validated), grid (auto: matched), T, dt, stride.
+
+    The default step reads the member at t = 0, placed at x0.
+    """
     params = _physical_params(config)
     spec = spec_for(params)
     _validated(params, spec, findings)
     grid = _grid_for(config, matched_length(spec, params))
     T = _run_T(config, T_default)
-    dt = _dividing_dt(config.get("run", "dt"), grid, params, T)
+    member = state_from_solution(spec, params, grid, x0=x0)
+    dt = _dividing_dt(config, T, member, mode, config.get("run", "dt"))
     return params, spec, grid, T, dt, _stride(config, round(T / dt))
 
 
-def _evolve_observed(report: RunReport, initial: FieldState, T: float,
-                     dt: float, stride: int, mode: str,
-                     kernel_prefactor: str = "full"
+def _evolve_observed(report: RunReport, config: ScenarioConfig,
+                     initial: FieldState, T: float, dt: float, stride: int,
+                     mode: str, kernel_prefactor: str = "full"
                      ) -> tuple[list[ObservableRecord], Trajectory]:
-    """evolve, observed every stride steps; its steps count on the report."""
+    """evolve under run.scheme, observed every stride steps; its steps count
+    on the report."""
     observer = SeriesObserver()
     traj = evolve(initial, T, dt, mode=mode,
+                  scheme=config.get("run", "scheme"),
                   kernel_prefactor=kernel_prefactor, observer=observer,
                   observer_stride=stride)
     report.step_count += traj.step_count
@@ -291,8 +299,13 @@ def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
                                out: Path) -> ScenarioArtifacts:
     params = _physical_params(config)
     # the moving member's lattice is the [grid] one; building it first
-    # checks grid.n before the audit halves it
-    spec_b = spec_3d_b(params, mu=_mu(config, params))
+    # checks soliton.mu and grid.n before the audit halves it. Its
+    # advisories are not this scenario's findings, only its constraints.
+    try:
+        spec_b = spec_3d_b(params, mu=_mu(config, params))
+    except ValueError as e:
+        raise ConfigError(f"invalid [soliton]: {e}") from None
+    _validated(params, spec_b, [])
     grid_b = _grid_for(config, matched_length(spec_b, params))
     rng = np.random.default_rng(config.get("run", "seed"))
 
@@ -400,14 +413,15 @@ def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
 
 def _scenario_soliton_propagation(config: ScenarioConfig, report: RunReport,
                                   out: Path) -> ScenarioArtifacts:
+    mode = config.get("run", "mode") or "coupled"
+    x0 = config.get("soliton", "x0")
     params, spec, grid, T, dt, stride = _plan(
         config, report.findings, functools.partial(_soliton_spec, config),
-        20.0)
-    mode = config.get("run", "mode") or "coupled"
+        20.0, mode, x0)
 
-    initial = state_from_solution(spec, params, grid, t0=0.0, dt=dt,
-                                  x0=config.get("soliton", "x0"))
-    recs, traj = _evolve_observed(report, initial, T, dt, stride, mode,
+    initial = state_from_solution(spec, params, grid, t0=0.0, dt=dt, x0=x0)
+    recs, traj = _evolve_observed(report, config, initial, T, dt, stride,
+                                  mode,
                                   config.get("toggles", "kernel_prefactor"))
     report.details["kicks"] = traj.kicks
 
@@ -464,14 +478,15 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
     sigma_T = free_spreading_width(sigma0, params.M, T)
 
     grid = _grid_for(config, max(14.0 * sigma_T, 40.0 * sigma0))
-    dt = _dividing_dt(config.get("run", "dt"), grid, params, T)
-    stride = _stride(config, round(T / dt))
     try:
         packet = gaussian_packet(grid, params, sigma0,
                                  k0=config.get("packet", "k0"))
     except ValueError as e:
         raise ConfigError(f"invalid [grid] for the packet: {e}") from None
-    recs, traj = _evolve_observed(report, packet, T, dt, stride, "free")
+    dt = _dividing_dt(config, T, packet, "free", config.get("run", "dt"))
+    stride = _stride(config, round(T / dt))
+    recs, traj = _evolve_observed(report, config, packet, T, dt, stride,
+                                  "free")
 
     t_double = 2.0 * params.M * sigma0**2 * math.sqrt(3.0)
     early = [r for r in recs if r.t <= t_double * (1.0 + 1e-9)]
@@ -487,11 +502,14 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
         law_err, 0.005))
 
     # self-trapped reference over the same span, on its own matched lattice
-    # at the guard step: run.dt and run.stride set the packet run only
+    # at the default step: run.dt and run.stride set the packet run only
     sol_grid = make_grid(1, 1024, matched_length(spec, params))
-    sol_dt = _dividing_dt(None, sol_grid, params, T)
+    sol_dt = _dividing_dt(config, T,
+                          state_from_solution(spec, params, sol_grid),
+                          "coupled", None)
     sol_recs, _ = _evolve_observed(
-        report, state_from_solution(spec, params, sol_grid, t0=0.0, dt=sol_dt),
+        report, config,
+        state_from_solution(spec, params, sol_grid, t0=0.0, dt=sol_dt),
         T, sol_dt, max(1, round(T / sol_dt) // 50), "coupled")
     ratio = spreading_ratio(sol_recs, recs)
     report.details["spreading_ratio"] = ratio
@@ -510,7 +528,7 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
 def _scenario_choquard_stationary(config: ScenarioConfig, report: RunReport,
                                   out: Path) -> ScenarioArtifacts:
     params, spec, grid, T, dt, stride = _plan(config, report.findings,
-                                              spec_1d_b, 50.0)
+                                              spec_1d_b, 50.0, "choquard")
     v_s = family_velocity(spec, params)
     if abs(v_s) > 1e-9:
         report.findings.append(
@@ -522,7 +540,7 @@ def _scenario_choquard_stationary(config: ScenarioConfig, report: RunReport,
     psi0 = sample_solution(spec, params, grid, t=0.0).psi
     initial = state_with_static_field(psi0, params, grid,
                                       kernel_prefactor=prefactor)
-    recs, traj = _evolve_observed(report, initial, T, dt, stride,
+    recs, traj = _evolve_observed(report, config, initial, T, dt, stride,
                                   "choquard", prefactor)
 
     width_drift = max(abs(r.width - recs[0].width) for r in recs) \
@@ -657,7 +675,8 @@ def _scenario_perturbation_stability(config: ScenarioConfig, report: RunReport,
             noisy = perturb(base, kind, strength, seed=seed)
         except ValueError as e:
             raise ConfigError(f"invalid [perturb]: {e}") from None
-        return _evolve_observed(report, noisy, T, dt, stride, "coupled")
+        return _evolve_observed(report, config, noisy, T, dt, stride,
+                                "coupled")
 
     recs, traj = one_run()
     repeat, _ = one_run()

@@ -85,7 +85,7 @@ def laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
     if np.iscomplexobj(field):
         return sfft.ifftn(sfft.fftn(field) * (-grid.k_squared))
     hat = sfft.rfftn(field)
-    hat *= _rfft_k_squared(grid.dim, grid.n, grid.length)
+    hat *= rfft_k_squared(grid)
     hat *= -1.0
     return sfft.irfftn(hat, s=grid.shape)
 
@@ -104,8 +104,13 @@ def yukawa_invert(source: np.ndarray, m: float, grid: Grid) -> np.ndarray:
     if np.iscomplexobj(source):
         raise ValueError("source must be real-valued")
     hat = sfft.rfftn(source)
-    k2 = _rfft_k_squared(grid.dim, grid.n, grid.length)
+    k2 = rfft_k_squared(grid)
     return -sfft.irfftn(hat / (m * m + k2), s=grid.shape)
+
+
+def rfft_k_squared(grid: Grid) -> np.ndarray:
+    """|k|^2 on the rfftn half spectrum of the grid: cached, read-only."""
+    return _rfft_k_squared(grid.dim, grid.n, grid.length)
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,4 +1,5 @@
-"""Split-step integrator: conservation, accuracy, reversal, guards, modes."""
+"""Split-step integrator: conservation, accuracy, reversal, guards, modes,
+the default step and the Gautschi scalar update."""
 
 from __future__ import annotations
 
@@ -9,9 +10,9 @@ import pytest
 
 from solitonlab.model import FieldState, PhysicalParams, make_grid
 from solitonlab.evolution import (
-    BlowUpError, EvolutionMode, StabilityError, evolve, gaussian_packet,
-    perturb, reverse_state, stability_limit, state_from_solution,
-    state_with_static_field,
+    BlowUpError, EvolutionMode, StabilityError, default_dt, evolve,
+    gaussian_packet, perturb, reverse_state, stability_limit,
+    state_from_solution, state_with_static_field,
 )
 from solitonlab.solutions import sample_solution, spec_1d_b, spec_3d_a
 
@@ -339,3 +340,166 @@ class TestPerturb:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown perturbation"):
             perturb(self.state, "resample", 0.1)
+
+
+class TestDefaultStep:
+    def test_leapfrog_and_choquard_take_ninety_percent_of_the_guard(self):
+        st, g = soliton_state()
+        guard = 0.9 * stability_limit(g, P)
+        assert default_dt(st) == guard
+        assert default_dt(st, "gautschi", "choquard") == guard
+
+    def test_gautschi_rule(self):
+        # fine lattice: the kick bound 1/(8 M max|phi|) sets the step
+        g = make_grid(1, 4096, 30.0)
+        st = state_from_solution(spec_1d_b(P), P, g)
+        peak = float(np.max(np.abs(st.phi)))
+        assert default_dt(st, "gautschi") \
+            == pytest.approx(1.0 / (8.0 * P.M * peak), rel=1e-15)
+        # no field: the mass bound 0.9/2m, never below the leapfrog step
+        packet = gaussian_packet(g, P, sigma0=1.0)
+        assert default_dt(packet, "gautschi") == 0.9 / (2.0 * P.m)
+        coarse = make_grid(1, 256, 30.0)
+        deep = FieldState(t=0.0, psi=np.ones(coarse.n, dtype=complex),
+                          phi=np.full(coarse.n, 50.0), params=P, grid=coarse)
+        assert default_dt(deep, "gautschi") \
+            == 0.9 * stability_limit(coarse, P)
+
+    def test_default_step_feeds_evolve(self):
+        g = make_grid(1, 2048, 60.0)
+        st = state_from_solution(spec_1d_b(P), P, g)
+        dt = default_dt(st, "gautschi")
+        assert dt > stability_limit(g, P)
+        traj = evolve(st, T=1.0, scheme="gautschi")
+        assert traj.step_count == math.ceil(1.0 / dt)
+
+    def test_unknown_scheme_rejected(self):
+        st, _ = soliton_state()
+        with pytest.raises(ValueError, match="unknown scalar scheme"):
+            evolve(st, T=0.1, scheme="verlet")
+        with pytest.raises(ValueError, match="unknown scalar scheme"):
+            default_dt(st, "verlet")
+
+
+class TestGautschi:
+    """Criterion-9-style properties of the exact-in-time scalar update,
+    at steps above the leapfrog guard (n = 2048 on L = 60)."""
+
+    GRID = make_grid(1, 2048, 60.0)
+
+    def step_for(self, T):
+        dt = default_dt(state_from_solution(spec_1d_b(P), P, self.GRID),
+                        "gautschi")
+        assert dt > stability_limit(self.GRID, P)
+        return T / math.ceil(T / dt)
+
+    def test_no_stability_guard(self):
+        st, g = soliton_state()
+        traj = evolve(st, T=0.2, dt=2.0 * stability_limit(g, P),
+                      scheme="gautschi")
+        assert traj.step_count == 4
+
+    def test_norm_drift_on_random_data(self):
+        g = self.GRID
+        rng = np.random.default_rng(11)
+        psi = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * g.spacing)
+        st = FieldState(t=0.0, psi=psi, phi=rng.standard_normal(g.n) * 0.1,
+                        params=P, grid=g)
+        traj = evolve(st, T=1.0, dt=self.step_for(1.0), scheme="gautschi")
+        assert abs(traj.final.norm() - st.norm()) / 1.0 < 1e-10
+
+    def test_reversal_retraces_T10(self):
+        dt = self.step_for(10.0)
+        start = state_from_solution(spec_1d_b(P), P, self.GRID, dt=dt)
+        fwd = evolve(start, T=10.0, dt=dt, scheme="gautschi")
+        back = evolve(reverse_state(fwd.final, dt, scheme="gautschi"),
+                      T=10.0, dt=dt, scheme="gautschi")
+        assert np.max(np.abs(np.conj(back.final.psi) - start.psi)) < 1e-6
+        assert np.max(np.abs(back.final.phi - start.phi)) < 1e-6
+
+    def test_second_order_in_dt(self):
+        # steps of 0.05, 0.025, 0.0125: the first two above the guard
+        g = make_grid(1, 1024, 60.0)
+        ana = sample_solution(spec_1d_b(P), P, g, t=1.0)
+        errs = []
+        for steps in (20, 40, 80):
+            h = 1.0 / steps
+            st = state_from_solution(spec_1d_b(P), P, g, dt=h)
+            errs.append(float(np.max(np.abs(
+                evolve(st, T=1.0, dt=h, scheme="gautschi").final.psi
+                - ana.psi))))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine == pytest.approx(4.0, abs=0.5)
+
+    def test_matches_leapfrog_at_a_small_step(self):
+        h = 1.0 / 2560
+        st, _ = soliton_state(dt=h)
+        gautschi = evolve(st, T=1.0, dt=h, scheme="gautschi").final
+        leapfrog = evolve(st, T=1.0, dt=h, scheme="leapfrog").final
+        assert np.max(np.abs(gautschi.psi - leapfrog.psi)) < 1e-6
+        assert np.max(np.abs(gautschi.phi - leapfrog.phi)) < 1e-5
+
+    def test_free_mode_oscillates_at_the_exact_frequency(self):
+        # a cosine mode follows 0.7 cos(w t) exactly, even at a step far
+        # above the guard, where leapfrog would diverge
+        g = make_grid(1, 256, 32.0)
+        k1 = 2.0 * np.pi * 3 / g.length
+        w = math.sqrt(k1**2 + P.m**2)
+        dt = 0.3
+        mode = np.cos(k1 * g.axis)
+        st = FieldState(t=0.0, psi=np.zeros(g.n, dtype=complex),
+                        phi=0.7 * mode, params=P, grid=g,
+                        phi_prev=0.7 * math.cos(w * dt) * mode)
+        traj = evolve(st, T=6.0, dt=dt, mode="free", scheme="gautschi",
+                      snapshot_stride=1)
+        for s in traj.states:
+            np.testing.assert_allclose(s.phi, 0.7 * math.cos(w * s.t) * mode,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("dim,n,mode", [(1, 256, "coupled"),
+                                            (1, 256, "free"),
+                                            (3, 16, "coupled")])
+    def test_packed_transform_matches_separate_ones(self, dim, n, mode):
+        # reverse_state hands back the scheme's next field, so it exposes
+        # one step; the reference transforms phi and the source apart
+        from scipy import fft as sfft
+        from solitonlab.model import scalar_source
+        from solitonlab.spectral import rfft_k_squared
+        g = make_grid(dim, n, 20.0)
+        rng = np.random.default_rng(3)
+        psi = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        phi, phi_prev = rng.standard_normal(g.shape), rng.standard_normal(
+            g.shape)
+        st = FieldState(t=0.0, psi=psi, phi=phi, params=P, grid=g,
+                        phi_prev=phi_prev)
+        dt = 0.4
+        got = reverse_state(st, dt, mode, scheme="gautschi").phi_prev
+        w2 = rfft_k_squared(g) + P.m**2
+        a = 2.0 * np.cos(np.sqrt(w2) * dt) - 2.0
+        hat = a * sfft.rfftn(phi)
+        if mode == "coupled":
+            source = scalar_source(np.abs(psi) ** 2, P)
+            hat += -2.0 * (1.0 - np.cos(np.sqrt(w2) * dt)) / w2 \
+                * sfft.rfftn(source)
+        expect = 2.0 * phi - phi_prev + sfft.irfftn(hat, s=g.shape)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+    def test_two_transforms_per_scalar_step(self, monkeypatch):
+        # the drift's complex pair plus the packed scalar pair, none at
+        # setup when the history is given
+        import scipy.fft
+        calls = []
+        for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft",
+                     "rfft", "irfft"):
+            original = getattr(scipy.fft, name)
+
+            def counted(*args, _f=original, _n=name, **kwargs):
+                calls.append(_n)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, counted)
+        st, _ = soliton_state(n=512, L=40.0, dt=0.05)
+        traj = evolve(st, T=0.5, dt=0.05, scheme="gautschi")
+        assert traj.step_count == 10
+        assert len(calls) == 4 * traj.step_count
+        assert calls.count("irfftn") == traj.step_count

@@ -161,6 +161,16 @@ class TestValidateParams:
         assert not c.passed
         assert c.margin == pytest.approx(-0.5)
 
+    @pytest.mark.parametrize("mu,passed", [(1.0, False), (-1.0, False),
+                                           (-1.5, False), (0.999, True),
+                                           (-0.5, True)])
+    def test_threed_b_momentum_bound_is_strict_in_abs_mu(self, mu, passed):
+        # |mu| = M is the zero-width member that family_coefficients rejects
+        p = PhysicalParams(M=1.0, m=0.5, v=1.0)
+        spec = SolitonSpec(family=Family.THREED_B, mu=mu, alpha=abs(mu))
+        assert validate_params(p, spec).check("momentum_bound").passed \
+            is passed
+
     def test_threed_a_dispersion_closure(self):
         p = PhysicalParams(M=1.0, m=0.5, v=1.0)
         rep = validate_params(p, spec_3d_a(p, omega=1.5))

@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from solitonlab import cli
 from solitonlab.cli import main
 from solitonlab.config import (ConfigError, ScenarioConfig, apply_overrides,
                                default_config, parse_config)
@@ -71,7 +72,7 @@ class TestRunScenario:
     def test_abort_leaves_a_marker(self, tmp_path):
         cfg = apply_overrides(
             default_config("soliton-propagation"),
-            ["run.dt=0.2", "grid.n=256", "run.T=0.5"])
+            ["run.dt=0.2", "grid.n=256", "run.T=0.5", "run.scheme=leapfrog"])
         with pytest.raises(StabilityError):
             run_scenario(cfg, out_dir=tmp_path)
         marker = (tmp_path / FAILED_MARKER).read_text()
@@ -79,6 +80,16 @@ class TestRunScenario:
         assert "StabilityError" in marker
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["status"] == "aborted"
+
+    def test_gautschi_default_has_no_stability_guard(self, tmp_path):
+        # the same step over the leapfrog guard runs under the default scheme
+        cfg = apply_overrides(
+            default_config("soliton-propagation"),
+            ["run.dt=0.2", "grid.n=256", "run.T=0.5"])
+        assert cfg.get("run", "scheme") == "gautschi"
+        report = run_scenario(cfg, out_dir=tmp_path)
+        assert report.step_count == 3
+        assert not (tmp_path / FAILED_MARKER).exists()
 
     def test_success_clears_a_stale_marker(self, tmp_path):
         (tmp_path / FAILED_MARKER).write_text("left over\n")
@@ -280,7 +291,44 @@ class TestCliExitCodes:
         code = main(["soliton-propagation", "--out", str(tmp_path),
                      "--override", "run.dt=0.2",
                      "--override", "grid.n=256",
-                     "--override", "run.T=0.5"])
+                     "--override", "run.T=0.5",
+                     "--override", "run.scheme=leapfrog"])
         assert code == 3
         assert "numerical abort" in capsys.readouterr().err
         assert (tmp_path / FAILED_MARKER).exists()
+
+    def test_unknown_scheme_is_two(self, tmp_path, capsys):
+        code = main(["soliton-propagation", "--out", str(tmp_path),
+                     "--override", "run.scheme=bogus"])
+        assert code == 2
+        assert "run.scheme" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario,overrides", [
+        ("verify-residuals", ["soliton.mu=2"]),
+        ("verify-residuals", ["soliton.mu=1.0"]),
+        ("soliton-propagation", ["soliton.family=3d_b", "soliton.mu=1.0"]),
+        ("soliton-propagation", ["soliton.family=3d_b", "soliton.mu=-1.0"]),
+    ], ids=["verify-mu-2", "verify-mu-M", "propagate-mu-M",
+            "propagate-mu-minus-M"])
+    def test_momentum_at_or_over_M_is_two_before_any_work(
+            self, tmp_path, capsys, monkeypatch, scenario, overrides):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before soliton.mu was checked")
+
+        monkeypatch.setattr(runner, "evolve", no_work)
+        monkeypatch.setattr(runner, "full_family_audit", no_work)
+        argv = [scenario, "--out", str(tmp_path)]
+        for override in overrides:
+            argv += ["--override", override]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_internal_error_is_four(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine fault\nsecond line")
+
+        monkeypatch.setattr(cli, "run_scenario", broken)
+        code = main(["verify-residuals", "--out", str(tmp_path)])
+        assert code == cli.EXIT_INTERNAL_ERROR == 4
+        err = capsys.readouterr().err
+        assert "internal error: RuntimeError: engine fault" in err
