@@ -25,7 +25,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from .evolution import SCHEMES
 from .model import (KERNEL_PREFACTORS, PHI_PROFILE_ALIASES, PHI_PROFILES,
                     Family)
 
@@ -57,7 +56,6 @@ SCHEMA: dict[str, dict[str, tuple[str, Any, tuple | None]]] = {
         "stride": (_FLOAT_OR_AUTO, None, None),
         "seed": (_INT, 0, None),
         "mode": (_STR, None, ("coupled", "choquard", "free")),
-        "scheme": (_STR, "gautschi", SCHEMES),
         "output_dir": (_STR, None, None),
     },
     "params": {

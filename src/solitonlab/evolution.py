@@ -47,7 +47,8 @@ The step-size guard dt <= min(dx/2, 1/2m) keeps the scalar leapfrog inside
 its spectral stability window (dt < 2/w_max ~ 0.64 dx) and resolves the
 scalar mass oscillation; it applies to leapfrog and to the slaved field and
 can be lifted explicitly for experiments on the unstable side. Gautschi has
-no stability window and no guard: its default step comes from accuracy
+no stability window and no guard: its default step comes from accuracy,
+the rates at which the initial state kicks, travels and spreads
 (default_dt), so a finer lattice does not force more steps. The matter kick
 and drift are exact unitary maps at any dt, so the guard is about the wave
 equation, not the Schroedinger half. For initial data with appreciable
@@ -136,19 +137,47 @@ def default_dt(initial: FieldState, scheme: str = "leapfrog",
 
     Under the stability guard (leapfrog, and the slaved field whatever the
     scheme): 90% of stability_limit. Gautschi: max(0.9 stability_limit,
-    min(0.9/2m, 1/(8 M max|phi|))) for the initial scalar field phi. The
-    first bound resolves the scalar mass oscillation as the guard does; the
-    second keeps the phase one kick turns at the field's peak below 1/8.
-    The outer max means Gautschi never takes more steps than leapfrog.
+    min(0.9/2m, 1/(8 r))) with r the fastest rate of change of the initial
+    state (_state_rate), so that one step turns no phase by more than 1/8
+    and moves the envelope by at most 1/8 of its width; the mass bound
+    resolves the scalar mass oscillation as the guard does. The outer max
+    means Gautschi never takes more steps than leapfrog.
     """
     _check_scheme(scheme)
     params = initial.params
     guard = 0.9 * stability_limit(initial.grid, params)
     if _guarded(scheme, EvolutionMode.parse(mode)):
         return guard
-    peak = float(np.max(np.abs(initial.phi)))
-    kick = 1.0 / (8.0 * params.M * peak) if peak > 0.0 else math.inf
-    return max(guard, min(0.9 / (2.0 * params.m), kick))
+    rate = _state_rate(initial)
+    bound = 1.0 / (8.0 * rate) if rate > 0.0 else math.inf
+    return max(guard, min(0.9 / (2.0 * params.m), bound))
+
+
+def _state_rate(state: FieldState) -> float:
+    """The largest of three rates, per unit time:
+
+      M max|phi|          phase one kick turns at the field's peak
+      |<k>| sigma_k / M   envelope widths travelled: group velocity <k>/M
+                          over the width 1/sigma_k
+      sigma_k^2 / 2M      kinetic phase across the envelope's spectrum
+
+    with <k> and sigma_k the mean and spread of |psi^|^2 along each axis.
+    A moving or narrow member thus gets a shorter step than its field
+    depth alone would give it.
+    """
+    M = state.params.M
+    rate = M * float(np.max(np.abs(state.phi)))
+    power = _density(sfft.fftn(state.psi))
+    total = float(np.sum(power))
+    if total == 0.0:
+        return rate
+    power /= total
+    for k in state.grid.wavenumbers:
+        mean = float(np.sum(power * k))
+        spread = math.sqrt(max(float(np.sum(power * k * k)) - mean * mean,
+                               0.0))
+        rate = max(rate, abs(mean) * spread / M, spread * spread / (2.0 * M))
+    return rate
 
 
 @dataclass(frozen=True)

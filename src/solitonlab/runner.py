@@ -46,6 +46,8 @@ from .spectral import (MAX_DIRECT_POINTS, yukawa_convolve_direct,
                        yukawa_invert)
 
 FAILED_MARKER = "FAILED"
+# every scenario's wave scalar update; evolve's own default stays leapfrog
+SCHEME = "gautschi"
 
 
 @dataclass
@@ -192,16 +194,17 @@ def _grid_for(config: ScenarioConfig, default_length: float) -> Grid:
         raise ConfigError(f"invalid [grid]: grid.{e}") from None
 
 
-def _dividing_dt(config: ScenarioConfig, T: float, initial: FieldState,
-                 mode: str, requested: float | None) -> float:
+def _dividing_dt(T: float, requested: float | None, mode: str,
+                 member: Callable[[], FieldState]) -> float:
     """A step that divides T exactly, at or under the requested step, else
-    under evolution.default_dt for run.scheme, the mode and initial.
+    under evolution.default_dt for the mode and the state member() builds
+    (built only then).
 
     Landing on T without adjustment keeps an analytically sampled scalar
     history consistent with the step actually taken.
     """
-    dt = default_dt(initial, config.get("run", "scheme"), mode) \
-        if requested is None else requested
+    dt = default_dt(member(), SCHEME, mode) if requested is None \
+        else requested
     if dt <= 0.0:
         raise ConfigError(f"run.dt must be positive, got {dt}")
     return T / max(1, math.ceil(T / dt - 1e-12))
@@ -228,31 +231,30 @@ def _stride(config: ScenarioConfig, n_steps: int) -> int:
 
 def _plan(config: ScenarioConfig, findings: list[str],
           spec_for: Callable[[PhysicalParams], SolitonSpec], T_default: float,
-          mode: str = "coupled", x0: float = 0.0
+          mode: str = "coupled"
           ) -> tuple[PhysicalParams, SolitonSpec, Grid, float, float, int]:
     """params, spec (validated), grid (auto: matched), T, dt, stride.
 
-    The default step reads the member at t = 0, placed at x0.
+    The default step reads the member at t = 0.
     """
     params = _physical_params(config)
     spec = spec_for(params)
     _validated(params, spec, findings)
     grid = _grid_for(config, matched_length(spec, params))
     T = _run_T(config, T_default)
-    member = state_from_solution(spec, params, grid, x0=x0)
-    dt = _dividing_dt(config, T, member, mode, config.get("run", "dt"))
+    dt = _dividing_dt(T, config.get("run", "dt"), mode, functools.partial(
+        state_from_solution, spec, params, grid))
     return params, spec, grid, T, dt, _stride(config, round(T / dt))
 
 
-def _evolve_observed(report: RunReport, config: ScenarioConfig,
-                     initial: FieldState, T: float, dt: float, stride: int,
-                     mode: str, kernel_prefactor: str = "full"
+def _evolve_observed(report: RunReport, initial: FieldState, T: float,
+                     dt: float, stride: int, mode: str,
+                     kernel_prefactor: str = "full"
                      ) -> tuple[list[ObservableRecord], Trajectory]:
-    """evolve under run.scheme, observed every stride steps; its steps count
-    on the report."""
+    """evolve under SCHEME, observed every stride steps; its steps count on
+    the report."""
     observer = SeriesObserver()
-    traj = evolve(initial, T, dt, mode=mode,
-                  scheme=config.get("run", "scheme"),
+    traj = evolve(initial, T, dt, mode=mode, scheme=SCHEME,
                   kernel_prefactor=kernel_prefactor, observer=observer,
                   observer_stride=stride)
     report.step_count += traj.step_count
@@ -414,14 +416,13 @@ def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
 def _scenario_soliton_propagation(config: ScenarioConfig, report: RunReport,
                                   out: Path) -> ScenarioArtifacts:
     mode = config.get("run", "mode") or "coupled"
-    x0 = config.get("soliton", "x0")
     params, spec, grid, T, dt, stride = _plan(
         config, report.findings, functools.partial(_soliton_spec, config),
-        20.0, mode, x0)
+        20.0, mode)
 
-    initial = state_from_solution(spec, params, grid, t0=0.0, dt=dt, x0=x0)
-    recs, traj = _evolve_observed(report, config, initial, T, dt, stride,
-                                  mode,
+    initial = state_from_solution(spec, params, grid, t0=0.0, dt=dt,
+                                  x0=config.get("soliton", "x0"))
+    recs, traj = _evolve_observed(report, initial, T, dt, stride, mode,
                                   config.get("toggles", "kernel_prefactor"))
     report.details["kicks"] = traj.kicks
 
@@ -483,10 +484,9 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
                                  k0=config.get("packet", "k0"))
     except ValueError as e:
         raise ConfigError(f"invalid [grid] for the packet: {e}") from None
-    dt = _dividing_dt(config, T, packet, "free", config.get("run", "dt"))
+    dt = _dividing_dt(T, config.get("run", "dt"), "free", lambda: packet)
     stride = _stride(config, round(T / dt))
-    recs, traj = _evolve_observed(report, config, packet, T, dt, stride,
-                                  "free")
+    recs, traj = _evolve_observed(report, packet, T, dt, stride, "free")
 
     t_double = 2.0 * params.M * sigma0**2 * math.sqrt(3.0)
     early = [r for r in recs if r.t <= t_double * (1.0 + 1e-9)]
@@ -504,12 +504,10 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
     # self-trapped reference over the same span, on its own matched lattice
     # at the default step: run.dt and run.stride set the packet run only
     sol_grid = make_grid(1, 1024, matched_length(spec, params))
-    sol_dt = _dividing_dt(config, T,
-                          state_from_solution(spec, params, sol_grid),
-                          "coupled", None)
+    sol_dt = _dividing_dt(T, None, "coupled", functools.partial(
+        state_from_solution, spec, params, sol_grid))
     sol_recs, _ = _evolve_observed(
-        report, config,
-        state_from_solution(spec, params, sol_grid, t0=0.0, dt=sol_dt),
+        report, state_from_solution(spec, params, sol_grid, t0=0.0, dt=sol_dt),
         T, sol_dt, max(1, round(T / sol_dt) // 50), "coupled")
     ratio = spreading_ratio(sol_recs, recs)
     report.details["spreading_ratio"] = ratio
@@ -540,7 +538,7 @@ def _scenario_choquard_stationary(config: ScenarioConfig, report: RunReport,
     psi0 = sample_solution(spec, params, grid, t=0.0).psi
     initial = state_with_static_field(psi0, params, grid,
                                       kernel_prefactor=prefactor)
-    recs, traj = _evolve_observed(report, config, initial, T, dt, stride,
+    recs, traj = _evolve_observed(report, initial, T, dt, stride,
                                   "choquard", prefactor)
 
     width_drift = max(abs(r.width - recs[0].width) for r in recs) \
@@ -675,8 +673,7 @@ def _scenario_perturbation_stability(config: ScenarioConfig, report: RunReport,
             noisy = perturb(base, kind, strength, seed=seed)
         except ValueError as e:
             raise ConfigError(f"invalid [perturb]: {e}") from None
-        return _evolve_observed(report, config, noisy, T, dt, stride,
-                                "coupled")
+        return _evolve_observed(report, noisy, T, dt, stride, "coupled")
 
     recs, traj = one_run()
     repeat, _ = one_run()

@@ -14,7 +14,9 @@ from solitonlab.evolution import (
     gaussian_packet, perturb, reverse_state, stability_limit,
     state_from_solution, state_with_static_field,
 )
-from solitonlab.solutions import sample_solution, spec_1d_b, spec_3d_a
+from solitonlab.solutions import (family_coefficients, matched_length,
+                                  sample_solution, spec_1d_b, spec_3d_a,
+                                  spec_3d_b)
 
 P = PhysicalParams(M=1.0, m=0.5, v=1.0)
 
@@ -364,6 +366,18 @@ class TestDefaultStep:
                           phi=np.full(coarse.n, 50.0), params=P, grid=coarse)
         assert default_dt(deep, "gautschi") \
             == 0.9 * stability_limit(coarse, P)
+
+    def test_fast_narrow_member_gets_a_shorter_step(self):
+        # 3d_b at mu = 0.99 M: the field depth does not depend on mu, but
+        # the envelope narrows and speeds up; the step keeps its travel per
+        # step near 1/8 of the width 1/k instead of most of it
+        spec = spec_3d_b(P, mu=0.99)
+        co = family_coefficients(spec, P)
+        st = state_from_solution(spec, P, make_grid(1, 1024, matched_length(
+            spec, P)))
+        dt = default_dt(st, "gautschi")
+        assert dt < 1.0 / (8.0 * P.M * abs(co.phi_amplitude)) / 3.0
+        assert co.velocity * dt * co.envelope_k < 0.15
 
     def test_default_step_feeds_evolve(self):
         g = make_grid(1, 2048, 60.0)

@@ -72,7 +72,7 @@ class TestRunScenario:
     def test_abort_leaves_a_marker(self, tmp_path):
         cfg = apply_overrides(
             default_config("soliton-propagation"),
-            ["run.dt=0.2", "grid.n=256", "run.T=0.5", "run.scheme=leapfrog"])
+            ["run.dt=0.2", "grid.n=256", "run.T=0.5", "run.mode=choquard"])
         with pytest.raises(StabilityError):
             run_scenario(cfg, out_dir=tmp_path)
         marker = (tmp_path / FAILED_MARKER).read_text()
@@ -81,15 +81,36 @@ class TestRunScenario:
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["status"] == "aborted"
 
-    def test_gautschi_default_has_no_stability_guard(self, tmp_path):
-        # the same step over the leapfrog guard runs under the default scheme
+    def test_gautschi_has_no_stability_guard(self, tmp_path):
+        # the step over the guard that aborts the slaved field above runs
+        # under the coupled mode's Gautschi update
         cfg = apply_overrides(
             default_config("soliton-propagation"),
             ["run.dt=0.2", "grid.n=256", "run.T=0.5"])
-        assert cfg.get("run", "scheme") == "gautschi"
         report = run_scenario(cfg, out_dir=tmp_path)
         assert report.step_count == 3
         assert not (tmp_path / FAILED_MARKER).exists()
+
+    def test_fast_exact_moving_member_passes_at_the_default_step(
+            self, tmp_path):
+        # 3d_b is exact at mu = m; at mu = 0.9 M the envelope moves fast
+        # and is narrow, and the default step still holds criterion 2
+        cfg = apply_overrides(
+            default_config("soliton-propagation"),
+            ["soliton.family=3d_b", "params.m=0.9", "soliton.mu=0.9",
+             "grid.n=1024"])
+        report = run_scenario(cfg, out_dir=tmp_path)
+        assert report.passed
+        assert [c.criterion for c in report.checks] == ["criterion-2"]
+
+    def test_free_packet_is_sampled_before_its_width_doubles(self,
+                                                             tmp_path):
+        # criterion 6 compares the packet with the spreading law at every
+        # record up to the doubling time; t = 0 alone would be vacuous
+        report = run_scenario(default_config("free-spreading"),
+                              out_dir=tmp_path)
+        assert report.passed
+        assert report.details["records_up_to_doubling"] >= 4
 
     def test_success_clears_a_stale_marker(self, tmp_path):
         (tmp_path / FAILED_MARKER).write_text("left over\n")
@@ -263,12 +284,19 @@ class TestCliExitCodes:
         ("verify-residuals", ["grid.n=1000"], "grid.n"),
         ("perturbation-stability",
          ["perturb.kind=width_rescale", "perturb.strength=-2"], "strength"),
+        ("verify-residuals", ["soliton.mu=2"], "mu"),
+        ("verify-residuals", ["soliton.mu=1.0"], "mu"),
+        ("soliton-propagation", ["soliton.family=3d_b", "soliton.mu=1.0"],
+         "mu"),
+        ("soliton-propagation", ["soliton.family=3d_b", "soliton.mu=-1.0"],
+         "mu"),
     ], ids=["free-n", "free-dim", "free-length", "verify-n",
-            "rescale-strength"])
+            "rescale-strength", "verify-mu-2", "verify-mu-M",
+            "propagate-mu-M", "propagate-mu-minus-M"])
     def test_engine_rejected_setting_is_two_before_any_work(
             self, tmp_path, capsys, monkeypatch, scenario, overrides, named):
-        # lattice sizes, packet widths and rescale strengths the engine
-        # would reject are configuration errors, raised before any
+        # lattice sizes, packet widths, momenta and rescale strengths the
+        # engine would reject are configuration errors, raised before any
         # evolution or residual audit starts
         def no_work(*args, **kwargs):
             raise AssertionError("work ran before the settings were checked")
@@ -292,36 +320,10 @@ class TestCliExitCodes:
                      "--override", "run.dt=0.2",
                      "--override", "grid.n=256",
                      "--override", "run.T=0.5",
-                     "--override", "run.scheme=leapfrog"])
+                     "--override", "run.mode=choquard"])
         assert code == 3
         assert "numerical abort" in capsys.readouterr().err
         assert (tmp_path / FAILED_MARKER).exists()
-
-    def test_unknown_scheme_is_two(self, tmp_path, capsys):
-        code = main(["soliton-propagation", "--out", str(tmp_path),
-                     "--override", "run.scheme=bogus"])
-        assert code == 2
-        assert "run.scheme" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("scenario,overrides", [
-        ("verify-residuals", ["soliton.mu=2"]),
-        ("verify-residuals", ["soliton.mu=1.0"]),
-        ("soliton-propagation", ["soliton.family=3d_b", "soliton.mu=1.0"]),
-        ("soliton-propagation", ["soliton.family=3d_b", "soliton.mu=-1.0"]),
-    ], ids=["verify-mu-2", "verify-mu-M", "propagate-mu-M",
-            "propagate-mu-minus-M"])
-    def test_momentum_at_or_over_M_is_two_before_any_work(
-            self, tmp_path, capsys, monkeypatch, scenario, overrides):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work ran before soliton.mu was checked")
-
-        monkeypatch.setattr(runner, "evolve", no_work)
-        monkeypatch.setattr(runner, "full_family_audit", no_work)
-        argv = [scenario, "--out", str(tmp_path)]
-        for override in overrides:
-            argv += ["--override", override]
-        assert main(argv) == 2
-        assert "configuration error" in capsys.readouterr().err
 
     def test_internal_error_is_four(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
