@@ -109,10 +109,12 @@ class ConfigError(ValueError):
     """Configuration problem; message carries the offending line numbers."""
 
 
-def _coerce(section: str, key: str, raw: str, line: int) -> Any:
+def _coerce(section: str, key: str, raw: str, source: str) -> Any:
+    """raw as the schema type of section.key; source says where raw came
+    from (line N, override #i, sweep value) for the error message."""
     kind, _, allowed = SCHEMA[section][key]
     token = raw.strip()
-    where = f"{section}.{key} (line {line})"
+    where = f"{section}.{key} ({source})"
     if kind in (_FLOAT, _OPT_FLOAT) or (kind == _FLOAT_OR_AUTO
                                         and token.lower() != "auto"):
         try:
@@ -257,7 +259,8 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
             first_line = entries[(section, key)][1]
             raise ConfigError(f"duplicate key {section}.{key}: first set on "
                               f"line {first_line}, again on line {lineno}")
-        entries[(section, key)] = (_coerce(section, key, raw, lineno), lineno)
+        value = _coerce(section, key, raw, f"line {lineno}")
+        entries[(section, key)] = (value, lineno)
 
     named = entries.get(("run", "scenario"))
     if named is not None and scenario is not None \
@@ -303,7 +306,7 @@ def coerce_number(section: str, key: str, value: float) -> Any:
         raise ConfigError(f"unknown setting {section}.{key}")
     value = float(value)
     token = str(int(value)) if value.is_integer() else repr(value)
-    return _coerce(section, key, token, 0)
+    return _coerce(section, key, token, "sweep value")
 
 
 def apply_overrides(config: ScenarioConfig,
@@ -318,7 +321,7 @@ def apply_overrides(config: ScenarioConfig,
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"override #{i}: unknown setting "
                               f"{section}.{key}")
-        value = _coerce(section, key, raw, 0)
+        value = _coerce(section, key, raw, f"override #{i}")
         if (section, key) == ("run", "scenario") \
                 and value != config.scenario:
             raise ConfigError(f"override #{i}: scenario cannot be changed "

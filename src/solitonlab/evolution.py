@@ -22,6 +22,11 @@ back phi(t + dt). There are three:
   slaved    the choquard mode's field, the static screened inverse of the
             post-drift density; evolve's scheme does not apply to it
 
+Every transform is numpy.fft's, picked once per evolve (and per scalar
+update) by spectral.transforms: the 1D calls on a 1D grid. The drift
+transforms psi in place, and the Gautschi packed transform runs in place
+in a buffer the update owns.
+
 Both wave updates are time symmetric, and so is the Strang step, so a
 trajectory can be retraced exactly: conjugate the matter field and hand
 the scalar update its own forward-time next field as the new previous one.
@@ -68,12 +73,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import fft as sfft
 
 from .model import (FieldState, Grid, PhysicalParams, check_kernel_prefactor,
                     scalar_source)
 from .solutions import sample_solution
-from .spectral import laplacian, rfft_k_squared, yukawa_invert
+from .spectral import (laplacian, rfft_k_squared, transforms,
+                       yukawa_invert)
 
 BLOWUP_FACTOR = 1e3
 
@@ -167,7 +172,7 @@ def _state_rate(state: FieldState) -> float:
     """
     M = state.params.M
     rate = M * float(np.max(np.abs(state.phi)))
-    power = _density(sfft.fftn(state.psi))
+    power = _density(transforms(state.grid).fft(state.psi))
     total = float(np.sum(power))
     if total == 0.0:
         return rate
@@ -291,7 +296,7 @@ class _Gautschi(_ScalarUpdate):
 
     def __init__(self, params: PhysicalParams, grid: Grid, dt: float,
                  sourced: bool):
-        self.params, self.shape, self.sourced = params, grid.shape, sourced
+        self.params, self.sourced = params, sourced
         w2 = rfft_k_squared(grid) + params.m**2
         # the sine form keeps full relative precision where w dt is small
         self.a = -4.0 * np.sin(0.5 * dt * np.sqrt(w2)) ** 2
@@ -303,18 +308,21 @@ class _Gautschi(_ScalarUpdate):
         self.half = (Ellipsis, slice(0, half))
         self.mirror = np.ix_(*[neg] * (grid.dim - 1), neg[:half])
         self.packed = np.empty(grid.shape, dtype=complex)
+        self.transforms = transforms(grid)
 
     def _increment(self, phi: np.ndarray, density: np.ndarray) -> np.ndarray:
+        tr = self.transforms
         if self.sourced:
-            self.packed.real = phi
-            self.packed.imag = scalar_source(density, self.params)
-            z = sfft.fftn(self.packed, overwrite_x=True)
+            z = self.packed
+            z.real = phi
+            z.imag = scalar_source(density, self.params)
+            tr.fft(z, out=z)
             hat = self.p * z[self.half]
             hat += self.q * np.conj(z[self.mirror])
         else:
-            hat = sfft.rfftn(phi)
+            hat = tr.rfft(phi)
             hat *= self.a
-        return sfft.irfftn(hat, s=self.shape, overwrite_x=True)
+        return tr.irfft(hat)
 
     def step(self, phi, phi_prev, density):
         return 2.0 * phi - phi_prev + self._increment(phi, density), phi
@@ -436,7 +444,8 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
 
     k2 = grid.k_squared + grid.transverse_k2
     drift_mult = np.exp(-0.5j * dt / params.M * k2)
-    fftn, ifftn = sfft.fftn, sfft.ifftn
+    tr = transforms(grid)
+    fft, ifft = tr.fft, tr.ifft
     kick_rate = -params.M * dt
     phase = np.empty(grid.shape)
     kick = np.empty(grid.shape, dtype=complex)
@@ -470,9 +479,9 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
                             else 0.5 * kick_rate, phase, kick)
                 kicks += 1
                 pending = True
-            h = fftn(psi, overwrite_x=True)
-            h *= drift_mult
-            psi = ifftn(h, overwrite_x=True)
+            fft(psi, out=psi)
+            psi *= drift_mult
+            ifft(psi, out=psi)
             fresh = _density(psi)
             phi, phi_prev = scalar.step(
                 phi, phi_prev, fresh if scalar.instantaneous else density)

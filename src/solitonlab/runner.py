@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
+from numpy.random import default_rng
 
 from .artifacts import (write_observables_csv, write_plot_script,
                         write_snapshot)
@@ -142,8 +143,9 @@ def _physical_params(config: ScenarioConfig) -> PhysicalParams:
 
 
 def _mu(config: ScenarioConfig, params: PhysicalParams) -> float:
+    """soliton.mu, by default the matched momentum m of the exact member."""
     mu = config.get("soliton", "mu")
-    return 0.5 * params.M if mu is None else mu
+    return params.m if mu is None else mu
 
 
 def _soliton_spec(config: ScenarioConfig,
@@ -151,28 +153,31 @@ def _soliton_spec(config: ScenarioConfig,
     fam = Family.parse(config.get("soliton", "family"))
     gamma = config.get("soliton", "gamma")
     eps = config.get("soliton", "eps")
+    if fam is Family.THREED_A:
+        omega = config.get("soliton", "omega")
+        alpha = config.get("soliton", "alpha")
+        if omega is None and alpha is None:
+            omega = params.M  # default width from the dispersion closure
+        return spec_3d_a(params, alpha=alpha, omega=omega,
+                         gamma=gamma, eps=eps)
+    if fam is Family.THREED_B:
+        return spec_3d_b(params, mu=_mu(config, params), gamma=gamma,
+                         eps=eps)
+    if fam is Family.ONED_A:
+        return spec_1d_a(params,
+                         phi_profile=config.get("toggles", "phi_profile"))
+    return spec_1d_b(params)
+
+
+def _member(spec_for: Callable[[PhysicalParams], SolitonSpec],
+            params: PhysicalParams, findings: list[str]) -> SolitonSpec:
+    """spec_for(params), validated. A member the family cannot build or
+    whose constraints fail is a configuration error; advisories are
+    notes."""
     try:
-        if fam is Family.THREED_A:
-            omega = config.get("soliton", "omega")
-            alpha = config.get("soliton", "alpha")
-            if omega is None and alpha is None:
-                omega = params.M  # default width from the dispersion closure
-            return spec_3d_a(params, alpha=alpha, omega=omega,
-                             gamma=gamma, eps=eps)
-        if fam is Family.THREED_B:
-            return spec_3d_b(params, mu=_mu(config, params), gamma=gamma,
-                             eps=eps)
-        if fam is Family.ONED_A:
-            return spec_1d_a(params,
-                             phi_profile=config.get("toggles", "phi_profile"))
-        return spec_1d_b(params)
+        spec = spec_for(params)
     except ValueError as e:
         raise ConfigError(f"invalid [soliton]: {e}") from None
-
-
-def _validated(params: PhysicalParams, spec: SolitonSpec,
-               findings: list[str]) -> None:
-    """Constraint failures are configuration errors; advisories are notes."""
     report = validate_params(params, spec)
     if not report.passed:
         bad = [f"{c.name}: {c.detail} (margin {c.margin:.3g})"
@@ -182,6 +187,7 @@ def _validated(params: PhysicalParams, spec: SolitonSpec,
             + "; ".join(bad))
     for c in report.warnings:
         findings.append(f"advisory {c.name}: {c.detail}")
+    return spec
 
 
 def _grid_for(config: ScenarioConfig, default_length: float) -> Grid:
@@ -238,8 +244,7 @@ def _plan(config: ScenarioConfig, findings: list[str],
     The default step reads the member at t = 0.
     """
     params = _physical_params(config)
-    spec = spec_for(params)
-    _validated(params, spec, findings)
+    spec = _member(spec_for, params, findings)
     grid = _grid_for(config, matched_length(spec, params))
     T = _run_T(config, T_default)
     dt = _dividing_dt(T, config.get("run", "dt"), mode, functools.partial(
@@ -301,15 +306,14 @@ def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
                                out: Path) -> ScenarioArtifacts:
     params = _physical_params(config)
     # the moving member's lattice is the [grid] one; building it first
-    # checks soliton.mu and grid.n before the audit halves it. Its
-    # advisories are not this scenario's findings, only its constraints.
-    try:
-        spec_b = spec_3d_b(params, mu=_mu(config, params))
-    except ValueError as e:
-        raise ConfigError(f"invalid [soliton]: {e}") from None
-    _validated(params, spec_b, [])
+    # checks soliton.mu and grid.n before the audit halves it, and the
+    # audit's subluminal member is checked before the audit builds it.
+    # Their advisories are not this scenario's findings, only their
+    # constraints.
+    spec_b = _member(lambda p: spec_3d_b(p, mu=_mu(config, p)), params, [])
+    _member(spec_1d_b, params, [])
     grid_b = _grid_for(config, matched_length(spec_b, params))
-    rng = np.random.default_rng(config.get("run", "seed"))
+    rng = default_rng(config.get("run", "seed"))
 
     audit = full_family_audit(params, n=grid_b.n, with_convergence=True)
     e_3da, e_3db, e_3db_detuned, e_1da_printed, e_1da_fixed, e_1db = audit
@@ -449,6 +453,11 @@ def _scenario_soliton_propagation(config: ScenarioConfig, report: RunReport,
             "criterion-2", f"evolved translation speed vs mu/M = "
             f"{v_closed:g}", abs(fit.velocity - v_closed) / abs(v_closed),
             0.01))
+        if abs(spec.mu) != params.m:
+            report.findings.append(
+                f"detuned member: mu = {spec.mu:g} while m = {params.m:g}; "
+                "the moving sech^2 member is exact only at |mu| = m, so "
+                "its envelope need not keep its shape or the speed mu/M")
     else:
         report.findings.append(
             "no acceptance criterion pins this family/mode combination; "
@@ -466,8 +475,7 @@ def _scenario_soliton_propagation(config: ScenarioConfig, report: RunReport,
 def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
                              out: Path) -> ScenarioArtifacts:
     params = _physical_params(config)
-    spec = spec_1d_b(params)
-    _validated(params, spec, report.findings)
+    spec = _member(spec_1d_b, params, report.findings)
     T = _run_T(config, 20.0)
     sigma0 = config.get("packet", "sigma0")
     if sigma0 is None:
@@ -625,7 +633,7 @@ def _oracle_case(grid: Grid, rng: np.random.Generator, m: float,
 def _scenario_yukawa_oracle(config: ScenarioConfig, report: RunReport,
                             out: Path) -> ScenarioArtifacts:
     m = _physical_params(config).m
-    rng = np.random.default_rng(config.get("run", "seed"))
+    rng = default_rng(config.get("run", "seed"))
     cases = config.get("oracle", "cases")
     if cases < 1:
         raise ConfigError(f"oracle.cases must be >= 1, got {cases}")

@@ -12,19 +12,23 @@ Two independent routes are provided for the static scalar field:
   share nothing beyond the lattice, which is what makes their agreement a
   meaningful cross-check.
 
-The spectral operators run plain forward/inverse transform pairs, so the
-normalization convention cancels.
+The spectral operators run plain forward/inverse numpy.fft transform
+pairs, so the normalization convention cancels. transforms(grid) picks
+them for a grid: the 1D calls on a 1D grid, the n-D ones otherwise. They
+are looked up on the numpy.fft module when it is called, not bound at
+import.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily; here, not inside the first run
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
-from scipy import fft as sfft
 
 from .model import Grid
 
@@ -41,6 +45,34 @@ __all__ = [
 # pair in 3D; the 3D acceptance size 32^3 = 2^15 takes about 0.2 s including
 # the weight build (2-core Xeon, OpenBLAS), and anything larger is rejected.
 MAX_DIRECT_POINTS = 2**15
+
+
+class Transforms(NamedTuple):
+    """numpy.fft transforms over every axis of one grid.
+
+    fft, ifft and rfft take the field (and out= where numpy takes it);
+    irfft takes a half spectrum and returns the real field on the grid.
+    """
+
+    fft: Callable[..., np.ndarray]
+    ifft: Callable[..., np.ndarray]
+    rfft: Callable[..., np.ndarray]
+    irfft: Callable[..., np.ndarray]
+
+
+def transforms(grid: Grid) -> Transforms:
+    """The grid's transforms, looked up on numpy.fft now.
+
+    A 1D grid gets the 1D calls: numpy's n-D wrappers cost about 10 us
+    more per call, which is noticeable at the few hundred us of a step.
+    """
+    fft = np.fft
+    if grid.dim == 1:
+        return Transforms(fft.fft, fft.ifft, fft.rfft,
+                          functools.partial(fft.irfft, n=grid.n))
+    return Transforms(fft.fftn, fft.ifftn, fft.rfftn,
+                      functools.partial(fft.irfftn, s=grid.shape,
+                                        axes=tuple(range(grid.dim))))
 
 
 def spectral_derivative(field: np.ndarray, grid: Grid, axis: int = 0,
@@ -65,8 +97,8 @@ def spectral_derivative(field: np.ndarray, grid: Grid, axis: int = 0,
         mult = -(k**2)
     shape = [1] * grid.dim
     shape[axis] = grid.n
-    hat = sfft.fft(field, axis=axis) * mult.reshape(shape)
-    out = sfft.ifft(hat, axis=axis)
+    hat = np.fft.fft(field, axis=axis) * mult.reshape(shape)
+    out = np.fft.ifft(hat, axis=axis)
     if not np.iscomplexobj(field):
         return out.real
     return out
@@ -75,19 +107,20 @@ def spectral_derivative(field: np.ndarray, grid: Grid, axis: int = 0,
 def laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectral Laplacian over all grid axes.
 
-    A real field takes the real-to-complex path: rfftn, the cached
-    half-spectrum multiplier -k^2, irfftn. It returns a contiguous float64
-    array and costs about two thirds of the complex transform pair. A
-    complex field takes the full complex pair.
+    A real field takes the real-to-complex path: the real transform, the
+    cached half-spectrum multiplier -k^2, its inverse. It returns a
+    contiguous float64 array and costs about two thirds of the complex
+    transform pair. A complex field takes the full complex pair.
     """
     if field.shape != grid.shape:
         raise ValueError(f"field shape {field.shape} does not match grid {grid.shape}")
+    tr = transforms(grid)
     if np.iscomplexobj(field):
-        return sfft.ifftn(sfft.fftn(field) * (-grid.k_squared))
-    hat = sfft.rfftn(field)
+        return tr.ifft(tr.fft(field) * (-grid.k_squared))
+    hat = tr.rfft(field)
     hat *= rfft_k_squared(grid)
     hat *= -1.0
-    return sfft.irfftn(hat, s=grid.shape)
+    return tr.irfft(hat)
 
 
 def yukawa_invert(source: np.ndarray, m: float, grid: Grid) -> np.ndarray:
@@ -103,9 +136,10 @@ def yukawa_invert(source: np.ndarray, m: float, grid: Grid) -> np.ndarray:
         raise ValueError(f"source shape {source.shape} does not match grid {grid.shape}")
     if np.iscomplexobj(source):
         raise ValueError("source must be real-valued")
-    hat = sfft.rfftn(source)
+    tr = transforms(grid)
+    hat = tr.rfft(source)
     k2 = rfft_k_squared(grid)
-    return -sfft.irfftn(hat / (m * m + k2), s=grid.shape)
+    return -tr.irfft(hat / (m * m + k2))
 
 
 def rfft_k_squared(grid: Grid) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,29 @@ class TestSnapshots:
         np.testing.assert_array_equal(back.psi, state.psi)
         np.testing.assert_array_equal(back.phi, state.phi)
         assert back.phi_prev is None
+
+    def test_1d_bytes_match_csv_writer(self, tmp_path):
+        # the table is built by hand; it must be what csv.writer writes
+        # for repr'd floats, CRLF row ends included
+        state = _random_state(1, 16)
+        psi, phi = state.psi.copy(), state.phi.copy()
+        psi[:4] = [complex(-0.0, 1e-300), complex(1e-300, -0.0),
+                   complex(5e+20, 0.1), complex(0.1, 5e+20)]
+        phi[:4] = [-0.0, 1e-300, 5e+20, 0.1]
+        state = FieldState(t=state.t, psi=psi, phi=phi, params=state.params,
+                           grid=state.grid)
+        path = tmp_path / "snap.csv"
+        write_snapshot(str(path), state)
+
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(["x", "re_psi", "im_psi", "phi"])
+        for x, re, im, ph in zip(state.grid.axis, psi.real, psi.imag, phi):
+            writer.writerow([repr(float(v)) for v in (x, re, im, ph)])
+        header, _, table = path.read_bytes().partition(b"\n")
+        assert header.startswith(b"# solitonlab-snapshot")
+        assert table == text.getvalue().encode()
+        assert b"-0.0,1e-300,-0.0\r\n" in table
 
     def test_1d_transverse_mode_survives(self, tmp_path):
         state = _random_state(1, 32, transverse=(0.25, -0.5))

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from solitonlab.config import (
     SCENARIOS, SCHEMA, ConfigError, ScenarioConfig,
-    default_config, parse_config, serialize, apply_overrides,
+    coerce_number, default_config, parse_config, serialize, apply_overrides,
 )
 
 
@@ -202,6 +202,22 @@ class TestOverrides:
     def test_malformed_override(self):
         with pytest.raises(ConfigError, match="section.key=value"):
             apply_overrides(default_config("free-spreading"), ["T=3"])
+
+    def test_rejected_override_value_names_the_override(self):
+        # an override has no line; the error names its position instead
+        with pytest.raises(ConfigError) as info:
+            apply_overrides(default_config("free-spreading"),
+                            ["run.T=2", "run.mode=bogus"])
+        message = str(info.value)
+        assert message.startswith("run.mode (override #2): 'bogus' is not "
+                                  "one of")
+        assert "line" not in message
+
+    def test_rejected_sweep_value_names_the_sweep(self):
+        with pytest.raises(ConfigError,
+                           match=r"^expected an integer for grid\.n "
+                                 r"\(sweep value\), got '2\.5'$"):
+            coerce_number("grid", "n", 2.5)
 
     def test_unknown_override_key(self):
         with pytest.raises(ConfigError, match="unknown setting"):

@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import solitonlab
 from solitonlab import cli
 from solitonlab.cli import main
 from solitonlab.config import (ConfigError, ScenarioConfig, apply_overrides,
@@ -93,15 +99,26 @@ class TestRunScenario:
 
     def test_fast_exact_moving_member_passes_at_the_default_step(
             self, tmp_path):
-        # 3d_b is exact at mu = m; at mu = 0.9 M the envelope moves fast
-        # and is narrow, and the default step still holds criterion 2
+        # 3d_b is exact at mu = m, which soliton.mu defaults to; at
+        # m = 0.9 M the envelope moves fast and is narrow, and the default
+        # step still holds criterion 2
         cfg = apply_overrides(
             default_config("soliton-propagation"),
-            ["soliton.family=3d_b", "params.m=0.9", "soliton.mu=0.9",
-             "grid.n=1024"])
+            ["soliton.family=3d_b", "params.m=0.9", "grid.n=1024"])
         report = run_scenario(cfg, out_dir=tmp_path)
         assert report.passed
         assert [c.criterion for c in report.checks] == ["criterion-2"]
+        assert not any("detuned" in f for f in report.findings)
+
+    def test_detuned_moving_member_keeps_its_gate_and_says_so(self,
+                                                              tmp_path):
+        cfg = apply_overrides(
+            default_config("soliton-propagation"),
+            ["soliton.family=3d_b", "soliton.mu=0.4", "grid.n=256",
+             "run.T=1"])
+        report = run_scenario(cfg, out_dir=tmp_path)
+        assert [c.criterion for c in report.checks] == ["criterion-2"]
+        assert any("exact only at |mu| = m" in f for f in report.findings)
 
     def test_free_packet_is_sampled_before_its_width_doubles(self,
                                                              tmp_path):
@@ -142,6 +159,35 @@ class TestRunScenario:
         # one kick per step, plus one closing half kick per recorded state
         assert data["details"]["kicks"] == report.step_count + recorded
         assert recorded < report.step_count
+
+
+class TestImports:
+    def test_package_and_scenarios_load_no_scipy(self, tmp_path):
+        # scipy's import costs more than the package's own; only
+        # perturb(kind="width_rescale") may pull it in, lazily
+        code = textwrap.dedent("""
+            import sys
+            from solitonlab import apply_overrides, default_config
+            from solitonlab.runner import run_scenario
+            runs = {
+                "soliton-propagation": ["grid.n=256", "run.T=0.5"],
+                "free-spreading": ["grid.n=512", "run.T=0.5"],
+                "yukawa-oracle": ["oracle.run_3d=false", "oracle.cases=1"],
+            }
+            for name, overrides in runs.items():
+                config = apply_overrides(default_config(name), overrides)
+                run_scenario(config, out_dir=sys.argv[1] + "/" + name)
+            print(sorted(m for m in sys.modules
+                         if m == "scipy" or m.startswith("scipy.")))
+        """)
+        src = str(Path(solitonlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        assert done.stdout.strip().splitlines()[-1] == "[]"
+        assert (tmp_path / "free-spreading" / "report.json").exists()
 
 
 class TestDeterminism:
@@ -290,9 +336,14 @@ class TestCliExitCodes:
          "mu"),
         ("soliton-propagation", ["soliton.family=3d_b", "soliton.mu=-1.0"],
          "mu"),
+        # (3/2) m^3 v^2 > M^3: no subluminal 1d_b member
+        ("verify-residuals", ["params.m=0.9"], "m^3 v^2"),
+        ("free-spreading", ["params.m=0.9"], "m^3 v^2"),
+        ("perturbation-stability", ["params.m=0.9"], "m^3 v^2"),
     ], ids=["free-n", "free-dim", "free-length", "verify-n",
             "rescale-strength", "verify-mu-2", "verify-mu-M",
-            "propagate-mu-M", "propagate-mu-minus-M"])
+            "propagate-mu-M", "propagate-mu-minus-M", "verify-1d_b-m",
+            "free-1d_b-m", "perturb-1d_b-m"])
     def test_engine_rejected_setting_is_two_before_any_work(
             self, tmp_path, capsys, monkeypatch, scenario, overrides, named):
         # lattice sizes, packet widths, momenta and rescale strengths the
