@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
+from .evolution import PERTURBATION_KINDS, EvolutionMode
 from .model import (KERNEL_PREFACTORS, PHI_PROFILE_ALIASES, PHI_PROFILES,
                     Family)
 
@@ -55,7 +56,7 @@ SCHEMA: dict[str, dict[str, tuple[str, Any, tuple | None]]] = {
         "dt": (_FLOAT_OR_AUTO, None, None),
         "stride": (_FLOAT_OR_AUTO, None, None),
         "seed": (_INT, 0, None),
-        "mode": (_STR, None, ("coupled", "choquard", "free")),
+        "mode": (_STR, None, tuple(m.value for m in EvolutionMode)),
         "output_dir": (_STR, None, None),
     },
     "params": {
@@ -86,8 +87,7 @@ SCHEMA: dict[str, dict[str, tuple[str, Any, tuple | None]]] = {
         "k0": (_FLOAT, 0.0, None),
     },
     "perturb": {
-        "kind": (_STR, "amplitude_noise",
-                 ("amplitude_noise", "phase_noise", "width_rescale")),
+        "kind": (_STR, "amplitude_noise", PERTURBATION_KINDS),
         "strength": (_FLOAT, 0.01, None),
     },
     "sweep": {

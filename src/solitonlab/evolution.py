@@ -34,10 +34,10 @@ the scalar update its own forward-time next field as the new previous one.
 The closing half kick of one step and the opening half kick of the next
 are both exp(-i M dt/2 phi) with the same phi, so the loop merges them into
 one full kick and keeps the closing half pending. The pending half kick is
-applied only before a snapshot, an observer call or the return, so
-everything outside the loop sees fully kicked states, the same ones the
-unmerged scheme produces up to roundoff. The blow-up guard reads |psi|,
-which a kick does not change, so it runs every step regardless.
+applied only before an observer call or the return, so everything outside
+the loop sees fully kicked states, the same ones the unmerged scheme
+produces up to roundoff. The blow-up guard reads |psi|, which a kick does
+not change, so it runs every step regardless.
 
 Three modes share one loop body (optional kick, drift, scalar update):
 
@@ -60,6 +60,10 @@ equation, not the Schroedinger half. For initial data with appreciable
 power near the lattice Nyquist mode (noise studies), dt <= M dx^2
 additionally keeps every kinetic phase increment below 2 pi and rules out
 split-step resonances; pass such a dt explicitly where that matters.
+
+The observer is the one way to see the states between the endpoints of a
+run: evolve hands it the initial state, every observer_stride-th state and
+the final one, and returns only the endpoints and the step-loop counters.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-import time
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -187,24 +190,13 @@ def _state_rate(state: FieldState) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Strided snapshots plus whatever the observer recorded."""
+    """The endpoints of a run and its step-loop counters."""
 
-    times: np.ndarray
-    states: tuple[FieldState, ...]
-    records: tuple
+    initial: FieldState
+    final: FieldState
     step_count: int
     kicks: int
     dt: float
-    mode: EvolutionMode
-    wall_time: float
-
-    @property
-    def initial(self) -> FieldState:
-        return self.states[0]
-
-    @property
-    def final(self) -> FieldState:
-        return self.states[-1]
 
 
 def _density(psi: np.ndarray) -> np.ndarray:
@@ -368,12 +360,10 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
            mode: EvolutionMode | str = EvolutionMode.COUPLED,
            scheme: str = "leapfrog",
            kernel_prefactor: str = "full",
-           snapshot_stride: int = 0,
            observer: Callable[[FieldState], object] | None = None,
            observer_stride: int = 1,
-           enforce_stability: bool = True,
-           blowup_factor: float = BLOWUP_FACTOR) -> Trajectory:
-    """Advance a state by T and return the recorded trajectory.
+           enforce_stability: bool = True) -> Trajectory:
+    """Advance a state by T and return the run's endpoints and counters.
 
     The step count is ceil(T/dt), with the actual step shrunk to land on T
     exactly; the requested dt is never exceeded. dt defaults to
@@ -381,14 +371,15 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     update of the coupled and free modes, leapfrog or gautschi; the choquard
     mode slaves the field and ignores it. The stability guard applies to
     leapfrog and choquard steps unless enforce_stability is off.
-    snapshot_stride = 0 keeps only the endpoint states;
-    a positive stride also stores every stride-th intermediate state. The
-    observer, when given, is called on the initial state and every
-    observer_stride steps after that (plus the final state).
-    observer_stride must be an integer >= 1 and snapshot_stride an integer
-    >= 0. The returned trajectory counts the phase kicks it evaluated in
-    kicks: N + 1 for N coupled or choquard steps with nothing recorded in
-    between, up to 2N when every step is recorded, 0 in free mode.
+    The observer is the only view of the states in between: when given, it
+    is called on the initial state and every observer_stride steps after
+    that (plus the final state), and its return value is ignored.
+    observer_stride must be an integer >= 1. The returned trajectory counts
+    the phase kicks it evaluated in kicks: N + 1 for N coupled or choquard
+    steps with nothing observed in between, up to 2N when every step is
+    observed, 0 in free mode. The run aborts with BlowUpError once max|psi|
+    exceeds BLOWUP_FACTOR times its initial value or a field turns
+    non-finite.
     """
     mode = EvolutionMode.parse(mode)
     _check_scheme(scheme)
@@ -396,11 +387,10 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     if T < 0.0:
         raise ValueError("T must be nonnegative; retrace a trajectory by "
                          "reversing the final state and evolving forward")
-    for name, stride, low in (("observer_stride", observer_stride, 1),
-                              ("snapshot_stride", snapshot_stride, 0)):
-        if not isinstance(stride, numbers.Integral) or stride < low:
-            raise ValueError(f"{name} must be an integer >= {low}, "
-                             f"got {stride!r}")
+    if not isinstance(observer_stride, numbers.Integral) \
+            or observer_stride < 1:
+        raise ValueError(f"observer_stride must be an integer >= 1, "
+                         f"got {observer_stride!r}")
     params, grid = initial.params, initial.grid
     limit = stability_limit(grid, params)
     if dt is None:
@@ -414,14 +404,11 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
             f"= min(dx/2, 1/2m); pass enforce_stability=False "
             f"to run anyway")
 
-    start = time.perf_counter()
-    t0 = initial.t
+    if observer is not None:
+        observer(initial)
     if T == 0.0:
-        recs = (observer(initial),) if observer is not None else ()
-        return Trajectory(times=np.array([t0]), states=(initial,),
-                          records=recs, step_count=0, kicks=0, dt=dt,
-                          mode=mode,
-                          wall_time=time.perf_counter() - start)
+        return Trajectory(initial=initial, final=initial, step_count=0,
+                          kicks=0, dt=dt)
 
     n_steps = max(1, math.ceil(T / dt - 1e-12))
     requested_dt, dt = dt, T / n_steps
@@ -434,6 +421,7 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
             f"a spurious initial field velocity. Pass a dt that divides T.",
             stacklevel=2)
 
+    t0 = initial.t
     psi = initial.psi.astype(complex, copy=True)
     kicked = mode is not EvolutionMode.FREE
     density = _density(psi)
@@ -454,19 +442,7 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     pending = False
 
     initial_peak = float(np.max(np.abs(psi)))
-    threshold = blowup_factor * max(initial_peak, 1e-300)
-
-    def materialize(i_step: int) -> FieldState:
-        return FieldState(t=t0 + i_step * dt, psi=psi.copy(), phi=phi.copy(),
-                          params=params, grid=grid,
-                          phi_prev=None if phi_prev is None
-                          else phi_prev.copy())
-
-    states = [initial]
-    times = [t0]
-    records = []
-    if observer is not None:
-        records.append(observer(initial))
+    threshold = BLOWUP_FACTOR * max(initial_peak, 1e-300)
 
     for i in range(n_steps):
         # running off the stability cliff overflows before the guard below
@@ -497,26 +473,20 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
                 raise BlowUpError(t0 + (i + 1) * dt, phi_peak)
 
         last = i == n_steps - 1
-        want_snap = last or (snapshot_stride > 0
-                             and (i + 1) % snapshot_stride == 0)
-        want_obs = observer is not None and (
-            last or (i + 1) % observer_stride == 0)
-        if want_snap or want_obs:
+        if last or (observer is not None and (i + 1) % observer_stride == 0):
             if pending:
                 _phase_kick(psi, phi, 0.5 * kick_rate, phase, kick)
                 kicks += 1
                 pending = False
-            st = materialize(i + 1)
-            if want_snap:
-                states.append(st)
-                times.append(st.t)
-            if want_obs:
-                records.append(observer(st))
+            final = FieldState(
+                t=t0 + (i + 1) * dt, psi=psi.copy(), phi=phi.copy(),
+                params=params, grid=grid,
+                phi_prev=None if phi_prev is None else phi_prev.copy())
+            if observer is not None:
+                observer(final)
 
-    return Trajectory(times=np.array(times), states=tuple(states),
-                      records=tuple(records), step_count=n_steps,
-                      kicks=kicks, dt=dt, mode=mode,
-                      wall_time=time.perf_counter() - start)
+    return Trajectory(initial=initial, final=final, step_count=n_steps,
+                      kicks=kicks, dt=dt)
 
 
 def reverse_state(state: FieldState, dt: float,
@@ -584,12 +554,17 @@ def gaussian_packet(grid: Grid, params: PhysicalParams, sigma0: float,
 
     psi = N exp(-(x - x0)^2 / 4 sigma0^2) exp(i k0 x), phi = 0. Intended for
     free-mode spreading runs; in coupled mode it simply starts the scalar
-    field from rest at zero.
+    field from rest at zero. sigma0 must be at least one lattice spacing:
+    a narrower packet is not resolved, and its measured width is 0.
     """
     if sigma0 <= 0.0:
         raise ValueError("sigma0 must be positive")
     if grid.dim != 1:
         raise ValueError("gaussian_packet is a 1D initial condition")
+    if sigma0 < grid.spacing:
+        raise ValueError(f"packet width {sigma0:g} is below the lattice "
+                         f"spacing {grid.spacing:g}; the lattice cannot "
+                         f"resolve it")
     if grid.length < 12.0 * sigma0:
         raise ValueError(f"domain {grid.length:g} too short for a packet of "
                          f"width {sigma0:g}; need >= {12.0 * sigma0:g}")

@@ -19,7 +19,7 @@ the verification tolerances while staying clear of cancellation noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,8 @@ _D1 = np.array([-1.0 / 60, 3.0 / 20, -3.0 / 4, 0.0,
 _D2 = np.array([1.0 / 90, -3.0 / 20, 3.0 / 2, -49.0 / 18,
                 3.0 / 2, -3.0 / 20, 1.0 / 90])
 _STENCIL_OFFSETS = np.arange(-3, 4)
+# the time at which full_family_audit samples every member
+AUDIT_TIME = 0.3
 
 
 @dataclass(frozen=True)
@@ -242,7 +244,7 @@ class FamilyAuditEntry:
     phi_profile: str
     matter: ResidualReport
     scalar: ResidualReport
-    ratios: dict[str, float] = field(default_factory=dict)
+    ratios: dict[str, float]
 
     @property
     def exact(self) -> bool:
@@ -250,10 +252,8 @@ class FamilyAuditEntry:
                 and self.scalar.rel_residual < 1e-6)
 
 
-def full_family_audit(params: PhysicalParams | None = None,
-                      n: int = 2048, t: float = 0.3,
-                      with_convergence: bool = False
-                      ) -> list[FamilyAuditEntry]:
+def full_family_audit(params: PhysicalParams,
+                      n: int) -> list[FamilyAuditEntry]:
     """Residual audit of all four families on matched quasi-1D lattices.
 
     The six entries come in this order: the bright-envelope member (width
@@ -261,16 +261,14 @@ def full_family_audit(params: PhysicalParams | None = None,
     point mu = m and at a generic detuned momentum, the unit-speed member
     under the printed and the corrected scalar profile, and the subluminal
     sech^2 member. Each entry states whether the pair satisfies both
-    equations at the 1e-6 relative gate.
+    equations at the 1e-6 relative gate, at t = AUDIT_TIME.
 
-    With with_convergence the halving study runs n/2 -> n so that the
-    reported residuals are the post-halving (n-point) ones and both levels
-    sit in the truncation-dominated regime; starting at n instead would
-    push the fine level onto the time-stencil roundoff floor, where the
-    measured ratio says nothing about the discretization order.
+    The halving study runs n/2 -> n so that the reported residuals are the
+    post-halving (n-point) ones and both levels sit in the
+    truncation-dominated regime; starting at n instead would push the fine
+    level onto the time-stencil roundoff floor, where the measured ratio
+    says nothing about the discretization order.
     """
-    if params is None:
-        params = PhysicalParams(M=1.0, m=0.5, v=1.0)
     cases: list[tuple[str, SolitonSpec]] = [
         ("bright envelope, width from dispersion at omega = M",
          spec_3d_a(params, omega=params.M)),
@@ -287,18 +285,12 @@ def full_family_audit(params: PhysicalParams | None = None,
     ]
     out = []
     for label, spec in cases:
-        length = matched_length(spec, params)
-        if with_convergence:
-            half_grid = Grid(dim=1, n=max(16, n // 2), length=length)
-            check = convergence_check(spec, params, half_grid, t=t)
-            matter, scalar = check.fine
-            ratios = check.ratios
-        else:
-            grid = Grid(dim=1, n=n, length=length)
-            matter, scalar = residual_pair(spec, params, grid, t=t)
-            ratios = {}
+        half_grid = Grid(dim=1, n=max(16, n // 2),
+                         length=matched_length(spec, params))
+        check = convergence_check(spec, params, half_grid, t=AUDIT_TIME)
+        matter, scalar = check.fine
         out.append(FamilyAuditEntry(label=label, family=spec.family.value,
                                     phi_profile=spec.phi_profile,
                                     matter=matter, scalar=scalar,
-                                    ratios=ratios))
+                                    ratios=check.ratios))
     return out

@@ -50,15 +50,17 @@ class TestStepControl:
     def test_steps_land_on_T_exactly(self):
         st, g = soliton_state()
         traj = evolve(st, T=0.1, dt=0.9 * stability_limit(g, P))
+        assert traj.initial is st
         assert traj.final.t == pytest.approx(0.1, abs=1e-15)
         assert traj.dt * traj.step_count == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_T_returns_initial_only(self):
         st, _ = soliton_state()
-        traj = evolve(st, T=0.0)
+        seen = []
+        traj = evolve(st, T=0.0, observer=seen.append)
         assert traj.step_count == 0
-        assert len(traj.states) == 1
-        assert traj.states[0] is st
+        assert traj.initial is st and traj.final is st
+        assert seen == [st]
 
     def test_negative_T_rejected(self):
         st, _ = soliton_state()
@@ -76,7 +78,6 @@ class TestStepControl:
     @pytest.mark.parametrize("kwargs", [
         {"observer_stride": 0},
         {"observer_stride": 2.5},
-        {"snapshot_stride": -3},
     ])
     def test_bad_stride_rejected_before_any_step(self, kwargs):
         g = make_grid(1, 256, 30.0)
@@ -158,28 +159,12 @@ class TestBlowUp:
 
 
 class TestTrajectoryPlumbing:
-    def test_snapshot_stride(self):
-        st, g = soliton_state()
-        dt = 0.01 / 10
-        traj = evolve(st, T=0.01, dt=dt, snapshot_stride=2)
-        # initial + steps 2, 4, 6, 8, 10
-        assert len(traj.states) == 6
-        np.testing.assert_allclose(traj.times,
-                                   [0, 0.002, 0.004, 0.006, 0.008, 0.01],
-                                   atol=1e-15)
-
-    def test_endpoints_only_by_default(self):
-        st, _ = soliton_state()
-        traj = evolve(st, T=0.01, dt=0.001)
-        assert len(traj.states) == 2
-
     def test_observer_called_on_stride(self):
         st, _ = soliton_state()
         seen = []
-        traj = evolve(st, T=0.01, dt=0.001, observer=lambda s: seen.append(s.t),
-                      observer_stride=5)
+        evolve(st, T=0.01, dt=0.001, observer=lambda s: seen.append(s.t),
+               observer_stride=5)
         assert seen == pytest.approx([0.0, 0.005, 0.01])
-        assert len(traj.records) == 3
 
     def test_kick_count(self):
         st, _ = soliton_state(dt=0.001)
@@ -243,9 +228,10 @@ class TestModes:
         phi0 = 0.7 * np.cos(k1 * g.axis)
         st = FieldState(t=0.0, psi=np.zeros(g.n, dtype=complex), phi=phi0,
                         params=P, grid=g, phi_prev=phi0 * math.cos(theta))
-        traj = evolve(st, T=0.2, dt=dt, mode="free", snapshot_stride=1)
+        states = []
+        evolve(st, T=0.2, dt=dt, mode="free", observer=states.append)
         c = np.array([2.0 * np.sum(s.phi * np.cos(k1 * g.axis)) / g.n
-                      for s in traj.states])
+                      for s in states])
         cos_est = (c[2:] + c[:-2]) / (2.0 * c[1:-1])
         w_h = np.arccos(np.clip(cos_est, -1.0, 1.0)) / dt
         assert np.max(np.abs(w_h - theta / dt)) < 1e-9
@@ -465,9 +451,11 @@ class TestGautschi:
         st = FieldState(t=0.0, psi=np.zeros(g.n, dtype=complex),
                         phi=0.7 * mode, params=P, grid=g,
                         phi_prev=0.7 * math.cos(w * dt) * mode)
-        traj = evolve(st, T=6.0, dt=dt, mode="free", scheme="gautschi",
-                      snapshot_stride=1)
-        for s in traj.states:
+        states = []
+        evolve(st, T=6.0, dt=dt, mode="free", scheme="gautschi",
+               observer=states.append)
+        assert len(states) == 21
+        for s in states:
             np.testing.assert_allclose(s.phi, 0.7 * math.cos(w * s.t) * mode,
                                        atol=1e-12)
 

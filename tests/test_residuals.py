@@ -220,7 +220,7 @@ class TestChoquard:
 
 class TestFamilyAudit:
     def test_audit_covers_expected_cases(self):
-        audit = full_family_audit(n=1024)
+        audit = full_family_audit(P, 1024)
         assert len(audit) == 6
         verdicts = {e.label: e.exact for e in audit}
         assert sum(verdicts.values()) == 4
@@ -229,6 +229,6 @@ class TestFamilyAudit:
         assert any("detuned" in lbl for lbl in failing)
 
     def test_audit_with_convergence_ratios(self):
-        audit = full_family_audit(n=1024, with_convergence=True)
+        audit = full_family_audit(P, 1024)
         exact = [e for e in audit if e.exact]
         assert all(min(e.ratios.values()) >= 16.0 for e in exact)

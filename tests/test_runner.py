@@ -340,10 +340,12 @@ class TestCliExitCodes:
         ("verify-residuals", ["params.m=0.9"], "m^3 v^2"),
         ("free-spreading", ["params.m=0.9"], "m^3 v^2"),
         ("perturbation-stability", ["params.m=0.9"], "m^3 v^2"),
+        # the default packet (the 1d_b width) is 0.011 lattice spacings
+        ("free-spreading", ["params.v=0.1", "run.T=0.5"], "spacing"),
     ], ids=["free-n", "free-dim", "free-length", "verify-n",
             "rescale-strength", "verify-mu-2", "verify-mu-M",
             "propagate-mu-M", "propagate-mu-minus-M", "verify-1d_b-m",
-            "free-1d_b-m", "perturb-1d_b-m"])
+            "free-1d_b-m", "perturb-1d_b-m", "free-packet-below-spacing"])
     def test_engine_rejected_setting_is_two_before_any_work(
             self, tmp_path, capsys, monkeypatch, scenario, overrides, named):
         # lattice sizes, packet widths, momenta and rescale strengths the
@@ -359,6 +361,23 @@ class TestCliExitCodes:
             argv += ["--override", override]
         assert main(argv) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        ["soliton.family=3d_b", "soliton.gamma=0.1"],
+        ["soliton.family=3d_a", "soliton.eps=0.2"],
+    ], ids=["3d_b-gamma", "3d_a-eps"])
+    def test_transverse_member_runs_on_a_quasi_1d_lattice(self, tmp_path,
+                                                          overrides):
+        # a nonzero gamma or eps rides on the lattice as its transverse mode
+        argv = ["soliton-propagation", "--out", str(tmp_path),
+                "--override", "grid.n=1024"]
+        for override in overrides:
+            argv += ["--override", override]
+        assert main(argv) == 0
+        header = (tmp_path / "snapshot_final.csv").read_text().splitlines()[0]
+        assert "transverse=gamma:" in header
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["step_count"] > 0
 
     def test_fractional_stride_is_two(self, tmp_path, capsys):
         code = main(["free-spreading", "--out", str(tmp_path),
