@@ -159,6 +159,14 @@ class TestBlowUp:
 
 
 class TestTrajectoryPlumbing:
+    def test_endpoints_only_by_default(self):
+        st, _ = soliton_state()
+        traj = evolve(st, T=0.01, dt=0.001)
+        assert traj.initial is st
+        assert traj.final is not st
+        assert traj.final.t == pytest.approx(0.01, abs=1e-15)
+        assert traj.step_count == 10
+
     def test_observer_called_on_stride(self):
         st, _ = soliton_state()
         seen = []
