@@ -54,7 +54,6 @@ from .residuals import (
     full_family_audit,
 )
 from .evolution import (
-    EvolutionMode,
     StabilityError,
     BlowUpError,
     Trajectory,

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Sequence
+from dataclasses import fields
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -118,42 +119,55 @@ def read_snapshot(path: str) -> FieldState:
                       params=params, grid=grid)
 
 
+# the observables table: one column per ObservableRecord field, in field
+# order, each with the field's type (float cells in repr, bool ones as
+# true/false)
+_TYPES = get_type_hints(ObservableRecord)
+_COLUMNS = tuple((f.name, _TYPES[f.name]) for f in fields(ObservableRecord))
+_COLUMN_NAMES = ObservableRecord.field_names()
+
+
+def _format_cell(value: float | bool, kind: type) -> str:
+    if kind is bool:
+        return "true" if value else "false"
+    return repr(float(value))
+
+
+def _parse_cell(text: str, kind: type) -> float | bool:
+    return text == "true" if kind is bool else float(text)
+
+
 def write_observables_csv(path: str,
                           records: Sequence[ObservableRecord]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ObservableRecord.field_names())
+        writer.writerow(_COLUMN_NAMES)
         for rec in records:
-            writer.writerow([
-                repr(float(rec.t)), repr(float(rec.norm)),
-                repr(float(rec.centroid)), repr(float(rec.width)),
-                repr(float(rec.peak_pos)), repr(float(rec.phi_min)),
-                "true" if rec.valid else "false",
-            ])
+            writer.writerow([_format_cell(getattr(rec, name), kind)
+                             for name, kind in _COLUMNS])
 
 
 def read_observables_csv(path: str) -> list[ObservableRecord]:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != ObservableRecord.field_names():
+    if not rows or tuple(rows[0]) != _COLUMN_NAMES:
         raise ValueError(f"unexpected observables header in {path}")
-    out = []
-    for row in rows[1:]:
-        out.append(ObservableRecord(
-            t=float(row[0]), norm=float(row[1]), centroid=float(row[2]),
-            width=float(row[3]), peak_pos=float(row[4]),
-            phi_min=float(row[5]), valid=(row[6] == "true")))
-    return out
+    return [ObservableRecord(**{name: _parse_cell(text, kind)
+                                for (name, kind), text in zip(_COLUMNS, row)})
+            for row in rows[1:]]
 
 
-# Column numbers below follow ObservableRecord.field_names() order
-# (1-based, as gnuplot counts them): t=1, norm=2, centroid=3, width=4,
-# peak_pos=5, phi_min=6.
+def _column(name: str) -> int:
+    """The table column of a field, counted from 1 as gnuplot does."""
+    return _COLUMN_NAMES.index(name) + 1
+
+
+# one panel per plotted column against t: (column, y-axis label)
 _PLOT_PANELS = (
-    ("norm", 2, "field norm"),
-    ("width", 4, "density width"),
-    ("peak_pos", 5, "density peak position"),
-    ("phi_min", 6, "scalar field minimum"),
+    ("norm", "field norm"),
+    ("width", "density width"),
+    ("peak_pos", "density peak position"),
+    ("phi_min", "scalar field minimum"),
 )
 
 
@@ -166,7 +180,7 @@ def write_plot_script(path: str, csv_name: str, title: str) -> None:
     lines = [
         f"# observables from {csv_name}: columns "
         + ", ".join(f"{i + 1}={name}"
-                    for i, name in enumerate(ObservableRecord.field_names())),
+                    for i, name in enumerate(_COLUMN_NAMES)),
         "set datafile separator comma",
         "set key autotitle columnhead",
         f"set title '{title}'",
@@ -175,10 +189,10 @@ def write_plot_script(path: str, csv_name: str, title: str) -> None:
         "set output 'observables.png'",
         "set multiplot layout 2,2",
     ]
-    for name, col, label in _PLOT_PANELS:
+    for name, label in _PLOT_PANELS:
         lines.append(f"set ylabel '{label}'")
-        lines.append(f"plot '{csv_name}' using 1:{col} with lines "
-                     f"title '{name}'")
+        lines.append(f"plot '{csv_name}' using {_column('t')}:"
+                     f"{_column(name)} with lines title '{name}'")
     lines.append("unset multiplot")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -25,9 +25,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from .evolution import PERTURBATION_KINDS, EvolutionMode
-from .model import (KERNEL_PREFACTORS, PHI_PROFILE_ALIASES, PHI_PROFILES,
-                    Family)
+from .evolution import MODES, PERTURBATION_KINDS
+from .model import PHI_PROFILE_ALIASES, PHI_PROFILES, Family
 
 SCENARIOS = (
     "verify-residuals",
@@ -56,7 +55,7 @@ SCHEMA: dict[str, dict[str, tuple[str, Any, tuple | None]]] = {
         "dt": (_FLOAT_OR_AUTO, None, None),
         "stride": (_FLOAT_OR_AUTO, None, None),
         "seed": (_INT, 0, None),
-        "mode": (_STR, None, tuple(m.value for m in EvolutionMode)),
+        "mode": (_STR, None, MODES),
         "output_dir": (_STR, None, None),
     },
     "params": {
@@ -79,7 +78,6 @@ SCHEMA: dict[str, dict[str, tuple[str, Any, tuple | None]]] = {
         "length": (_FLOAT_OR_AUTO, None, None),
     },
     "toggles": {
-        "kernel_prefactor": (_STR, "full", KERNEL_PREFACTORS),
         "phi_profile": (_STR, "sech", None),
     },
     "packet": {
@@ -122,8 +120,9 @@ def _coerce(section: str, key: str, raw: str, source: str) -> Any:
         except ValueError:
             raise ConfigError(f"expected a number for {where}, "
                               f"got {token!r}") from None
-        if math.isnan(val):
-            raise ConfigError(f"{where} must not be NaN")
+        if not math.isfinite(val):
+            raise ConfigError(f"{where} must be finite (not NaN or "
+                              f"infinite), got {token!r}")
         return val
     if kind == _FLOAT_OR_AUTO:
         return None
@@ -145,10 +144,14 @@ def _coerce(section: str, key: str, raw: str, source: str) -> Any:
         if not parts or any(not p for p in parts):
             raise ConfigError(f"expected comma separated numbers for {where}")
         try:
-            return tuple(float(p) for p in parts)
+            values = tuple(float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"expected comma separated numbers for "
                               f"{where}, got {token!r}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{where} must be finite (not NaN or "
+                              f"infinite), got {token!r}")
+        return values
     # strings: normalize spelled-out aliases where the model defines them
     if section == "toggles" and key == "phi_profile":
         token = PHI_PROFILE_ALIASES.get(token, token)

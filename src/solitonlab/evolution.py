@@ -68,7 +68,6 @@ the final one, and returns only the endpoints and the step-loop counters.
 
 from __future__ import annotations
 
-import enum
 import math
 import numbers
 import warnings
@@ -77,30 +76,22 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (FieldState, Grid, PhysicalParams, check_kernel_prefactor,
-                    scalar_source)
+from .model import FieldState, Grid, PhysicalParams, scalar_source
 from .solutions import sample_solution
-from .spectral import (laplacian, rfft_k_squared, transforms,
-                       yukawa_invert)
+from .spectral import laplacian, transforms, yukawa_invert
 
 BLOWUP_FACTOR = 1e3
 
+MODES = ("coupled", "choquard", "free")
+SCHEMES = ("gautschi", "leapfrog")
+PERTURBATION_KINDS = ("amplitude_noise", "phase_noise", "width_rescale")
 
-class EvolutionMode(enum.Enum):
-    COUPLED = "coupled"
-    CHOQUARD = "choquard"
-    FREE = "free"
 
-    @classmethod
-    def parse(cls, text: "EvolutionMode | str") -> "EvolutionMode":
-        if isinstance(text, cls):
-            return text
-        try:
-            return cls(str(text).strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown evolution mode {text!r} "
-                             f"(valid: {valid})") from None
+def _check_choice(what: str, value: str, valid: tuple[str, ...]) -> None:
+    """Raise ValueError unless value is one of valid."""
+    if value not in valid:
+        raise ValueError(f"unknown {what} {value!r} "
+                         f"(valid: {', '.join(valid)})")
 
 
 class StabilityError(ValueError):
@@ -117,19 +108,10 @@ class BlowUpError(RuntimeError):
                          f"blow-up threshold at t = {t:.6g}")
 
 
-SCHEMES = ("gautschi", "leapfrog")
-
-
-def _check_scheme(scheme: str) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scalar scheme {scheme!r} "
-                         f"(valid: {', '.join(SCHEMES)})")
-
-
-def _guarded(scheme: str, mode: EvolutionMode) -> bool:
+def _guarded(scheme: str, mode: str) -> bool:
     """Whether the step is held to the stability guard: every scalar
     update but Gautschi's, which the choquard mode does not use."""
-    return scheme == "leapfrog" or mode is EvolutionMode.CHOQUARD
+    return scheme == "leapfrog" or mode == "choquard"
 
 
 def stability_limit(grid: Grid, params: PhysicalParams) -> float:
@@ -139,7 +121,7 @@ def stability_limit(grid: Grid, params: PhysicalParams) -> float:
 
 
 def default_dt(initial: FieldState, scheme: str = "leapfrog",
-               mode: EvolutionMode | str = EvolutionMode.COUPLED) -> float:
+               mode: str = "coupled") -> float:
     """The step evolve takes from initial when none is given, before it
     lands on T.
 
@@ -151,10 +133,11 @@ def default_dt(initial: FieldState, scheme: str = "leapfrog",
     resolves the scalar mass oscillation as the guard does. The outer max
     means Gautschi never takes more steps than leapfrog.
     """
-    _check_scheme(scheme)
+    _check_choice("scalar scheme", scheme, SCHEMES)
+    _check_choice("evolution mode", mode, MODES)
     params = initial.params
     guard = 0.9 * stability_limit(initial.grid, params)
-    if _guarded(scheme, EvolutionMode.parse(mode)):
+    if _guarded(scheme, mode):
         return guard
     rate = _state_rate(initial)
     bound = 1.0 / (8.0 * rate) if rate > 0.0 else math.inf
@@ -213,7 +196,7 @@ def _phase_kick(psi: np.ndarray, phi: np.ndarray, rate: float,
 
 
 def _slaved_field(density: np.ndarray, params: PhysicalParams, grid: Grid,
-                  kernel_prefactor: str) -> np.ndarray:
+                  kernel_prefactor: str = "full") -> np.ndarray:
     return yukawa_invert(scalar_source(density, params, kernel_prefactor),
                          m=params.m, grid=grid)
 
@@ -289,7 +272,7 @@ class _Gautschi(_ScalarUpdate):
     def __init__(self, params: PhysicalParams, grid: Grid, dt: float,
                  sourced: bool):
         self.params, self.sourced = params, sourced
-        w2 = rfft_k_squared(grid) + params.m**2
+        w2 = grid.rfft_k_squared + params.m**2
         # the sine form keeps full relative precision where w dt is small
         self.a = -4.0 * np.sin(0.5 * dt * np.sqrt(w2)) ** 2
         self.p = 0.5 * self.a * (1.0 - 1j / w2)
@@ -325,14 +308,13 @@ class _Gautschi(_ScalarUpdate):
 
 
 class _Slaved(_ScalarUpdate):
-    """phi = static screened inverse of the post-drift density; no history."""
+    """phi = static screened inverse of the post-drift density, under the
+    field equation's source 2M/v^2; no history."""
 
     instantaneous = True
 
-    def __init__(self, params: PhysicalParams, grid: Grid,
-                 kernel_prefactor: str):
+    def __init__(self, params: PhysicalParams, grid: Grid):
         self.params, self.grid = params, grid
-        self.kernel_prefactor = kernel_prefactor
 
     def start(self, phi, phi_prev, density):
         # the density is kick-invariant, so the slaved field at a step start
@@ -340,26 +322,23 @@ class _Slaved(_ScalarUpdate):
         return self.step(phi, phi_prev, density)
 
     def step(self, phi, phi_prev, density):
-        return _slaved_field(density, self.params, self.grid,
-                             self.kernel_prefactor), None
+        return _slaved_field(density, self.params, self.grid), None
 
     def reverse(self, phi, phi_prev, density):
         return None
 
 
-def _scalar_update(mode: EvolutionMode, scheme: str, params: PhysicalParams,
-                   grid: Grid, dt: float,
-                   kernel_prefactor: str = "full") -> _ScalarUpdate:
-    if mode is EvolutionMode.CHOQUARD:
-        return _Slaved(params, grid, kernel_prefactor)
+def _scalar_update(mode: str, scheme: str, params: PhysicalParams,
+                   grid: Grid, dt: float) -> _ScalarUpdate:
+    if mode == "choquard":
+        return _Slaved(params, grid)
     wave = _Gautschi if scheme == "gautschi" else _Leapfrog
-    return wave(params, grid, dt, sourced=mode is EvolutionMode.COUPLED)
+    return wave(params, grid, dt, sourced=mode == "coupled")
 
 
 def evolve(initial: FieldState, T: float, dt: float | None = None, *,
-           mode: EvolutionMode | str = EvolutionMode.COUPLED,
+           mode: str = "coupled",
            scheme: str = "leapfrog",
-           kernel_prefactor: str = "full",
            observer: Callable[[FieldState], object] | None = None,
            observer_stride: int = 1,
            enforce_stability: bool = True) -> Trajectory:
@@ -369,8 +348,9 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     exactly; the requested dt is never exceeded. dt defaults to
     default_dt for the scheme and the initial field. scheme picks the wave
     update of the coupled and free modes, leapfrog or gautschi; the choquard
-    mode slaves the field and ignores it. The stability guard applies to
-    leapfrog and choquard steps unless enforce_stability is off.
+    mode slaves the field under the source 2M/v^2 and ignores it. mode and
+    scheme are plain strings from MODES and SCHEMES. The stability guard
+    applies to leapfrog and choquard steps unless enforce_stability is off.
     The observer is the only view of the states in between: when given, it
     is called on the initial state and every observer_stride steps after
     that (plus the final state), and its return value is ignored.
@@ -381,9 +361,8 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     exceeds BLOWUP_FACTOR times its initial value or a field turns
     non-finite.
     """
-    mode = EvolutionMode.parse(mode)
-    _check_scheme(scheme)
-    check_kernel_prefactor(kernel_prefactor)
+    _check_choice("evolution mode", mode, MODES)
+    _check_choice("scalar scheme", scheme, SCHEMES)
     if T < 0.0:
         raise ValueError("T must be nonnegative; retrace a trajectory by "
                          "reversing the final state and evolving forward")
@@ -423,9 +402,9 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
 
     t0 = initial.t
     psi = initial.psi.astype(complex, copy=True)
-    kicked = mode is not EvolutionMode.FREE
+    kicked = mode != "free"
     density = _density(psi)
-    scalar = _scalar_update(mode, scheme, params, grid, dt, kernel_prefactor)
+    scalar = _scalar_update(mode, scheme, params, grid, dt)
     phi, phi_prev = scalar.start(
         np.array(initial.phi, dtype=float, copy=True), initial.phi_prev,
         density)
@@ -490,7 +469,7 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
 
 
 def reverse_state(state: FieldState, dt: float,
-                  mode: EvolutionMode | str = EvolutionMode.COUPLED,
+                  mode: str = "coupled",
                   scheme: str = "leapfrog") -> FieldState:
     """Turn a state around for exact retracing.
 
@@ -501,8 +480,8 @@ def reverse_state(state: FieldState, dt: float,
     Evolving the result forward by T with the same dt, mode and scheme
     reproduces the state from T earlier, exactly up to roundoff.
     """
-    mode = EvolutionMode.parse(mode)
-    _check_scheme(scheme)
+    _check_choice("evolution mode", mode, MODES)
+    _check_choice("scalar scheme", scheme, SCHEMES)
     phi_prev_back = None
     if state.phi_prev is not None:
         phi_prev_back = _scalar_update(
@@ -576,9 +555,6 @@ def gaussian_packet(grid: Grid, params: PhysicalParams, sigma0: float,
                       phi_prev=zero.copy())
 
 
-PERTURBATION_KINDS = ("amplitude_noise", "phase_noise", "width_rescale")
-
-
 def perturb(state: FieldState, kind: str, strength: float,
             seed: int | None = None) -> FieldState:
     """Perturb the matter field and renormalize to the original norm.
@@ -591,9 +567,7 @@ def perturb(state: FieldState, kind: str, strength: float,
     strength = 0 returns the state unchanged for every kind. The scalar
     field and its history are left alone.
     """
-    if kind not in PERTURBATION_KINDS:
-        raise ValueError(f"unknown perturbation kind {kind!r} "
-                         f"(valid: {', '.join(PERTURBATION_KINDS)})")
+    _check_choice("perturbation kind", kind, PERTURBATION_KINDS)
     if strength == 0.0:
         return state
     rng = np.random.default_rng(seed)

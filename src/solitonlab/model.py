@@ -221,11 +221,22 @@ class Grid:
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        """Lattice |k|^2, the spectral multiplier of -Laplacian."""
+        """Lattice |k|^2, the spectral multiplier of -Laplacian; read-only."""
         out = np.zeros(self.shape)
         for ka in self.wavenumbers:
             out = out + ka**2
+        out.flags.writeable = False
         return out
+
+    @cached_property
+    def rfft_k_squared(self) -> np.ndarray:
+        """|k|^2 on the rfft half spectrum: a read-only view of k_squared.
+
+        The last axis keeps the modes 0 .. n/2; fftfreq's -n/2 at index n/2
+        squares to rfftfreq's +n/2, so the view equals the table built from
+        rfftfreq bitwise.
+        """
+        return self.k_squared[..., : self.n // 2 + 1]
 
     @property
     def transverse_k2(self) -> float:
@@ -351,6 +362,10 @@ def validate_params(params: PhysicalParams,
                     name="dispersion_closure", passed=err <= tol, margin=tol - err,
                     detail=f"alpha^2 vs 2 M omega + M^2 + gamma^2 + eps^2: |diff| = {err:.3e}"))
     elif fam is Family.THREED_B:
+        checks.append(ConstraintCheck(
+            name="mass_nondegenerate", passed=m != M, margin=abs(M - m),
+            detail="m != M (the scalar amplitude -(3/4) m^2/(M^2 - m^2) "
+                   "is singular at m = M)"))
         if spec.mu is not None:
             checks.append(ConstraintCheck(
                 name="momentum_bound", passed=abs(spec.mu) < M,

@@ -40,7 +40,8 @@ from .evolution import (Trajectory, default_dt, evolve, gaussian_packet,
 from .model import (KERNEL_PREFACTORS, FieldState, Family, Grid,
                     PhysicalParams, SolitonSpec, make_grid, validate_params)
 from .residuals import FamilyAuditEntry, ResidualReport, full_family_audit
-from .solutions import (closed_form_width, family_velocity, matched_length,
+from .solutions import (MIN_DOMAIN_WIDTHS, closed_form_width,
+                        family_velocity, localization_length, matched_length,
                         sample_solution, spec_1d_a, spec_1d_b, spec_3d_a,
                         spec_3d_b)
 from .spectral import (MAX_DIRECT_POINTS, yukawa_convolve_direct,
@@ -205,6 +206,22 @@ def _grid_for(config: ScenarioConfig, default_length: float,
         raise ConfigError(f"invalid [grid]: grid.{e}") from None
 
 
+def _member_grid(config: ScenarioConfig, spec: SolitonSpec,
+                 params: PhysicalParams) -> Grid:
+    """The member's [grid] lattice (auto: matched), long enough to sample
+    it: MIN_DOMAIN_WIDTHS envelope widths."""
+    grid = _grid_for(config, matched_length(spec, params),
+                     (spec.gamma, spec.eps))
+    need = MIN_DOMAIN_WIDTHS * localization_length(spec, params)
+    if grid.length < need:
+        raise ConfigError(
+            f"grid.length = {grid.length:g} is under "
+            f"{MIN_DOMAIN_WIDTHS:g} envelope widths of the "
+            f"{spec.family.value} member ({need:.6g}); its periodic images "
+            f"would overlap")
+    return grid
+
+
 def _dividing_dt(T: float, requested: float | None, mode: str,
                  member: Callable[[], FieldState]) -> float:
     """A step that divides T exactly, at or under the requested step, else
@@ -250,8 +267,7 @@ def _plan(config: ScenarioConfig, findings: list[str],
     """
     params = _physical_params(config)
     spec = _member(spec_for, params, findings)
-    grid = _grid_for(config, matched_length(spec, params),
-                     (spec.gamma, spec.eps))
+    grid = _member_grid(config, spec, params)
     T = _run_T(config, T_default)
     dt = _dividing_dt(T, config.get("run", "dt"), mode, functools.partial(
         state_from_solution, spec, params, grid))
@@ -259,15 +275,13 @@ def _plan(config: ScenarioConfig, findings: list[str],
 
 
 def _evolve_observed(report: RunReport, initial: FieldState, T: float,
-                     dt: float, stride: int, mode: str,
-                     kernel_prefactor: str = "full"
+                     dt: float, stride: int, mode: str
                      ) -> tuple[list[ObservableRecord], Trajectory]:
     """evolve under SCHEME, observed every stride steps; its steps count on
     the report."""
     observer = SeriesObserver()
     traj = evolve(initial, T, dt, mode=mode, scheme=SCHEME,
-                  kernel_prefactor=kernel_prefactor, observer=observer,
-                  observer_stride=stride)
+                  observer=observer, observer_stride=stride)
     report.step_count += traj.step_count
     return observer.records, traj
 
@@ -319,13 +333,15 @@ def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
                                out: Path) -> ScenarioArtifacts:
     params = _physical_params(config)
     # the moving member's lattice is the [grid] one; building it first
-    # checks soliton.mu and grid.n before the audit halves it, and the
-    # audit's subluminal member is checked before the audit builds it.
-    # Their advisories are not this scenario's findings, only their
-    # constraints.
+    # checks soliton.mu, grid.n and grid.length before the audit halves it,
+    # and the audit's members that the parameters can rule out (the
+    # subluminal one, and the moving one at mu = m) are checked before the
+    # audit builds them. Their advisories are not this scenario's findings,
+    # only their constraints.
     spec_b = _member(lambda p: spec_3d_b(p, mu=_mu(config, p)), params, [])
-    _member(spec_1d_b, params, [])
-    grid_b = _grid_for(config, matched_length(spec_b, params))
+    for spec_for in (spec_1d_b, lambda p: spec_3d_b(p, mu=p.m)):
+        _member(spec_for, params, [])
+    grid_b = _member_grid(config, spec_b, params)
     rng = default_rng(config.get("run", "seed"))
 
     audit = full_family_audit(params, grid_b.n)
@@ -439,8 +455,7 @@ def _scenario_soliton_propagation(config: ScenarioConfig, report: RunReport,
 
     initial = state_from_solution(spec, params, grid, t0=0.0, dt=dt,
                                   x0=config.get("soliton", "x0"))
-    recs, traj = _evolve_observed(report, initial, T, dt, stride, mode,
-                                  config.get("toggles", "kernel_prefactor"))
+    recs, traj = _evolve_observed(report, initial, T, dt, stride, mode)
     report.details["kicks"] = traj.kicks
 
     v_closed = family_velocity(spec, params)
@@ -553,13 +568,11 @@ def _scenario_choquard_stationary(config: ScenarioConfig, report: RunReport,
             f"V_s = {v_s:.6g} is not zero at these parameters; the "
             "stationarity checks below assume the standing member "
             "(m^3 v^2 = (2/3) M^3)")
-    prefactor = config.get("toggles", "kernel_prefactor")
 
     psi0 = sample_solution(spec, params, grid, t=0.0).psi
-    initial = state_with_static_field(psi0, params, grid,
-                                      kernel_prefactor=prefactor)
+    initial = state_with_static_field(psi0, params, grid)
     recs, traj = _evolve_observed(report, initial, T, dt, stride,
-                                  "choquard", prefactor)
+                                  "choquard")
 
     width_drift = max(abs(r.width - recs[0].width) for r in recs) \
         / recs[0].width

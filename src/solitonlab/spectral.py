@@ -108,7 +108,8 @@ def laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectral Laplacian over all grid axes.
 
     A real field takes the real-to-complex path: the real transform, the
-    cached half-spectrum multiplier -k^2, its inverse. It returns a
+    multiplier -k^2 on the half spectrum (grid.rfft_k_squared), its
+    inverse. It returns a
     contiguous float64 array and costs about two thirds of the complex
     transform pair. A complex field takes the full complex pair.
     """
@@ -118,7 +119,7 @@ def laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
     if np.iscomplexobj(field):
         return tr.ifft(tr.fft(field) * (-grid.k_squared))
     hat = tr.rfft(field)
-    hat *= rfft_k_squared(grid)
+    hat *= grid.rfft_k_squared
     hat *= -1.0
     return tr.irfft(hat)
 
@@ -138,28 +139,7 @@ def yukawa_invert(source: np.ndarray, m: float, grid: Grid) -> np.ndarray:
         raise ValueError("source must be real-valued")
     tr = transforms(grid)
     hat = tr.rfft(source)
-    k2 = rfft_k_squared(grid)
-    return -tr.irfft(hat / (m * m + k2))
-
-
-def rfft_k_squared(grid: Grid) -> np.ndarray:
-    """|k|^2 on the rfftn half spectrum of the grid: cached, read-only."""
-    return _rfft_k_squared(grid.dim, grid.n, grid.length)
-
-
-@functools.lru_cache(maxsize=8)
-def _rfft_k_squared(dim: int, n: int, length: float) -> np.ndarray:
-    """Cached, read-only |k|^2 on the rfftn half spectrum."""
-    spacing = length / n
-    kfull = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
-    khalf = 2.0 * np.pi * np.fft.rfftfreq(n, d=spacing)
-    if dim == 1:
-        k2 = khalf**2
-    else:
-        k2 = (kfull[:, None, None] ** 2 + kfull[None, :, None] ** 2
-              + khalf[None, None, :] ** 2)
-    k2.flags.writeable = False
-    return k2
+    return -tr.irfft(hat / (m * m + grid.rfft_k_squared))
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,28 @@
 """Drawn --override sets through the CLI: a setting is a pass, a failed
 check, a configuration error or a numerical abort, never an internal error.
 
-Each draw runs one evolving scenario in-process at grid.n <= 512 and
-run.T <= 0.5, with physical, soliton, packet and step values drawn both
-inside and just outside their valid ranges. The examples pin three settings
-that once ended in tracebacks: a quasi-1D member with a transverse
-wavenumber (its lattice lacked the transverse mode), a packet far
-narrower than the lattice spacing (its measured width was 0), and a moving
-member at rest (its speed check divided by the zero speed).
+Each draw runs one scenario in-process at grid.n <= 512 and run.T <= 0.5,
+with physical, soliton, packet, lattice and step values drawn both inside
+and just outside their valid ranges. The examples pin six settings that
+once ended in tracebacks: a quasi-1D member with a transverse wavenumber
+(its lattice lacked the transverse mode), a packet far narrower than the
+lattice spacing (its measured width was 0), a moving member at rest (its
+speed check divided by the zero speed), a box shorter than the member's
+sampling needs (the sampler raised mid-run), an infinite value (it
+reached the engine as inf) and a scalar mass equal to M (the audit's
+moving member is singular there).
 """
 
 from __future__ import annotations
+
+import math
 
 from hypothesis import example, given, settings, strategies as st
 
 from solitonlab.cli import main
 
-SCENARIOS = ("soliton-propagation", "free-spreading",
-             "perturbation-stability")
+SCENARIOS = ("verify-residuals", "soliton-propagation", "free-spreading",
+             "choquard-stationary", "perturbation-stability")
 
 
 # valid values per key, and values just outside the valid range. The
@@ -35,6 +40,7 @@ INSIDE = {
     "packet.sigma0": st.floats(0.5, 4.0),
     "packet.k0": st.floats(-2.0, 2.0),
     "run.dt": st.floats(0.01, 0.5),
+    "run.mode": st.sampled_from(("coupled", "choquard", "free")),
 }
 OUTSIDE = {
     "params.M": (0.0, -1.0),
@@ -45,8 +51,12 @@ OUTSIDE = {
     "soliton.gamma": (3.0,),
     "soliton.eps": (3.0,),
     "packet.sigma0": (0.0, -1.0, 0.01),
-    "packet.k0": (50.0,),
-    "run.dt": (0.0, -0.1),
+    "packet.k0": (50.0, math.inf),
+    "run.dt": (0.0, -0.1, math.inf),
+    "run.T": (math.inf,),
+    "perturb.strength": (math.inf,),
+    "soliton.x0": (-math.inf,),
+    "grid.length": (1.0,),
 }
 
 
@@ -71,6 +81,12 @@ def override_sets(draw) -> dict:
          overrides={"params.v": 0.1})
 @example(scenario="soliton-propagation", n=128, T=0.5,
          overrides={"soliton.family": "3d_b", "soliton.mu": 0.0})
+@example(scenario="choquard-stationary", n=128, T=0.5,
+         overrides={"grid.length": 1.0})
+@example(scenario="free-spreading", n=256, T=0.5,
+         overrides={"packet.k0": math.inf})
+@example(scenario="verify-residuals", n=128, T=0.5,
+         overrides={"params.m": 1.0, "params.v": 0.75, "soliton.mu": 0.0})
 def test_no_override_set_is_an_internal_error(tmp_path_factory, scenario, n,
                                               T, overrides):
     argv = [scenario, "--out", str(tmp_path_factory.mktemp(scenario)),

@@ -88,6 +88,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="NaN"):
             parse_config("[params]\nM = nan\n", scenario="free-spreading")
 
+    @pytest.mark.parametrize("text", [
+        "[run]\nT = inf\n", "[packet]\nk0 = -inf\n",
+        "[perturb]\nstrength = inf\n", "[soliton]\nmu = -inf\n",
+        "[sweep]\nvalues = 0.4, inf\n"],
+        ids=["run.T", "packet.k0", "perturb.strength", "soliton.mu",
+             "sweep.values"])
+    def test_infinity_rejected(self, text):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(text, scenario="free-spreading")
+
     def test_fractional_int_rejected(self):
         with pytest.raises(ConfigError, match="expected an integer"):
             parse_config("[grid]\nn = 3.5\n", scenario="free-spreading")

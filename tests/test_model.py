@@ -103,6 +103,23 @@ class TestGrid:
         with pytest.raises(ValueError, match="transverse_mode"):
             make_grid(3, 16, 16.0, transverse_mode=(0.3, 0.4))
 
+    @pytest.mark.parametrize("dim,n", [(1, 64), (3, 16)])
+    def test_rfft_k_squared_is_a_read_only_view(self, dim, n):
+        # the half-spectrum |k|^2 equals the (2 pi rfftfreq)^2 table bitwise
+        g = make_grid(dim, n, 7.3)
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=g.spacing)
+        khalf = 2.0 * np.pi * np.fft.rfftfreq(n, d=g.spacing)
+        ref = khalf**2 if dim == 1 else (k[:, None, None] ** 2
+                                         + k[None, :, None] ** 2
+                                         + khalf[None, None, :] ** 2)
+        got = g.rfft_k_squared
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        assert np.shares_memory(got, g.k_squared)
+        for table in (got, g.k_squared):
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * dim] = 1.0
+
     def test_spacing_times_n_is_length(self):
         g = make_grid(1, 64, 17.3)
         assert g.spacing * g.n == pytest.approx(17.3, rel=1e-15)

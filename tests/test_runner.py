@@ -342,10 +342,26 @@ class TestCliExitCodes:
         ("perturbation-stability", ["params.m=0.9"], "m^3 v^2"),
         # the default packet (the 1d_b width) is 0.011 lattice spacings
         ("free-spreading", ["params.v=0.1", "run.T=0.5"], "spacing"),
+        # a box under MIN_DOMAIN_WIDTHS envelope widths of the member
+        ("soliton-propagation", ["grid.length=1"], "grid.length"),
+        ("choquard-stationary", ["grid.length=1"], "grid.length"),
+        ("perturbation-stability", ["grid.length=1"], "grid.length"),
+        ("verify-residuals", ["grid.length=1"], "grid.length"),
+        # the moving member is singular at m = M, and the audit's one at
+        # mu = m needs m < M, whatever soliton.mu says
+        ("soliton-propagation", ["soliton.family=3d_b", "params.m=1.0",
+                                 "params.v=0.75"], "m != M"),
+        ("verify-residuals", ["params.m=1.0", "params.v=0.75",
+                              "soliton.mu=0"], "m != M"),
+        ("verify-residuals", ["params.M=0.95", "params.m=1.0",
+                              "params.v=0.6", "soliton.mu=0"], "exceeds M"),
     ], ids=["free-n", "free-dim", "free-length", "verify-n",
             "rescale-strength", "verify-mu-2", "verify-mu-M",
             "propagate-mu-M", "propagate-mu-minus-M", "verify-1d_b-m",
-            "free-1d_b-m", "perturb-1d_b-m", "free-packet-below-spacing"])
+            "free-1d_b-m", "perturb-1d_b-m", "free-packet-below-spacing",
+            "propagate-short-box", "choquard-short-box", "perturb-short-box",
+            "verify-short-box", "propagate-3d_b-m-equals-M",
+            "verify-m-equals-M", "verify-m-above-M"])
     def test_engine_rejected_setting_is_two_before_any_work(
             self, tmp_path, capsys, monkeypatch, scenario, overrides, named):
         # lattice sizes, packet widths, momenta and rescale strengths the
