@@ -12,10 +12,16 @@ Format example:
     m = 0.5
     v = 1.0
 
-Parsing is strict: unknown sections or keys, duplicate keys, and type
-mismatches are errors that carry line numbers. Every schema key has a
-documented default (the table below), so a parsed config always echoes the
-complete settings; parse(serialize(config)) reproduces the config exactly.
+SCHEMA is the one owner of every setting: its kind (how a token is read
+and echoed), its default, its allowed spellings and whether it must be
+positive. A number whose default is None reads and echoes `auto`, which
+leaves the value to the scenario. Parsing is strict: unknown sections or
+keys, duplicate keys, type mismatches, values outside their allowed sets,
+NaN or infinite numbers and non-positive values of a positive key are
+errors that name the key and where the value came from (line N, override
+#i, sweep value). Every key has a default (the table below), so a parsed
+config always echoes the complete settings; parse(serialize(config))
+reproduces the config exactly.
 """
 
 from __future__ import annotations
@@ -23,10 +29,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .evolution import MODES, PERTURBATION_KINDS
-from .model import PHI_PROFILE_ALIASES, PHI_PROFILES, Family
+from .model import PHI_PROFILES, Family
 
 SCENARIOS = (
     "verify-residuals",
@@ -43,62 +49,71 @@ _FLOAT = "float"
 _INT = "int"
 _BOOL = "bool"
 _STR = "str"
-_FLOAT_OR_AUTO = "float?"     # literal "auto" stands for None
-_OPT_FLOAT = "optfloat"       # no token for None; key simply absent
 _FLOAT_LIST = "floats"        # comma separated, at least one
 
-# SCHEMA[section][key] = (kind, default, allowed values or None)
-SCHEMA: dict[str, dict[str, tuple[str, Any, tuple | None]]] = {
+
+class Setting(NamedTuple):
+    """One schema key: kind, default, allowed spellings (None: any) and
+    whether a number must be > 0. A number whose default is None reads
+    `auto` as None."""
+
+    kind: str
+    default: Any = None
+    allowed: tuple | None = None
+    positive: bool = False
+
+
+SCHEMA: dict[str, dict[str, Setting]] = {
     "run": {
-        "scenario": (_STR, None, SCENARIOS),
-        "T": (_FLOAT_OR_AUTO, None, None),
-        "dt": (_FLOAT_OR_AUTO, None, None),
-        "stride": (_FLOAT_OR_AUTO, None, None),
-        "seed": (_INT, 0, None),
-        "mode": (_STR, None, MODES),
-        "output_dir": (_STR, None, None),
+        "scenario": Setting(_STR, None, SCENARIOS),
+        "T": Setting(_FLOAT, positive=True),
+        "dt": Setting(_FLOAT, positive=True),
+        "stride": Setting(_INT, positive=True),
+        "seed": Setting(_INT, 0),
+        "mode": Setting(_STR, None, MODES),
+        "output_dir": Setting(_STR),
     },
     "params": {
-        "M": (_FLOAT, 1.0, None),
-        "m": (_FLOAT, 0.5, None),
-        "v": (_FLOAT, 1.0, None),
+        "M": Setting(_FLOAT, 1.0, positive=True),
+        "m": Setting(_FLOAT, 0.5, positive=True),
+        "v": Setting(_FLOAT, 1.0, positive=True),
     },
     "soliton": {
-        "family": (_STR, "1d_b", None),
-        "alpha": (_OPT_FLOAT, None, None),
-        "omega": (_OPT_FLOAT, None, None),
-        "mu": (_OPT_FLOAT, None, None),
-        "gamma": (_FLOAT, 0.0, None),
-        "eps": (_FLOAT, 0.0, None),
-        "x0": (_FLOAT, 0.0, None),
+        "family": Setting(_STR, "1d_b", tuple(f.value for f in Family)),
+        "alpha": Setting(_FLOAT),
+        "omega": Setting(_FLOAT),
+        "mu": Setting(_FLOAT),
+        "gamma": Setting(_FLOAT, 0.0),
+        "eps": Setting(_FLOAT, 0.0),
+        "x0": Setting(_FLOAT, 0.0),
     },
     "grid": {
-        "dim": (_INT, 1, None),
-        "n": (_INT, 2048, None),
-        "length": (_FLOAT_OR_AUTO, None, None),
+        "dim": Setting(_INT, 1),
+        "n": Setting(_INT, 2048),
+        "length": Setting(_FLOAT),
     },
     "toggles": {
-        "phi_profile": (_STR, "sech", None),
+        "phi_profile": Setting(_STR, "sech", PHI_PROFILES),
     },
     "packet": {
-        "sigma0": (_FLOAT_OR_AUTO, None, None),
-        "k0": (_FLOAT, 0.0, None),
+        "sigma0": Setting(_FLOAT, positive=True),
+        "k0": Setting(_FLOAT, 0.0),
     },
     "perturb": {
-        "kind": (_STR, "amplitude_noise", PERTURBATION_KINDS),
-        "strength": (_FLOAT, 0.01, None),
+        "kind": Setting(_STR, "amplitude_noise", PERTURBATION_KINDS),
+        "strength": Setting(_FLOAT, 0.01),
     },
     "sweep": {
-        "key": (_STR, "params.m", None),
-        "values": (_FLOAT_LIST, (0.4, 0.5, 0.6), None),
-        "scenario": (_STR, "soliton-propagation", None),
-        "workers": (_INT, 4, None),
+        "key": Setting(_STR, "params.m"),
+        "values": Setting(_FLOAT_LIST, (0.4, 0.5, 0.6)),
+        "scenario": Setting(_STR, "soliton-propagation",
+                            tuple(s for s in SCENARIOS if s != "param-sweep")),
     },
     "oracle": {
-        "n_1d": (_INT, 128, None),
-        "n_3d": (_INT, 32, None),
-        "cases": (_INT, 3, None),
-        "run_3d": (_BOOL, True, None),
+        "n_1d": Setting(_INT, 128),
+        "n_3d": Setting(_INT, 32),
+        "cases": Setting(_INT, 3, positive=True),
+        "run_3d": Setting(_BOOL, True),
     },
 }
 
@@ -110,28 +125,24 @@ class ConfigError(ValueError):
 def _coerce(section: str, key: str, raw: str, source: str) -> Any:
     """raw as the schema type of section.key; source says where raw came
     from (line N, override #i, sweep value) for the error message."""
-    kind, _, allowed = SCHEMA[section][key]
+    kind, default, allowed, positive = SCHEMA[section][key]
     token = raw.strip()
     where = f"{section}.{key} ({source})"
-    if kind in (_FLOAT, _OPT_FLOAT) or (kind == _FLOAT_OR_AUTO
-                                        and token.lower() != "auto"):
+    if kind in (_FLOAT, _INT):
+        if default is None and token.lower() == "auto":
+            return None
         try:
-            val = float(token)
+            val = float(token) if kind == _FLOAT else int(token, 10)
         except ValueError:
-            raise ConfigError(f"expected a number for {where}, "
+            expected = "a number" if kind == _FLOAT else "an integer"
+            raise ConfigError(f"expected {expected} for {where}, "
                               f"got {token!r}") from None
         if not math.isfinite(val):
             raise ConfigError(f"{where} must be finite (not NaN or "
                               f"infinite), got {token!r}")
+        if positive and val <= 0:
+            raise ConfigError(f"{where} must be positive, got {token!r}")
         return val
-    if kind == _FLOAT_OR_AUTO:
-        return None
-    if kind == _INT:
-        try:
-            return int(token, 10)
-        except ValueError:
-            raise ConfigError(f"expected an integer for {where}, "
-                              f"got {token!r}") from None
     if kind == _BOOL:
         low = token.lower()
         if low in ("true", "yes", "on", "1"):
@@ -152,27 +163,14 @@ def _coerce(section: str, key: str, raw: str, source: str) -> Any:
             raise ConfigError(f"{where} must be finite (not NaN or "
                               f"infinite), got {token!r}")
         return values
-    # strings: normalize spelled-out aliases where the model defines them
-    if section == "toggles" and key == "phi_profile":
-        token = PHI_PROFILE_ALIASES.get(token, token)
-        if token not in PHI_PROFILES:
-            raise ConfigError(
-                f"{where}: unknown scalar profile {raw.strip()!r}; valid: "
-                f"{', '.join(sorted(set(PHI_PROFILES) | set(PHI_PROFILE_ALIASES)))}")
-        return token
-    if section == "soliton" and key == "family":
-        try:
-            return Family.parse(token).value
-        except ValueError as e:
-            raise ConfigError(f"{where}: {e}") from None
     if allowed is not None and token not in allowed:
         raise ConfigError(f"{where}: {token!r} is not one of "
-                          f"{', '.join(str(a) for a in allowed)}")
+                          f"{', '.join(allowed)}")
     return token
 
 
 def _render(kind: str, value: Any) -> str:
-    if kind == _FLOAT_OR_AUTO and value is None:
+    if value is None:
         return "auto"
     if kind == _BOOL:
         return "true" if value else "false"
@@ -207,7 +205,8 @@ def default_config(scenario: str) -> ScenarioConfig:
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; valid: "
                           f"{', '.join(SCENARIOS)}")
-    settings = {section: {key: spec[1] for key, spec in keys.items()}
+    settings = {section: {key: setting.default
+                          for key, setting in keys.items()}
                 for section, keys in SCHEMA.items()}
     settings["run"]["scenario"] = scenario
     # the stationary point only exists at the matched parameter triple
@@ -230,7 +229,7 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
     """Strict parse; scenario comes from [run] or the argument (must agree).
 
     Unknown sections/keys, duplicate keys, type mismatches, and values
-    outside their allowed sets are reported with line numbers.
+    outside their allowed sets or ranges are reported with line numbers.
     """
     entries: dict[tuple[str, str], tuple[Any, int]] = {}
     section: str | None = None
@@ -290,11 +289,11 @@ def serialize(config: ScenarioConfig) -> str:
     out = []
     for section, keys in SCHEMA.items():
         lines = []
-        for key, (kind, _, _) in keys.items():
+        for key, setting in keys.items():
             value = config.settings[section][key]
-            if value is None and kind != _FLOAT_OR_AUTO:
-                continue
-            lines.append(f"{key} = {_render(kind, value)}")
+            if value is None and setting.kind == _STR:
+                continue  # unset; only a number reads `auto`
+            lines.append(f"{key} = {_render(setting.kind, value)}")
         if lines:
             out.append(f"[{section}]")
             out.extend(lines)

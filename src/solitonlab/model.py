@@ -44,31 +44,8 @@ class Family(enum.Enum):
     ONED_A = "1d_a"
     ONED_B = "1d_b"
 
-    @classmethod
-    def parse(cls, text: str) -> "Family":
-        """Accept both the short tags and the longer spelled-out names."""
-        key = text.strip().lower()
-        aliases = {
-            "3d_a": cls.THREED_A, "threed_a": cls.THREED_A,
-            "3d_b": cls.THREED_B, "threed_b": cls.THREED_B,
-            "1d_a": cls.ONED_A, "oned_a": cls.ONED_A,
-            "1d_b": cls.ONED_B, "oned_b": cls.ONED_B,
-        }
-        if key not in aliases:
-            raise ValueError(
-                f"unknown family {text!r}; expected one of "
-                "3d_a, 3d_b, 1d_a, 1d_b (or ThreeD_A, ... spellings)")
-        return aliases[key]
-
 
 PHI_PROFILES = ("sech", "sech_squared")
-# Accepted spellings for the ONED_A scalar-profile toggle in config files.
-PHI_PROFILE_ALIASES = {
-    "sech": "sech",
-    "as_printed_sech": "sech",
-    "sech_squared": "sech_squared",
-    "corrected_sech_squared": "sech_squared",
-}
 # Slaved-field source strength: "full" is the field equation's 2M/v^2,
 # "half" the alternative printed convention.
 KERNEL_PREFACTORS = ("full", "half")

@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import operator
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -48,6 +49,8 @@ from .spectral import (MAX_DIRECT_POINTS, yukawa_convolve_direct,
                        yukawa_invert)
 
 FAILED_MARKER = "FAILED"
+# the most steps one evolution may plan; a longer plan is a ConfigError
+MAX_STEPS = 10**7
 # every scenario's wave scalar update; evolve's own default stays leapfrog
 SCHEME = "gautschi"
 
@@ -135,12 +138,7 @@ class ScenarioArtifacts:
 
 
 def _physical_params(config: ScenarioConfig) -> PhysicalParams:
-    try:
-        return PhysicalParams(M=config.get("params", "M"),
-                              m=config.get("params", "m"),
-                              v=config.get("params", "v"))
-    except ValueError as e:
-        raise ConfigError(f"invalid [params]: {e}") from None
+    return PhysicalParams(**config.settings["params"])
 
 
 def _mu(config: ScenarioConfig, params: PhysicalParams) -> float:
@@ -151,7 +149,7 @@ def _mu(config: ScenarioConfig, params: PhysicalParams) -> float:
 
 def _soliton_spec(config: ScenarioConfig,
                   params: PhysicalParams) -> SolitonSpec:
-    fam = Family.parse(config.get("soliton", "family"))
+    fam = Family(config.get("soliton", "family"))
     gamma = config.get("soliton", "gamma")
     eps = config.get("soliton", "eps")
     if fam is Family.THREED_A:
@@ -209,16 +207,22 @@ def _grid_for(config: ScenarioConfig, default_length: float,
 def _member_grid(config: ScenarioConfig, spec: SolitonSpec,
                  params: PhysicalParams) -> Grid:
     """The member's [grid] lattice (auto: matched), long enough to sample
-    it: MIN_DOMAIN_WIDTHS envelope widths."""
+    it (MIN_DOMAIN_WIDTHS envelope widths) and fine enough to resolve it
+    (a spacing at most one envelope width)."""
     grid = _grid_for(config, matched_length(spec, params),
                      (spec.gamma, spec.eps))
-    need = MIN_DOMAIN_WIDTHS * localization_length(spec, params)
-    if grid.length < need:
+    width = localization_length(spec, params)
+    if grid.length < MIN_DOMAIN_WIDTHS * width:
         raise ConfigError(
             f"grid.length = {grid.length:g} is under "
             f"{MIN_DOMAIN_WIDTHS:g} envelope widths of the "
-            f"{spec.family.value} member ({need:.6g}); its periodic images "
-            f"would overlap")
+            f"{spec.family.value} member ({MIN_DOMAIN_WIDTHS * width:.6g}); "
+            f"its periodic images would overlap")
+    if grid.spacing > width:
+        raise ConfigError(
+            f"lattice spacing grid.length / grid.n = {grid.spacing:g} is "
+            f"wider than the {spec.family.value} member's envelope width "
+            f"({width:.6g}); the lattice cannot resolve it")
     return grid
 
 
@@ -229,32 +233,26 @@ def _dividing_dt(T: float, requested: float | None, mode: str,
     (built only then).
 
     Landing on T without adjustment keeps an analytically sampled scalar
-    history consistent with the step actually taken.
+    history consistent with the step actually taken. A plan of more than
+    MAX_STEPS steps is a ConfigError.
     """
     dt = default_dt(member(), SCHEME, mode) if requested is None \
         else requested
-    if dt <= 0.0:
-        raise ConfigError(f"run.dt must be positive, got {dt}")
+    if T / dt > MAX_STEPS:
+        raise ConfigError(
+            f"run.T / run.dt = {T:g} / {dt:g} plans {T / dt:.3g} steps, "
+            f"over the limit of {MAX_STEPS:g}")
     return T / max(1, math.ceil(T / dt - 1e-12))
 
 
 def _run_T(config: ScenarioConfig, default: float) -> float:
     T = config.get("run", "T")
-    if T is None:
-        return default
-    if T <= 0.0:
-        raise ConfigError(f"run.T must be positive, got {T}")
-    return T
+    return default if T is None else T
 
 
 def _stride(config: ScenarioConfig, n_steps: int) -> int:
     stride = config.get("run", "stride")
-    if stride is None:
-        return max(1, n_steps // 200)
-    if stride < 1 or not float(stride).is_integer():
-        raise ConfigError(f"run.stride must be an integer >= 1, "
-                          f"got {stride:g}")
-    return int(stride)
+    return max(1, n_steps // 200) if stride is None else stride
 
 
 def _plan(config: ScenarioConfig, findings: list[str],
@@ -509,8 +507,6 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
         # match the subluminal soliton's width so the contrast is like
         # against like
         sigma0 = closed_form_width(spec, params)
-    elif sigma0 <= 0.0:
-        raise ConfigError(f"packet.sigma0 must be positive, got {sigma0}")
     sigma_T = free_spreading_width(sigma0, params.M, T)
 
     grid = _grid_for(config, max(14.0 * sigma_T, 40.0 * sigma0))
@@ -660,8 +656,6 @@ def _scenario_yukawa_oracle(config: ScenarioConfig, report: RunReport,
     m = _physical_params(config).m
     rng = default_rng(config.get("run", "seed"))
     cases = config.get("oracle", "cases")
-    if cases < 1:
-        raise ConfigError(f"oracle.cases must be >= 1, got {cases}")
     g1 = _oracle_grid(config, "n_1d", 1, 40.0 / m)
     run_3d = config.get("oracle", "run_3d")
     if run_3d:
@@ -743,15 +737,8 @@ def _scenario_perturbation_stability(config: ScenarioConfig, report: RunReport,
 def _scenario_param_sweep(config: ScenarioConfig, report: RunReport,
                           out: Path) -> ScenarioArtifacts:
     child_name = config.get("sweep", "scenario")
-    if child_name == "param-sweep":
-        raise ConfigError("sweep.scenario must name a non-sweep scenario")
-    if child_name not in _IMPLS:
-        raise ConfigError(f"sweep.scenario {child_name!r} is unknown")
     section, _, key = config.get("sweep", "key").partition(".")
     values = config.get("sweep", "values")
-    workers = config.get("sweep", "workers")
-    if workers < 1:
-        raise ConfigError(f"sweep.workers must be >= 1, got {workers}")
 
     def child_config(value: float) -> ScenarioConfig:
         settings = {s: dict(kv) for s, kv in config.settings.items()}
@@ -770,7 +757,9 @@ def _scenario_param_sweep(config: ScenarioConfig, report: RunReport,
         except Exception as e:  # noqa: BLE001 - collected into the merge
             return None, f"{type(e).__name__}: {e}"
 
-    # children write only their own directory; map keeps the input order
+    # children write only their own directory; map keeps the input order.
+    # One worker per core, at most one per case
+    workers = min(len(cases), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run_case, cases))
 

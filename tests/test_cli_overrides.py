@@ -2,15 +2,16 @@
 check, a configuration error or a numerical abort, never an internal error.
 
 Each draw runs one scenario in-process at grid.n <= 512 and run.T <= 0.5,
-with physical, soliton, packet, lattice and step values drawn both inside
-and just outside their valid ranges. The examples pin six settings that
-once ended in tracebacks: a quasi-1D member with a transverse wavenumber
-(its lattice lacked the transverse mode), a packet far narrower than the
-lattice spacing (its measured width was 0), a moving member at rest (its
-speed check divided by the zero speed), a box shorter than the member's
-sampling needs (the sampler raised mid-run), an infinite value (it
-reached the engine as inf) and a scalar mass equal to M (the audit's
-moving member is singular there).
+with physical, soliton, toggle, packet, lattice and step values drawn
+both inside and just outside their valid ranges. The examples pin seven
+settings that once ended in tracebacks: a quasi-1D member with a
+transverse wavenumber (its lattice lacked the transverse mode), a packet
+far narrower than the lattice spacing (its measured width was 0), a
+moving member at rest (its speed check divided by the zero speed), a box
+shorter than the member's sampling needs (the sampler raised mid-run), an
+infinite value (it reached the engine as inf), a scalar mass equal to M
+(the audit's moving member is singular there) and a lattice spacing far
+wider than the member (its measured width was 0).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from hypothesis import example, given, settings, strategies as st
 
 from solitonlab.cli import main
+from solitonlab.model import PHI_PROFILES
 
 SCENARIOS = ("verify-residuals", "soliton-propagation", "free-spreading",
              "choquard-stationary", "perturbation-stability")
@@ -41,6 +43,7 @@ INSIDE = {
     "packet.k0": st.floats(-2.0, 2.0),
     "run.dt": st.floats(0.01, 0.5),
     "run.mode": st.sampled_from(("coupled", "choquard", "free")),
+    "toggles.phi_profile": st.sampled_from(PHI_PROFILES),
 }
 OUTSIDE = {
     "params.M": (0.0, -1.0),
@@ -56,7 +59,8 @@ OUTSIDE = {
     "run.T": (math.inf,),
     "perturb.strength": (math.inf,),
     "soliton.x0": (-math.inf,),
-    "grid.length": (1.0,),
+    "grid.length": (1.0, 1e9),
+    "toggles.phi_profile": ("as_printed_sech",),
 }
 
 
@@ -87,6 +91,8 @@ def override_sets(draw) -> dict:
          overrides={"packet.k0": math.inf})
 @example(scenario="verify-residuals", n=128, T=0.5,
          overrides={"params.m": 1.0, "params.v": 0.75, "soliton.mu": 0.0})
+@example(scenario="soliton-propagation", n=256, T=0.5,
+         overrides={"grid.length": 1e9})
 def test_no_override_set_is_an_internal_error(tmp_path_factory, scenario, n,
                                               T, overrides):
     argv = [scenario, "--out", str(tmp_path_factory.mktemp(scenario)),

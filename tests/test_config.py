@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -117,15 +118,46 @@ class TestParsing:
             parse_config("[run]\nscenario = free-spreading\n"
                          "mode = quantum\n")
 
-    def test_family_spellings_normalize(self):
-        cfg = parse_config("[soliton]\nfamily = ThreeD_A\n",
-                           scenario="soliton-propagation")
-        assert cfg.get("soliton", "family") == "3d_a"
+    @pytest.mark.parametrize("text", [
+        "[soliton]\nfamily = ThreeD_A\n", "[soliton]\nfamily = oned_b\n",
+        "[soliton]\nfamily = 3D_B\n",
+        "[toggles]\nphi_profile = as_printed_sech\n",
+        "[toggles]\nphi_profile = corrected_sech_squared\n"],
+        ids=["ThreeD_A", "oned_b", "3D_B", "as_printed_sech",
+             "corrected_sech_squared"])
+    def test_alias_spelling_rejected(self, text):
+        # each setting has one spelling per value: the family tags and
+        # the PHI_PROFILES names
+        with pytest.raises(ConfigError, match=r"\(line 2\): .* is not one of"):
+            parse_config(text, scenario="soliton-propagation")
 
-    def test_phi_profile_alias_normalizes(self):
-        cfg = parse_config("[toggles]\nphi_profile = as_printed_sech\n",
-                           scenario="verify-residuals")
-        assert cfg.get("toggles", "phi_profile") == "sech"
+    def test_sweep_scenario_cannot_be_a_sweep(self):
+        with pytest.raises(ConfigError,
+                           match=r"sweep\.scenario \(line 2\): "
+                                 r"'param-sweep' is not one of"):
+            parse_config("[sweep]\nscenario = param-sweep\n",
+                         scenario="param-sweep")
+
+    def test_auto_number_round_trips(self):
+        cfg = parse_config("[soliton]\nmu = auto\n",
+                           scenario="soliton-propagation")
+        assert cfg.get("soliton", "mu") is None
+        text = serialize(cfg)
+        assert "mu = auto" in text.splitlines()
+        assert parse_config(text) == cfg
+
+    def test_auto_needs_a_none_default(self):
+        with pytest.raises(ConfigError, match=r"expected a number for "
+                                              r"params\.M \(line 2\)"):
+            parse_config("[params]\nM = auto\n", scenario="free-spreading")
+
+    def test_stride_is_an_integer(self):
+        cfg = parse_config("[run]\nstride = 4\n", scenario="free-spreading")
+        assert cfg.get("run", "stride") == 4
+        assert isinstance(cfg.get("run", "stride"), int)
+        with pytest.raises(ConfigError, match=r"expected an integer for "
+                                              r"run\.stride \(line 2\)"):
+            parse_config("[run]\nstride = 2.5\n", scenario="free-spreading")
 
     def test_scenario_mismatch(self):
         with pytest.raises(ConfigError, match="scenario mismatch"):
@@ -142,47 +174,87 @@ class TestParsing:
             parse_config("[params]\nM = 2.0\n")
 
 
-def _drawable(kind, allowed):
-    finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+POSITIVE = ("run.T", "run.dt", "run.stride", "params.M", "params.m",
+            "params.v", "packet.sigma0", "oracle.cases")
+
+
+def _through_line(dotted: str, value: str):
+    section, _, key = dotted.partition(".")
+    parse_config(f"[{section}]\n{key} = {value}\n",
+                 scenario="free-spreading")
+
+
+def _through_override(dotted: str, value: str):
+    apply_overrides(default_config("free-spreading"), [f"{dotted}={value}"])
+
+
+def _through_sweep(dotted: str, value: str):
+    section, _, key = dotted.partition(".")
+    coerce_number(section, key, float(value))
+
+
+class TestRanges:
+    def test_positive_keys(self):
+        assert {f"{section}.{key}" for section, keys in SCHEMA.items()
+                for key, setting in keys.items() if setting.positive} \
+            == set(POSITIVE)
+
+    @pytest.mark.parametrize("path,source", [
+        (_through_line, r"line 2"), (_through_override, r"override #1"),
+        (_through_sweep, r"sweep value")], ids=["line", "override", "sweep"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("dotted", POSITIVE)
+    def test_non_positive_value_rejected(self, dotted, value, path, source):
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape(dotted)} \({source}\) must be "
+                                 rf"positive, got '{value}'$"):
+            path(dotted, value)
+
+    @pytest.mark.parametrize("dotted", POSITIVE)
+    def test_positive_value_accepted(self, dotted):
+        section, _, key = dotted.partition(".")
+        cfg = apply_overrides(default_config("free-spreading"),
+                              [f"{dotted}=3"])
+        assert cfg.get(section, key) == 3
+
+
+def _drawable(setting):
+    """Values the schema accepts for one setting; None for free strings."""
+    kind, default, allowed, positive = setting
     if allowed is not None:
-        return st.sampled_from(list(allowed))
+        return st.sampled_from(allowed)
+    finite = st.floats(min_value=0.0 if positive else None,
+                       exclude_min=positive, allow_nan=False,
+                       allow_infinity=False, width=64)
     if kind == "float":
-        return finite
-    if kind == "float?":
-        return st.one_of(st.none(), finite)
-    if kind == "optfloat":
-        return st.one_of(st.none(), finite)
-    if kind == "int":
-        return st.integers(min_value=0, max_value=10**6)
-    if kind == "bool":
+        number = finite
+    elif kind == "int":
+        number = st.integers(min_value=1 if positive else 0,
+                             max_value=10**6)
+    elif kind == "bool":
         return st.booleans()
-    if kind == "floats":
+    elif kind == "floats":
         return st.lists(finite, min_size=1, max_size=5).map(tuple)
-    return None
+    else:
+        return None
+    # a number whose default is None also reads `auto`
+    return st.one_of(st.none(), number) if default is None else number
 
 
 _FREE_KEYS = [
-    (section, key, kind, allowed)
+    (section, key, strategy)
     for section, keys in SCHEMA.items()
-    for key, (kind, _, allowed) in keys.items()
-    if (section, key) not in (("run", "scenario"), ("soliton", "family"),
-                              ("toggles", "phi_profile"), ("sweep", "key"),
-                              ("sweep", "scenario"), ("run", "output_dir"))
+    for key, setting in keys.items()
+    if (section, key) != ("run", "scenario")
+    and (strategy := _drawable(setting)) is not None
 ]
 
 
 @st.composite
 def configs(draw):
     cfg = default_config(draw(st.sampled_from(SCENARIOS)))
-    for section, key, kind, allowed in _FREE_KEYS:
-        strategy = _drawable(kind, allowed)
-        if strategy is None:
-            continue
+    for section, key, strategy in _FREE_KEYS:
         cfg = cfg.replace(section, key, draw(strategy))
-    cfg = cfg.replace("soliton", "family",
-                      draw(st.sampled_from(["1d_a", "1d_b", "3d_a", "3d_b"])))
-    cfg = cfg.replace("toggles", "phi_profile",
-                      draw(st.sampled_from(["sech", "sech_squared"])))
     return cfg
 
 

@@ -16,19 +16,16 @@ from solitonlab.solutions import spec_1d_a, spec_1d_b, spec_3d_a, spec_3d_b
 
 
 class TestFamily:
+    # the config's soliton.family values are the tags; the runner reads
+    # them as Family(tag). Other spellings are refused by the config
+    # (tests/test_config.py::TestParsing::test_alias_spelling_rejected)
     def test_parse_short_tags(self):
-        assert Family.parse("3d_a") is Family.THREED_A
-        assert Family.parse("1d_b") is Family.ONED_B
-
-    def test_parse_long_spellings(self):
-        assert Family.parse("ThreeD_A") is Family.THREED_A
-        assert Family.parse("ThreeD_B") is Family.THREED_B
-        assert Family.parse("OneD_A") is Family.ONED_A
-        assert Family.parse("oned_b") is Family.ONED_B
+        assert Family("3d_a") is Family.THREED_A
+        assert Family("1d_b") is Family.ONED_B
 
     def test_parse_unknown(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            Family.parse("2d_c")
+        with pytest.raises(ValueError, match="not a valid Family"):
+            Family("2d_c")
 
 
 class TestPhysicalParams:

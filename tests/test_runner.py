@@ -214,8 +214,7 @@ class TestParamSweep:
     def test_cases_keep_the_given_order(self, tmp_path):
         cfg = apply_overrides(
             default_config("param-sweep"),
-            ["sweep.values=0.6,0.4", "run.T=2.0", "grid.n=256",
-             "sweep.workers=2"])
+            ["sweep.values=0.6,0.4", "run.T=2.0", "grid.n=256"])
         report = run_scenario(cfg, out_dir=tmp_path)
         summary = (tmp_path / "sweep_summary.csv").read_text().splitlines()
         assert summary[0].startswith("case,")
@@ -249,11 +248,25 @@ class TestParamSweep:
         with pytest.raises(ConfigError, match="integer"):
             run_scenario(cfg, out_dir=tmp_path)
 
-    def test_all_cases_aborted_fails(self, tmp_path):
+    def test_non_positive_value_is_a_config_error(self, tmp_path):
+        # a sweep value is read by the schema like a line or an override,
+        # so a bad one stops the sweep before any case runs
         cfg = apply_overrides(
             default_config("param-sweep"),
-            ["sweep.key=oracle.cases", "sweep.values=0,-1",
+            ["sweep.key=oracle.cases", "sweep.values=2,0",
              "sweep.scenario=yukawa-oracle"])
+        with pytest.raises(ConfigError, match=r"oracle\.cases \(sweep "
+                                              r"value\) must be positive"):
+            run_scenario(cfg, out_dir=tmp_path)
+        assert not list(tmp_path.glob("case_*"))
+
+    def test_all_cases_aborted_fails(self, tmp_path):
+        # (3/2) m^3 v^2 > M^3 at both values: no subluminal 1d_b member,
+        # so each child aborts with a configuration error
+        cfg = apply_overrides(
+            default_config("param-sweep"),
+            ["sweep.key=params.m", "sweep.values=0.9,0.95",
+             "sweep.scenario=free-spreading"])
         report = run_scenario(cfg, out_dir=tmp_path)
         assert not report.passed
         assert [c["status"] for c in report.details["cases"]] \
@@ -298,9 +311,9 @@ class TestCliExitCodes:
 
     def test_all_aborted_sweep_is_nonzero(self, tmp_path, capsys):
         code = main(["param-sweep", "--out", str(tmp_path),
-                     "--override", "sweep.key=oracle.cases",
-                     "--override", "sweep.values=0,-1",
-                     "--override", "sweep.scenario=yukawa-oracle"])
+                     "--override", "sweep.key=params.m",
+                     "--override", "sweep.values=0.9,0.95",
+                     "--override", "sweep.scenario=free-spreading"])
         assert code == 1
         out = capsys.readouterr().out
         assert "param-sweep: failed" in out
@@ -355,13 +368,19 @@ class TestCliExitCodes:
                               "soliton.mu=0"], "m != M"),
         ("verify-residuals", ["params.M=0.95", "params.m=1.0",
                               "params.v=0.6", "soliton.mu=0"], "exceeds M"),
+        # about 1e299 steps
+        ("soliton-propagation", ["run.T=0.1", "run.dt=1e-300"], "run.dt"),
+        # a lattice spacing wider than the member: it falls between nodes
+        ("soliton-propagation", ["grid.length=1e9", "grid.n=256"],
+         "spacing"),
     ], ids=["free-n", "free-dim", "free-length", "verify-n",
             "rescale-strength", "verify-mu-2", "verify-mu-M",
             "propagate-mu-M", "propagate-mu-minus-M", "verify-1d_b-m",
             "free-1d_b-m", "perturb-1d_b-m", "free-packet-below-spacing",
             "propagate-short-box", "choquard-short-box", "perturb-short-box",
             "verify-short-box", "propagate-3d_b-m-equals-M",
-            "verify-m-equals-M", "verify-m-above-M"])
+            "verify-m-equals-M", "verify-m-above-M", "propagate-step-count",
+            "propagate-spacing-over-width"])
     def test_engine_rejected_setting_is_two_before_any_work(
             self, tmp_path, capsys, monkeypatch, scenario, overrides, named):
         # lattice sizes, packet widths, momenta and rescale strengths the
