@@ -14,14 +14,14 @@ Format example:
 
 SCHEMA is the one owner of every setting: its kind (how a token is read
 and echoed), its default, its allowed spellings and whether it must be
-positive. A number whose default is None reads and echoes `auto`, which
-leaves the value to the scenario. Parsing is strict: unknown sections or
-keys, duplicate keys, type mismatches, values outside their allowed sets,
-NaN or infinite numbers and non-positive values of a positive key are
-errors that name the key and where the value came from (line N, override
-#i, sweep value). Every key has a default (the table below), so a parsed
-config always echoes the complete settings; parse(serialize(config))
-reproduces the config exactly.
+positive or non-negative. A number whose default is None reads and echoes
+`auto`, which leaves the value to the scenario. Parsing is strict: unknown
+sections or keys, duplicate keys, type mismatches, values outside their
+allowed sets, NaN or infinite numbers and values below a key's sign rule
+are errors that name the key and where the value came from (line N,
+override #i, sweep value). Every key has a default (the table below), so
+a parsed config always echoes the complete settings;
+parse(serialize(config)) reproduces the config exactly.
 """
 
 from __future__ import annotations
@@ -54,13 +54,14 @@ _FLOAT_LIST = "floats"        # comma separated, at least one
 
 class Setting(NamedTuple):
     """One schema key: kind, default, allowed spellings (None: any) and
-    whether a number must be > 0. A number whose default is None reads
-    `auto` as None."""
+    whether a number must be > 0 (positive) or >= 0 (nonnegative). A
+    number whose default is None reads `auto` as None."""
 
     kind: str
     default: Any = None
     allowed: tuple | None = None
     positive: bool = False
+    nonnegative: bool = False
 
 
 SCHEMA: dict[str, dict[str, Setting]] = {
@@ -69,7 +70,7 @@ SCHEMA: dict[str, dict[str, Setting]] = {
         "T": Setting(_FLOAT, positive=True),
         "dt": Setting(_FLOAT, positive=True),
         "stride": Setting(_INT, positive=True),
-        "seed": Setting(_INT, 0),
+        "seed": Setting(_INT, 0, nonnegative=True),
         "mode": Setting(_STR, None, MODES),
         "output_dir": Setting(_STR),
     },
@@ -125,7 +126,7 @@ class ConfigError(ValueError):
 def _coerce(section: str, key: str, raw: str, source: str) -> Any:
     """raw as the schema type of section.key; source says where raw came
     from (line N, override #i, sweep value) for the error message."""
-    kind, default, allowed, positive = SCHEMA[section][key]
+    kind, default, allowed, positive, nonnegative = SCHEMA[section][key]
     token = raw.strip()
     where = f"{section}.{key} ({source})"
     if kind in (_FLOAT, _INT):
@@ -142,6 +143,8 @@ def _coerce(section: str, key: str, raw: str, source: str) -> Any:
                               f"infinite), got {token!r}")
         if positive and val <= 0:
             raise ConfigError(f"{where} must be positive, got {token!r}")
+        if nonnegative and val < 0:
+            raise ConfigError(f"{where} must be non-negative, got {token!r}")
         return val
     if kind == _BOOL:
         low = token.lower()

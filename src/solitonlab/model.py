@@ -26,6 +26,7 @@ __all__ = [
     "ConstraintCheck",
     "ValidationReport",
     "make_grid",
+    "require_valid",
     "scalar_source",
     "validate_params",
 ]
@@ -103,18 +104,20 @@ class SolitonSpec:
 
     Which fields are meaningful depends on the family:
 
-    - THREED_A: alpha (inverse width), omega (frequency), gamma, eps.
+    - THREED_A: alpha (inverse width, > 0), omega (frequency), gamma, eps.
       Tied by alpha^2 = 2 M omega + M^2 + gamma^2 + eps^2.
     - THREED_B: mu (longitudinal momentum, |mu| < M), gamma, eps, and
-      alpha = sqrt(mu^2 + gamma^2 + eps^2).
+      alpha = sqrt(mu^2 + gamma^2 + eps^2); needs m != M.
     - ONED_A: phi_profile selects the scalar profile; "sech" is the
       printed first-power form, "sech_squared" the corrected one. Both are
       first class so the residual audit can present them side by side.
-    - ONED_B: V_s, the envelope velocity sqrt(1 - (9/4)(m^3 v^2 / M^3)^2).
+    - ONED_B: V_s, the envelope velocity sqrt(1 - (9/4)(m^3 v^2 / M^3)^2),
+      real for (3/2) m^3 v^2 <= M^3.
 
-    Cross-field consistency involves the mass scale and is checked by
-    validate_params, not here; prefer the spec_* factory functions in
-    solutions.py, which fill the dependent fields.
+    Constraints that involve the mass scale (the inequalities and closures
+    above) are written once, in validate_params, not here. The spec_*
+    factories in solutions.py enforce them and fill the dependent fields:
+    they return only members that pass.
     """
 
     family: Family
@@ -310,15 +313,15 @@ _CLOSURE_RTOL = 1e-12
 
 
 def validate_params(params: PhysicalParams,
-                    spec: SolitonSpec | Family) -> ValidationReport:
-    """Report every constraint tying params to a family, with margins.
+                    spec: SolitonSpec) -> ValidationReport:
+    """Report every constraint tying params to a family member, with margins.
 
-    Never raises: callers decide whether a failed report aborts. Accepts a
-    bare Family when only the parameter-level constraints matter (e.g.
-    checking the ONED_B velocity bound before constructing a full spec).
+    The one place each family inequality is written; the spec_* factories
+    enforce it through require_valid. spec needs its given fields (alpha or
+    omega for 3d_a, mu for 3d_b); a dependent one left None is derived.
+    Never raises on such a spec. The weak-field advisory is added only to a
+    member that passes every constraint.
     """
-    if isinstance(spec, Family):
-        spec = SolitonSpec(family=spec)
     checks: list[ConstraintCheck] = []
     M, m, v = params.M, params.m, params.v
     checks.append(ConstraintCheck(
@@ -327,6 +330,11 @@ def validate_params(params: PhysicalParams,
 
     fam = spec.family
     if fam is Family.THREED_A:
+        if spec.alpha is not None:
+            checks.append(ConstraintCheck(
+                name="alpha_positive", passed=spec.alpha > 0.0,
+                margin=spec.alpha,
+                detail="inverse width alpha must be positive"))
         if spec.omega is not None:
             radicand = 2.0 * M * spec.omega + M**2 + spec.gamma**2 + spec.eps**2
             checks.append(ConstraintCheck(
@@ -369,8 +377,9 @@ def validate_params(params: PhysicalParams,
                 name="velocity_closure", passed=err <= tol, margin=tol - err,
                 detail=f"stored V_s^2 vs 1 - (9/4)(m^3 v^2/M^3)^2: |diff| = {err:.3e}"))
 
-    depth = _scalar_depth(params, spec)
-    if depth is not None:
+    if all(c.passed for c in checks):
+        from .solutions import family_coefficients  # solutions imports model
+        depth = abs(family_coefficients(spec, params).phi_amplitude)
         checks.append(ConstraintCheck(
             name="nonrelativistic_validity", passed=depth < M, margin=M - depth,
             detail=f"max|phi| = {depth:.6g} vs M = {M:.6g}; the weak-field "
@@ -378,11 +387,12 @@ def validate_params(params: PhysicalParams,
     return ValidationReport(checks=tuple(checks))
 
 
-def _scalar_depth(params: PhysicalParams, spec: SolitonSpec) -> float | None:
-    """Closed-form max|phi| of the family, for the weak-field advisory."""
-    try:
-        from .solutions import family_coefficients
-        return abs(family_coefficients(spec, params).phi_amplitude)
-    except Exception:
-        # Spec incomplete (bare family, missing dependent fields): no advisory.
-        return None
+def require_valid(params: PhysicalParams, spec: SolitonSpec) -> None:
+    """Raise ValueError naming each constraint of validate_params that the
+    member fails, with its detail and margin."""
+    report = validate_params(params, spec)
+    if not report.passed:
+        bad = [f"{c.name}: {c.detail} (margin {c.margin:.3g})"
+               for c in report.checks if not (c.passed or c.advisory)]
+        raise ValueError(f"parameters violate {spec.family.value} "
+                         "constraints: " + "; ".join(bad))

@@ -170,21 +170,14 @@ def _soliton_spec(config: ScenarioConfig,
 
 def _member(spec_for: Callable[[PhysicalParams], SolitonSpec],
             params: PhysicalParams, findings: list[str]) -> SolitonSpec:
-    """spec_for(params), validated. A member the family cannot build or
-    whose constraints fail is a configuration error; advisories are
+    """spec_for(params). A member the family factory refuses (it names
+    the failed constraints) is a configuration error; advisories are
     notes."""
     try:
         spec = spec_for(params)
     except ValueError as e:
         raise ConfigError(f"invalid [soliton]: {e}") from None
-    report = validate_params(params, spec)
-    if not report.passed:
-        bad = [f"{c.name}: {c.detail} (margin {c.margin:.3g})"
-               for c in report.checks if not (c.passed or c.advisory)]
-        raise ConfigError(
-            f"parameters violate {spec.family.value} constraints: "
-            + "; ".join(bad))
-    for c in report.warnings:
+    for c in validate_params(params, spec).warnings:
         findings.append(f"advisory {c.name}: {c.detail}")
     return spec
 
@@ -405,9 +398,12 @@ def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
             trial = PhysicalParams(M=float(rng.uniform(0.8, 1.6)),
                                    m=float(rng.uniform(0.3, 0.7)),
                                    v=float(rng.uniform(0.6, 1.2)))
-            if validate_params(trial, Family.ONED_B).passed:
+            try:
+                member_b = spec_1d_b(trial)
                 break
-        for spec in (spec_1d_a(trial), spec_1d_b(trial)):
+            except ValueError:
+                continue
+        for spec in (spec_1d_a(trial), member_b):
             norm = _matched_state(spec, trial).norm()
             worst = max(worst, abs(norm - 1.0))
             norm_rows.append({"family": spec.family.value,
@@ -625,6 +621,14 @@ def _smooth_random_source(grid: Grid, rng: np.random.Generator) -> np.ndarray:
 
 def _oracle_grid(config: ScenarioConfig, key: str, dim: int,
                  length: float) -> Grid:
+    # the source build squares distances of up to two boxes, and the 3D
+    # weights scale by the cell volume, at most length^3: both must be finite
+    if not math.isfinite(max(4.0 * length * length,
+                             math.prod([length] * dim))):
+        raise ConfigError(
+            f"params.m = {config.get('params', 'm'):g} gives the {dim}D "
+            f"oracle a box of length {length:g}, whose squared distances "
+            f"or cell volumes overflow a float")
     n = config.get("oracle", key)
     try:
         grid = make_grid(dim, n, length)

@@ -15,12 +15,11 @@ the leftover wrap defect is below 1e-12 once the domain-length guard holds.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Family, Grid, PhysicalParams, SolitonSpec
+from .model import Family, Grid, PhysicalParams, SolitonSpec, require_valid
 
 __all__ = [
     "FamilyCoefficients",
@@ -71,26 +70,19 @@ def _sech(u: np.ndarray) -> np.ndarray:
 
 def alpha_from_dispersion_3d_a(M: float, omega: float, gamma: float = 0.0,
                                eps: float = 0.0) -> float:
-    """Positive root of alpha^2 = 2 M omega + M^2 + gamma^2 + eps^2."""
-    radicand = 2.0 * M * omega + M * M + gamma * gamma + eps * eps
-    if radicand <= 0.0:
-        raise ValueError(
-            f"2 M omega + M^2 + gamma^2 + eps^2 = {radicand:.6g} must be positive")
-    return math.sqrt(radicand)
+    """Positive root of alpha^2 = 2 M omega + M^2 + gamma^2 + eps^2; the
+    radicand is positive on every valid member."""
+    return math.sqrt(2.0 * M * omega + M * M + gamma * gamma + eps * eps)
 
 
 def soliton_velocity_1d_b(M: float, m: float, v: float) -> float:
     """Envelope velocity sqrt(1 - (9/4)(m^3 v^2 / M^3)^2), in [0, 1).
 
-    Requires (3/2) m^3 v^2 <= M^3. A saturated bound (radicand zero to
-    rounding) snaps to exactly 0.
+    Defined on valid members, (3/2) m^3 v^2 <= M^3. A saturated bound
+    (radicand zero to rounding) snaps to exactly 0.
     """
     ratio = m**3 * v**2 / M**3
     radicand = 1.0 - 2.25 * ratio * ratio
-    if radicand < -1e-12:
-        raise ValueError(
-            f"(3/2) m^3 v^2 = {1.5 * m**3 * v**2:.6g} exceeds M^3 = {M**3:.6g}; "
-            "envelope velocity would be imaginary")
     if abs(radicand) < 1e-12:
         return 0.0
     return math.sqrt(radicand)
@@ -99,36 +91,26 @@ def soliton_velocity_1d_b(M: float, m: float, v: float) -> float:
 def spec_3d_a(params: PhysicalParams, alpha: float | None = None,
               omega: float | None = None, gamma: float = 0.0,
               eps: float = 0.0) -> SolitonSpec:
-    """Family 3d_a member; give alpha or omega, the other is derived."""
-    M = params.M
+    """Family 3d_a member; give alpha or omega, the other is derived.
+    Raises ValueError unless the given ones pass validate_params."""
     if omega is None and alpha is None:
         raise ValueError("give alpha or omega for family 3d_a")
-    if alpha is None:
-        alpha = alpha_from_dispersion_3d_a(M, omega, gamma, eps)
-    elif omega is None:
-        if alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        omega = (alpha * alpha - M * M - gamma * gamma - eps * eps) / (2.0 * M)
-    else:
-        expect = 2.0 * M * omega + M * M + gamma * gamma + eps * eps
-        if abs(alpha * alpha - expect) > 1e-12 * max(alpha * alpha, abs(expect)):
-            raise ValueError(
-                f"alpha = {alpha} inconsistent with omega = {omega} "
-                "(alpha^2 must equal 2 M omega + M^2 + gamma^2 + eps^2)")
-    return SolitonSpec(family=Family.THREED_A, alpha=alpha, omega=omega,
-                       gamma=gamma, eps=eps)
+    given = SolitonSpec(family=Family.THREED_A, alpha=alpha, omega=omega,
+                        gamma=gamma, eps=eps)
+    require_valid(params, given)
+    co = family_coefficients(given, params)
+    return replace(given, alpha=co.envelope_k, omega=co.Omega)
 
 
 def spec_3d_b(params: PhysicalParams, mu: float, gamma: float = 0.0,
               eps: float = 0.0) -> SolitonSpec:
-    """Family 3d_b member with longitudinal momentum mu, |mu| <= M."""
-    if abs(mu) > params.M:
-        raise ValueError(
-            f"|mu| = {abs(mu)} exceeds M = {params.M}; envelope width factor "
-            "sqrt(1 - mu^2/M^2) would be imaginary")
-    alpha = math.sqrt(mu * mu + gamma * gamma + eps * eps)
-    return SolitonSpec(family=Family.THREED_B, alpha=alpha, mu=mu,
-                       gamma=gamma, eps=eps)
+    """Family 3d_b member with longitudinal momentum mu; raises ValueError
+    unless it passes validate_params (|mu| < M, m != M)."""
+    spec = SolitonSpec(family=Family.THREED_B,
+                       alpha=math.sqrt(mu * mu + gamma * gamma + eps * eps),
+                       mu=mu, gamma=gamma, eps=eps)
+    require_valid(params, spec)
+    return spec
 
 
 def spec_1d_a(params: PhysicalParams, phi_profile: str = "sech") -> SolitonSpec:
@@ -136,23 +118,31 @@ def spec_1d_a(params: PhysicalParams, phi_profile: str = "sech") -> SolitonSpec:
 
 
 def spec_1d_b(params: PhysicalParams) -> SolitonSpec:
+    """Family 1d_b member; raises ValueError unless (3/2) m^3 v^2 <= M^3
+    (validate_params), checked before V_s is computed."""
+    require_valid(params, SolitonSpec(family=Family.ONED_B))
     return SolitonSpec(family=Family.ONED_B,
                        V_s=soliton_velocity_1d_b(params.M, params.m, params.v))
 
 
 def family_coefficients(spec: SolitonSpec,
                         params: PhysicalParams) -> FamilyCoefficients:
-    """Evaluate the family's closed-form scalars; raises on degenerate specs."""
+    """Evaluate the family's closed-form scalars for a member that passes
+    validate_params, as a spec_* factory's output does; its inequalities
+    are not checked again. A dependent field left None is derived."""
     M, m, v = params.M, params.m, params.v
     mv = params.mv
     fam = spec.family
     if fam is Family.THREED_A:
-        if spec.alpha is None:
-            raise ValueError("3d_a spec needs alpha (use spec_3d_a)")
         alpha = spec.alpha
         omega = spec.omega
+        if alpha is None and omega is None:
+            raise ValueError("3d_a spec needs alpha or omega (use spec_3d_a)")
+        if alpha is None:
+            alpha = alpha_from_dispersion_3d_a(M, omega, spec.gamma, spec.eps)
         if omega is None:
-            omega = (alpha**2 - M * M - spec.gamma**2 - spec.eps**2) / (2.0 * M)
+            omega = (alpha * alpha - M * M - spec.gamma * spec.gamma
+                     - spec.eps * spec.eps) / (2.0 * M)
         return FamilyCoefficients(
             psi_amplitude=mv * alpha / (math.sqrt(2.0) * M**1.5),
             envelope_k=alpha, envelope_power=1, velocity=1.0,
@@ -163,12 +153,6 @@ def family_coefficients(spec: SolitonSpec,
             raise ValueError("3d_b spec needs mu (use spec_3d_b)")
         mu = spec.mu
         lam2 = 1.0 - (mu / M) ** 2
-        if lam2 <= 0.0:
-            raise ValueError(
-                f"|mu| = {abs(mu)} equals or exceeds M: zero-width degenerate member")
-        if m == M:
-            raise ValueError(
-                "scalar amplitude -(3/4) m^2/(M^2 - m^2) is singular at m = M")
         lam = math.sqrt(lam2)
         alpha2 = mu * mu + spec.gamma**2 + spec.eps**2
         return FamilyCoefficients(
@@ -213,9 +197,7 @@ def phase_velocity(spec: SolitonSpec, params: PhysicalParams) -> float:
     if spec.family is Family.ONED_A:
         return (-(M**4) + mv**4) / (2.0 * mv**4)
     if spec.family is Family.ONED_B:
-        V_s = spec.V_s
-        if V_s is None:
-            V_s = soliton_velocity_1d_b(M, params.m, params.v)
+        V_s = family_velocity(spec, params)
         if V_s == 0.0:
             raise ValueError(
                 "phase velocity undefined at V_s = 0 (formula contains 1/V_s)")
@@ -227,13 +209,8 @@ def localization_length(spec: SolitonSpec, params: PhysicalParams) -> float:
     """Characteristic envelope width, the inverse sech-argument coefficient.
 
     1/alpha (3d_a); (2/m) sqrt(1 - mu^2/M^2) (3d_b); (mv)^2/M^3 (1d_a);
-    3 (mv)^2/M^3 (1d_b). The 3d_b member at |mu| = M is a zero-width
-    degenerate point: returns 0.0 with a warning.
+    3 (mv)^2/M^3 (1d_b).
     """
-    if spec.family is Family.THREED_B and spec.mu is not None \
-            and abs(spec.mu) >= params.M:
-        warnings.warn("|mu| = M: zero-width degenerate member", stacklevel=2)
-        return 0.0
     return 1.0 / family_coefficients(spec, params).envelope_k
 
 

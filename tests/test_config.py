@@ -210,6 +210,22 @@ class TestRanges:
                                  rf"positive, got '{value}'$"):
             path(dotted, value)
 
+    @pytest.mark.parametrize("path,source", [
+        (_through_line, r"line 2"), (_through_override, r"override #1"),
+        (_through_sweep, r"sweep value")], ids=["line", "override", "sweep"])
+    def test_negative_seed_rejected(self, path, source):
+        with pytest.raises(ConfigError,
+                           match=rf"^run\.seed \({source}\) must be "
+                                 r"non-negative, got '-1'$"):
+            path("run.seed", "-1")
+
+    def test_nonnegative_keys(self):
+        assert [f"{section}.{key}" for section, keys in SCHEMA.items()
+                for key, setting in keys.items() if setting.nonnegative] \
+            == ["run.seed"]
+        assert apply_overrides(default_config("free-spreading"),
+                               ["run.seed=0"]).get("run", "seed") == 0
+
     @pytest.mark.parametrize("dotted", POSITIVE)
     def test_positive_value_accepted(self, dotted):
         section, _, key = dotted.partition(".")
@@ -220,10 +236,10 @@ class TestRanges:
 
 def _drawable(setting):
     """Values the schema accepts for one setting; None for free strings."""
-    kind, default, allowed, positive = setting
+    kind, default, allowed, positive, nonnegative = setting
     if allowed is not None:
         return st.sampled_from(allowed)
-    finite = st.floats(min_value=0.0 if positive else None,
+    finite = st.floats(min_value=0.0 if positive or nonnegative else None,
                        exclude_min=positive, allow_nan=False,
                        allow_infinity=False, width=64)
     if kind == "float":

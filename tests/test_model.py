@@ -153,7 +153,7 @@ class TestFieldState:
 class TestValidateParams:
     def test_oned_b_velocity_bound_fails(self):
         p = PhysicalParams(M=1.0, m=1.0, v=1.0)
-        rep = validate_params(p, Family.ONED_B)
+        rep = validate_params(p, SolitonSpec(family=Family.ONED_B))
         c = rep.check("velocity_real")
         assert not c.passed
         assert c.margin == pytest.approx(-0.5)
@@ -179,7 +179,7 @@ class TestValidateParams:
                                            (-1.5, False), (0.999, True),
                                            (-0.5, True)])
     def test_threed_b_momentum_bound_is_strict_in_abs_mu(self, mu, passed):
-        # |mu| = M is the zero-width member that family_coefficients rejects
+        # |mu| = M is the zero-width member that spec_3d_b refuses
         p = PhysicalParams(M=1.0, m=0.5, v=1.0)
         spec = SolitonSpec(family=Family.THREED_B, mu=mu, alpha=abs(mu))
         assert validate_params(p, spec).check("momentum_bound").passed \
@@ -205,15 +205,10 @@ class TestValidateParams:
         rep = validate_params(p, spec_3d_a(p, alpha=0.5))  # depth 0.25 < M
         assert rep.check("nonrelativistic_validity").passed
 
-    def test_never_raises_on_bare_family(self):
-        p = PhysicalParams(M=1.0, m=1.0, v=1.0)
-        for fam in Family:
-            validate_params(p, fam)
-
     def test_check_lookup_error(self):
         p = PhysicalParams(M=1.0, m=1.0, v=1.0)
         with pytest.raises(KeyError):
-            validate_params(p, Family.ONED_A).check("no_such_constraint")
+            validate_params(p, spec_1d_a(p)).check("no_such_constraint")
 
 
 # dependent-parameter closure: re-deriving the stored dependent field from the

@@ -321,11 +321,12 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("override", [
         "oracle.n_3d=30", "oracle.n_3d=8", "oracle.n_1d=100",
-        "oracle.n_3d=64"])
+        "oracle.n_3d=64", "params.m=1e-300", "params.m=1e-150"])
     def test_bad_oracle_size_is_two_before_any_work(self, tmp_path, capsys,
                                                     monkeypatch, override):
-        # not a power of two >= 16, or over the direct route's point limit
-        # (64^3): refused before the first source is drawn
+        # not a power of two >= 16, over the direct route's point limit
+        # (64^3), or a box 40/m (1D) or 20/m (3D) whose squared distances
+        # or cell volumes overflow: refused before the first source is drawn
         def no_work(*args, **kwargs):
             raise AssertionError("oracle work ran before the size check")
 
@@ -334,6 +335,11 @@ class TestCliExitCodes:
                      "--override", override])
         assert code == 2
         assert override.split("=")[0] in capsys.readouterr().err
+
+    def test_small_scalar_mass_under_the_box_bound_runs(self, tmp_path):
+        # the 3D box 20/m = 2e101 keeps its cell volume a finite float
+        assert main(["yukawa-oracle", "--out", str(tmp_path),
+                     "--override", "params.m=1e-100"]) == 0
 
     @pytest.mark.parametrize("scenario,overrides,named", [
         ("free-spreading", ["grid.n=1000"], "grid.n"),
@@ -367,9 +373,20 @@ class TestCliExitCodes:
         ("verify-residuals", ["params.m=1.0", "params.v=0.75",
                               "soliton.mu=0"], "m != M"),
         ("verify-residuals", ["params.M=0.95", "params.m=1.0",
-                              "params.v=0.6", "soliton.mu=0"], "exceeds M"),
+                              "params.v=0.6", "soliton.mu=0"],
+         "momentum_bound"),
         # about 1e299 steps
         ("soliton-propagation", ["run.T=0.1", "run.dt=1e-300"], "run.dt"),
+        # numpy's generators take no negative seed
+        ("verify-residuals", ["run.seed=-1"], "run.seed"),
+        ("yukawa-oracle", ["run.seed=-1"], "run.seed"),
+        ("soliton-propagation", ["run.seed=-1"], "run.seed"),
+        # the factories refuse the zero-width 3d_b member and a negative
+        # 3d_a inverse width, naming the constraint
+        ("soliton-propagation", ["soliton.family=3d_b", "soliton.mu=1.0"],
+         "momentum_bound"),
+        ("soliton-propagation", ["soliton.family=3d_a", "soliton.alpha=-2"],
+         "alpha_positive"),
         # a lattice spacing wider than the member: it falls between nodes
         ("soliton-propagation", ["grid.length=1e9", "grid.n=256"],
          "spacing"),
@@ -380,7 +397,9 @@ class TestCliExitCodes:
             "propagate-short-box", "choquard-short-box", "perturb-short-box",
             "verify-short-box", "propagate-3d_b-m-equals-M",
             "verify-m-equals-M", "verify-m-above-M", "propagate-step-count",
-            "propagate-spacing-over-width"])
+            "verify-negative-seed", "oracle-negative-seed",
+            "propagate-negative-seed", "propagate-3d_b-mu-M-constraint",
+            "propagate-3d_a-negative-alpha", "propagate-spacing-over-width"])
     def test_engine_rejected_setting_is_two_before_any_work(
             self, tmp_path, capsys, monkeypatch, scenario, overrides, named):
         # lattice sizes, packet widths, momenta and rescale strengths the

@@ -6,17 +6,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from solitonlab.model import Family, PhysicalParams, SolitonSpec, make_grid
+from solitonlab.model import (Family, PhysicalParams, SolitonSpec, make_grid,
+                              validate_params)
 from solitonlab.solutions import (
     alpha_from_dispersion_3d_a, closed_form_norm, closed_form_width,
-    family_coefficients, family_velocity, localization_length, phase_velocity,
-    sample_solution, soliton_velocity_1d_b, spec_1d_a, spec_1d_b, spec_3d_a,
-    spec_3d_b,
+    family_coefficients, family_velocity, localization_length, matched_length,
+    phase_velocity, sample_solution, soliton_velocity_1d_b, spec_1d_a,
+    spec_1d_b, spec_3d_a, spec_3d_b,
 )
 
 P = PhysicalParams(M=1.0, m=0.5, v=1.0)
+# the standing 1d_b member's edge (3/2) m^3 v^2 = M^3 at M = m = 1
+EDGE_V = math.sqrt(2.0 / 3.0)
 
 
 class TestDispersion:
@@ -25,8 +28,8 @@ class TestDispersion:
         assert alpha_from_dispersion_3d_a(1.0, 1.5) == pytest.approx(2.0)
 
     def test_negative_radicand(self):
-        with pytest.raises(ValueError, match="positive"):
-            alpha_from_dispersion_3d_a(1.0, -0.6)
+        with pytest.raises(ValueError, match="radicand_positive"):
+            spec_3d_a(P, omega=-0.6)
 
 
 class TestSolitonVelocity:
@@ -45,8 +48,11 @@ class TestSolitonVelocity:
         assert 1.0 - vs < 1e-11
 
     def test_bound_violation(self):
-        with pytest.raises(ValueError, match="imaginary"):
-            soliton_velocity_1d_b(1.0, 1.0, 1.0)
+        # just past the edge too: no member, rather than V_s snapped to 0
+        for v, margin in ((1.0, "-0.5"), (EDGE_V * (1.0 + 1e-13), "-2e-13")):
+            with pytest.raises(ValueError, match=rf"velocity_real: .*"
+                                                 rf"\(margin {margin}\)"):
+                spec_1d_b(PhysicalParams(1.0, 1.0, v))
 
 
 class TestSpecFactories:
@@ -59,7 +65,7 @@ class TestSpecFactories:
         assert s.omega == pytest.approx(1.5)
 
     def test_3d_a_rejects_inconsistent_pair(self):
-        with pytest.raises(ValueError, match="inconsistent"):
+        with pytest.raises(ValueError, match="dispersion_closure"):
             spec_3d_a(P, alpha=2.5, omega=1.5)
 
     def test_3d_a_needs_one_parameter(self):
@@ -67,13 +73,15 @@ class TestSpecFactories:
             spec_3d_a(P)
 
     def test_3d_b_rejects_superluminal_momentum(self):
-        with pytest.raises(ValueError, match="exceeds M"):
+        with pytest.raises(ValueError, match="momentum_bound"):
             spec_3d_b(P, mu=1.5)
 
     def test_3d_b_degenerate_at_mu_equals_M(self):
-        s = spec_3d_b(P, mu=1.0)  # constructible, but zero width
-        with pytest.raises(ValueError, match="degenerate"):
-            family_coefficients(s, P)
+        # the zero-width member at |mu| = M is refused by the factory
+        for mu in (1.0, -1.0):
+            with pytest.raises(ValueError,
+                               match=r"momentum_bound: .*\(margin 0\)"):
+                spec_3d_b(P, mu=mu)
 
     def test_3d_b_amplitude_singular_at_equal_masses(self):
         p = PhysicalParams(M=1.0, m=1.0, v=1.0)
@@ -123,10 +131,6 @@ class TestLocalizationLength:
         lam = math.sqrt(1.0 - 0.25)
         assert localization_length(spec_3d_b(P, mu=0.5), P) == pytest.approx(
             2.0 * lam / 0.5)
-
-    def test_degenerate_momentum_flagged(self):
-        with pytest.warns(UserWarning, match="degenerate"):
-            assert localization_length(spec_3d_b(P, mu=1.0), P) == 0.0
 
     def test_small_width_regime(self):
         # a valid envelope velocity forces the width below the 1/M scale
@@ -312,3 +316,54 @@ class TestCoefficients:
                 return
             spec = spec_1d_b(p)
         assert family_coefficients(spec, p).phi_amplitude <= 0.0
+
+
+
+def _one_verdict(build, given_spec: SolitonSpec, p: PhysicalParams) -> None:
+    """build() returns exactly when validate_params passes given_spec, the
+    member of the fields build was given; a returned member is usable."""
+    passed = validate_params(p, given_spec).passed
+    try:
+        spec = build()
+    except ValueError as e:
+        assert not passed
+        assert str(e).startswith(
+            f"parameters violate {given_spec.family.value} constraints: ")
+        assert "(margin " in str(e)
+        return
+    assert passed
+    family_coefficients(spec, p)
+    assert localization_length(spec, p) > 0.0
+    sample_solution(spec, p, make_grid(1, 64, matched_length(spec, p)), t=0.0)
+
+
+class TestOneVerdict:
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.floats(0.3, 3.0), m=st.floats(0.1, 3.0),
+           v=st.floats(0.1, 2.0), mu=st.floats(-4.0, 4.0))
+    @example(M=1.0, m=0.5, v=1.0, mu=1.0)
+    @example(M=1.0, m=0.5, v=1.0, mu=-1.0)
+    @example(M=1.0, m=1.0, v=EDGE_V * (1.0 + 1e-13), mu=0.5)
+    @example(M=1.0, m=1.0, v=EDGE_V, mu=0.0)
+    def test_3d_b_and_1d_b(self, M, m, v, mu):
+        p = PhysicalParams(M=M, m=m, v=v)
+        _one_verdict(lambda: spec_3d_b(p, mu=mu),
+                     SolitonSpec(family=Family.THREED_B, mu=mu), p)
+        _one_verdict(lambda: spec_1d_b(p),
+                     SolitonSpec(family=Family.ONED_B), p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.floats(0.3, 3.0), given_alpha=st.booleans(),
+           value=st.floats(-5.0, 0.0) | st.floats(1e-3, 5.0),
+           gamma=st.floats(0.0, 2.0), eps=st.floats(0.0, 2.0))
+    @example(M=1.0, given_alpha=True, value=-2.0, gamma=0.0, eps=0.0)
+    @example(M=1.0, given_alpha=True, value=0.0, gamma=0.0, eps=0.0)
+    @example(M=1.0, given_alpha=False, value=-0.6, gamma=0.0, eps=0.0)
+    @example(M=1.0, given_alpha=False, value=-0.5, gamma=0.0, eps=0.0)
+    def test_3d_a(self, M, given_alpha, value, gamma, eps):
+        p = PhysicalParams(M=M, m=0.5, v=1.0)
+        field = "alpha" if given_alpha else "omega"
+        _one_verdict(lambda: spec_3d_a(p, gamma=gamma, eps=eps,
+                                       **{field: value}),
+                     SolitonSpec(family=Family.THREED_A, gamma=gamma,
+                                 eps=eps, **{field: value}), p)
