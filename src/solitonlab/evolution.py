@@ -31,13 +31,23 @@ Both wave updates are time symmetric, and so is the Strang step, so a
 trajectory can be retraced exactly: conjugate the matter field and hand
 the scalar update its own forward-time next field as the new previous one.
 
-The closing half kick of one step and the opening half kick of the next
-are both exp(-i M dt/2 phi) with the same phi, so the loop merges them into
-one full kick and keeps the closing half pending. The pending half kick is
-applied only before an observer call or the return, so everything outside
-the loop sees fully kicked states, the same ones the unmerged scheme
-produces up to roundoff. The blow-up guard reads |psi|, which a kick does
-not change, so it runs every step regardless.
+The choquard mode composes each step as Yoshida's symmetric triple jump
+(Phys. Lett. A 150, 1990) of the Strang step: substeps of w1 dt, w0 dt and
+w1 dt, w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1 < 0, which makes the step of
+order four and keeps it symmetric. Its kick is exact at any substep,
+because the slaved field depends only on |psi|^2, which a kick leaves
+alone; so each substep costs one kick, one drift and one slaved solve, as
+a Strang step does. The other modes take one substep of weight 1, the plain
+Strang step.
+
+The closing half kick of a substep of weight w_a, exp(-i M w_a dt/2 phi),
+and the opening one of the next, of weight w_b, share phi, so the loop
+merges them into one kick at (w_a + w_b)/2 the full rate (a full kick
+between two plain Strang steps) and keeps the closing half pending.
+The pending half kick is applied only before an observer call or the
+return, so everything outside the loop sees fully kicked states, the same
+ones the unmerged scheme produces up to roundoff. The blow-up guard reads
+|psi|, which a kick does not change, so it runs every step regardless.
 
 Three modes share one loop body (optional kick, drift, scalar update):
 
@@ -50,16 +60,18 @@ Three modes share one loop body (optional kick, drift, scalar update):
 
 The step-size guard dt <= min(dx/2, 1/2m) keeps the scalar leapfrog inside
 its spectral stability window (dt < 2/w_max ~ 0.64 dx) and resolves the
-scalar mass oscillation; it applies to leapfrog and to the slaved field and
-can be lifted explicitly for experiments on the unstable side. Gautschi has
-no stability window and no guard: its default step comes from accuracy,
-the rates at which the initial state kicks, travels and spreads
-(default_dt), so a finer lattice does not force more steps. The matter kick
-and drift are exact unitary maps at any dt, so the guard is about the wave
-equation, not the Schroedinger half. For initial data with appreciable
-power near the lattice Nyquist mode (noise studies), dt <= M dx^2
-additionally keeps every kinetic phase increment below 2 pi and rules out
-split-step resonances; pass such a dt explicitly where that matters.
+scalar mass oscillation; it applies to leapfrog alone and can be lifted
+explicitly for experiments on the unstable side. Gautschi has no stability
+window and no guard: its default step comes from accuracy, the rates at
+which the initial state kicks, travels and spreads (default_dt), so a finer
+lattice does not force more steps. The slaved field has no wave equation
+and no guard either, and its fourth-order step is set by accuracy from the
+same rates, at 1/(10 r). The matter kick and drift are exact unitary maps
+at any dt, so the guard is about the wave equation, not the Schroedinger
+half. For initial data with appreciable power near the lattice Nyquist mode
+(noise studies), dt <= M dx^2 additionally keeps every kinetic phase
+increment below 2 pi and rules out split-step resonances; pass such a dt
+explicitly where that matters.
 
 The observer is the one way to see the states between the endpoints of a
 run: evolve hands it the initial state, every observer_stride-th state and
@@ -86,6 +98,11 @@ MODES = ("coupled", "choquard", "free")
 SCHEMES = ("gautschi", "leapfrog")
 PERTURBATION_KINDS = ("amplitude_noise", "phase_noise", "width_rescale")
 
+# Yoshida's symmetric triple jump: Strang substeps of w1 dt, w0 dt, w1 dt
+# make one step of order four (w0 < 0 steps back in time)
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_TRIPLE_JUMP = (_W1, 1.0 - 2.0 * _W1, _W1)
+
 
 def _check_choice(what: str, value: str, valid: tuple[str, ...]) -> None:
     """Raise ValueError unless value is one of valid."""
@@ -109,13 +126,13 @@ class BlowUpError(RuntimeError):
 
 
 def _guarded(scheme: str, mode: str) -> bool:
-    """Whether the step is held to the stability guard: every scalar
-    update but Gautschi's, which the choquard mode does not use."""
-    return scheme == "leapfrog" or mode == "choquard"
+    """Whether the step is held to the stability guard: the leapfrog wave
+    update only, which the choquard mode does not use."""
+    return scheme == "leapfrog" and mode != "choquard"
 
 
 def stability_limit(grid: Grid, params: PhysicalParams) -> float:
-    """Largest admissible step: min(dx/2, 1/2m)."""
+    """Largest admissible leapfrog step: min(dx/2, 1/2m)."""
     dx = grid.spacing
     return min(0.5 * dx, 0.5 / params.m)
 
@@ -125,23 +142,32 @@ def default_dt(initial: FieldState, scheme: str = "leapfrog",
     """The step evolve takes from initial when none is given, before it
     lands on T.
 
-    Under the stability guard (leapfrog, and the slaved field whatever the
-    scheme): 90% of stability_limit. Gautschi: max(0.9 stability_limit,
-    min(0.9/2m, 1/(8 r))) with r the fastest rate of change of the initial
-    state (_state_rate), so that one step turns no phase by more than 1/8
-    and moves the envelope by at most 1/8 of its width; the mass bound
-    resolves the scalar mass oscillation as the guard does. The outer max
-    means Gautschi never takes more steps than leapfrog.
+    With r the fastest rate of change of the initial state (_state_rate):
+
+      choquard  1/(10 r), whatever the scheme: the slaved field has no wave
+                equation and so no stability limit, and the fourth-order
+                step is held to accuracy alone; 0.9/2m when r = 0
+      leapfrog  90% of stability_limit
+      gautschi  max(0.9 stability_limit, min(0.9/2m, 1/(8 r))), so that
+                one step turns no phase by more than 1/8 and moves the
+                envelope by at most 1/8 of its width; the mass bound
+                resolves the scalar mass oscillation as the guard does.
+                The outer max means Gautschi never takes more steps than
+                leapfrog.
     """
     _check_choice("scalar scheme", scheme, SCHEMES)
     _check_choice("evolution mode", mode, MODES)
     params = initial.params
+    mass_bound = 0.9 / (2.0 * params.m)
+    if mode == "choquard":
+        rate = _state_rate(initial)
+        return 1.0 / (10.0 * rate) if rate > 0.0 else mass_bound
     guard = 0.9 * stability_limit(initial.grid, params)
     if _guarded(scheme, mode):
         return guard
     rate = _state_rate(initial)
     bound = 1.0 / (8.0 * rate) if rate > 0.0 else math.inf
-    return max(guard, min(0.9 / (2.0 * params.m), bound))
+    return max(guard, min(mass_bound, bound))
 
 
 def _state_rate(state: FieldState) -> float:
@@ -173,7 +199,9 @@ def _state_rate(state: FieldState) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The endpoints of a run and its step-loop counters."""
+    """The endpoints of a run and its step-loop counters: steps taken
+    (a choquard step is three Strang substeps), phase kicks evaluated and
+    the step that landed on T."""
 
     initial: FieldState
     final: FieldState
@@ -348,18 +376,20 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     exactly; the requested dt is never exceeded. dt defaults to
     default_dt for the scheme and the initial field. scheme picks the wave
     update of the coupled and free modes, leapfrog or gautschi; the choquard
-    mode slaves the field under the source 2M/v^2 and ignores it. mode and
-    scheme are plain strings from MODES and SCHEMES. The stability guard
-    applies to leapfrog and choquard steps unless enforce_stability is off.
+    mode slaves the field under the source 2M/v^2, ignores it and takes
+    every step as a triple jump of three Strang substeps. mode and scheme
+    are plain strings from MODES and SCHEMES. The stability guard applies
+    to leapfrog steps of the coupled and free modes unless
+    enforce_stability is off; the choquard and Gautschi steps have none.
     The observer is the only view of the states in between: when given, it
     is called on the initial state and every observer_stride steps after
     that (plus the final state), and its return value is ignored.
     observer_stride must be an integer >= 1. The returned trajectory counts
-    the phase kicks it evaluated in kicks: N + 1 for N coupled or choquard
-    steps with nothing observed in between, up to 2N when every step is
-    observed, 0 in free mode. The run aborts with BlowUpError once max|psi|
-    exceeds BLOWUP_FACTOR times its initial value or a field turns
-    non-finite.
+    the phase kicks it evaluated in kicks: for N steps with nothing
+    observed in between, N + 1 coupled and 3N + 1 choquard; up to 2N and
+    4N when every step is observed; 0 in free mode. The run aborts with
+    BlowUpError once max|psi| exceeds BLOWUP_FACTOR times its initial value
+    or a field turns non-finite.
     """
     _check_choice("evolution mode", mode, MODES)
     _check_choice("scalar scheme", scheme, SCHEMES)
@@ -410,14 +440,24 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
         density)
 
     k2 = grid.k_squared + grid.transverse_k2
-    drift_mult = np.exp(-0.5j * dt / params.M * k2)
+    weights = _TRIPLE_JUMP if mode == "choquard" else (1.0,)
+    drifts = {w: np.exp(-0.5j * (w * dt) / params.M * k2)
+              for w in set(weights)}
     tr = transforms(grid)
     fft, ifft = tr.fft, tr.ifft
     kick_rate = -params.M * dt
+    # each substep opens with the merged kick that closes the one before it
+    # (the last substep of the previous step for the first): the two halves
+    # share phi, so their rates add
+    substeps = [(0.5 * (prev + w) * kick_rate, drifts[w])
+                for prev, w in zip(weights[-1:] + weights[:-1], weights)]
+    # the weights are symmetric: the first opening and the last closing
+    # half kick are the same
+    half = 0.5 * weights[0] * kick_rate
     phase = np.empty(grid.shape)
     kick = np.empty(grid.shape, dtype=complex)
     kicks = 0
-    # psi still owes the closing half kick exp(-i M dt/2 phi) of the last step
+    # psi still owes the closing half kick of the last substep
     pending = False
 
     initial_peak = float(np.max(np.abs(psi)))
@@ -427,20 +467,19 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
         # running off the stability cliff overflows before the guard below
         # trips; the abort is the handler, so keep numpy quiet about it
         with np.errstate(over="ignore", invalid="ignore"):
-            if kicked:
-                # the closing half kick of the last step and the opening one
-                # of this step share phi, so they merge into one full kick
-                _phase_kick(psi, phi, kick_rate if pending
-                            else 0.5 * kick_rate, phase, kick)
-                kicks += 1
-                pending = True
-            fft(psi, out=psi)
-            psi *= drift_mult
-            ifft(psi, out=psi)
-            fresh = _density(psi)
-            phi, phi_prev = scalar.step(
-                phi, phi_prev, fresh if scalar.instantaneous else density)
-            density = fresh
+            for merged, drift in substeps:
+                if kicked:
+                    _phase_kick(psi, phi, merged if pending else half,
+                                phase, kick)
+                    kicks += 1
+                    pending = True
+                fft(psi, out=psi)
+                psi *= drift
+                ifft(psi, out=psi)
+                fresh = _density(psi)
+                phi, phi_prev = scalar.step(
+                    phi, phi_prev, fresh if scalar.instantaneous else density)
+                density = fresh
 
         # max |psi| from the density; the pending half kick leaves it as is
         peak = math.sqrt(float(np.max(density)))
@@ -454,7 +493,7 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
         last = i == n_steps - 1
         if last or (observer is not None and (i + 1) % observer_stride == 0):
             if pending:
-                _phase_kick(psi, phi, 0.5 * kick_rate, phase, kick)
+                _phase_kick(psi, phi, half, phase, kick)
                 kicks += 1
                 pending = False
             final = FieldState(

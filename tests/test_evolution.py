@@ -19,11 +19,19 @@ from solitonlab.solutions import (family_coefficients, matched_length,
                                   spec_3d_b)
 
 P = PhysicalParams(M=1.0, m=0.5, v=1.0)
+# the standing point (3/2) m^3 v^2 = M^3 of the 1d_b member
+PC = PhysicalParams(M=1.0, m=1.0, v=math.sqrt(2.0 / 3.0))
 
 
 def soliton_state(n=1024, L=60.0, dt=None, t0=0.0):
     g = make_grid(1, n, L)
     return state_from_solution(spec_1d_b(P), P, g, t0=t0, dt=dt), g
+
+
+def stationary_state(g):
+    """The standing 1d_b member under its own slaved field."""
+    s = sample_solution(spec_1d_b(PC), PC, g, t=0.0)
+    return state_with_static_field(s.psi, PC, g)
 
 
 def dividing_dt(T, g, params, safety=0.9):
@@ -245,19 +253,17 @@ class TestModes:
         assert np.max(np.abs(w_h - theta / dt)) < 1e-9
 
     def test_choquard_keeps_stationary_profile(self):
-        Pc = PhysicalParams(M=1.0, m=1.0, v=math.sqrt(2.0 / 3.0))
         g = make_grid(1, 1024, 64.0)
-        s = sample_solution(spec_1d_b(Pc), Pc, g, t=0.0)
-        st = state_with_static_field(s.psi, Pc, g)
-        traj = evolve(st, T=2.0, dt=dividing_dt(2.0, g, Pc), mode="choquard")
+        s = sample_solution(spec_1d_b(PC), PC, g, t=0.0)
+        st = state_with_static_field(s.psi, PC, g)
+        traj = evolve(st, T=2.0, dt=dividing_dt(2.0, g, PC), mode="choquard")
         assert np.max(np.abs(np.abs(traj.final.psi) - np.abs(s.psi))) < 1e-5
 
     def test_choquard_prefactor_halves_field_depth(self):
-        Pc = PhysicalParams(M=1.0, m=1.0, v=math.sqrt(2.0 / 3.0))
         g = make_grid(1, 1024, 64.0)
-        s = sample_solution(spec_1d_b(Pc), Pc, g, t=0.0)
-        full = state_with_static_field(s.psi, Pc, g, kernel_prefactor="full")
-        half = state_with_static_field(s.psi, Pc, g, kernel_prefactor="half")
+        s = sample_solution(spec_1d_b(PC), PC, g, t=0.0)
+        full = state_with_static_field(s.psi, PC, g, kernel_prefactor="full")
+        half = state_with_static_field(s.psi, PC, g, kernel_prefactor="half")
         assert np.min(half.phi) == pytest.approx(0.5 * np.min(full.phi))
         assert np.min(full.phi) == pytest.approx(-0.75, abs=1e-10)
 
@@ -288,10 +294,9 @@ class TestStateFactories:
             gaussian_packet(make_grid(3, 16, 8.0), P, sigma0=0.5)
 
     def test_static_field_matches_closed_form(self):
-        Pc = PhysicalParams(M=1.0, m=1.0, v=math.sqrt(2.0 / 3.0))
         g = make_grid(1, 1024, 64.0)
-        s = sample_solution(spec_1d_b(Pc), Pc, g, t=0.0)
-        st = state_with_static_field(s.psi, Pc, g)
+        s = sample_solution(spec_1d_b(PC), PC, g, t=0.0)
+        st = state_with_static_field(s.psi, PC, g)
         np.testing.assert_allclose(st.phi, s.phi, atol=1e-10)
 
 
@@ -339,11 +344,34 @@ class TestPerturb:
 
 
 class TestDefaultStep:
-    def test_leapfrog_and_choquard_take_ninety_percent_of_the_guard(self):
+    def test_leapfrog_takes_ninety_percent_of_the_guard(self):
         st, g = soliton_state()
-        guard = 0.9 * stability_limit(g, P)
-        assert default_dt(st) == guard
-        assert default_dt(st, "gautschi", "choquard") == guard
+        assert default_dt(st) == 0.9 * stability_limit(g, P)
+        assert default_dt(st, "leapfrog", "free") \
+            == 0.9 * stability_limit(g, P)
+
+    def test_choquard_rule(self):
+        # the stationary member moves no envelope, so the kick rate
+        # M max|phi| = 0.75 sets the step: 1/(10 r), whatever the scheme
+        g = make_grid(1, 1024, 64.0)
+        st = stationary_state(g)
+        peak = float(np.max(np.abs(st.phi)))
+        assert peak == pytest.approx(0.75, abs=1e-10)
+        for scheme in ("leapfrog", "gautschi"):
+            assert default_dt(st, scheme, "choquard") \
+                == pytest.approx(1.0 / (10.0 * PC.M * peak), rel=1e-15)
+        # nothing to kick, travel or spread: the mass bound 0.9/2m
+        empty = FieldState(t=0.0, psi=np.zeros(g.n, dtype=complex),
+                           phi=np.zeros(g.n), params=PC, grid=g)
+        assert default_dt(empty, mode="choquard") == 0.9 / (2.0 * PC.m)
+
+    @pytest.mark.parametrize("scheme", ["leapfrog", "gautschi"])
+    def test_choquard_has_no_stability_guard(self, scheme):
+        st, g = soliton_state()
+        st = state_with_static_field(st.psi, P, g)
+        assert 0.05 > stability_limit(g, P)
+        traj = evolve(st, T=0.2, dt=0.05, mode="choquard", scheme=scheme)
+        assert traj.step_count == 4
 
     def test_gautschi_rule(self):
         # fine lattice: the kick bound 1/(8 M max|phi|) sets the step
@@ -387,6 +415,69 @@ class TestDefaultStep:
             evolve(st, T=0.1, scheme="verlet")
         with pytest.raises(ValueError, match="unknown scalar scheme"):
             default_dt(st, "verlet")
+
+
+def choquard_energy(state):
+    """int |d psi|^2/2M + (M/2) phi[psi] |psi|^2, the functional the slaved
+    dynamics conserves; phi is the state's slaved field."""
+    g, M = state.grid, state.params.M
+    hat = np.fft.fft(state.psi)
+    kinetic = float(np.sum(g.k_squared * np.abs(hat) ** 2)) / g.n / (2.0 * M)
+    potential = 0.5 * M * float(np.sum(state.phi * np.abs(state.psi) ** 2))
+    return g.spacing * (kinetic + potential)
+
+
+class TestTripleJump:
+    """Properties of the choquard mode's fourth-order composed step, on the
+    standing 1d_b member at n = 1024 on L = 64."""
+
+    GRID = make_grid(1, 1024, 64.0)
+
+    def test_norm_drift_on_random_data(self):
+        g = self.GRID
+        rng = np.random.default_rng(11)
+        psi = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * g.spacing)
+        st = state_with_static_field(psi, PC, g)
+        traj = evolve(st, T=1.0, dt=0.05, mode="choquard")
+        assert abs(traj.final.norm() - st.norm()) / 1.0 < 1e-10
+
+    def test_reversal_retraces(self):
+        st = stationary_state(self.GRID)
+        dt = 5.0 / math.ceil(5.0 / default_dt(st, mode="choquard"))
+        fwd = evolve(st, T=5.0, dt=dt, mode="choquard")
+        back = evolve(reverse_state(fwd.final, dt, "choquard"), T=5.0, dt=dt,
+                      mode="choquard")
+        assert np.max(np.abs(np.conj(back.final.psi) - st.psi)) < 1e-11
+        assert np.max(np.abs(back.final.phi - st.phi)) < 1e-11
+
+    def test_fourth_order_in_dt(self):
+        g = self.GRID
+        st = stationary_state(g)
+        ana = sample_solution(spec_1d_b(PC), PC, g, t=2.0)
+        errs = [float(np.max(np.abs(evolve(st, T=2.0, dt=2.0 / steps,
+                                           mode="choquard").final.psi
+                                    - ana.psi)))
+                for steps in (16, 32, 64)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine == pytest.approx(16.0, abs=2.0)
+
+    def test_kick_count(self):
+        st = stationary_state(self.GRID)
+        assert evolve(st, T=1.0, dt=0.1, mode="choquard").kicks == 31
+        flushed = evolve(st, T=1.0, dt=0.1, mode="choquard",
+                         observer=lambda s: None, observer_stride=1)
+        assert flushed.kicks == 40
+
+    def test_energy_held_at_the_default_step(self):
+        st = stationary_state(self.GRID)
+        energies = []
+        traj = evolve(st, T=20.0, mode="choquard",
+                      observer=lambda s: energies.append(choquard_energy(s)))
+        assert traj.step_count == 150  # 10 r T, r = M max|phi| = 0.75
+        assert len(energies) == traj.step_count + 1
+        drift = max(abs(e - energies[0]) for e in energies)
+        assert drift / abs(energies[0]) < 1e-9
 
 
 class TestGautschi:

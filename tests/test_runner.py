@@ -22,9 +22,14 @@ from solitonlab import cli
 from solitonlab.cli import main
 from solitonlab.config import (ConfigError, ScenarioConfig, apply_overrides,
                                default_config, parse_config)
-from solitonlab.evolution import StabilityError
+from solitonlab.evolution import BlowUpError
 from solitonlab import runner
 from solitonlab.runner import FAILED_MARKER, _check, run_scenario
+
+
+def blow_up(initial, T, dt, **kwargs):
+    """An evolve that aborts at its first step, as a runaway run does."""
+    raise BlowUpError(initial.t + dt, math.inf)
 
 
 class TestCheckSemantics:
@@ -75,21 +80,23 @@ class TestRunScenario:
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["status"] == "failed"
 
-    def test_abort_leaves_a_marker(self, tmp_path):
-        cfg = apply_overrides(
-            default_config("soliton-propagation"),
-            ["run.dt=0.2", "grid.n=256", "run.T=0.5", "run.mode=choquard"])
-        with pytest.raises(StabilityError):
+    def test_abort_leaves_a_marker(self, tmp_path, monkeypatch):
+        # no default-scheme setting aborts (neither Gautschi nor the slaved
+        # field has a stability guard), so the engine raises on cue
+        monkeypatch.setattr(runner, "evolve", blow_up)
+        cfg = apply_overrides(default_config("soliton-propagation"),
+                              ["grid.n=256", "run.T=0.5"])
+        with pytest.raises(BlowUpError):
             run_scenario(cfg, out_dir=tmp_path)
         marker = (tmp_path / FAILED_MARKER).read_text()
         assert "soliton-propagation" in marker
-        assert "StabilityError" in marker
+        assert "BlowUpError" in marker
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["status"] == "aborted"
 
     def test_gautschi_has_no_stability_guard(self, tmp_path):
-        # the step over the guard that aborts the slaved field above runs
-        # under the coupled mode's Gautschi update
+        # a step over the leapfrog guard min(dx/2, 1/2m) runs under the
+        # coupled mode's Gautschi update, as it does under the slaved field
         cfg = apply_overrides(
             default_config("soliton-propagation"),
             ["run.dt=0.2", "grid.n=256", "run.T=0.5"])
@@ -439,12 +446,11 @@ class TestCliExitCodes:
         assert code == 2
         assert "run.stride" in capsys.readouterr().err
 
-    def test_numerical_abort_is_three(self, tmp_path, capsys):
+    def test_numerical_abort_is_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "evolve", blow_up)
         code = main(["soliton-propagation", "--out", str(tmp_path),
-                     "--override", "run.dt=0.2",
                      "--override", "grid.n=256",
-                     "--override", "run.T=0.5",
-                     "--override", "run.mode=choquard"])
+                     "--override", "run.T=0.5"])
         assert code == 3
         assert "numerical abort" in capsys.readouterr().err
         assert (tmp_path / FAILED_MARKER).exists()
