@@ -56,8 +56,24 @@ def _parabolic_peak(density: np.ndarray, grid: Grid) -> float:
     denom = dm - 2.0 * d0 + dp
     # flat tops fall back to the node position
     offset = 0.5 * (dm - dp) / denom if abs(denom) > 0.0 else 0.0
-    offset = float(np.clip(offset, -0.5, 0.5))
+    offset = min(max(offset, -0.5), 0.5)
     return float(grid.axis[j] + offset * grid.spacing)
+
+
+def _min_image(axis: np.ndarray, centroid: float, L: float) -> np.ndarray:
+    """(axis - centroid + L/2) mod L - L/2, bitwise as np.mod gives it.
+
+    The axis is sorted and lies in [-L/2, L/2), and the centroid in
+    [-L/2, L/2], so u = axis - centroid + L/2 is sorted in [-L/2, 3L/2):
+    only a head below 0 takes + L (the sum np.mod rounds too) and a tail
+    at or above L takes - L (exact, as fmod is, by Sterbenz's lemma).
+    """
+    u = axis - centroid + 0.5 * L
+    head, tail = np.searchsorted(u, (0.0, L))
+    u[:head] += L
+    u[tail:] -= L
+    u -= 0.5 * L
+    return u
 
 
 def measure(state: FieldState,
@@ -69,14 +85,15 @@ def measure(state: FieldState,
     total = float(d.sum())
     norm = total * grid.volume_element
     phi_min = float(state.phi.min())
-    valid = bool(np.max(np.abs(state.phi)) < state.params.M)
+    # max|phi|; a NaN anywhere makes both ends NaN, and the record invalid
+    valid = bool(max(float(state.phi.max()), -phi_min) < state.params.M)
     if total <= 0.0:
         return ObservableRecord(t=state.t, norm=0.0, centroid=math.nan,
                                 width=math.nan, peak_pos=math.nan,
                                 phi_min=phi_min, valid=valid)
     angle = np.angle(np.sum(d * grid.circular_phase))
     centroid = angle * L / (2.0 * np.pi)
-    dist = np.mod(grid.axis - centroid + 0.5 * L, L) - 0.5 * L
+    dist = _min_image(grid.axis, centroid, L)
     width = math.sqrt(float(np.sum(dist * dist * d)) / total)
     peak = _parabolic_peak(d, grid)
     peak = _unwrap(peak, centroid, L)

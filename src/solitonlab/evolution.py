@@ -11,21 +11,25 @@ back phi(t + dt). There are three:
             source s = (2M/v^2)|psi|^2 captured at the step start (phase
             kicks do not change it, the drift would)
   gautschi  the same recurrence with the exact-in-time multipliers of the
-            wave equation under that frozen source: per rfft mode,
-            phi+ = 2 phi - phi- + A (phi^ + s^/w^2), A = 2 cos(w dt) - 2,
-            w^2 = k^2 + m^2, with the k^2 the Laplacian uses (so no
-            transverse term, as in leapfrog). It tends to leapfrog as
-            dt -> 0 and is exact for the linear part at any dt. phi^ and
-            s^ come from one complex FFT of phi + i s, split by Hermitian
-            symmetry, and the update returns through one irfft: two
-            transforms per step, as the leapfrog Laplacian takes
+            wave equation under that frozen source, on the rfft half
+            spectrum: per mode, phi^+ = 2 phi^ - phi^- + A (phi^ + s^/w^2),
+            A = 2 cos(w dt) - 2, w^2 = k^2 + m^2, with the k^2 the
+            Laplacian uses (so no transverse term, as in leapfrog). It
+            tends to leapfrog as dt -> 0 and is exact for the linear part
+            at any dt. The update carries (phi^, phi^-) through the whole
+            loop, so a step is one rfft of the source and one irfft that
+            gives the phi the kick reads: two transforms, as the leapfrog
+            Laplacian takes (the free mode has no source and takes the
+            irfft alone). The first step transforms phi and its history in
+            the same rfft call as its source
   slaved    the choquard mode's field, the static screened inverse of the
-            post-drift density; evolve's scheme does not apply to it
+            post-drift density; evolve's scheme does not apply to it. The
+            multiplier, screened inverse times source factor, is built once
+            per evolve, so a substep is one rfft, one multiply, one irfft
 
 Every transform is numpy.fft's, picked once per evolve (and per scalar
 update) by spectral.transforms: the 1D calls on a 1D grid. The drift
-transforms psi in place, and the Gautschi packed transform runs in place
-in a buffer the update owns.
+transforms psi in place. No BLAS call is made.
 
 Both wave updates are time symmetric, and so is the Strang step, so a
 trajectory can be retraced exactly: conjugate the matter field and hand
@@ -90,7 +94,8 @@ import numpy as np
 
 from .model import FieldState, Grid, PhysicalParams, scalar_source
 from .solutions import sample_solution
-from .spectral import laplacian, transforms, yukawa_invert
+from .spectral import laplacian, screened_inverse, transforms, \
+    yukawa_invert
 
 BLOWUP_FACTOR = 1e3
 
@@ -232,20 +237,20 @@ def _slaved_field(density: np.ndarray, params: PhysicalParams, grid: Grid,
 class _ScalarUpdate:
     """One scalar-field update at a fixed step dt.
 
-    start turns the initial (phi, phi_prev) into the loop's pair, filling
-    in a history when phi_prev is None; step maps phi(t), phi(t - dt) and
-    the source density to (phi(t + dt), phi(t)); reverse gives the history
-    of the time-reversed state. A wave update reads the density captured at
-    the step start; one with instantaneous set reads the post-drift one.
+    start turns the initial (phi, phi_prev) into the loop's pair; a
+    phi_prev of None means a field at rest. step maps phi(t), phi(t - dt)
+    and the source density to (phi(t + dt), phi(t)); an update may carry
+    its own copy of the pair between steps, so the loop hands it back the
+    pair of the step before. reverse gives the history of the
+    time-reversed state. A wave update reads the density captured at the
+    step start; one with instantaneous set reads the post-drift one.
     """
 
     instantaneous = False
 
     def start(self, phi: np.ndarray, phi_prev: np.ndarray | None,
               density: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        if phi_prev is not None:
-            return phi, np.array(phi_prev, dtype=float, copy=True)
-        return phi, self._at_rest(phi, density)
+        return phi, phi_prev
 
     def step(self, phi: np.ndarray, phi_prev: np.ndarray | None,
              density: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -254,10 +259,7 @@ class _ScalarUpdate:
     def reverse(self, phi: np.ndarray, phi_prev: np.ndarray,
                 density: np.ndarray) -> np.ndarray | None:
         """phi(t + dt), which is phi(t - dt) once time runs backwards."""
-        return self.step(phi, phi_prev, density)[0]
-
-    def _at_rest(self, phi: np.ndarray, density: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.step(*self.start(phi, phi_prev, density), density)[0]
 
 
 class _Leapfrog(_ScalarUpdate):
@@ -277,62 +279,68 @@ class _Leapfrog(_ScalarUpdate):
             acc = acc - scalar_source(density, self.params)
         return acc
 
+    def start(self, phi, phi_prev, density):
+        if phi_prev is not None:
+            return phi, np.array(phi_prev, dtype=float, copy=True)
+        # static Taylor start: phi(t - dt) ~ phi + (dt^2/2) phi_tt
+        return phi, phi + 0.5 * self.dt2 * self._acceleration(phi, density)
+
     def step(self, phi, phi_prev, density):
         acc = self._acceleration(phi, density)
         return 2.0 * phi - phi_prev + self.dt2 * acc, phi
 
-    def _at_rest(self, phi, density):
-        # static Taylor start: phi(t - dt) ~ phi + (dt^2/2) phi_tt
-        return phi + 0.5 * self.dt * self.dt * self._acceleration(phi,
-                                                                  density)
-
 
 class _Gautschi(_ScalarUpdate):
-    """phi+ = 2 phi - phi- + irfft(A (phi^ + s^/w^2)), exact in time for a
-    frozen source: A = 2 cos(w dt) - 2 = -4 sin^2(w dt/2), w^2 = k^2 + m^2.
+    """phi^+ = 2 phi^ - phi^- + A (phi^ + s^/w^2) on the rfft half
+    spectrum, exact in time for a frozen source: A = 2 cos(w dt) - 2
+    = -4 sin^2(w dt/2), w^2 = k^2 + m^2.
 
-    With a source, phi^ and s^ come from the full transform Z of the packed
-    field phi + i s: phi^(k) = (Z(k) + conj Z(-k))/2 and
-    s^(k) = (Z(k) - conj Z(-k))/2i, so the increment is
-    P Z(k) + Q conj Z(-k) on the half spectrum, P, Q = A (1 -+ i/w^2)/2.
+    The pair (phi^, phi^-) lives here between steps; the phi the loop
+    hands back is the irfft of phi^, and the first step transforms the
+    loop's pair with the source in one call.
     """
 
     def __init__(self, params: PhysicalParams, grid: Grid, dt: float,
                  sourced: bool):
-        self.params, self.sourced = params, sourced
+        self.sourced = sourced
         w2 = grid.rfft_k_squared + params.m**2
         # the sine form keeps full relative precision where w dt is small
         self.a = -4.0 * np.sin(0.5 * dt * np.sqrt(w2)) ** 2
-        self.p = 0.5 * self.a * (1.0 - 1j / w2)
-        self.q = 0.5 * self.a * (1.0 + 1j / w2)
-        half = grid.n // 2 + 1
-        neg = -np.arange(grid.n) % grid.n
-        # Z(k) for the rfft modes k, and Z(-k), from the full transform
-        self.half = (Ellipsis, slice(0, half))
-        self.mirror = np.ix_(*[neg] * (grid.dim - 1), neg[:half])
-        self.packed = np.empty(grid.shape, dtype=complex)
-        self.transforms = transforms(grid)
-
-    def _increment(self, phi: np.ndarray, density: np.ndarray) -> np.ndarray:
-        tr = self.transforms
-        if self.sourced:
-            z = self.packed
-            z.real = phi
-            z.imag = scalar_source(density, self.params)
-            tr.fft(z, out=z)
-            hat = self.p * z[self.half]
-            hat += self.q * np.conj(z[self.mirror])
-        else:
-            hat = tr.rfft(phi)
-            hat *= self.a
-        return tr.irfft(hat)
+        # the source is linear in the density, so its factor joins 1/w^2
+        self.source_gain = scalar_source(1.0 / w2, params)
+        tr = transforms(grid)
+        self.rfft, self.irfft = tr.rfft, tr.irfft
+        self.hat = self.hat_prev = None
 
     def step(self, phi, phi_prev, density):
-        return 2.0 * phi - phi_prev + self._increment(phi, density), phi
-
-    def _at_rest(self, phi, density):
-        # a field at rest has phi(t - dt) = phi(t + dt): half the increment
-        return phi + 0.5 * self._increment(phi, density)
+        first = self.hat is None
+        fields = [density] if self.sourced else []
+        if first:
+            fields += [phi] if phi_prev is None else [phi, phi_prev]
+        # one rfft call for all fields (none in free mode after the first
+        # step): the transforms act on the trailing grid axes of a stack
+        spectra = list(self.rfft(np.stack(fields))) if len(fields) > 1 \
+            else [self.rfft(f) for f in fields]
+        inc = spectra.pop(0) if self.sourced else None
+        if first:
+            self.hat = spectra[0]
+            self.hat_prev = spectra[1] if phi_prev is not None else None
+        hat = self.hat
+        # inc = A (phi^ + s^/w^2), in place on the fresh transform
+        if inc is None:
+            inc = hat * self.a
+        else:
+            inc *= self.source_gain
+            inc += hat
+            inc *= self.a
+        if self.hat_prev is None:
+            # a field at rest has phi^- = phi^+: half the increment
+            self.hat_prev = hat + 0.5 * inc
+        inc -= self.hat_prev
+        inc += hat
+        inc += hat
+        self.hat_prev, self.hat = hat, inc
+        return self.irfft(inc), phi
 
 
 class _Slaved(_ScalarUpdate):
@@ -342,7 +350,12 @@ class _Slaved(_ScalarUpdate):
     instantaneous = True
 
     def __init__(self, params: PhysicalParams, grid: Grid):
-        self.params, self.grid = params, grid
+        # the source is linear in the density, so its factor joins the
+        # screened inverse in one multiplier
+        self.multiplier = scalar_source(screened_inverse(params.m, grid),
+                                        params)
+        tr = transforms(grid)
+        self.rfft, self.irfft = tr.rfft, tr.irfft
 
     def start(self, phi, phi_prev, density):
         # the density is kick-invariant, so the slaved field at a step start
@@ -350,7 +363,9 @@ class _Slaved(_ScalarUpdate):
         return self.step(phi, phi_prev, density)
 
     def step(self, phi, phi_prev, density):
-        return _slaved_field(density, self.params, self.grid), None
+        hat = self.rfft(density)
+        hat *= self.multiplier
+        return self.irfft(hat), None
 
     def reverse(self, phi, phi_prev, density):
         return None
@@ -482,13 +497,14 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
                 density = fresh
 
         # max |psi| from the density; the pending half kick leaves it as is
-        peak = math.sqrt(float(np.max(density)))
-        if peak > threshold or not np.isfinite(peak):
+        peak = math.sqrt(density.max())
+        if peak > threshold or not math.isfinite(peak):
             raise BlowUpError(t0 + (i + 1) * dt, peak)
         if not scalar.instantaneous:
-            phi_peak = float(np.max(np.abs(phi)))
-            if not np.isfinite(phi_peak):
-                raise BlowUpError(t0 + (i + 1) * dt, phi_peak)
+            # a NaN anywhere makes both NaN
+            phi_peak = max(phi.max(), -phi.min())
+            if not math.isfinite(phi_peak):
+                raise BlowUpError(t0 + (i + 1) * dt, float(phi_peak))
 
         last = i == n_steps - 1
         if last or (observer is not None and (i + 1) % observer_stride == 0):

@@ -254,14 +254,22 @@ def _plan(config: ScenarioConfig, findings: list[str],
           ) -> tuple[PhysicalParams, SolitonSpec, Grid, float, float, int]:
     """params, spec (validated), grid (auto: matched), T, dt, stride.
 
-    The default step reads the member at t = 0.
+    The default step reads the member at t = 0 with the field the run
+    steps under: in choquard mode the one slaved to its density, which
+    the slaved update puts in place of the closed-form field.
     """
     params = _physical_params(config)
     spec = _member(spec_for, params, findings)
     grid = _member_grid(config, spec, params)
     T = _run_T(config, T_default)
-    dt = _dividing_dt(T, config.get("run", "dt"), mode, functools.partial(
-        state_from_solution, spec, params, grid))
+
+    def member() -> FieldState:
+        state = state_from_solution(spec, params, grid)
+        if mode == "choquard":
+            return state_with_static_field(state.psi, params, grid)
+        return state
+
+    dt = _dividing_dt(T, config.get("run", "dt"), mode, member)
     return params, spec, grid, T, dt, _stride(config, round(T / dt))
 
 

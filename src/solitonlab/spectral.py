@@ -52,6 +52,8 @@ class Transforms(NamedTuple):
 
     fft, ifft and rfft take the field (and out= where numpy takes it);
     irfft takes a half spectrum and returns the real field on the grid.
+    rfft and irfft act on the trailing grid axes, so a stack of fields
+    transforms in one call.
     """
 
     fft: Callable[..., np.ndarray]
@@ -70,9 +72,10 @@ def transforms(grid: Grid) -> Transforms:
     if grid.dim == 1:
         return Transforms(fft.fft, fft.ifft, fft.rfft,
                           functools.partial(fft.irfft, n=grid.n))
-    return Transforms(fft.fftn, fft.ifftn, fft.rfftn,
-                      functools.partial(fft.irfftn, s=grid.shape,
-                                        axes=tuple(range(grid.dim))))
+    axes = tuple(range(-grid.dim, 0))
+    return Transforms(fft.fftn, fft.ifftn,
+                      functools.partial(fft.rfftn, axes=axes),
+                      functools.partial(fft.irfftn, s=grid.shape, axes=axes))
 
 
 def spectral_derivative(field: np.ndarray, grid: Grid, axis: int = 0,
@@ -124,22 +127,32 @@ def laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
     return tr.irfft(hat)
 
 
-def yukawa_invert(source: np.ndarray, m: float, grid: Grid) -> np.ndarray:
-    """Solve (Lap - m^2) phi = source on the periodic lattice, spectrally.
+def screened_inverse(m: float, grid: Grid) -> np.ndarray:
+    """The rfft half-spectrum multiplier -1/(k^2 + m^2) of (Lap - m^2)^-1.
 
-    The operator is negative definite for m > 0; the result is real for
-    real sources and everywhere <= 0 for sources >= 0. m = 0 would leave
-    the k = 0 mode non-invertible and is rejected.
+    m = 0 would leave the k = 0 mode non-invertible and is rejected.
     """
     if m <= 0.0:
         raise ValueError(f"scalar mass must be positive, got {m}")
+    return -1.0 / (m * m + grid.rfft_k_squared)
+
+
+def yukawa_invert(source: np.ndarray, m: float, grid: Grid) -> np.ndarray:
+    """Solve (Lap - m^2) phi = source on the periodic lattice, spectrally,
+    under the multiplier screened_inverse(m, grid).
+
+    The operator is negative definite for m > 0; the result is real for
+    real sources and everywhere <= 0 for sources >= 0.
+    """
+    multiplier = screened_inverse(m, grid)
     if source.shape != grid.shape:
         raise ValueError(f"source shape {source.shape} does not match grid {grid.shape}")
     if np.iscomplexobj(source):
         raise ValueError("source must be real-valued")
     tr = transforms(grid)
     hat = tr.rfft(source)
-    return -tr.irfft(hat / (m * m + grid.rfft_k_squared))
+    hat *= multiplier
+    return tr.irfft(hat)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,96 @@ class TestMeasure:
             "t", "norm", "centroid", "width", "peak_pos", "phi_min", "valid")
 
 
+def np_mod_measure(state):
+    """measure as it stood with np.mod, np.clip and max|phi|: the reference
+    the lean observer must equal bit for bit."""
+    g, L = state.grid, state.grid.length
+    d = state.psi.real**2 + state.psi.imag**2
+    if g.dim == 3:
+        d = d.sum(axis=(1, 2))
+    total = float(d.sum())
+    angle = np.angle(np.sum(d * g.circular_phase))
+    centroid = angle * L / (2.0 * np.pi)
+    dist = np.mod(g.axis - centroid + 0.5 * L, L) - 0.5 * L
+    width = math.sqrt(float(np.sum(dist * dist * d)) / total)
+    j = int(np.argmax(d))
+    dm, d0, dp = d[(j - 1) % g.n], d[j], d[(j + 1) % g.n]
+    denom = dm - 2.0 * d0 + dp
+    offset = 0.5 * (dm - dp) / denom if abs(denom) > 0.0 else 0.0
+    peak = float(g.axis[j] + float(np.clip(offset, -0.5, 0.5)) * g.spacing)
+    peak += L * round((centroid - peak) / L)
+    return ObservableRecord(
+        t=state.t, norm=total * g.volume_element, centroid=centroid,
+        width=width, peak_pos=peak, phi_min=float(state.phi.min()),
+        valid=bool(np.max(np.abs(state.phi)) < state.params.M))
+
+
+def bits(rec):
+    return np.array([getattr(rec, f) for f in rec.field_names()],
+                    dtype=float).tobytes()
+
+
+def bump_state(g, nodes, weights, phi_scale=0.5):
+    """Density only on the given nodes of the axis, phi a smooth dip."""
+    psi = np.zeros(g.n, dtype=complex)
+    psi[list(nodes)] = np.sqrt(weights)
+    phi = -phi_scale * np.exp(-(g.axis / 4.0) ** 2)
+    return FieldState(t=0.25, psi=psi, phi=phi, params=P, grid=g)
+
+
+class TestMeasureMatchesNpMod:
+    """The observer shifts the ends of the sorted axis - c + L/2 in place
+    of np.mod; its records equal the np.mod form's bit for bit."""
+
+    # L = n: the nodes are whole numbers, so a centroid on a node or on the
+    # seam puts axis - c + L/2 exactly on 0 or on L
+    G = make_grid(1, 64, 64.0)
+
+    def assert_same(self, state):
+        got, ref = measure(state), np_mod_measure(state)
+        assert bits(got) == bits(ref), (got, ref)
+        return got
+
+    def test_centroid_on_the_seam(self):
+        g = self.G
+        # symmetric about the seam node -32: the centroid is -L/2 or L/2
+        rec = self.assert_same(bump_state(g, (0, 1, 63), (2.0, 1.0, 1.0)))
+        assert abs(rec.centroid) == 0.5 * g.length
+        assert rec.phi_min == -0.5 and not math.isnan(rec.width)
+
+    @pytest.mark.parametrize("nodes,weights", [
+        ((31, 32, 33), (1.0, 3.0, 1.0)),    # about x = 0: c = 0
+        ((0, 1, 63), (3.0, 1.0, 1.0)),      # about the seam: c = +-L/2
+    ])
+    def test_shifted_axis_lands_exactly_on_an_end(self, nodes, weights):
+        g = self.G
+        rec = self.assert_same(bump_state(g, nodes, weights))
+        u = g.axis - rec.centroid + 0.5 * g.length
+        assert 0.0 in u or g.length in u
+
+    @pytest.mark.parametrize("x0", [0.5, -0.5, 0.49999, 0.123, -0.377])
+    def test_members_across_the_box(self, x0):
+        g = make_grid(1, 1024, 60.0)
+        self.assert_same(state_from_solution(spec_1d_b(P), P, g,
+                                             x0=x0 * g.length))
+
+    def test_3d_state(self):
+        g = make_grid(3, 16, 24.0)
+        st = state_from_solution(spec_3d_a(P, alpha=2.0), P, g)
+        self.assert_same(st)
+        shifted = FieldState(t=0.0, psi=np.roll(st.psi, 5, axis=0),
+                             phi=st.phi, params=P, grid=g)
+        self.assert_same(shifted)
+
+    def test_validity_from_either_end_of_phi(self):
+        g = self.G
+        st = bump_state(g, (10, 11, 12), (1.0, 2.0, 1.0))
+        for phi in (st.phi * 3.0, -st.phi * 3.0, st.phi, -st.phi,
+                    np.full(g.n, P.M), np.full(g.n, -P.M)):
+            self.assert_same(FieldState(t=0.0, psi=st.psi, phi=phi,
+                                        params=P, grid=g))
+
+
 class TestVelocityFit:
     def sampled_series(self, g, times, x0=0.0):
         obs = SeriesObserver()

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from solitonlab import evolution
 from solitonlab.model import FieldState, PhysicalParams, make_grid
 from solitonlab.evolution import (
     BlowUpError, StabilityError, default_dt, evolve,
@@ -561,7 +562,7 @@ class TestGautschi:
     @pytest.mark.parametrize("dim,n,mode", [(1, 256, "coupled"),
                                             (1, 256, "free"),
                                             (3, 16, "coupled")])
-    def test_packed_transform_matches_separate_ones(self, dim, n, mode):
+    def test_one_step_matches_separate_transforms(self, dim, n, mode):
         # reverse_state hands back the scheme's next field, so it exposes
         # one step; the reference transforms phi and the source apart
         from scipy import fft as sfft
@@ -585,10 +586,41 @@ class TestGautschi:
         expect = 2.0 * phi - phi_prev + sfft.irfftn(hat, s=g.shape)
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("history", [True, False],
+                             ids=["history", "at-rest"])
+    @pytest.mark.parametrize("dim,n,mode", [(1, 256, "coupled"),
+                                            (1, 256, "free"),
+                                            (3, 16, "coupled"),
+                                            (3, 16, "free")])
+    def test_half_spectrum_matches_x_space_recurrence(self, monkeypatch, dim,
+                                                      n, mode, history):
+        # the update carries phi^ on the half spectrum for the whole loop;
+        # 50 steps of it agree with the x-space recurrence, which
+        # transforms phi afresh every step and adds 2 phi - phi- in x space
+        g = make_grid(dim, n, 20.0)
+        rng = np.random.default_rng(5)
+        psi = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * g.volume_element)
+        phi = 0.1 * rng.standard_normal(g.shape)
+        phi_prev = phi + 0.01 * rng.standard_normal(g.shape) if history \
+            else None
+        st = FieldState(t=0.0, psi=psi, phi=phi, params=P, grid=g,
+                        phi_prev=phi_prev)
+        got = evolve(st, T=2.5, dt=0.05, mode=mode, scheme="gautschi").final
+        monkeypatch.setattr(evolution, "_Gautschi", XSpaceGautschi)
+        ref = evolve(st, T=2.5, dt=0.05, mode=mode, scheme="gautschi").final
+        assert ref.t == got.t == pytest.approx(2.5)
+        for a, b in ((got.psi, ref.psi), (got.phi, ref.phi),
+                     (got.phi_prev, ref.phi_prev)):
+            assert np.max(np.abs(a - b)) < 1e-12
+
     def test_two_transforms_per_scalar_step(self, monkeypatch):
-        # the drift's complex pair plus the packed scalar pair, none at
-        # setup when the history is given; the package looks the
-        # transforms up on numpy.fft when evolve starts
+        # per step the drift's complex pair, and the update's rfft of the
+        # source (the first one also takes phi and its history) and its
+        # irfft back to the phi the kick reads; the free mode has no source
+        # and runs its rfft on the first step alone. None at setup when the
+        # history is given; the package looks the transforms up on
+        # numpy.fft when evolve starts
         calls = []
         for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft",
                      "rfft", "irfft"):
@@ -599,8 +631,59 @@ class TestGautschi:
                 return _f(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
         st, _ = soliton_state(n=512, L=40.0, dt=0.05)
-        traj = evolve(st, T=0.5, dt=0.05, scheme="gautschi")
-        assert traj.step_count == 10
-        assert len(calls) == 4 * traj.step_count
-        inverse_real = calls.count("irfft") + calls.count("irfftn")
-        assert inverse_real == traj.step_count
+        for mode, rffts in (("coupled", 10), ("free", 1)):
+            calls.clear()
+            traj = evolve(st, T=0.5, dt=0.05, mode=mode, scheme="gautschi")
+            steps = traj.step_count
+            assert steps == 10
+            assert calls.count("fft") == calls.count("ifft") == steps
+            assert calls.count("rfft") == rffts
+            assert calls.count("irfft") == steps
+            assert len(calls) == 3 * steps + rffts
+
+
+@pytest.mark.parametrize("mode,scheme", [("coupled", "gautschi"),
+                                         ("coupled", "leapfrog"),
+                                         ("free", "gautschi"),
+                                         ("choquard", "gautschi")])
+def test_evolve_makes_no_blas_call(no_blas, mode, scheme):
+    # the step loop, its default step and the observer run on FFTs and
+    # ufuncs alone
+    from solitonlab.diagnostics import SeriesObserver
+    g = make_grid(1, 256, 30.0)
+    st = state_from_solution(spec_1d_b(P), P, g)
+    observer = SeriesObserver()
+    traj = evolve(st, T=0.5, mode=mode, scheme=scheme, observer=observer,
+                  observer_stride=2)
+    assert traj.step_count > 0 and len(observer.records) > 2
+
+
+class XSpaceGautschi:
+    """The Gautschi update as an x-space recurrence, the reference for the
+    half-spectrum one: phi+ = 2 phi - phi- + irfft(A (phi^ + s^/w^2)), with
+    phi^ and s^ transformed afresh every step."""
+
+    instantaneous = False
+
+    def __init__(self, params, grid, dt, sourced):
+        from solitonlab.model import scalar_source
+        self.source = (lambda d: scalar_source(d, params)) if sourced \
+            else None
+        self.w2 = grid.rfft_k_squared + params.m**2
+        self.a = -4.0 * np.sin(0.5 * dt * np.sqrt(self.w2)) ** 2
+
+    def _increment(self, phi, density):
+        hat = np.fft.rfftn(phi)
+        if self.source is not None:
+            hat += np.fft.rfftn(self.source(density)) / self.w2
+        return np.fft.irfftn(self.a * hat, s=phi.shape,
+                             axes=range(phi.ndim))
+
+    def start(self, phi, phi_prev, density):
+        if phi_prev is None:
+            # a field at rest has phi(t - dt) = phi(t + dt)
+            phi_prev = phi + 0.5 * self._increment(phi, density)
+        return phi, phi_prev
+
+    def step(self, phi, phi_prev, density):
+        return 2.0 * phi - phi_prev + self._increment(phi, density), phi

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from solitonlab import residuals
 from solitonlab.model import PhysicalParams, make_grid
 from solitonlab.residuals import (
     ConvergenceCheck, ResidualReport, auto_time_step, choquard_residual,
@@ -232,3 +233,24 @@ class TestFamilyAudit:
         audit = full_family_audit(P, 1024)
         exact = [e for e in audit if e.exact]
         assert all(min(e.ratios.values()) >= 16.0 for e in exact)
+
+    def test_audit_makes_no_blas_call(self, no_blas):
+        # the time stencils are plain weighted sums: a BLAS contraction of
+        # 7 samples costs milliseconds per call on a multithreaded BLAS
+        with pytest.raises(AssertionError, match="BLAS"):
+            np.tensordot(residuals._D1, np.ones((7, 4)), axes=(0, 0))
+        audit = full_family_audit(P, 256)
+        assert len(audit) == 6
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stencil_matches_tensordot(self, dtype):
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((7, 512)).astype(dtype)
+        if dtype is complex:
+            stack += 1j * rng.standard_normal((7, 512))
+        for weights in (residuals._D1, residuals._D2):
+            expect = np.tensordot(weights, stack, axes=(0, 0))
+            got = residuals._stencil(weights, stack)
+            assert got.dtype == expect.dtype
+            assert np.max(np.abs(got - expect)) \
+                < 1e-14 * np.max(np.abs(expect))

@@ -7,6 +7,7 @@ the plumbing (reports, files, error paths) can be exercised exhaustively.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from solitonlab.config import (ConfigError, ScenarioConfig, apply_overrides,
 from solitonlab.evolution import BlowUpError
 from solitonlab import runner
 from solitonlab.runner import FAILED_MARKER, _check, run_scenario
+from solitonlab.solutions import spec_1d_b
 
 
 def blow_up(initial, T, dt, **kwargs):
@@ -166,6 +168,32 @@ class TestRunScenario:
         # one kick per step, plus one closing half kick per recorded state
         assert data["details"]["kicks"] == report.step_count + recorded
         assert recorded < report.step_count
+
+
+class TestChoquardPlan:
+    """A choquard run's default step reads the field the slaved update
+    runs under, the screened inverse of the member's density, not the
+    closed-form coupled field."""
+
+    def plan(self, scenario, overrides, spec_for, T_default):
+        cfg = apply_overrides(default_config(scenario), overrides)
+        spec_for = spec_for or functools.partial(runner._soliton_spec, cfg)
+        *_, T, dt, _ = runner._plan(cfg, [], spec_for, T_default,
+                                    "choquard")
+        return T, dt
+
+    def test_propagation_steps_at_the_slaved_rate(self):
+        # (M, m, v) = (1, 0.5, 1): M max|phi| reads 5.33 on the closed-form
+        # field and 1.71 on the slaved one; 1067 steps under the former
+        T, dt = self.plan("soliton-propagation", ["run.mode=choquard"], None,
+                          20.0)
+        assert round(T / dt) == 342
+
+    def test_stationary_member_keeps_its_step(self):
+        # at the standing point the slaved field is the closed-form one
+        T, dt = self.plan("choquard-stationary", [], spec_1d_b, 50.0)
+        assert round(T / dt) == 375
+        assert dt == pytest.approx(50.0 / 375, rel=1e-15)
 
 
 class TestImports:
