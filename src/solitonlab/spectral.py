@@ -22,6 +22,7 @@ import.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -42,8 +43,9 @@ __all__ = [
 
 # The direct apply costs points^2 multiply-adds (half that for the
 # mirror-folded 3D weights) and copies a dense n^2 x n^2 block per offset
-# pair in 3D; the 3D acceptance size 32^3 = 2^15 takes about 0.2 s including
-# the weight build (2-core Xeon, OpenBLAS), and anything larger is rejected.
+# pair in 3D. At the 3D acceptance size 32^3 = 2^15 the weight build (once
+# per symmetry class) takes about 0.09 s and the apply 0.05 s (2-core Xeon,
+# OpenBLAS); anything larger is rejected.
 MAX_DIRECT_POINTS = 2**15
 
 
@@ -169,10 +171,15 @@ def yukawa_convolve_direct(source: np.ndarray, m: float, grid: Grid) -> np.ndarr
     points^2 multiply-adds; in 3D one BLAS matmul per mirror pair of offsets
     d, -d along the first axis against the 2D-circulant block of the
     remaining two, about points^2/2 multiply-adds. No FFT is involved.
-    Guarded to MAX_DIRECT_POINTS total points.
+    Guarded to MAX_DIRECT_POINTS total points, and in 3D to m L >= 10:
+    the periodic images past the first shell are dropped.
     """
     if m <= 0.0:
         raise ValueError(f"scalar mass must be positive, got {m}")
+    if grid.dim == 3 and m * grid.length < 10.0:
+        raise ValueError(
+            f"3D direct convolution needs m*L >= 10, got m={m}, "
+            f"L={grid.length}, m*L={m * grid.length}")
     if source.shape != grid.shape:
         raise ValueError(f"source shape {source.shape} does not match grid {grid.shape}")
     if np.iscomplexobj(source):
@@ -251,23 +258,21 @@ def _direct_weights_3d(n: int, length: float, m: float,
     bulk gets q=6 tensor Gauss. The first shell of periodic images is
     summed with the bulk rule (those terms stay a distance >= L/2 from the
     singularity, so they are smooth on every cell); images beyond it are
-    below e^(-3mL/2) and ignored. Domains shorter than ~10/m should not use
-    this route.
+    below e^(-3mL/2) and ignored, so yukawa_convolve_direct refuses
+    domains shorter than 10/m.
 
-    The bulk integrand (direct term plus image shell) is even in each axis,
-    so its table runs over the distinct |offset| per axis: cells e >= 0 at
-    their own nodes, which cell -1-e reads back with the node order
-    reversed. It is also unchanged when the axes are permuted, so it is
-    evaluated once per sorted index triple i <= j <= k of that axis (about
-    a sixth of the table) and expanded through an int32 rank map. The
-    Lagrange contraction and the scatter onto the nodes then run axis by
-    axis on the table.
-
-    Kernel, image shell and every rule share these symmetries, so each
-    weight of the finished table is read from its representative at sorted
-    |offset|s: the table is exactly, bitwise, even along each axis and
-    symmetric under axis permutation (the mirror fold of _circulant_apply
-    relies on the evenness).
+    Kernel, image shell and every rule are even in each axis and unchanged
+    when the axes are permuted, so each part is computed once per symmetry
+    class. The bulk integrand (direct term plus image shell) is tabulated
+    on the distinct |offset| per axis, once per sorted index triple
+    (_bulk_table); one (n, n/2 q_bulk) matrix maps an axis of samples onto
+    the n nodes, cell -1-e reading cell e with the node order reversed. The
+    shell is built from its cells (1,0,0), (0,1,1) and (1,1,1), the corners
+    from one Duffy pyramid (_corner_cell); transposes and mirrors place
+    each block in its other cells. Each weight of the finished table is
+    read from its representative at sorted |offset|s: the table is exactly,
+    bitwise, even along each axis and symmetric under axis permutation (the
+    mirror fold of _circulant_apply relies on the evenness).
     """
     dx = length / n
     w = np.zeros((n, n, n))
@@ -275,78 +280,71 @@ def _direct_weights_3d(n: int, length: float, m: float,
     def kernel(r: np.ndarray) -> np.ndarray:
         return np.exp(-m * r) / (4.0 * np.pi * r)
 
-    def scatter(block: np.ndarray, e1: int, e2: int, e3: int) -> None:
-        d1 = (e1 - _HALF + np.arange(_P)) % n
-        d2 = (e2 - _HALF + np.arange(_P)) % n
-        d3 = (e3 - _HALF + np.arange(_P)) % n
-        w[np.ix_(d1, d2, d3)] += block
+    def place(block: np.ndarray, cell: tuple[int, ...]) -> None:
+        # block belongs to the cell at offsets cell (each 0 or 1); add it
+        # mirrored into every octant, cell c on the negative side at -1-c
+        for signs in itertools.product((1, -1), repeat=3):
+            ix = [((c if s > 0 else -1 - c) - _HALF + np.arange(_P)) % n
+                  for c, s in zip(cell, signs)]
+            w[np.ix_(*ix)] += block[::signs[0], ::signs[1], ::signs[2]]
 
-    # bulk, on the distinct offsets y = (e + tb) dx, e = 0 .. n/2 - 1
+    # bulk, on the distinct offsets y = (e + tb) dx, e = 0 .. n/2 - 1:
+    # sample t of cell e enters node e + a - _HALF through basis a, and
+    # the mirrored cell -1-e enters node -1-e + a - _HALF at sample q-1-t
     tb, ob = _gauss01(q_bulk)
     half = n // 2
     y = (np.arange(half)[:, None] + tb[None, :]).ravel() * dx
     T = _bulk_table(y, length, m, kernel, 2 * q_bulk)
-    # per axis: Gauss-weighted basis contraction of each cell, cells -1-e
-    # from the reversed nodes, then node d collects cell d + _HALF - a
-    c = (_lagrange_basis(tb) * ob[:, None]).T            # (P, q)
-    for _ in range(3):
-        rest = T.shape[1:]
-        cells = T.reshape(half, q_bulk, -1)
-        per_cell = np.empty((n, _P, cells.shape[-1]))
-        np.matmul(c, cells, out=per_cell[:half])
-        per_cell[half:] = (c[:, ::-1] @ cells)[::-1]
-        T = sum(np.roll(per_cell[:, a], a - _HALF, axis=0) for a in range(_P))
-        T = np.moveaxis(T.reshape((n,) + rest), 0, -1)
-    w += T * dx**3
+    c = _lagrange_basis(tb) * ob[:, None]                 # (q, P)
+    A = np.zeros((n, half, q_bulk))
+    e = np.arange(half)
+    for a in range(_P):
+        A[(e + a - _HALF) % n, e] += c[:, a]
+        A[(a - _HALF - 1 - e) % n, e] += c[::-1, a]
+    A = A.reshape(n, -1)
+    T = (A @ T.reshape(A.shape[1], -1)).reshape((n,) + T.shape[1:])
+    w += (A @ T) @ A.T * dx**3
 
-    # shell: the 4^3 block minus the 8 singular corner cells
+    # shell: the 4^3 block minus the 8 corner cells
     ts, os_ = _gauss01(q_shell)
     Bs = _lagrange_basis(ts)
     ww = os_[:, None, None] * os_[None, :, None] * os_[None, None, :]
-    offs = (-2, -1, 0, 1)
-    for e1 in offs:
-        for e2 in offs:
-            for e3 in offs:
-                if e1 in (-1, 0) and e2 in (-1, 0) and e3 in (-1, 0):
-                    continue
-                y1 = (e1 + ts) * dx
-                y2 = (e2 + ts) * dx
-                y3 = (e3 + ts) * dx
-                r = np.sqrt(y1[:, None, None] ** 2 + y2[None, :, None] ** 2
-                            + y3[None, None, :] ** 2)
-                K = kernel(r) * ww * dx**3
-                C = np.tensordot(K, Bs, axes=([2], [0]))
-                C = np.tensordot(C, Bs, axes=([1], [0]))
-                C = np.tensordot(C, Bs, axes=([0], [0]))
-                scatter(np.moveaxis(C, (0, 1, 2), (2, 1, 0)), e1, e2, e3)
+    for cell in ((1, 0, 0), (0, 1, 1), (1, 1, 1)):
+        y1, y2, y3 = ((ci + ts) * dx for ci in cell)
+        r = np.sqrt(y1[:, None, None] ** 2 + y2[None, :, None] ** 2
+                    + y3[None, None, :] ** 2)
+        C = np.tensordot(Bs, kernel(r) * ww * dx**3, axes=([0], [0]))
+        C = np.tensordot(C, Bs, axes=([1], [0]))
+        C = np.tensordot(C, Bs, axes=([1], [0]))
+        # (1,1,1) is its own transpose, the other two have three placements
+        for perm in _AXIS_PLACEMENTS[:1 if cell == (1, 1, 1) else 3]:
+            place(C.transpose(perm), tuple(cell[p] for p in perm))
 
-    # corner cells: Duffy split into 3 pyramids along the largest coordinate
-    td, od = _gauss01(q_corner)
-    T = td[:, None, None] * np.ones((1, q_corner, q_corner))
-    U = td[None, :, None] * np.ones((q_corner, 1, q_corner))
-    V = td[None, None, :] * np.ones((q_corner, q_corner, 1))
+    place(_corner_cell(m, dx, q_corner), (0, 0, 0))
+    offset = np.arange(n)
+    return w[_min_mid_max(np.minimum(offset, n - offset))]
+
+
+# block.transpose(p) moves axis 0 to axis 0, 1, 2 (blocks alike in 1 and 2)
+_AXIS_PLACEMENTS = ((0, 1, 2), (1, 0, 2), (1, 2, 0))
+
+
+def _corner_cell(m: float, dx: float, q: int) -> np.ndarray:
+    """Weights (P, P, P) of the corner cell [0, dx]^3 on its stencil nodes.
+
+    Duffy split into 3 pyramids along the largest coordinate: the one with
+    it along axis 0 is one product over q^3 points at (T, T*U, T*V), the
+    other two are its transposes. The other seven corner cells mirror it.
+    """
+    td, od = _gauss01(q)
+    T, U, V = np.meshgrid(td, td, td, indexing="ij")
     WT = od[:, None, None] * od[None, :, None] * od[None, None, :]
     R = np.sqrt(1.0 + U**2 + V**2)
     core = (T * np.exp(-m * dx * T * R) / (4.0 * np.pi * R) * WT * dx**2).ravel()
-    # pyramid coordinates per axis are T, T*U or T*V; the basis of each, at
-    # the position within the cell in [0, 1], which is mirrored (1 - xi) for
-    # cells on the negative side of the node
-    xis = (T.ravel(), (T * U).ravel(), (T * V).ravel())
-    basis = {(k, s): _lagrange_basis(xi if s > 0 else 1.0 - xi)
-             for k, xi in enumerate(xis) for s in (1, -1)}
-    pyramids = ((0, 1, 2), (1, 0, 2), (1, 2, 0))
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                acc = np.zeros((_P, _P * _P))
-                for k1, k2, k3 in pyramids:
-                    B23 = basis[k2, s2][:, :, None] * basis[k3, s3][:, None, :]
-                    acc += (core[:, None] * basis[k1, s1]).T \
-                        @ B23.reshape(-1, _P * _P)
-                scatter(acc.reshape(_P, _P, _P), 0 if s1 > 0 else -1,
-                        0 if s2 > 0 else -1, 0 if s3 > 0 else -1)
-    offset = np.arange(n)
-    return w[_min_mid_max(np.minimum(offset, n - offset))]
+    B0, B1, B2 = (_lagrange_basis(xi.ravel()) for xi in (T, T * U, T * V))
+    B12 = (B1[:, :, None] * B2[:, None, :]).reshape(-1, _P * _P)
+    P = ((core[:, None] * B0).T @ B12).reshape(_P, _P, _P)
+    return sum(P.transpose(p) for p in _AXIS_PLACEMENTS)
 
 
 def _bulk_table(y: np.ndarray, length: float, m: float,
@@ -371,7 +369,8 @@ def _bulk_table(y: np.ndarray, length: float, m: float,
     pairs_b, pairs_a = np.tril_indices(size)      # a <= b, by b then a
     c = np.repeat(idx, per_max)
     pos = np.arange(c.size) - np.repeat(tetra, per_max)
-    sq = [{v: (y[i] + v * length) ** 2 for v in (-1, 0, 1)}
+    y_sq = {v: (y + v * length) ** 2 for v in (-1, 0, 1)}
+    sq = [{v: y_sq[v][i] for v in (-1, 0, 1)}
           for i in (pairs_a[pos], pairs_b[pos], c)]
     vals = kernel(np.sqrt(sq[0][0] + sq[1][0] + sq[2][0]))
     vals[c < special] = 0.0

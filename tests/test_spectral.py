@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -12,8 +13,9 @@ from scipy.special import erfc
 
 from solitonlab.model import make_grid
 from solitonlab.spectral import (
-    MAX_DIRECT_POINTS, _circulant_apply, _direct_weights, _direct_weights_1d,
-    _direct_weights_3d, laplacian, spectral_derivative,
+    _HALF, _P, MAX_DIRECT_POINTS, _bulk_table, _circulant_apply, _corner_cell,
+    _direct_weights, _direct_weights_1d, _direct_weights_3d, _gauss01,
+    _lagrange_basis, _min_mid_max, laplacian, spectral_derivative,
     yukawa_convolve_direct, yukawa_invert,
 )
 
@@ -55,6 +57,81 @@ def gather_apply(w, s, chunk=256):
                 * strides[a]
         out[lo:hi] = w.ravel()[flat] @ s.ravel()
     return out.reshape(shape)
+
+
+def pyramid_corner_cells(m, dx, q):
+    """The 8 corner cells {signs: (P, P, P) block} as 24 pyramid products:
+    per cell, the Duffy pyramid with its largest coordinate along each axis
+    in turn, the basis read at 1 - xi on an axis of sign -1."""
+    td, od = _gauss01(q)
+    T = td[:, None, None] * np.ones((1, q, q))
+    U = td[None, :, None] * np.ones((q, 1, q))
+    V = td[None, None, :] * np.ones((q, q, 1))
+    WT = od[:, None, None] * od[None, :, None] * od[None, None, :]
+    R = np.sqrt(1.0 + U**2 + V**2)
+    core = (T * np.exp(-m * dx * T * R) / (4.0 * np.pi * R) * WT * dx**2).ravel()
+    xis = (T.ravel(), (T * U).ravel(), (T * V).ravel())
+    basis = {(k, s): _lagrange_basis(xi if s > 0 else 1.0 - xi)
+             for k, xi in enumerate(xis) for s in (1, -1)}
+    cells = {}
+    for signs in itertools.product((1, -1), repeat=3):
+        acc = np.zeros((_P, _P * _P))
+        for k1, k2, k3 in ((0, 1, 2), (1, 0, 2), (1, 2, 0)):
+            B23 = basis[k2, signs[1]][:, :, None] * basis[k3, signs[2]][:, None, :]
+            acc += (core[:, None] * basis[k1, signs[0]]).T \
+                @ B23.reshape(-1, _P * _P)
+        cells[signs] = acc.reshape(_P, _P, _P)
+    return cells
+
+
+def per_cell_weights_3d(n, length, m, q_bulk=6, q_shell=16, q_corner=16):
+    """Reference 3D weight build, one cell at a time: the bulk contracted
+    per axis by per-cell basis products and a roll-and-sum onto the nodes,
+    each of the 56 shell cells by its own tensor Gauss rule, the corner
+    cells by pyramid_corner_cells. Same rule as _direct_weights_3d."""
+    dx = length / n
+    w = np.zeros((n, n, n))
+
+    def kernel(r):
+        return np.exp(-m * r) / (4.0 * np.pi * r)
+
+    def scatter(block, e1, e2, e3):
+        ix = [(e - _HALF + np.arange(_P)) % n for e in (e1, e2, e3)]
+        w[np.ix_(*ix)] += block
+
+    tb, ob = _gauss01(q_bulk)
+    half = n // 2
+    y = (np.arange(half)[:, None] + tb[None, :]).ravel() * dx
+    T = _bulk_table(y, length, m, kernel, 2 * q_bulk)
+    c = (_lagrange_basis(tb) * ob[:, None]).T
+    for _ in range(3):
+        rest = T.shape[1:]
+        cells = T.reshape(half, q_bulk, -1)
+        per_cell = np.empty((n, _P, cells.shape[-1]))
+        np.matmul(c, cells, out=per_cell[:half])
+        per_cell[half:] = (c[:, ::-1] @ cells)[::-1]
+        T = sum(np.roll(per_cell[:, a], a - _HALF, axis=0) for a in range(_P))
+        T = np.moveaxis(T.reshape((n,) + rest), 0, -1)
+    w += T * dx**3
+
+    ts, os_ = _gauss01(q_shell)
+    Bs = _lagrange_basis(ts)
+    ww = os_[:, None, None] * os_[None, :, None] * os_[None, None, :]
+    for e1, e2, e3 in itertools.product((-2, -1, 0, 1), repeat=3):
+        if {e1, e2, e3} <= {-1, 0}:
+            continue
+        y1, y2, y3 = ((e + ts) * dx for e in (e1, e2, e3))
+        r = np.sqrt(y1[:, None, None] ** 2 + y2[None, :, None] ** 2
+                    + y3[None, None, :] ** 2)
+        C = np.tensordot(kernel(r) * ww * dx**3, Bs, axes=([2], [0]))
+        C = np.tensordot(C, Bs, axes=([1], [0]))
+        C = np.tensordot(C, Bs, axes=([0], [0]))
+        scatter(np.moveaxis(C, (0, 1, 2), (2, 1, 0)), e1, e2, e3)
+
+    for signs, block in pyramid_corner_cells(m, dx, q_corner).items():
+        scatter(block, *(0 if s > 0 else -1 for s in signs))
+    offset = np.arange(n)
+    return w[_min_mid_max(np.minimum(offset, n - offset))]
 
 
 class TestSpectralDerivative:
@@ -249,6 +326,17 @@ class TestYukawaDirect:
         out = yukawa_convolve_direct(np.full(g.shape, 0.5), m=2.5, grid=g)
         np.testing.assert_allclose(out, -0.5 / 2.5**2, rtol=0, atol=1e-8)
 
+    def test_3d_rejects_a_box_shorter_than_ten_over_m(self):
+        # images past the first shell are dropped: against yukawa_invert a
+        # smooth source at n=16 is off by 4e-6 relative at m L >= 8, but by
+        # 2e-3 at m L = 4 and 4e-2 at m L = 2
+        g = make_grid(3, 16, 8.0)
+        with pytest.raises(ValueError, match=r"m=1\.2, L=8\.0, m\*L=9\.6"):
+            yukawa_convolve_direct(np.zeros(g.shape), m=1.2, grid=g)
+        # at the bound the dropped images cost about 1e-6 relative
+        out = yukawa_convolve_direct(np.full(g.shape, 0.5), m=1.25, grid=g)
+        np.testing.assert_allclose(out, -0.5 / 1.25**2, rtol=2e-6, atol=0)
+
 
 class TestDirectApply:
     @pytest.mark.parametrize("shape", [(128,), (8, 8, 8), (16, 16, 16)])
@@ -297,6 +385,22 @@ class TestDirectWeights:
             np.testing.assert_array_equal(np.take(w, mirror, axis=axis), w)
         for perm in [(1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]:
             np.testing.assert_array_equal(w.transpose(perm), w)
+
+    @pytest.mark.parametrize("length, m", [(16.0, 2.5), (12.0, 1.0)])
+    def test_3d_weights_match_the_per_cell_build(self, length, m):
+        # one contraction matrix, one block per symmetry class and one
+        # corner pyramid give the per-cell build's table up to roundoff
+        w = _direct_weights_3d(16, length, m)
+        ref = per_cell_weights_3d(16, length, m)
+        assert np.abs(w - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("m, dx", [(2.5, 1.0), (0.5, 1.25)])
+    def test_corner_cell_mirrors_match_the_24_pyramids(self, m, dx):
+        corner = _corner_cell(m, dx, 16)
+        scale = np.abs(corner).max()
+        for signs, block in pyramid_corner_cells(m, dx, 16).items():
+            mirrored = corner[::signs[0], ::signs[1], ::signs[2]]
+            assert np.abs(mirrored - block).max() <= 1e-14 * scale
 
     def test_3d_weight_build_peak_memory(self):
         # traced peak of an uncached 32^3 build. The full-table build that
