@@ -44,7 +44,7 @@ __all__ = [
 # The direct apply costs points^2 multiply-adds (half that for the
 # mirror-folded 3D weights) and copies a dense n^2 x n^2 block per offset
 # pair in 3D. At the 3D acceptance size 32^3 = 2^15 the weight build (once
-# per symmetry class) takes about 0.09 s and the apply 0.05 s (2-core Xeon,
+# per symmetry class) takes about 0.06 s and the apply 0.05 s (2-core Xeon,
 # OpenBLAS); anything larger is rejected.
 MAX_DIRECT_POINTS = 2**15
 
@@ -194,6 +194,9 @@ def yukawa_convolve_direct(source: np.ndarray, m: float, grid: Grid) -> np.ndarr
 
 _P = 8            # Lagrange stencil size per axis (degree 7)
 _HALF = _P // 2 - 1   # stencil spans nodes [-3 .. 4] around the cell [0, 1]
+# sorted triples per block of _bulk_table: 64 KiB per float array, so a
+# block's working set stays in a core's L2 cache
+_BULK_BLOCK = 8192
 
 
 @functools.lru_cache(maxsize=8)
@@ -264,7 +267,8 @@ def _direct_weights_3d(n: int, length: float, m: float,
     Kernel, image shell and every rule are even in each axis and unchanged
     when the axes are permuted, so each part is computed once per symmetry
     class. The bulk integrand (direct term plus image shell) is tabulated
-    on the distinct |offset| per axis, once per sorted index triple
+    on the distinct |offset| per axis, once per sorted index triple, in
+    cache-sized blocks scattered to the triple's six permutations
     (_bulk_table); one (n, n/2 q_bulk) matrix maps an axis of samples onto
     the n nodes, cell -1-e reading cell e with the node order reversed. The
     shell is built from its cells (1,0,0), (0,1,1) and (1,1,1), the corners
@@ -354,38 +358,38 @@ def _bulk_table(y: np.ndarray, length: float, m: float,
     indices are below special (the 4^3 special block, whose cells the shell
     and corner rules cover), plus the 26 first-shell images.
 
-    Evaluated on the sorted triples i <= j <= k only and expanded through
-    the rank map; the triples and the map die with this call, before the
-    caller's contraction allocates its own temporaries.
+    Evaluated on the sorted triples a <= b <= c only, in blocks of
+    _BULK_BLOCK triples. A block gathers (y + v L)^2 once per axis and forms
+    each (v1, v2) partial sum once for the v3 that share it; each value
+    takes the direct term first, then the images in (v1, v2, v3) order. The
+    block's values are scattered into the table at the six permutations of
+    (a, b, c), so no index map over y^3 is built.
     """
     size = y.size
-    idx = np.arange(size, dtype=np.int32)
-    # sorted triples a <= b <= c ordered by c, then b, then a: (a, b, c)
-    # has rank tetra[c] + tri[b] + a, tetra[c] = c(c+1)(c+2)/6 triples
-    # having a smaller c, tri[b] = b(b+1)/2 pairs having a smaller b
-    tri = idx * (idx + 1) // 2
-    tetra = idx * (idx + 1) * (idx + 2) // 6
-    per_max = tri + idx + 1                       # triples with largest c
+    # the pairs a <= b <= c are the first per_max[c] pairs of tril_indices
     pairs_b, pairs_a = np.tril_indices(size)      # a <= b, by b then a
-    c = np.repeat(idx, per_max)
-    pos = np.arange(c.size) - np.repeat(tetra, per_max)
-    y_sq = {v: (y + v * length) ** 2 for v in (-1, 0, 1)}
-    sq = [{v: y_sq[v][i] for v in (-1, 0, 1)}
-          for i in (pairs_a[pos], pairs_b[pos], c)]
-    vals = kernel(np.sqrt(sq[0][0] + sq[1][0] + sq[2][0]))
-    vals[c < special] = 0.0
-    for v1 in (-1, 0, 1):
-        for v2 in (-1, 0, 1):
-            for v3 in (-1, 0, 1):
-                nnz = abs(v1) + abs(v2) + abs(v3)
-                if nnz == 0 or m * length * np.sqrt(nnz) > 80.0:
-                    continue
-                vals += kernel(np.sqrt(sq[0][v1] + sq[1][v2] + sq[2][v3]))
-    lo, mid, hi = _min_mid_max(idx)
-    rank = tetra[hi]
-    rank += tri[mid]
-    rank += lo
-    return vals[rank]
+    per_max = [(k + 1) * (k + 2) // 2 for k in range(size)]
+    a, b = (np.concatenate([p[:k] for k in per_max])
+            for p in (pairs_a, pairs_b))
+    c = np.repeat(np.arange(size), per_max)
+    # row v holds shift v (row -1 is the last)
+    y_sq = np.stack([(y + v * length) ** 2 for v in (0, 1, -1)])
+    images = [v for v in itertools.product((-1, 0, 1), repeat=3)
+              if any(v) and m * length * np.sqrt(np.count_nonzero(v)) <= 80.0]
+    table = np.empty((size, size, size))
+    for start in range(0, c.size, _BULK_BLOCK):
+        part = tuple(i[start:start + _BULK_BLOCK] for i in (a, b, c))
+        sq1, sq2, sq3 = (y_sq[:, i] for i in part)
+        pair, pair_v = sq1[0] + sq2[0], (0, 0)
+        vals = kernel(np.sqrt(pair + sq3[0]))
+        vals[part[2] < special] = 0.0
+        for v1, v2, v3 in images:
+            if (v1, v2) != pair_v:
+                pair, pair_v = sq1[v1] + sq2[v2], (v1, v2)
+            vals += kernel(np.sqrt(pair + sq3[v3]))
+        for perm in itertools.permutations(part):
+            table[perm] = vals
+    return table
 
 
 def _min_mid_max(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray,

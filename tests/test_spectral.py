@@ -134,6 +134,38 @@ def per_cell_weights_3d(n, length, m, q_bulk=6, q_shell=16, q_corner=16):
     return w[_min_mid_max(np.minimum(offset, n - offset))]
 
 
+def rank_map_bulk_table(y, length, m, kernel, special):
+    """Reference bulk table: every sorted triple in one pass, the sum of the
+    direct term and the images over all triples at once, expanded to y^3
+    through the rank of each entry's sorted triple. Same rule and the same
+    operations per value as _bulk_table."""
+    size = y.size
+    idx = np.arange(size, dtype=np.int32)
+    # sorted triples a <= b <= c ordered by c, then b, then a: (a, b, c)
+    # has rank tetra[c] + tri[b] + a, tetra[c] = c(c+1)(c+2)/6 triples
+    # having a smaller c, tri[b] = b(b+1)/2 pairs having a smaller b
+    tri = idx * (idx + 1) // 2
+    tetra = idx * (idx + 1) * (idx + 2) // 6
+    per_max = tri + idx + 1
+    pairs_b, pairs_a = np.tril_indices(size)
+    c = np.repeat(idx, per_max)
+    pos = np.arange(c.size) - np.repeat(tetra, per_max)
+    y_sq = {v: (y + v * length) ** 2 for v in (-1, 0, 1)}
+    sq = [{v: y_sq[v][i] for v in (-1, 0, 1)}
+          for i in (pairs_a[pos], pairs_b[pos], c)]
+    vals = kernel(np.sqrt(sq[0][0] + sq[1][0] + sq[2][0]))
+    vals[c < special] = 0.0
+    for v1 in (-1, 0, 1):
+        for v2 in (-1, 0, 1):
+            for v3 in (-1, 0, 1):
+                nnz = abs(v1) + abs(v2) + abs(v3)
+                if nnz == 0 or m * length * np.sqrt(nnz) > 80.0:
+                    continue
+                vals += kernel(np.sqrt(sq[0][v1] + sq[1][v2] + sq[2][v3]))
+    lo, mid, hi = _min_mid_max(idx)
+    return vals[tetra[hi] + tri[mid] + lo]
+
+
 class TestSpectralDerivative:
     def test_resonant_sine_second_derivative(self):
         g = make_grid(1, 64, 16.0)
@@ -402,18 +434,35 @@ class TestDirectWeights:
             mirrored = corner[::signs[0], ::signs[1], ::signs[2]]
             assert np.abs(mirrored - block).max() <= 1e-14 * scale
 
+    @pytest.mark.parametrize("n, length, m", [
+        (32, 40.0, 0.5), (16, 16.0, 2.5), (16, 12.0, 1.0),
+        # m L = 60 drops the images with two or more nonzero shifts
+        (16, 60.0, 1.0)])
+    def test_bulk_table_matches_the_rank_map_expansion(self, n, length, m):
+        # bitwise: blocks, shared partial sums and the six-way scatter keep
+        # every value's operations and their order; at n = 32 the 152,096
+        # triples end in a partial block
+        def kernel(r):
+            return np.exp(-m * r) / (4.0 * np.pi * r)
+
+        tb, _ = _gauss01(6)
+        y = (np.arange(n // 2)[:, None] + tb[None, :]).ravel() * (length / n)
+        table = _bulk_table(y, length, m, kernel, 12)
+        assert np.array_equal(
+            table, rank_map_bulk_table(y, length, m, kernel, 12))
+
     def test_3d_weight_build_peak_memory(self):
-        # traced peak of an uncached 32^3 build. The full-table build that
-        # the sorted-triple table replaced peaked at 45_095_136 bytes in
-        # this suite (45_098_003 alone; numpy 2.4.6); the sorted-triple
-        # build peaks near 35.7 MB and must stay at or under the old peak
+        # traced peak of an uncached 32^3 build: 12_391_712 bytes (numpy
+        # 2.4.6), the 96^3 bulk table (7.1 MB) and its sorted-triple index
+        # arrays. The bound is that plus 10 %, so one more array over the
+        # 96^3 table, such as an index map to expand it, fails the test
         tracemalloc.start()
         try:
             _direct_weights_3d(32, 40.0, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 45_095_136
+        assert peak <= 13_630_000
 
     def test_cached_weights_are_read_only(self):
         w = _direct_weights(1, 64, 16.0, 1.0)
