@@ -50,8 +50,10 @@ merges them into one kick at (w_a + w_b)/2 the full rate (a full kick
 between two plain Strang steps) and keeps the closing half pending.
 The pending half kick is applied only before an observer call or the
 return, so everything outside the loop sees fully kicked states, the same
-ones the unmerged scheme produces up to roundoff. The blow-up guard reads
-|psi|, which a kick does not change, so it runs every step regardless.
+ones the unmerged scheme produces up to roundoff. phi does not move between
+that flush and the next step's opening half kick, so the opening reuses the
+flushed kick instead of evaluating it again. The blow-up guard reads |psi|,
+which a kick does not change, so it runs every step regardless.
 
 Three modes share one loop body (optional kick, drift, scalar update):
 
@@ -86,6 +88,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import random
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -205,7 +208,7 @@ def _state_rate(state: FieldState) -> float:
 @dataclass(frozen=True)
 class Trajectory:
     """The endpoints of a run and its step-loop counters: steps taken
-    (a choquard step is three Strang substeps), phase kicks evaluated and
+    (a choquard step is three Strang substeps), phase kicks applied and
     the step that landed on T."""
 
     initial: FieldState
@@ -400,9 +403,12 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     is called on the initial state and every observer_stride steps after
     that (plus the final state), and its return value is ignored.
     observer_stride must be an integer >= 1. The returned trajectory counts
-    the phase kicks it evaluated in kicks: for N steps with nothing
+    the phase kicks it applied in kicks: for N steps with nothing
     observed in between, N + 1 coupled and 3N + 1 choquard; up to 2N and
-    4N when every step is observed; 0 in free mode. The run aborts with
+    4N when every step is observed; 0 in free mode. An observed step's
+    closing half kick is reused as the next step's opening one, so the
+    phase is evaluated N + 1 (coupled) or 3N + 1 (choquard) times at any
+    observer_stride. The run aborts with
     BlowUpError once max|psi| exceeds BLOWUP_FACTOR times its initial value
     or a field turns non-finite.
     """
@@ -436,7 +442,8 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
 
     n_steps = max(1, math.ceil(T / dt - 1e-12))
     requested_dt, dt = dt, T / n_steps
-    if (initial.phi_prev is not None
+    # the slaved field never reads the history
+    if (mode != "choquard" and initial.phi_prev is not None
             and abs(dt - requested_dt) > 1e-9 * requested_dt):
         warnings.warn(
             f"dt adjusted from {requested_dt:.6e} to {dt:.6e} to land on T "
@@ -474,6 +481,9 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     kicks = 0
     # psi still owes the closing half kick of the last substep
     pending = False
+    # kick holds the flushed exp(i half phi), which the next opening reuses:
+    # phi has not moved since
+    flushed = False
 
     initial_peak = float(np.max(np.abs(psi)))
     threshold = BLOWUP_FACTOR * max(initial_peak, 1e-300)
@@ -484,8 +494,12 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
         with np.errstate(over="ignore", invalid="ignore"):
             for merged, drift in substeps:
                 if kicked:
-                    _phase_kick(psi, phi, merged if pending else half,
-                                phase, kick)
+                    if flushed:
+                        psi *= kick
+                        flushed = False
+                    else:
+                        _phase_kick(psi, phi, merged if pending else half,
+                                    phase, kick)
                     kicks += 1
                     pending = True
                 fft(psi, out=psi)
@@ -512,6 +526,7 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
                 _phase_kick(psi, phi, half, phase, kick)
                 kicks += 1
                 pending = False
+                flushed = True
             final = FieldState(
                 t=t0 + (i + 1) * dt, psi=psi.copy(), phi=phi.copy(),
                 params=params, grid=grid,
@@ -619,18 +634,22 @@ def perturb(state: FieldState, kind: str, strength: float,
     width_rescale    envelope stretched about the domain center by the
                      factor 1 + strength (spline resampling, periodic)
 
-    strength = 0 returns the state unchanged for every kind. The scalar
-    field and its history are left alone.
+    eta comes from the stdlib random.Random(seed), node by node in C
+    order. strength = 0 returns the state unchanged for every kind. The
+    scalar field and its history are left alone.
     """
     _check_choice("perturbation kind", kind, PERTURBATION_KINDS)
     if strength == 0.0:
         return state
-    rng = np.random.default_rng(seed)
     psi = state.psi
+    if kind != "width_rescale":
+        rng = random.Random(seed)
+        eta = np.array([rng.gauss(0.0, 1.0)
+                        for _ in range(psi.size)]).reshape(psi.shape)
     if kind == "amplitude_noise":
-        psi = psi * (1.0 + strength * rng.standard_normal(psi.shape))
+        psi = psi * (1.0 + strength * eta)
     elif kind == "phase_noise":
-        psi = psi * np.exp(1j * strength * rng.standard_normal(psi.shape))
+        psi = psi * np.exp(1j * strength * eta)
     else:
         factor = 1.0 + strength
         if factor <= 0.0:

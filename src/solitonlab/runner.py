@@ -19,15 +19,13 @@ import functools
 import json
 import math
 import operator
-import os
+import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
-from numpy.random import default_rng
 
 from .artifacts import (write_observables_csv, write_plot_script,
                         write_snapshot)
@@ -341,7 +339,7 @@ def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
     for spec_for in (spec_1d_b, lambda p: spec_3d_b(p, mu=p.m)):
         _member(spec_for, params, [])
     grid_b = _member_grid(config, spec_b, params)
-    rng = default_rng(config.get("run", "seed"))
+    rng = random.Random(config.get("run", "seed"))
 
     audit = full_family_audit(params, grid_b.n)
     e_3da, e_3db, e_3db_detuned, e_1da_printed, e_1da_fixed, e_1db = audit
@@ -403,9 +401,9 @@ def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
     worst = 0.0
     for _ in range(3):
         while True:
-            trial = PhysicalParams(M=float(rng.uniform(0.8, 1.6)),
-                                   m=float(rng.uniform(0.3, 0.7)),
-                                   v=float(rng.uniform(0.6, 1.2)))
+            trial = PhysicalParams(M=rng.uniform(0.8, 1.6),
+                                   m=rng.uniform(0.3, 0.7),
+                                   v=rng.uniform(0.6, 1.2))
             try:
                 member_b = spec_1d_b(trial)
                 break
@@ -605,7 +603,7 @@ def _scenario_choquard_stationary(config: ScenarioConfig, report: RunReport,
         snapshots={"initial": traj.initial, "final": traj.final})
 
 
-def _smooth_random_source(grid: Grid, rng: np.random.Generator) -> np.ndarray:
+def _smooth_random_source(grid: Grid, rng: random.Random) -> np.ndarray:
     """Random superposition of four periodized Gaussian bumps.
 
     Widths of 6 to 8 grid spacings keep the spectrum below machine noise
@@ -617,7 +615,8 @@ def _smooth_random_source(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     length = grid.length
     out = np.zeros(grid.shape)
     for _ in range(4):
-        center = rng.uniform(-length / 2, length / 2, size=grid.dim)
+        center = [rng.uniform(-length / 2, length / 2)
+                  for _ in range(grid.dim)]
         sig = rng.uniform(6.0, 8.0) * grid.spacing
         amp = rng.uniform(-1.0, 1.0)
         factors = [sum(np.exp(-0.5 * (grid.axis - c + shift * length) ** 2
@@ -649,7 +648,7 @@ def _oracle_grid(config: ScenarioConfig, key: str, dim: int,
     return grid
 
 
-def _oracle_case(grid: Grid, rng: np.random.Generator, m: float,
+def _oracle_case(grid: Grid, rng: random.Random, m: float,
                  case: int) -> dict[str, Any]:
     """Spectral vs direct screened inverse of one random smooth source."""
     s = _smooth_random_source(grid, rng)
@@ -666,7 +665,7 @@ def _oracle_case(grid: Grid, rng: np.random.Generator, m: float,
 def _scenario_yukawa_oracle(config: ScenarioConfig, report: RunReport,
                             out: Path) -> ScenarioArtifacts:
     m = _physical_params(config).m
-    rng = default_rng(config.get("run", "seed"))
+    rng = random.Random(config.get("run", "seed"))
     cases = config.get("oracle", "cases")
     g1 = _oracle_grid(config, "n_1d", 1, 40.0 / m)
     run_3d = config.get("oracle", "run_3d")
@@ -684,7 +683,7 @@ def _scenario_yukawa_oracle(config: ScenarioConfig, report: RunReport,
             "criterion-7", "3D spectral vs direct quadrature "
             "(random smooth source)", rows[-1]["rel_maxabs"], 1e-6))
 
-    s0 = float(rng.uniform(0.5, 2.0))
+    s0 = rng.uniform(0.5, 2.0)
     const = np.full(g1.shape, s0)
     phi_const = yukawa_invert(const, m=m, grid=g1)
     const_err = float(np.max(np.abs(phi_const + s0 / m**2))
@@ -762,25 +761,15 @@ def _scenario_param_sweep(config: ScenarioConfig, report: RunReport,
               out / f"case_{i:02d}_{section}.{key}_{v:g}")
              for i, v in enumerate(values)]
 
-    def run_case(case) -> tuple[RunReport | None, str]:
-        _, _, cfg, child_out = case
-        try:
-            return run_scenario(cfg, out_dir=child_out), ""
-        except Exception as e:  # noqa: BLE001 - collected into the merge
-            return None, f"{type(e).__name__}: {e}"
-
-    # children write only their own directory; map keeps the input order.
-    # One worker per core, at most one per case
-    workers = min(len(cases), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_case, cases))
-
     merged = []
     criteria: dict[str, list[CriterionCheck]] = {}
-    for (i, v, cfg, child_out), (child, err) in zip(cases, results):
+    for i, v, cfg, child_out in cases:
         row: dict[str, Any] = {"case": i, f"{section}.{key}": v,
                                "output_dir": str(child_out)}
-        if child is None:
+        try:
+            child = run_scenario(cfg, out_dir=child_out)
+        except Exception as e:  # noqa: BLE001 - collected into the merge
+            err = f"{type(e).__name__}: {e}"
             row["status"] = "aborted"
             row["error"] = err
             report.findings.append(f"case {i} ({section}.{key} = {v:g}) "

@@ -29,7 +29,6 @@ from typing import NamedTuple
 import numpy as np
 import numpy.fft  # numpy loads it lazily; here, not inside the first run
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.legendre import leggauss
 
 from .model import Grid
 
@@ -223,6 +222,8 @@ def _lagrange_basis(tau: np.ndarray) -> np.ndarray:
 
 
 def _gauss01(q: int) -> tuple[np.ndarray, np.ndarray]:
+    # imported here: only the direct oracle needs numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
     x, w = leggauss(q)
     return 0.5 * (x + 1.0), 0.5 * w
 

@@ -4,6 +4,7 @@ the default step and the Gautschi scalar update."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,17 @@ class TestStepControl:
         with pytest.warns(UserWarning, match="divides"):
             evolve(st, T=1.0, dt=dt)
 
+    def test_history_warning_only_where_the_history_is_read(self):
+        # the slaved field never reads phi_prev, so a step that does not
+        # divide T is no reason to warn in choquard mode
+        st = stationary_state(make_grid(1, 512, 64.0))
+        assert st.phi_prev is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evolve(st, T=1.0, dt=0.07, mode="choquard")
+        with pytest.warns(UserWarning, match="phi_prev"):
+            evolve(st, T=1.0, dt=0.07, mode="coupled", scheme="gautschi")
+
 
 class TestConservationAndAccuracy:
     def test_norm_conserved_to_roundoff(self):
@@ -190,6 +202,23 @@ class TestTrajectoryPlumbing:
                          observer_stride=1)
         assert flushed.kicks == 20
         assert evolve(st, T=0.01, dt=0.001, mode="free").kicks == 0
+
+    @pytest.mark.parametrize("mode, per_step", [("coupled", 1),
+                                                ("choquard", 3)])
+    def test_observed_steps_reuse_the_flushed_kick(self, monkeypatch, mode,
+                                                   per_step):
+        # the flush before an observation leaves exp(i half phi) for the
+        # next step's opening half kick, so observing every step adds no
+        # phase evaluation: N + 1 coupled, 3N + 1 choquard
+        calls = []
+        kick = evolution._phase_kick
+        monkeypatch.setattr(evolution, "_phase_kick",
+                            lambda *a: calls.append(1) or kick(*a))
+        st = stationary_state(make_grid(1, 512, 64.0))
+        traj = evolve(st, T=1.0, dt=0.1, mode=mode, scheme="gautschi",
+                      observer=lambda s: None, observer_stride=1)
+        assert len(calls) == per_step * 10 + 1
+        assert traj.kicks == (per_step + 1) * 10
 
     def test_snapshots_carry_leapfrog_history(self):
         st, g = soliton_state(dt=0.001)
@@ -317,6 +346,19 @@ class TestPerturb:
         a = perturb(self.state, "amplitude_noise", 0.01, seed=1)
         b = perturb(self.state, "amplitude_noise", 0.01, seed=2)
         assert not np.array_equal(a.psi, b.psi)
+
+    def test_noise_is_standard_normal(self):
+        # on a flat real field the phase kind returns exp(i s eta) exactly,
+        # and the amplitude kind draws the same eta for the same seed
+        g = make_grid(1, 4096, 60.0)
+        flat = FieldState(t=0.0, psi=np.ones(g.shape, dtype=complex),
+                          phi=np.zeros(g.shape), params=P, grid=g)
+        s = 0.01
+        eta = np.angle(perturb(flat, "phase_noise", s, seed=5).psi) / s
+        assert abs(eta.mean()) < 0.1
+        assert abs(eta.std() - 1.0) < 0.1
+        amp = perturb(flat, "amplitude_noise", s, seed=5).psi / (1 + s * eta)
+        np.testing.assert_allclose(amp, amp[0], rtol=1e-12)
 
     def test_zero_strength_is_identity(self):
         for kind in ("amplitude_noise", "phase_noise", "width_rescale"):

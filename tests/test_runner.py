@@ -11,11 +11,14 @@ import functools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import solitonlab
@@ -24,6 +27,7 @@ from solitonlab.cli import main
 from solitonlab.config import (ConfigError, ScenarioConfig, apply_overrides,
                                default_config, parse_config)
 from solitonlab.evolution import BlowUpError
+from solitonlab.model import make_grid
 from solitonlab import runner
 from solitonlab.runner import FAILED_MARKER, _check, run_scenario
 from solitonlab.solutions import spec_1d_b
@@ -196,6 +200,18 @@ class TestChoquardPlan:
         assert dt == pytest.approx(50.0 / 375, rel=1e-15)
 
 
+def _last_lines(code: str, tmp_path: Path, count: int) -> list[str]:
+    """Run code in a fresh interpreter on this package, with tmp_path as
+    its argument, and return the last count lines it printed."""
+    src = str(Path(solitonlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    return done.stdout.strip().splitlines()[-count:]
+
+
 class TestImports:
     def test_package_and_scenarios_load_no_scipy(self, tmp_path):
         # scipy's import costs more than the package's own; only
@@ -215,14 +231,46 @@ class TestImports:
             print(sorted(m for m in sys.modules
                          if m == "scipy" or m.startswith("scipy.")))
         """)
-        src = str(Path(solitonlab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                              env=env, capture_output=True, text=True,
-                              timeout=60, check=True)
-        assert done.stdout.strip().splitlines()[-1] == "[]"
+        assert _last_lines(code, tmp_path, 1) == ["[]"]
         assert (tmp_path / "free-spreading" / "report.json").exists()
+
+    def test_runs_load_no_unused_modules(self, tmp_path):
+        # seeded draws come from the stdlib random module, so no run maps
+        # numpy.random or, through secrets, OpenSSL; the sweep runs no
+        # thread pool; and only the direct oracle needs numpy.polynomial
+        code = textwrap.dedent('''
+            import sys
+            import solitonlab.cli
+            from solitonlab import apply_overrides, default_config
+            from solitonlab.runner import run_scenario
+            UNUSED = ("numpy.random", "secrets", "_hashlib",
+                      "concurrent.futures")
+            def loaded(stage):
+                print(stage, sorted(m for m in UNUSED + ("numpy.polynomial",)
+                                    if m in sys.modules))
+            loaded("import")
+            runs = {
+                "soliton-propagation": ["grid.n=256", "run.T=0.5"],
+                "free-spreading": ["grid.n=512", "run.T=0.5"],
+                "choquard-stationary": ["grid.n=256", "run.T=1"],
+                "verify-residuals": ["grid.n=256"],
+                "perturbation-stability": ["grid.n=256", "run.T=0.5"],
+                "param-sweep": ["grid.n=256", "run.T=0.5",
+                                "sweep.values=0.5,0.6"],
+            }
+            for name, overrides in runs.items():
+                config = apply_overrides(default_config(name), overrides)
+                run_scenario(config, out_dir=sys.argv[1] + "/" + name)
+            loaded("scenarios")
+            config = apply_overrides(default_config("yukawa-oracle"),
+                                     ["oracle.run_3d=false"])
+            run_scenario(config, out_dir=sys.argv[1] + "/yukawa-oracle")
+            loaded("oracle")
+        ''')
+        assert _last_lines(code, tmp_path, 3) == [
+            "import []", "scenarios []", "oracle ['numpy.polynomial']"]
+        for name in ("verify-residuals", "param-sweep", "yukawa-oracle"):
+            assert (tmp_path / name / "report.json").exists()
 
 
 class TestDeterminism:
@@ -245,8 +293,24 @@ class TestDeterminism:
             == (tmp_path / "b" / "observables.csv").read_bytes()
 
 
+class TestSeededDraws:
+    @pytest.mark.parametrize("dim, n", [(1, 128), (3, 16)])
+    def test_smooth_source_follows_the_seed(self, dim, n):
+        grid = make_grid(dim, n, 40.0)
+        a, b, c = (runner._smooth_random_source(grid, random.Random(seed))
+                   for seed in (3, 3, 4))
+        assert a.shape == grid.shape
+        assert np.array_equal(a, b)
+        assert not np.allclose(a, c)
+
+
 class TestParamSweep:
-    def test_cases_keep_the_given_order(self, tmp_path):
+    def test_cases_keep_the_given_order(self, tmp_path, monkeypatch):
+        # the cases run one after another in the calling thread
+        def no_threads(self):
+            raise AssertionError("the sweep started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
         cfg = apply_overrides(
             default_config("param-sweep"),
             ["sweep.values=0.6,0.4", "run.T=2.0", "grid.n=256"])
@@ -258,6 +322,8 @@ class TestParamSweep:
         assert (tmp_path / "case_00_params.m_0.6" / "report.json").exists()
         assert (tmp_path / "case_01_params.m_0.4" / "report.json").exists()
         assert len(report.details["cases"]) == 2
+        assert [c["status"] for c in report.details["cases"]] \
+            == ["passed", "passed"]
         assert [c["params.m"] for c in report.details["cases"]] == [0.6, 0.4]
 
     def test_integer_key_reaches_children_as_int(self, tmp_path):
