@@ -46,11 +46,9 @@ from .spectral import (
 )
 from .residuals import (
     ResidualReport,
-    ConvergenceCheck,
     FamilyAuditEntry,
     residual_pair,
     choquard_residual,
-    convergence_check,
     full_family_audit,
 )
 from .evolution import (

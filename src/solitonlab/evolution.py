@@ -231,12 +231,6 @@ def _phase_kick(psi: np.ndarray, phi: np.ndarray, rate: float,
     psi *= kick
 
 
-def _slaved_field(density: np.ndarray, params: PhysicalParams, grid: Grid,
-                  kernel_prefactor: str = "full") -> np.ndarray:
-    return yukawa_invert(scalar_source(density, params, kernel_prefactor),
-                         m=params.m, grid=grid)
-
-
 class _ScalarUpdate:
     """One scalar-field update at a fixed step dt.
 
@@ -587,24 +581,23 @@ def state_from_solution(spec, params: PhysicalParams, grid: Grid,
 
 
 def state_with_static_field(psi: np.ndarray, params: PhysicalParams,
-                            grid: Grid, t0: float = 0.0,
-                            kernel_prefactor: str = "full") -> FieldState:
-    """Initial data with the scalar field slaved to the given density."""
-    phi = _slaved_field(_density(np.asarray(psi, dtype=complex)), params,
-                        grid, kernel_prefactor)
-    return FieldState(t=t0, psi=np.asarray(psi, dtype=complex), phi=phi,
-                      params=params, grid=grid, phi_prev=phi.copy())
+                            grid: Grid) -> FieldState:
+    """Initial data at t = 0 with the scalar field slaved to the density."""
+    psi = np.asarray(psi, dtype=complex)
+    phi = yukawa_invert(scalar_source(_density(psi), params), m=params.m,
+                        grid=grid)
+    return FieldState(t=0.0, psi=psi, phi=phi, params=params, grid=grid,
+                      phi_prev=phi.copy())
 
 
 def gaussian_packet(grid: Grid, params: PhysicalParams, sigma0: float,
-                    k0: float = 0.0, x0: float = 0.0,
-                    t0: float = 0.0) -> FieldState:
+                    k0: float = 0.0) -> FieldState:
     """Unit-norm Gaussian packet whose density has standard deviation sigma0.
 
-    psi = N exp(-(x - x0)^2 / 4 sigma0^2) exp(i k0 x), phi = 0. Intended for
-    free-mode spreading runs; in coupled mode it simply starts the scalar
-    field from rest at zero. sigma0 must be at least one lattice spacing:
-    a narrower packet is not resolved, and its measured width is 0.
+    psi = N exp(-x^2 / 4 sigma0^2) exp(i k0 x), phi = 0, at t = 0.
+    Intended for free-mode spreading runs; in coupled mode it simply starts
+    the scalar field from rest at zero. sigma0 must be at least one lattice
+    spacing: a narrower packet is not resolved, and its measured width is 0.
     """
     if sigma0 <= 0.0:
         raise ValueError("sigma0 must be positive")
@@ -617,11 +610,11 @@ def gaussian_packet(grid: Grid, params: PhysicalParams, sigma0: float,
     if grid.length < 12.0 * sigma0:
         raise ValueError(f"domain {grid.length:g} too short for a packet of "
                          f"width {sigma0:g}; need >= {12.0 * sigma0:g}")
-    x = grid.axis - x0
-    psi = np.exp(-x * x / (4.0 * sigma0**2)) * np.exp(1j * k0 * grid.axis)
+    x = grid.axis
+    psi = np.exp(-x * x / (4.0 * sigma0**2)) * np.exp(1j * k0 * x)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.spacing)
     zero = np.zeros(grid.shape)
-    return FieldState(t=t0, psi=psi, phi=zero, params=params, grid=grid,
+    return FieldState(t=0.0, psi=psi, phi=zero, params=params, grid=grid,
                       phi_prev=zero.copy())
 
 

@@ -47,9 +47,6 @@ class Family(enum.Enum):
 
 
 PHI_PROFILES = ("sech", "sech_squared")
-# Slaved-field source strength: "full" is the field equation's 2M/v^2,
-# "half" the alternative printed convention.
-KERNEL_PREFACTORS = ("full", "half")
 
 
 @dataclass(frozen=True)
@@ -77,25 +74,9 @@ class PhysicalParams:
         return self.m * self.v
 
 
-def check_kernel_prefactor(kernel_prefactor: str) -> None:
-    """Raise ValueError unless kernel_prefactor is one of KERNEL_PREFACTORS."""
-    if kernel_prefactor not in KERNEL_PREFACTORS:
-        raise ValueError(f"kernel_prefactor must be one of "
-                         f"{KERNEL_PREFACTORS}, got {kernel_prefactor!r}")
-
-
-def scalar_source(density: np.ndarray, params: PhysicalParams,
-                  kernel_prefactor: str = "full") -> np.ndarray:
-    """Source term (2M/v^2) |psi|^2 of the scalar equation, from |psi|^2.
-
-    kernel_prefactor "half" halves it (see KERNEL_PREFACTORS). The factor
-    0.5 is exact, so halving the source halves the slaved field bitwise.
-    """
-    check_kernel_prefactor(kernel_prefactor)
-    scale = 2.0 * params.M / params.v**2
-    if kernel_prefactor == "half":
-        scale *= 0.5
-    return scale * density
+def scalar_source(density: np.ndarray, params: PhysicalParams) -> np.ndarray:
+    """Source term (2M/v^2) |psi|^2 of the scalar equation, from |psi|^2."""
+    return 2.0 * params.M / params.v**2 * density
 
 
 @dataclass(frozen=True)
@@ -243,9 +224,10 @@ class FieldState:
     """Matter field psi, scalar field phi, and the previous-step scalar.
 
     phi_prev holds phi at t - dt and is what the second-order explicit step
-    of the scalar wave equation consumes; it may be None for modes that do
-    not evolve phi dynamically (slaved or free evolution), in which case the
-    stepper initializes it on first use.
+    of the scalar wave equation consumes; None means a field at rest (zero
+    time derivative at t), from which each wave update builds its own first
+    history. The free mode still evolves phi, by the sourceless wave
+    equation, and the slaved (choquard) mode never reads phi_prev.
     """
 
     t: float

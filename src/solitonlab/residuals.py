@@ -14,7 +14,9 @@ profile hide behind that cancellation.
 
 The time step for the stencil is chosen automatically from the fastest phase
 scale of the sampled family so that the h^6 truncation error lands well below
-the verification tolerances while staying clear of cancellation noise.
+the verification tolerances. Half that step already puts the scalar residual
+near the 1/h^2 stencil's roundoff floor, about 1e-10 at n = 1024, so a
+step-halving ratio bounds the order from below and does not read it.
 """
 
 from __future__ import annotations
@@ -138,8 +140,8 @@ def auto_time_step(spec: SolitonSpec, params: PhysicalParams) -> float:
     h = 0.15 / w_eff with w_eff the fastest phase rate of the family:
     carrier rotation plus carrier advection plus envelope advection. The h^6
     law then puts truncation three or more orders below the 1e-6 acceptance
-    gates while staying far above the FFT rounding floor, which keeps
-    step-halving checks in the clean h^6 regime.
+    gates. At h/2 the scalar residual already sits near the 1/h^2 stencil's
+    roundoff floor (see the module docstring).
     """
     c = family_coefficients(spec, params)
     w_eff = (abs(c.Omega) + abs(c.K_carrier * c.velocity)
@@ -175,8 +177,7 @@ def residual_pair(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
 
 
 def choquard_residual(psi: np.ndarray, rotation_frequency: float,
-                      params: PhysicalParams, grid: Grid,
-                      kernel_prefactor: str = "full") -> ResidualReport:
+                      params: PhysicalParams, grid: Grid) -> ResidualReport:
     """Residual of the static-reduction (Choquard) equation.
 
     For psi(t) = psi e^(i Omega t) with the scalar field slaved to the
@@ -185,10 +186,7 @@ def choquard_residual(psi: np.ndarray, rotation_frequency: float,
         -Omega psi + (1/2M) Lap psi - M phi[psi] psi = 0,
         phi[psi] = (Lap - m^2)^(-1) (2M/v^2) |psi|^2.
 
-    kernel_prefactor selects the slaved-field strength: "full" keeps the
-    2M/v^2 source that follows from the field equation, "half" halves it to
-    match the alternative printed convention. No time stencil is involved;
-    the rotation term is exact.
+    No time stencil is involved; the rotation term is exact.
     """
     if psi.shape != grid.shape:
         raise ValueError(f"psi shape {psi.shape} does not match grid "
@@ -196,8 +194,7 @@ def choquard_residual(psi: np.ndarray, rotation_frequency: float,
     if not np.any(psi):
         raise ValueError("choquard residual of an identically zero field "
                          "is undefined")
-    phi = yukawa_invert(scalar_source(np.abs(psi) ** 2, params,
-                                      kernel_prefactor),
+    phi = yukawa_invert(scalar_source(np.abs(psi) ** 2, params),
                         m=params.m, grid=grid)
     lap = laplacian(psi, grid) - grid.transverse_k2 * psi
     kinetic = lap / (2.0 * params.M)
@@ -214,42 +211,19 @@ def choquard_residual(psi: np.ndarray, rotation_frequency: float,
 
 
 @dataclass(frozen=True)
-class ConvergenceCheck:
-    """Residuals at (n, h) and (2n, h/2) with per-equation decay ratios.
+class FamilyAuditEntry:
+    """One audited member: its residuals at (n, h/2) and, per equation, the
+    decay ratio of the residuals from (n/2, h) to (n, h/2).
 
-    For an exact family the h^6 stencil dominates both residuals, so each
-    ratio should exceed 2^4 = 16 comfortably (the pure-truncation value is
-    2^6). For a profile that genuinely fails an equation the ratio pins near
-    1: the defect is a property of the fields, not of the discretization.
+    For an exact family the h^6 stencil's truncation dominates the coarse
+    residual, so each ratio should exceed 2^4 = 16 (the pure-truncation
+    value is 2^6). The fine scalar residual sits near the 1/h^2 stencil's
+    roundoff floor, about 1e-10 at n = 1024, so the ratio bounds the order
+    from below and does not read it. For a profile that genuinely fails an
+    equation the ratio pins near 1: the defect is a property of the fields,
+    not of the discretization.
     """
 
-    coarse: tuple[ResidualReport, ResidualReport]
-    fine: tuple[ResidualReport, ResidualReport]
-
-    @property
-    def ratios(self) -> dict[str, float]:
-        out = {}
-        for c, f in zip(self.coarse, self.fine):
-            out[c.equation] = (c.abs_residual / f.abs_residual
-                               if f.abs_residual > 0.0 else np.inf)
-        return out
-
-
-def convergence_check(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
-                      t: float = 0.0, x0: float = 0.0,
-                      h: float | None = None) -> ConvergenceCheck:
-    """Run residual_pair at (n, h) and (2n, h/2)."""
-    if h is None:
-        h = auto_time_step(spec, params)
-    fine_grid = Grid(dim=grid.dim, n=2 * grid.n, length=grid.length,
-                     transverse_mode=grid.transverse_mode)
-    return ConvergenceCheck(
-        coarse=residual_pair(spec, params, grid, t=t, x0=x0, h=h),
-        fine=residual_pair(spec, params, fine_grid, t=t, x0=x0, h=0.5 * h))
-
-
-@dataclass(frozen=True)
-class FamilyAuditEntry:
     label: str
     family: str
     phi_profile: str
@@ -274,11 +248,9 @@ def full_family_audit(params: PhysicalParams,
     sech^2 member. Each entry states whether the pair satisfies both
     equations at the 1e-6 relative gate, at t = AUDIT_TIME.
 
-    The halving study runs n/2 -> n so that the reported residuals are the
-    post-halving (n-point) ones and both levels sit in the
-    truncation-dominated regime; starting at n instead would push the fine
-    level onto the time-stencil roundoff floor, where the measured ratio
-    says nothing about the discretization order.
+    The halving study runs residual_pair at (n/2, h) and (n, h/2), h from
+    auto_time_step, so the reported residuals are the n-point ones; see
+    FamilyAuditEntry for what the ratios read.
     """
     cases: list[tuple[str, SolitonSpec]] = [
         ("bright envelope, width from dispersion at omega = M",
@@ -295,13 +267,19 @@ def full_family_audit(params: PhysicalParams,
          spec_1d_b(params)),
     ]
     out = []
+    coarse_n = max(16, n // 2)
     for label, spec in cases:
-        half_grid = Grid(dim=1, n=max(16, n // 2),
-                         length=matched_length(spec, params))
-        check = convergence_check(spec, params, half_grid, t=AUDIT_TIME)
-        matter, scalar = check.fine
+        length = matched_length(spec, params)
+        h = auto_time_step(spec, params)
+        coarse, fine = (
+            residual_pair(spec, params, Grid(dim=1, n=k, length=length),
+                          t=AUDIT_TIME, h=step)
+            for k, step in ((coarse_n, h), (2 * coarse_n, 0.5 * h)))
+        ratios = {c.equation: (c.abs_residual / f.abs_residual
+                               if f.abs_residual > 0.0 else np.inf)
+                  for c, f in zip(coarse, fine)}
         out.append(FamilyAuditEntry(label=label, family=spec.family.value,
                                     phi_profile=spec.phi_profile,
-                                    matter=matter, scalar=scalar,
-                                    ratios=check.ratios))
+                                    matter=fine[0], scalar=fine[1],
+                                    ratios=ratios))
     return out

@@ -36,8 +36,8 @@ from .diagnostics import (ObservableRecord, SeriesObserver, VelocityFit,
 from .evolution import (Trajectory, default_dt, evolve, gaussian_packet,
                         perturb, state_from_solution,
                         state_with_static_field)
-from .model import (KERNEL_PREFACTORS, FieldState, Family, Grid,
-                    PhysicalParams, SolitonSpec, make_grid, validate_params)
+from .model import (FieldState, Family, Grid, PhysicalParams, SolitonSpec,
+                    make_grid, scalar_source, validate_params)
 from .residuals import FamilyAuditEntry, ResidualReport, full_family_audit
 from .solutions import (MIN_DOMAIN_WIDTHS, closed_form_width,
                         family_velocity, localization_length, matched_length,
@@ -49,6 +49,9 @@ from .spectral import (MAX_DIRECT_POINTS, yukawa_convolve_direct,
 FAILED_MARKER = "FAILED"
 # the most steps one evolution may plan; a longer plan is a ConfigError
 MAX_STEPS = 10**7
+# the most points a member's lattice may have (3D 128^3: 32 MiB per
+# complex field); a larger grid.n ** grid.dim is a ConfigError
+MAX_GRID_POINTS = 2**21
 # every scenario's wave scalar update; evolve's own default stays leapfrog
 SCHEME = "gautschi"
 
@@ -202,6 +205,10 @@ def _member_grid(config: ScenarioConfig, spec: SolitonSpec,
     (a spacing at most one envelope width)."""
     grid = _grid_for(config, matched_length(spec, params),
                      (spec.gamma, spec.eps))
+    if grid.n**grid.dim > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid.n ** grid.dim = {grid.n}^{grid.dim} lattice points is "
+            f"over the limit of {MAX_GRID_POINTS} (2^21)")
     width = localization_length(spec, params)
     if grid.length < MIN_DOMAIN_WIDTHS * width:
         raise ConfigError(
@@ -289,11 +296,14 @@ def _matched_state(spec: SolitonSpec, params: PhysicalParams) -> FieldState:
         spec, params, make_grid(1, 2048, matched_length(spec, params)))
 
 
-def _slaved_depths(state: FieldState) -> tuple[float, ...]:
-    """min(phi) slaved to the density under each of KERNEL_PREFACTORS."""
-    return tuple(float(state_with_static_field(
-        state.psi, state.params, state.grid, kernel_prefactor=p).phi.min())
-        for p in KERNEL_PREFACTORS)
+def _slaved_depths(state: FieldState) -> tuple[float, float]:
+    """min(phi) slaved to the density under the field equation's source
+    2M/v^2 and under the half-strength printed convention. Halving is
+    exact, so the second field is bitwise half the first."""
+    psi, params = state.psi, state.params
+    source = scalar_source(psi.real**2 + psi.imag**2, params)
+    return tuple(float(yukawa_invert(s, m=params.m, grid=state.grid).min())
+                 for s in (source, 0.5 * source))
 
 
 def _speed_error(measured: float, expected: float) -> float:
@@ -535,8 +545,9 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
         law_err, 0.005))
 
     # self-trapped reference over the same span, on its own matched lattice
-    # at the default step: run.dt and run.stride set the packet run only
-    sol_grid = make_grid(1, 1024, matched_length(spec, params))
+    # of at most grid.n points at the default step: run.dt and run.stride
+    # set the packet run only
+    sol_grid = make_grid(1, min(grid.n, 1024), matched_length(spec, params))
     sol_dt = _dividing_dt(T, None, "coupled", functools.partial(
         state_from_solution, spec, params, sol_grid))
     sol_recs, _ = _evolve_observed(

@@ -228,7 +228,7 @@ def _gauss01(q: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _direct_weights_1d(n: int, length: float, m: float, q: int = 20) -> np.ndarray:
+def _direct_weights_1d(n: int, length: float, m: float) -> np.ndarray:
     """Quadrature weights w[d] with phi_i = -sum_j w[(j - i) mod n] s_j.
 
     The 1D periodic kernel of (m^2 - d2/dx2) is closed form,
@@ -236,6 +236,7 @@ def _direct_weights_1d(n: int, length: float, m: float, q: int = 20) -> np.ndarr
     boundary, so plain Gauss per cell sees a smooth integrand.
     """
     dx = length / n
+    q = 20  # Gauss points per cell
     tau, om = _gauss01(q)
     B = _lagrange_basis(tau)                              # (q, P)
     w = np.zeros(n)
@@ -250,9 +251,7 @@ def _direct_weights_1d(n: int, length: float, m: float, q: int = 20) -> np.ndarr
     return w
 
 
-def _direct_weights_3d(n: int, length: float, m: float,
-                       q_bulk: int = 6, q_shell: int = 16,
-                       q_corner: int = 16) -> np.ndarray:
+def _direct_weights_3d(n: int, length: float, m: float) -> np.ndarray:
     """3D analogue of _direct_weights_1d for the kernel exp(-mr)/(4 pi r).
 
     Cells are classified by their corner offset from the target node:
@@ -280,6 +279,7 @@ def _direct_weights_3d(n: int, length: float, m: float,
     mirror fold of _circulant_apply relies on the evenness).
     """
     dx = length / n
+    q_bulk, q_shell, q_corner = 6, 16, 16  # Gauss points per axis
     w = np.zeros((n, n, n))
 
     def kernel(r: np.ndarray) -> np.ndarray:

@@ -289,14 +289,6 @@ class TestModes:
         traj = evolve(st, T=2.0, dt=dividing_dt(2.0, g, PC), mode="choquard")
         assert np.max(np.abs(np.abs(traj.final.psi) - np.abs(s.psi))) < 1e-5
 
-    def test_choquard_prefactor_halves_field_depth(self):
-        g = make_grid(1, 1024, 64.0)
-        s = sample_solution(spec_1d_b(PC), PC, g, t=0.0)
-        full = state_with_static_field(s.psi, PC, g, kernel_prefactor="full")
-        half = state_with_static_field(s.psi, PC, g, kernel_prefactor="half")
-        assert np.min(half.phi) == pytest.approx(0.5 * np.min(full.phi))
-        assert np.min(full.phi) == pytest.approx(-0.75, abs=1e-10)
-
 
 class TestStateFactories:
     def test_transverse_mismatch_rejected(self):

@@ -10,9 +10,8 @@ import pytest
 from solitonlab import residuals
 from solitonlab.model import PhysicalParams, make_grid
 from solitonlab.residuals import (
-    ConvergenceCheck, ResidualReport, auto_time_step, choquard_residual,
-    convergence_check, full_family_audit, matter_residual_from_stack,
-    residual_pair, scalar_residual_from_stack,
+    auto_time_step, choquard_residual, full_family_audit,
+    matter_residual_from_stack, residual_pair, scalar_residual_from_stack,
 )
 from solitonlab.solutions import (
     sample_solution, spec_1d_a, spec_1d_b, spec_3d_a, spec_3d_b,
@@ -97,26 +96,6 @@ class TestDetunedMomentum:
         assert scalar.rel_residual > 0.1
 
 
-class TestConvergence:
-    def test_halving_ratio_in_h6_regime(self):
-        spec = spec_1d_b(P)
-        ck = convergence_check(spec, P, grid_for(spec), t=0.3)
-        for eq, ratio in ck.ratios.items():
-            assert ratio >= 16.0, (eq, ratio)
-
-    def test_broken_profile_ratio_pins_near_one(self):
-        spec = spec_1d_a(P, phi_profile="sech")
-        ck = convergence_check(spec, P, grid_for(spec, n=1024), t=0.3)
-        assert ck.ratios["scalar"] == pytest.approx(1.0, abs=0.05)
-
-    def test_fine_reports_doubled(self):
-        spec = spec_1d_b(P)
-        g = grid_for(spec, n=1024)
-        ck = convergence_check(spec, P, g, t=0.0)
-        assert ck.fine[0].grid_points == 2048
-        assert ck.fine[0].fd_step == pytest.approx(ck.coarse[0].fd_step / 2)
-
-
 class TestStackLevelInterface:
     def test_free_plane_wave_is_exact(self):
         # psi = e^(i(kx - w t)) with w = k^2/2M and phi = 0
@@ -192,15 +171,16 @@ class TestChoquard:
     def test_stationary_member_is_exact(self):
         g = make_grid(1, 2048, 64.0)
         s = sample_solution(spec_1d_b(self.PC), self.PC, g, t=0.0)
-        rep = choquard_residual(s.psi, 0.5, self.PC, g,
-                                kernel_prefactor="full")
+        rep = choquard_residual(s.psi, 0.5, self.PC, g)
         assert rep.rel_residual < 1e-10
 
     def test_half_prefactor_breaks_balance(self):
+        # v -> v sqrt(2) halves the source 2M/v^2 and nothing else
         g = make_grid(1, 2048, 64.0)
         s = sample_solution(spec_1d_b(self.PC), self.PC, g, t=0.0)
-        rep = choquard_residual(s.psi, 0.5, self.PC, g,
-                                kernel_prefactor="half")
+        half = PhysicalParams(M=self.PC.M, m=self.PC.m,
+                              v=self.PC.v * math.sqrt(2.0))
+        rep = choquard_residual(s.psi, 0.5, half, g)
         assert rep.rel_residual > 0.1
 
     def test_wrong_rotation_frequency_detected(self):
@@ -211,8 +191,6 @@ class TestChoquard:
 
     def test_input_validation(self):
         g = make_grid(1, 64, 10.0)
-        with pytest.raises(ValueError, match="kernel_prefactor"):
-            choquard_residual(np.ones(64), 0.5, P, g, kernel_prefactor="x")
         with pytest.raises(ValueError, match="zero field"):
             choquard_residual(np.zeros(64), 0.5, P, g)
         with pytest.raises(ValueError, match="shape"):
@@ -233,6 +211,24 @@ class TestFamilyAudit:
         audit = full_family_audit(P, 1024)
         exact = [e for e in audit if e.exact]
         assert all(min(e.ratios.values()) >= 16.0 for e in exact)
+
+    def test_broken_profile_ratio_pins_near_one(self):
+        # the printed profile's scalar defect is a property of the fields,
+        # so halving the grid spacing and the time step leaves it in place
+        printed, = [e for e in full_family_audit(P, 1024)
+                    if "as printed" in e.label]
+        assert printed.ratios["scalar"] == pytest.approx(1.0, abs=0.05)
+
+    def test_fine_level_is_n_points_at_half_the_step(self):
+        specs = [spec_3d_a(P, omega=P.M), spec_3d_b(P, mu=P.m),
+                 spec_3d_b(P, mu=0.8 * P.M), spec_1d_a(P, phi_profile="sech"),
+                 spec_1d_a(P, phi_profile="sech_squared"), spec_1d_b(P)]
+        audit = full_family_audit(P, 1024)
+        assert [e.family for e in audit] == [s.family.value for s in specs]
+        for entry, spec in zip(audit, specs):
+            for rep in (entry.matter, entry.scalar):
+                assert rep.grid_points == 1024
+                assert rep.fd_step == 0.5 * auto_time_step(spec, P)
 
     def test_audit_makes_no_blas_call(self, no_blas):
         # the time stencils are plain weighted sums: a BLAS contraction of

@@ -26,8 +26,8 @@ from solitonlab import cli
 from solitonlab.cli import main
 from solitonlab.config import (ConfigError, ScenarioConfig, apply_overrides,
                                default_config, parse_config)
-from solitonlab.evolution import BlowUpError
-from solitonlab.model import make_grid
+from solitonlab.evolution import BlowUpError, state_from_solution
+from solitonlab.model import PhysicalParams, make_grid
 from solitonlab import runner
 from solitonlab.runner import FAILED_MARKER, _check, run_scenario
 from solitonlab.solutions import spec_1d_b
@@ -142,6 +142,24 @@ class TestRunScenario:
         assert report.passed
         assert report.details["records_up_to_doubling"] >= 4
 
+    @pytest.mark.parametrize("n, lattices", [(512, {512}),
+                                             (2048, {2048, 1024})])
+    def test_free_reference_lattice_follows_grid_n(self, tmp_path,
+                                                   monkeypatch, n, lattices):
+        # the self-trapped reference runs on min(grid.n, 1024) points, so a
+        # small run does not step a 1024-point lattice at its fine step
+        seen = set()
+
+        def spy(*args):
+            seen.add(args[1])
+            return make_grid(*args)
+
+        monkeypatch.setattr(runner, "make_grid", spy)
+        cfg = apply_overrides(default_config("free-spreading"),
+                              [f"grid.n={n}", "run.T=2.0"])
+        run_scenario(cfg, out_dir=tmp_path)
+        assert seen == lattices
+
     def test_success_clears_a_stale_marker(self, tmp_path):
         (tmp_path / FAILED_MARKER).write_text("left over\n")
         run_scenario(default_config("verify-residuals"), out_dir=tmp_path)
@@ -198,6 +216,19 @@ class TestChoquardPlan:
         T, dt = self.plan("choquard-stationary", [], spec_1d_b, 50.0)
         assert round(T / dt) == 375
         assert dt == pytest.approx(50.0 / 375, rel=1e-15)
+
+
+class TestSlavedDepths:
+    def test_choquard_prefactor_halves_field_depth(self):
+        # at the standing point the full source 2M/v^2 gives the closed-form
+        # depth; the half convention's source is halved exactly, and so is
+        # its field
+        PC = PhysicalParams(M=1.0, m=1.0, v=math.sqrt(2.0 / 3.0))
+        g = make_grid(1, 1024, 64.0)
+        full, half = runner._slaved_depths(
+            state_from_solution(spec_1d_b(PC), PC, g))
+        assert half == 0.5 * full
+        assert full == pytest.approx(-0.75, abs=1e-10)
 
 
 def _last_lines(code: str, tmp_path: Path, count: int) -> list[str]:
@@ -491,6 +522,8 @@ class TestCliExitCodes:
         # a lattice spacing wider than the member: it falls between nodes
         ("soliton-propagation", ["grid.length=1e9", "grid.n=256"],
          "spacing"),
+        # 2048^3 points: 128 GiB per complex field
+        ("soliton-propagation", ["grid.dim=3"], "grid.n"),
     ], ids=["free-n", "free-dim", "free-length", "verify-n",
             "rescale-strength", "verify-mu-2", "verify-mu-M",
             "propagate-mu-M", "propagate-mu-minus-M", "verify-1d_b-m",
@@ -500,7 +533,8 @@ class TestCliExitCodes:
             "verify-m-equals-M", "verify-m-above-M", "propagate-step-count",
             "verify-negative-seed", "oracle-negative-seed",
             "propagate-negative-seed", "propagate-3d_b-mu-M-constraint",
-            "propagate-3d_a-negative-alpha", "propagate-spacing-over-width"])
+            "propagate-3d_a-negative-alpha", "propagate-spacing-over-width",
+            "propagate-3d-too-many-points"])
     def test_engine_rejected_setting_is_two_before_any_work(
             self, tmp_path, capsys, monkeypatch, scenario, overrides, named):
         # lattice sizes, packet widths, momenta and rescale strengths the
@@ -516,6 +550,20 @@ class TestCliExitCodes:
             argv += ["--override", override]
         assert main(argv) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim, n, kept", [(1, 16384, True),
+                                              (3, 128, True),
+                                              (3, 256, False)])
+    def test_member_lattice_point_limit(self, dim, n, kept):
+        # Grid allocates nothing until a field asks, so this builds no array
+        cfg = apply_overrides(default_config("soliton-propagation"),
+                              [f"grid.dim={dim}", f"grid.n={n}"])
+        params = runner._physical_params(cfg)
+        if kept:
+            assert runner._member_grid(cfg, spec_1d_b(params), params).n == n
+        else:
+            with pytest.raises(ConfigError, match="grid.dim"):
+                runner._member_grid(cfg, spec_1d_b(params), params)
 
     @pytest.mark.parametrize("overrides", [
         ["soliton.family=3d_b", "soliton.gamma=0.1"],
