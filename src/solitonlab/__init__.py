@@ -7,9 +7,9 @@ A non-relativistic matter field psi coupled to a real scalar field phi:
 
 The package provides the four closed-form traveling-soliton families of this
 system, a spectral residual audit that checks them against the equations, a
-split-step evolution engine with a leapfrog or Gautschi scalar update
-(coupled, slaved-field, and free modes), diagnostics, and a config-driven
-experiment runner.
+split-step evolution engine with a Gautschi scalar update (coupled and
+free modes) or a slaved field (choquard mode), diagnostics, and a
+config-driven experiment runner.
 """
 
 from .model import (
@@ -39,7 +39,6 @@ from .solutions import (
     closed_form_width,
 )
 from .spectral import (
-    spectral_derivative,
     laplacian,
     yukawa_invert,
     yukawa_convolve_direct,
@@ -52,7 +51,6 @@ from .residuals import (
     full_family_audit,
 )
 from .evolution import (
-    StabilityError,
     BlowUpError,
     Trajectory,
     stability_limit,

@@ -4,10 +4,10 @@
                           [--override section.key=value ...]
 
 Exit codes: 0 all criterion checks passed, 1 at least one check failed,
-2 configuration problem, 3 numerical abort (instability guard or field
-blow-up), 4 internal error (any other exception, reported on one line; a
-run that had started keeps a FAILED marker naming it). Exit 1 therefore
-means only that the run finished and a check failed.
+2 configuration problem, 3 numerical abort (field blow-up), 4 internal
+error (any other exception, reported on one line; a run that had started
+keeps a FAILED marker naming it). Exit 1 therefore means only that the
+run finished and a check failed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import (SCENARIOS, ConfigError, apply_overrides, default_config,
                      parse_config)
-from .evolution import BlowUpError, StabilityError
+from .evolution import BlowUpError
 from .runner import run_scenario
 
 EXIT_PASS = 0
@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[{args.scenario}] configuration error: {e}",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (BlowUpError, StabilityError) as e:
+    except BlowUpError as e:
         print(f"[{args.scenario}] numerical abort: "
               f"{type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_NUMERICAL_ABORT

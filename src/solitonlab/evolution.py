@@ -4,34 +4,32 @@ The matter field advances by Strang splitting: a half kick by the scalar
 potential, a full spectral kinetic drift, and a second half kick by the
 updated potential. The scalar field advances by one scalar update, which
 the loop hands phi(t), phi(t - dt) and a source density and which hands
-back phi(t + dt). There are three:
+back phi(t + dt). There are two:
 
-  leapfrog  second difference of the driven wave equation,
-            phi+ = 2 phi - phi- + dt^2 (Lap phi - m^2 phi - s), with the
-            source s = (2M/v^2)|psi|^2 captured at the step start (phase
-            kicks do not change it, the drift would)
-  gautschi  the same recurrence with the exact-in-time multipliers of the
-            wave equation under that frozen source, on the rfft half
-            spectrum: per mode, phi^+ = 2 phi^ - phi^- + A (phi^ + s^/w^2),
-            A = 2 cos(w dt) - 2, w^2 = k^2 + m^2, with the k^2 the
-            Laplacian uses (so no transverse term, as in leapfrog). It
-            tends to leapfrog as dt -> 0 and is exact for the linear part
-            at any dt. The update carries (phi^, phi^-) through the whole
-            loop, so a step is one rfft of the source and one irfft that
-            gives the phi the kick reads: two transforms, as the leapfrog
-            Laplacian takes (the free mode has no source and takes the
-            irfft alone). The first step transforms phi and its history in
-            the same rfft call as its source
+  gautschi  the wave update of the coupled and free modes: the second
+            difference of the driven wave equation with its exact-in-time
+            multipliers under the source s = (2M/v^2)|psi|^2 captured at
+            the step start (phase kicks do not change it, the drift would),
+            on the rfft half spectrum: per mode,
+            phi^+ = 2 phi^ - phi^- + A (phi^ + s^/w^2), A = 2 cos(w dt) - 2,
+            w^2 = k^2 + m^2, with the k^2 the Laplacian uses (so no
+            transverse term). It is exact for the linear part at any dt
+            (Hochbruck & Lubich, Numer. Math. 83, 1999). The update carries
+            (phi^, phi^-) through the whole loop, so a step is one rfft of
+            the source and one irfft that gives the phi the kick reads (the
+            free mode has no source and takes the irfft alone). The first
+            step transforms phi and its history in the same rfft call as
+            its source
   slaved    the choquard mode's field, the static screened inverse of the
-            post-drift density; evolve's scheme does not apply to it. The
-            multiplier, screened inverse times source factor, is built once
-            per evolve, so a substep is one rfft, one multiply, one irfft
+            post-drift density. The multiplier, screened inverse times
+            source factor, is built once per evolve, so a substep is one
+            rfft, one multiply, one irfft
 
 Every transform is numpy.fft's, picked once per evolve (and per scalar
 update) by spectral.transforms: the 1D calls on a 1D grid. The drift
 transforms psi in place. No BLAS call is made.
 
-Both wave updates are time symmetric, and so is the Strang step, so a
+Both scalar updates are time symmetric, and so is the Strang step, so a
 trajectory can be retraced exactly: conjugate the matter field and hand
 the scalar update its own forward-time next field as the new previous one.
 
@@ -52,32 +50,27 @@ The pending half kick is applied only before an observer call or the
 return, so everything outside the loop sees fully kicked states, the same
 ones the unmerged scheme produces up to roundoff. phi does not move between
 that flush and the next step's opening half kick, so the opening reuses the
-flushed kick instead of evaluating it again. The blow-up guard reads |psi|,
+flushed kick instead of evaluating it again. The blow-up check reads |psi|,
 which a kick does not change, so it runs every step regardless.
 
 Three modes share one loop body (optional kick, drift, scalar update):
 
   coupled   full dynamics, scalar field carries its own wave equation
-            (leapfrog or gautschi with the density source)
+            (gautschi with the density source)
   choquard  scalar field slaved to the instantaneous density through the
             static screened inverse, refreshed after every drift
   free      coupling switched off: no kicks, matter drifts freely, scalar
-            field obeys the sourceless wave equation (leapfrog or gautschi)
+            field obeys the sourceless wave equation (gautschi)
 
-The step-size guard dt <= min(dx/2, 1/2m) keeps the scalar leapfrog inside
-its spectral stability window (dt < 2/w_max ~ 0.64 dx) and resolves the
-scalar mass oscillation; it applies to leapfrog alone and can be lifted
-explicitly for experiments on the unstable side. Gautschi has no stability
-window and no guard: its default step comes from accuracy, the rates at
+No step is held to a stability window: the matter kick and drift are exact
+unitary maps at any dt, and the Gautschi update is exact for the linear
+wave part at any dt. The default step comes from accuracy, the rates at
 which the initial state kicks, travels and spreads (default_dt), so a finer
-lattice does not force more steps. The slaved field has no wave equation
-and no guard either, and its fourth-order step is set by accuracy from the
-same rates, at 1/(10 r). The matter kick and drift are exact unitary maps
-at any dt, so the guard is about the wave equation, not the Schroedinger
-half. For initial data with appreciable power near the lattice Nyquist mode
-(noise studies), dt <= M dx^2 additionally keeps every kinetic phase
-increment below 2 pi and rules out split-step resonances; pass such a dt
-explicitly where that matters.
+lattice does not force more steps; the slaved field's fourth-order step is
+set from the same rates, at 1/(10 r). For initial data with appreciable
+power near the lattice Nyquist mode (noise studies), dt <= M dx^2
+additionally keeps every kinetic phase increment below 2 pi and rules out
+split-step resonances; pass such a dt explicitly where that matters.
 
 The observer is the one way to see the states between the endpoints of a
 run: evolve hands it the initial state, every observer_stride-th state and
@@ -97,13 +90,11 @@ import numpy as np
 
 from .model import FieldState, Grid, PhysicalParams, scalar_source
 from .solutions import sample_solution
-from .spectral import laplacian, screened_inverse, transforms, \
-    yukawa_invert
+from .spectral import screened_inverse, transforms, yukawa_invert
 
 BLOWUP_FACTOR = 1e3
 
 MODES = ("coupled", "choquard", "free")
-SCHEMES = ("gautschi", "leapfrog")
 PERTURBATION_KINDS = ("amplitude_noise", "phase_noise", "width_rescale")
 
 # Yoshida's symmetric triple jump: Strang substeps of w1 dt, w0 dt, w1 dt
@@ -119,10 +110,6 @@ def _check_choice(what: str, value: str, valid: tuple[str, ...]) -> None:
                          f"(valid: {', '.join(valid)})")
 
 
-class StabilityError(ValueError):
-    """Requested step exceeds the prescribed stability guard."""
-
-
 class BlowUpError(RuntimeError):
     """Matter amplitude ran away; carries the failure time."""
 
@@ -133,49 +120,36 @@ class BlowUpError(RuntimeError):
                          f"blow-up threshold at t = {t:.6g}")
 
 
-def _guarded(scheme: str, mode: str) -> bool:
-    """Whether the step is held to the stability guard: the leapfrog wave
-    update only, which the choquard mode does not use."""
-    return scheme == "leapfrog" and mode != "choquard"
-
-
 def stability_limit(grid: Grid, params: PhysicalParams) -> float:
-    """Largest admissible leapfrog step: min(dx/2, 1/2m)."""
+    """min(dx/2, 1/2m), the stability limit of an explicit second-difference
+    (leapfrog) wave update. No step is held to it; 90% of it is the floor
+    of default_dt for the coupled and free modes."""
     dx = grid.spacing
     return min(0.5 * dx, 0.5 / params.m)
 
 
-def default_dt(initial: FieldState, scheme: str = "leapfrog",
-               mode: str = "coupled") -> float:
+def default_dt(initial: FieldState, mode: str = "coupled") -> float:
     """The step evolve takes from initial when none is given, before it
     lands on T.
 
     With r the fastest rate of change of the initial state (_state_rate):
 
-      choquard  1/(10 r), whatever the scheme: the slaved field has no wave
-                equation and so no stability limit, and the fourth-order
-                step is held to accuracy alone; 0.9/2m when r = 0
-      leapfrog  90% of stability_limit
-      gautschi  max(0.9 stability_limit, min(0.9/2m, 1/(8 r))), so that
-                one step turns no phase by more than 1/8 and moves the
-                envelope by at most 1/8 of its width; the mass bound
-                resolves the scalar mass oscillation as the guard does.
-                The outer max means Gautschi never takes more steps than
-                leapfrog.
+      choquard         1/(10 r): the fourth-order step is held to accuracy
+                       alone; 0.9/2m when r = 0
+      coupled, free    max(0.9 stability_limit, min(0.9/2m, 1/(8 r))), so
+                       that one step turns no phase by more than 1/8 and
+                       moves the envelope by at most 1/8 of its width; the
+                       mass bound resolves the scalar mass oscillation
     """
-    _check_choice("scalar scheme", scheme, SCHEMES)
     _check_choice("evolution mode", mode, MODES)
     params = initial.params
     mass_bound = 0.9 / (2.0 * params.m)
-    if mode == "choquard":
-        rate = _state_rate(initial)
-        return 1.0 / (10.0 * rate) if rate > 0.0 else mass_bound
-    guard = 0.9 * stability_limit(initial.grid, params)
-    if _guarded(scheme, mode):
-        return guard
     rate = _state_rate(initial)
+    if mode == "choquard":
+        return 1.0 / (10.0 * rate) if rate > 0.0 else mass_bound
     bound = 1.0 / (8.0 * rate) if rate > 0.0 else math.inf
-    return max(guard, min(mass_bound, bound))
+    return max(0.9 * stability_limit(initial.grid, params),
+               min(mass_bound, bound))
 
 
 def _state_rate(state: FieldState) -> float:
@@ -259,34 +233,6 @@ class _ScalarUpdate:
         return self.step(*self.start(phi, phi_prev, density), density)[0]
 
 
-class _Leapfrog(_ScalarUpdate):
-    """phi+ = 2 phi - phi- + dt^2 (Lap phi - m^2 phi [- source])."""
-
-    def __init__(self, params: PhysicalParams, grid: Grid, dt: float,
-                 sourced: bool):
-        self.params, self.grid, self.dt = params, grid, dt
-        self.sourced = sourced
-        self.m2 = params.m**2
-        self.dt2 = dt * dt
-
-    def _acceleration(self, phi: np.ndarray,
-                      density: np.ndarray) -> np.ndarray:
-        acc = laplacian(phi, self.grid) - self.m2 * phi
-        if self.sourced:
-            acc = acc - scalar_source(density, self.params)
-        return acc
-
-    def start(self, phi, phi_prev, density):
-        if phi_prev is not None:
-            return phi, np.array(phi_prev, dtype=float, copy=True)
-        # static Taylor start: phi(t - dt) ~ phi + (dt^2/2) phi_tt
-        return phi, phi + 0.5 * self.dt2 * self._acceleration(phi, density)
-
-    def step(self, phi, phi_prev, density):
-        acc = self._acceleration(phi, density)
-        return 2.0 * phi - phi_prev + self.dt2 * acc, phi
-
-
 class _Gautschi(_ScalarUpdate):
     """phi^+ = 2 phi^ - phi^- + A (phi^ + s^/w^2) on the rfft half
     spectrum, exact in time for a frozen source: A = 2 cos(w dt) - 2
@@ -368,34 +314,29 @@ class _Slaved(_ScalarUpdate):
         return None
 
 
-def _scalar_update(mode: str, scheme: str, params: PhysicalParams,
-                   grid: Grid, dt: float) -> _ScalarUpdate:
+def _scalar_update(mode: str, params: PhysicalParams, grid: Grid,
+                   dt: float) -> _ScalarUpdate:
     if mode == "choquard":
         return _Slaved(params, grid)
-    wave = _Gautschi if scheme == "gautschi" else _Leapfrog
-    return wave(params, grid, dt, sourced=mode == "coupled")
+    return _Gautschi(params, grid, dt, sourced=mode == "coupled")
 
 
 def evolve(initial: FieldState, T: float, dt: float | None = None, *,
            mode: str = "coupled",
-           scheme: str = "leapfrog",
            observer: Callable[[FieldState], object] | None = None,
-           observer_stride: int = 1,
-           enforce_stability: bool = True) -> Trajectory:
+           observer_stride: int = 1) -> Trajectory:
     """Advance a state by T and return the run's endpoints and counters.
 
     The step count is ceil(T/dt), with the actual step shrunk to land on T
     exactly; the requested dt is never exceeded. dt defaults to
-    default_dt for the scheme and the initial field. scheme picks the wave
-    update of the coupled and free modes, leapfrog or gautschi; the choquard
-    mode slaves the field under the source 2M/v^2, ignores it and takes
-    every step as a triple jump of three Strang substeps. mode and scheme
-    are plain strings from MODES and SCHEMES. The stability guard applies
-    to leapfrog steps of the coupled and free modes unless
-    enforce_stability is off; the choquard and Gautschi steps have none.
-    The observer is the only view of the states in between: when given, it
-    is called on the initial state and every observer_stride steps after
-    that (plus the final state), and its return value is ignored.
+    default_dt for the mode and the initial field. mode is a plain string
+    from MODES: the coupled and free modes step the scalar field with the
+    Gautschi update, and the choquard mode slaves it under the source
+    2M/v^2 and takes every step as a triple jump of three Strang substeps.
+    No step size is refused for stability. The observer is the only view
+    of the states in between: when given, it is called on the initial
+    state and every observer_stride steps after that (plus the final
+    state), and its return value is ignored.
     observer_stride must be an integer >= 1. The returned trajectory counts
     the phase kicks it applied in kicks: for N steps with nothing
     observed in between, N + 1 coupled and 3N + 1 choquard; up to 2N and
@@ -407,7 +348,6 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     or a field turns non-finite.
     """
     _check_choice("evolution mode", mode, MODES)
-    _check_choice("scalar scheme", scheme, SCHEMES)
     if T < 0.0:
         raise ValueError("T must be nonnegative; retrace a trajectory by "
                          "reversing the final state and evolving forward")
@@ -416,17 +356,10 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
         raise ValueError(f"observer_stride must be an integer >= 1, "
                          f"got {observer_stride!r}")
     params, grid = initial.params, initial.grid
-    limit = stability_limit(grid, params)
     if dt is None:
-        dt = default_dt(initial, scheme, mode)
+        dt = default_dt(initial, mode)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if enforce_stability and _guarded(scheme, mode) \
-            and dt > limit * (1.0 + 1e-12):
-        raise StabilityError(
-            f"dt = {dt:.3e} exceeds the stability guard {limit:.3e} "
-            f"= min(dx/2, 1/2m); pass enforce_stability=False "
-            f"to run anyway")
 
     if observer is not None:
         observer(initial)
@@ -450,7 +383,7 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     psi = initial.psi.astype(complex, copy=True)
     kicked = mode != "free"
     density = _density(psi)
-    scalar = _scalar_update(mode, scheme, params, grid, dt)
+    scalar = _scalar_update(mode, params, grid, dt)
     phi, phi_prev = scalar.start(
         np.array(initial.phi, dtype=float, copy=True), initial.phi_prev,
         density)
@@ -483,8 +416,8 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     threshold = BLOWUP_FACTOR * max(initial_peak, 1e-300)
 
     for i in range(n_steps):
-        # running off the stability cliff overflows before the guard below
-        # trips; the abort is the handler, so keep numpy quiet about it
+        # a run that blows up overflows before the check below trips; the
+        # abort is the handler, so keep numpy quiet about it
         with np.errstate(over="ignore", invalid="ignore"):
             for merged, drift in substeps:
                 if kicked:
@@ -533,23 +466,21 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
 
 
 def reverse_state(state: FieldState, dt: float,
-                  mode: str = "coupled",
-                  scheme: str = "leapfrog") -> FieldState:
+                  mode: str = "coupled") -> FieldState:
     """Turn a state around for exact retracing.
 
     Conjugating the matter field reverses its motion under the same
     Hamiltonian. The state holds phi(t) and phi(t - dt); with time running
-    backwards the previous field is phi(t + dt), which the scheme's own
-    step supplies (swapping the two would move the state back by dt).
-    Evolving the result forward by T with the same dt, mode and scheme
+    backwards the previous field is phi(t + dt), which the mode's own
+    scalar update supplies (swapping the two would move the state back by
+    dt). Evolving the result forward by T with the same dt and mode
     reproduces the state from T earlier, exactly up to roundoff.
     """
     _check_choice("evolution mode", mode, MODES)
-    _check_choice("scalar scheme", scheme, SCHEMES)
     phi_prev_back = None
     if state.phi_prev is not None:
         phi_prev_back = _scalar_update(
-            mode, scheme, state.params, state.grid, dt).reverse(
+            mode, state.params, state.grid, dt).reverse(
                 state.phi, state.phi_prev, _density(state.psi))
     return FieldState(t=state.t, psi=np.conj(state.psi), phi=state.phi,
                       params=state.params, grid=state.grid,
@@ -625,7 +556,7 @@ def perturb(state: FieldState, kind: str, strength: float,
     amplitude_noise  psi (1 + strength eta), eta ~ N(0, 1) per node
     phase_noise      psi exp(i strength eta)
     width_rescale    envelope stretched about the domain center by the
-                     factor 1 + strength (spline resampling, periodic)
+                     factor 1 + strength (band-limited resampling, _stretch)
 
     eta comes from the stdlib random.Random(seed), node by node in C
     order. strength = 0 returns the state unchanged for every kind. The
@@ -647,15 +578,8 @@ def perturb(state: FieldState, kind: str, strength: float,
         factor = 1.0 + strength
         if factor <= 0.0:
             raise ValueError("width_rescale strength must exceed -1")
-        from scipy.ndimage import map_coordinates
-        grid = state.grid
-        idx = np.arange(grid.n, dtype=float)
-        center = grid.n / 2.0
-        coords = [(center + (idx - center) / factor) % grid.n] * grid.dim
-        mesh = np.meshgrid(*coords, indexing="ij") if grid.dim > 1 else coords
-        psi = (map_coordinates(psi.real, mesh, order=3, mode="grid-wrap")
-               + 1j * map_coordinates(psi.imag, mesh, order=3,
-                                      mode="grid-wrap"))
+        for axis in range(state.grid.dim):
+            psi = _stretch(psi, factor, axis)
     old = math.sqrt(float(np.sum(np.abs(state.psi) ** 2)))
     new = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     if new == 0.0:
@@ -663,3 +587,29 @@ def perturb(state: FieldState, kind: str, strength: float,
     psi = psi * (old / new)
     return FieldState(t=state.t, psi=psi, phi=state.phi, params=state.params,
                       grid=state.grid, phi_prev=state.phi_prev)
+
+
+def _stretch(psi: np.ndarray, factor: float, axis: int) -> np.ndarray:
+    """psi along axis at the fractional indices c + (j - c)/factor, c = n/2,
+    from its band-limited trigonometric interpolant (exact for a field
+    that the lattice resolves).
+
+    With the node offset j - c and the wavenumber index kappa both in
+    [-n/2, n/2), the values are sum_kappa g_kappa exp(2 pi i a kappa j),
+    a = 1/(n factor), a scaled DFT of the centred spectrum g. Bluestein's
+    2 kappa j = kappa^2 + j^2 - (j - kappa)^2 turns it into a chirp
+    convolution, done by FFTs of length 2n.
+    """
+    n = psi.shape[axis]
+    j = np.arange(n) - n // 2
+    t = np.arange(2 * n) - n  # the lags j - kappa, in ifftshift order below
+
+    def chirp(u: np.ndarray) -> np.ndarray:
+        return np.exp((1j * np.pi / (n * factor)) * (u * u))
+
+    # the spectrum by kappa; (-1)^kappa moves its origin to the centre node
+    g = np.fft.fftshift(np.fft.fft(np.moveaxis(psi, axis, -1)), axes=-1)
+    g *= (-1.0) ** j * chirp(j) / n
+    lags = np.fft.fft(np.fft.ifftshift(np.conj(chirp(t))))
+    out = np.fft.ifft(np.fft.fft(g, 2 * n) * lags)[..., :n] * chirp(j)
+    return np.moveaxis(out, -1, axis)

@@ -223,9 +223,9 @@ def make_grid(dim: int, n: int, length: float,
 class FieldState:
     """Matter field psi, scalar field phi, and the previous-step scalar.
 
-    phi_prev holds phi at t - dt and is what the second-order explicit step
+    phi_prev holds phi at t - dt and is what the two-step Gautschi update
     of the scalar wave equation consumes; None means a field at rest (zero
-    time derivative at t), from which each wave update builds its own first
+    time derivative at t), from which the update builds its own first
     history. The free mode still evolves phi, by the sourceless wave
     equation, and the slaved (choquard) mode never reads phi_prev.
     """

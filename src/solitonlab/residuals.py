@@ -14,9 +14,9 @@ profile hide behind that cancellation.
 
 The time step for the stencil is chosen automatically from the fastest phase
 scale of the sampled family so that the h^6 truncation error lands well below
-the verification tolerances. Half that step already puts the scalar residual
-near the 1/h^2 stencil's roundoff floor, about 1e-10 at n = 1024, so a
-step-halving ratio bounds the order from below and does not read it.
+the verification tolerances and above the 1/h^2 stencil's roundoff floor,
+about 1e-10 at n = 1024, which half that step would already reach. A
+step-halving study from twice that step to it therefore reads the order.
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ def auto_time_step(spec: SolitonSpec, params: PhysicalParams) -> float:
     h = 0.15 / w_eff with w_eff the fastest phase rate of the family:
     carrier rotation plus carrier advection plus envelope advection. The h^6
     law then puts truncation three or more orders below the 1e-6 acceptance
-    gates. At h/2 the scalar residual already sits near the 1/h^2 stencil's
-    roundoff floor (see the module docstring).
+    gates. At h/2 the scalar residual would sit near the 1/h^2 stencil's
+    roundoff floor, so h is the fine step of the audit (see the module
+    docstring).
     """
     c = family_coefficients(spec, params)
     w_eff = (abs(c.Omega) + abs(c.K_carrier * c.velocity)
@@ -212,14 +213,12 @@ def choquard_residual(psi: np.ndarray, rotation_frequency: float,
 
 @dataclass(frozen=True)
 class FamilyAuditEntry:
-    """One audited member: its residuals at (n, h/2) and, per equation, the
-    decay ratio of the residuals from (n/2, h) to (n, h/2).
+    """One audited member: its residuals at (n, h) and, per equation, the
+    decay ratio of the residuals from (n/2, 2h) to (n, h).
 
-    For an exact family the h^6 stencil's truncation dominates the coarse
-    residual, so each ratio should exceed 2^4 = 16 (the pure-truncation
-    value is 2^6). The fine scalar residual sits near the 1/h^2 stencil's
-    roundoff floor, about 1e-10 at n = 1024, so the ratio bounds the order
-    from below and does not read it. For a profile that genuinely fails an
+    For an exact family the h^6 stencil's truncation dominates both
+    residuals, so each ratio reads the order: near 2^6 = 64, and above the
+    2^4 = 16 the checks require. For a profile that genuinely fails an
     equation the ratio pins near 1: the defect is a property of the fields,
     not of the discretization.
     """
@@ -248,9 +247,10 @@ def full_family_audit(params: PhysicalParams,
     sech^2 member. Each entry states whether the pair satisfies both
     equations at the 1e-6 relative gate, at t = AUDIT_TIME.
 
-    The halving study runs residual_pair at (n/2, h) and (n, h/2), h from
-    auto_time_step, so the reported residuals are the n-point ones; see
-    FamilyAuditEntry for what the ratios read.
+    The halving study runs residual_pair at (n/2, 2h) and (n, h), h from
+    auto_time_step, so the reported residuals are the n-point ones at h,
+    where the fine scalar residual stays clear of the stencil's roundoff
+    floor; see FamilyAuditEntry for what the ratios read.
     """
     cases: list[tuple[str, SolitonSpec]] = [
         ("bright envelope, width from dispersion at omega = M",
@@ -274,7 +274,7 @@ def full_family_audit(params: PhysicalParams,
         coarse, fine = (
             residual_pair(spec, params, Grid(dim=1, n=k, length=length),
                           t=AUDIT_TIME, h=step)
-            for k, step in ((coarse_n, h), (2 * coarse_n, 0.5 * h)))
+            for k, step in ((coarse_n, 2.0 * h), (2 * coarse_n, h)))
         ratios = {c.equation: (c.abs_residual / f.abs_residual
                                if f.abs_residual > 0.0 else np.inf)
                   for c, f in zip(coarse, fine)}

@@ -52,8 +52,6 @@ MAX_STEPS = 10**7
 # the most points a member's lattice may have (3D 128^3: 32 MiB per
 # complex field); a larger grid.n ** grid.dim is a ConfigError
 MAX_GRID_POINTS = 2**21
-# every scenario's wave scalar update; evolve's own default stays leapfrog
-SCHEME = "gautschi"
 
 
 @dataclass
@@ -234,8 +232,7 @@ def _dividing_dt(T: float, requested: float | None, mode: str,
     history consistent with the step actually taken. A plan of more than
     MAX_STEPS steps is a ConfigError.
     """
-    dt = default_dt(member(), SCHEME, mode) if requested is None \
-        else requested
+    dt = default_dt(member(), mode) if requested is None else requested
     if T / dt > MAX_STEPS:
         raise ConfigError(
             f"run.T / run.dt = {T:g} / {dt:g} plans {T / dt:.3g} steps, "
@@ -281,11 +278,11 @@ def _plan(config: ScenarioConfig, findings: list[str],
 def _evolve_observed(report: RunReport, initial: FieldState, T: float,
                      dt: float, stride: int, mode: str
                      ) -> tuple[list[ObservableRecord], Trajectory]:
-    """evolve under SCHEME, observed every stride steps; its steps count on
-    the report."""
+    """evolve, observed every stride steps; its steps count on the
+    report."""
     observer = SeriesObserver()
-    traj = evolve(initial, T, dt, mode=mode, scheme=SCHEME,
-                  observer=observer, observer_stride=stride)
+    traj = evolve(initial, T, dt, mode=mode, observer=observer,
+                  observer_stride=stride)
     report.step_count += traj.step_count
     return observer.records, traj
 

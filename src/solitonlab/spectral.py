@@ -1,4 +1,4 @@
-"""Periodic spectral derivatives and the screened-Poisson solver.
+"""The periodic spectral Laplacian and the screened-Poisson solver.
 
 Two independent routes are provided for the static scalar field:
 
@@ -33,7 +33,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .model import Grid
 
 __all__ = [
-    "spectral_derivative",
     "laplacian",
     "yukawa_invert",
     "yukawa_convolve_direct",
@@ -77,35 +76,6 @@ def transforms(grid: Grid) -> Transforms:
     return Transforms(fft.fftn, fft.ifftn,
                       functools.partial(fft.rfftn, axes=axes),
                       functools.partial(fft.irfftn, s=grid.shape, axes=axes))
-
-
-def spectral_derivative(field: np.ndarray, grid: Grid, axis: int = 0,
-                        order: int = 1) -> np.ndarray:
-    """Exact derivative of the trigonometric interpolant along one axis.
-
-    order 1 zeroes the Nyquist mode (the sawtooth mode has no well-defined
-    odd derivative and zeroing keeps real fields real); order 2 keeps it
-    with multiplier -k_nyq^2.
-    """
-    if field.shape != grid.shape:
-        raise ValueError(f"field shape {field.shape} does not match grid {grid.shape}")
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if not (0 <= axis < grid.dim):
-        raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
-    if order == 1:
-        mult = 1j * k
-        mult[grid.n // 2] = 0.0
-    else:
-        mult = -(k**2)
-    shape = [1] * grid.dim
-    shape[axis] = grid.n
-    hat = np.fft.fft(field, axis=axis) * mult.reshape(shape)
-    out = np.fft.ifft(hat, axis=axis)
-    if not np.iscomplexobj(field):
-        return out.real
-    return out
 
 
 def laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Split-step integrator: conservation, accuracy, reversal, guards, modes,
-the default step and the Gautschi scalar update."""
+"""Split-step integrator: conservation, accuracy, reversal, blow-up aborts,
+modes, the default step and the Gautschi scalar update."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import pytest
 from solitonlab import evolution
 from solitonlab.model import FieldState, PhysicalParams, make_grid
 from solitonlab.evolution import (
-    BlowUpError, StabilityError, default_dt, evolve,
+    BlowUpError, default_dt, evolve,
     gaussian_packet, perturb, reverse_state, stability_limit,
     state_from_solution, state_with_static_field,
 )
@@ -47,16 +47,6 @@ class TestStepControl:
         dx = g.spacing
         assert stability_limit(g, P) == min(dx / 2, 0.5 / P.m)
 
-    def test_guard_raises_and_can_be_lifted(self):
-        st, g = soliton_state()
-        bad = 2.0 * stability_limit(g, P)
-        with pytest.raises(StabilityError, match="stability guard"):
-            evolve(st, T=0.1, dt=bad)
-        # a few over-limit steps do not yet blow up; the guard is a guard,
-        # not a hard wall
-        traj = evolve(st, T=5 * bad, dt=bad, enforce_stability=False)
-        assert traj.step_count == 5
-
     def test_steps_land_on_T_exactly(self):
         st, g = soliton_state()
         traj = evolve(st, T=0.1, dt=0.9 * stability_limit(g, P))
@@ -81,7 +71,7 @@ class TestStepControl:
         st, _ = soliton_state()
         with pytest.raises(ValueError, match="unknown evolution mode"):
             evolve(st, T=0.0, mode="fancy")
-        # modes are plain strings, spelled exactly, as schemes are
+        # modes are plain strings, spelled exactly
         with pytest.raises(ValueError, match="unknown evolution mode"):
             evolve(st, T=0.0, mode="Coupled")
 
@@ -113,7 +103,7 @@ class TestStepControl:
             warnings.simplefilter("error")
             evolve(st, T=1.0, dt=0.07, mode="choquard")
         with pytest.warns(UserWarning, match="phi_prev"):
-            evolve(st, T=1.0, dt=0.07, mode="coupled", scheme="gautschi")
+            evolve(st, T=1.0, dt=0.07, mode="coupled")
 
 
 class TestConservationAndAccuracy:
@@ -168,15 +158,20 @@ class TestConservationAndAccuracy:
 
 
 class TestBlowUp:
-    def test_unstable_step_aborts_with_time(self):
-        st, g = soliton_state()
+    @pytest.mark.parametrize("mode", ["coupled", "free"])
+    def test_non_finite_phi_aborts_after_one_step(self, mode):
+        # one NaN node of phi: the coupled kick carries it into psi, which
+        # trips the |psi| check; the free mode kicks nothing, and the
+        # Gautschi update spreads it over phi, which trips the phi check
+        st, g = soliton_state(dt=0.1, t0=1.5)
+        phi = st.phi.copy()
+        phi[g.n // 3] = np.nan
+        bad = FieldState(t=st.t, psi=st.psi, phi=phi, params=P, grid=g,
+                         phi_prev=st.phi_prev)
         with pytest.raises(BlowUpError) as exc:
-            evolve(st, T=50.0, dt=0.1, enforce_stability=False)
-        assert 0.0 < exc.value.t <= 50.0
-        # the abort step is deterministic; kick merging must not move it
-        assert exc.value.t == pytest.approx(22.5, abs=1e-12)
-        assert not np.isfinite(exc.value.amplitude) or \
-            exc.value.amplitude > 1e3
+            evolve(bad, T=1.0, dt=0.1, mode=mode)
+        assert exc.value.t == pytest.approx(1.6, abs=1e-12)
+        assert not math.isfinite(exc.value.amplitude)
 
 
 class TestTrajectoryPlumbing:
@@ -215,12 +210,12 @@ class TestTrajectoryPlumbing:
         monkeypatch.setattr(evolution, "_phase_kick",
                             lambda *a: calls.append(1) or kick(*a))
         st = stationary_state(make_grid(1, 512, 64.0))
-        traj = evolve(st, T=1.0, dt=0.1, mode=mode, scheme="gautschi",
+        traj = evolve(st, T=1.0, dt=0.1, mode=mode,
                       observer=lambda s: None, observer_stride=1)
         assert len(calls) == per_step * 10 + 1
         assert traj.kicks == (per_step + 1) * 10
 
-    def test_snapshots_carry_leapfrog_history(self):
+    def test_snapshots_carry_scalar_history(self):
         st, g = soliton_state(dt=0.001)
         traj = evolve(st, T=0.01, dt=0.001)
         assert traj.final.phi_prev is not None
@@ -262,25 +257,6 @@ class TestModes:
         a = evolve(pk, T=0.5, dt=0.001, mode="free")
         b = evolve(seeded, T=0.5, dt=0.001, mode="free")
         np.testing.assert_allclose(a.final.psi, b.final.psi, atol=1e-14)
-
-    def test_free_scalar_mode_frequency(self):
-        # a single cosine mode oscillates at the discrete leapfrog frequency
-        # w_h = (2/dt) asin(w dt/2), recovered from consecutive triples
-        g = make_grid(1, 256, 32.0)
-        k1 = 2.0 * np.pi * 3 / g.length
-        w = math.sqrt(k1**2 + P.m**2)
-        dt = 0.002
-        theta = 2.0 * math.asin(0.5 * w * dt)
-        phi0 = 0.7 * np.cos(k1 * g.axis)
-        st = FieldState(t=0.0, psi=np.zeros(g.n, dtype=complex), phi=phi0,
-                        params=P, grid=g, phi_prev=phi0 * math.cos(theta))
-        states = []
-        evolve(st, T=0.2, dt=dt, mode="free", observer=states.append)
-        c = np.array([2.0 * np.sum(s.phi * np.cos(k1 * g.axis)) / g.n
-                      for s in states])
-        cos_est = (c[2:] + c[:-2]) / (2.0 * c[1:-1])
-        w_h = np.arccos(np.clip(cos_est, -1.0, 1.0)) / dt
-        assert np.max(np.abs(w_h - theta / dt)) < 1e-9
 
     def test_choquard_keeps_stationary_profile(self):
         g = make_grid(1, 1024, 64.0)
@@ -357,6 +333,7 @@ class TestPerturb:
             assert perturb(self.state, kind, 0.0, seed=3) is self.state
 
     def test_width_rescale_stretches_envelope(self):
+        # the band-limited resampling stretches a resolved envelope exactly
         g = self.grid
         p = perturb(self.state, "width_rescale", 0.1)
         for st, expect in ((self.state, 1.0), (p, 1.1)):
@@ -366,7 +343,24 @@ class TestPerturb:
             if expect == 1.0:
                 base = w
             else:
-                assert w / base == pytest.approx(expect, rel=1e-4)
+                assert w / base == pytest.approx(expect, rel=1e-12)
+
+    def test_width_rescale_matches_the_stretched_field_in_3d(self):
+        # a packet that the lattice resolves, with a different width along
+        # each axis, and that decays within the box once stretched
+        g = make_grid(3, 64, 32.0)
+        x, y, z = np.meshgrid(g.axis, g.axis, g.axis, indexing="ij")
+
+        def packet(s):
+            r2 = x**2 + 1.5 * y**2 + 0.75 * z**2
+            return np.exp(-r2 / (4.0 * s * s) + 0.3j * x / s)
+        st = FieldState(t=0.0, psi=packet(1.0), phi=np.zeros(g.shape),
+                        params=P, grid=g)
+        got = perturb(st, "width_rescale", 0.25).psi
+        expect = packet(1.25)
+        expect *= math.sqrt(st.norm() / (np.sum(np.abs(expect) ** 2)
+                                         * g.volume_element))
+        assert np.max(np.abs(got - expect)) < 1e-9
 
     def test_phase_noise_keeps_density(self):
         p = perturb(self.state, "phase_noise", 0.05, seed=11)
@@ -379,33 +373,25 @@ class TestPerturb:
 
 
 class TestDefaultStep:
-    def test_leapfrog_takes_ninety_percent_of_the_guard(self):
-        st, g = soliton_state()
-        assert default_dt(st) == 0.9 * stability_limit(g, P)
-        assert default_dt(st, "leapfrog", "free") \
-            == 0.9 * stability_limit(g, P)
-
     def test_choquard_rule(self):
         # the stationary member moves no envelope, so the kick rate
-        # M max|phi| = 0.75 sets the step: 1/(10 r), whatever the scheme
+        # M max|phi| = 0.75 sets the step: 1/(10 r)
         g = make_grid(1, 1024, 64.0)
         st = stationary_state(g)
         peak = float(np.max(np.abs(st.phi)))
         assert peak == pytest.approx(0.75, abs=1e-10)
-        for scheme in ("leapfrog", "gautschi"):
-            assert default_dt(st, scheme, "choquard") \
-                == pytest.approx(1.0 / (10.0 * PC.M * peak), rel=1e-15)
+        assert default_dt(st, "choquard") \
+            == pytest.approx(1.0 / (10.0 * PC.M * peak), rel=1e-15)
         # nothing to kick, travel or spread: the mass bound 0.9/2m
         empty = FieldState(t=0.0, psi=np.zeros(g.n, dtype=complex),
                            phi=np.zeros(g.n), params=PC, grid=g)
         assert default_dt(empty, mode="choquard") == 0.9 / (2.0 * PC.m)
 
-    @pytest.mark.parametrize("scheme", ["leapfrog", "gautschi"])
-    def test_choquard_has_no_stability_guard(self, scheme):
+    def test_choquard_has_no_stability_guard(self):
         st, g = soliton_state()
         st = state_with_static_field(st.psi, P, g)
         assert 0.05 > stability_limit(g, P)
-        traj = evolve(st, T=0.2, dt=0.05, mode="choquard", scheme=scheme)
+        traj = evolve(st, T=0.2, dt=0.05, mode="choquard")
         assert traj.step_count == 4
 
     def test_gautschi_rule(self):
@@ -413,16 +399,15 @@ class TestDefaultStep:
         g = make_grid(1, 4096, 30.0)
         st = state_from_solution(spec_1d_b(P), P, g)
         peak = float(np.max(np.abs(st.phi)))
-        assert default_dt(st, "gautschi") \
+        assert default_dt(st) \
             == pytest.approx(1.0 / (8.0 * P.M * peak), rel=1e-15)
-        # no field: the mass bound 0.9/2m, never below the leapfrog step
+        # no field: the mass bound 0.9/2m, never below 0.9 stability_limit
         packet = gaussian_packet(g, P, sigma0=1.0)
-        assert default_dt(packet, "gautschi") == 0.9 / (2.0 * P.m)
+        assert default_dt(packet, "free") == 0.9 / (2.0 * P.m)
         coarse = make_grid(1, 256, 30.0)
         deep = FieldState(t=0.0, psi=np.ones(coarse.n, dtype=complex),
                           phi=np.full(coarse.n, 50.0), params=P, grid=coarse)
-        assert default_dt(deep, "gautschi") \
-            == 0.9 * stability_limit(coarse, P)
+        assert default_dt(deep) == 0.9 * stability_limit(coarse, P)
 
     def test_fast_narrow_member_gets_a_shorter_step(self):
         # 3d_b at mu = 0.99 M: the field depth does not depend on mu, but
@@ -432,25 +417,17 @@ class TestDefaultStep:
         co = family_coefficients(spec, P)
         st = state_from_solution(spec, P, make_grid(1, 1024, matched_length(
             spec, P)))
-        dt = default_dt(st, "gautschi")
+        dt = default_dt(st)
         assert dt < 1.0 / (8.0 * P.M * abs(co.phi_amplitude)) / 3.0
         assert co.velocity * dt * co.envelope_k < 0.15
 
     def test_default_step_feeds_evolve(self):
         g = make_grid(1, 2048, 60.0)
         st = state_from_solution(spec_1d_b(P), P, g)
-        dt = default_dt(st, "gautschi")
+        dt = default_dt(st)
         assert dt > stability_limit(g, P)
-        traj = evolve(st, T=1.0, scheme="gautschi")
+        traj = evolve(st, T=1.0)
         assert traj.step_count == math.ceil(1.0 / dt)
-
-    def test_unknown_scheme_rejected(self):
-        st, _ = soliton_state()
-        with pytest.raises(ValueError, match="unknown scalar scheme"):
-            evolve(st, T=0.1, scheme="verlet")
-        with pytest.raises(ValueError, match="unknown scalar scheme"):
-            default_dt(st, "verlet")
-
 
 def choquard_energy(state):
     """int |d psi|^2/2M + (M/2) phi[psi] |psi|^2, the functional the slaved
@@ -517,20 +494,18 @@ class TestTripleJump:
 
 class TestGautschi:
     """Criterion-9-style properties of the exact-in-time scalar update,
-    at steps above the leapfrog guard (n = 2048 on L = 60)."""
+    at steps above stability_limit (n = 2048 on L = 60)."""
 
     GRID = make_grid(1, 2048, 60.0)
 
     def step_for(self, T):
-        dt = default_dt(state_from_solution(spec_1d_b(P), P, self.GRID),
-                        "gautschi")
+        dt = default_dt(state_from_solution(spec_1d_b(P), P, self.GRID))
         assert dt > stability_limit(self.GRID, P)
         return T / math.ceil(T / dt)
 
     def test_no_stability_guard(self):
         st, g = soliton_state()
-        traj = evolve(st, T=0.2, dt=2.0 * stability_limit(g, P),
-                      scheme="gautschi")
+        traj = evolve(st, T=0.2, dt=2.0 * stability_limit(g, P))
         assert traj.step_count == 4
 
     def test_norm_drift_on_random_data(self):
@@ -540,20 +515,19 @@ class TestGautschi:
         psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * g.spacing)
         st = FieldState(t=0.0, psi=psi, phi=rng.standard_normal(g.n) * 0.1,
                         params=P, grid=g)
-        traj = evolve(st, T=1.0, dt=self.step_for(1.0), scheme="gautschi")
+        traj = evolve(st, T=1.0, dt=self.step_for(1.0))
         assert abs(traj.final.norm() - st.norm()) / 1.0 < 1e-10
 
     def test_reversal_retraces_T10(self):
         dt = self.step_for(10.0)
         start = state_from_solution(spec_1d_b(P), P, self.GRID, dt=dt)
-        fwd = evolve(start, T=10.0, dt=dt, scheme="gautschi")
-        back = evolve(reverse_state(fwd.final, dt, scheme="gautschi"),
-                      T=10.0, dt=dt, scheme="gautschi")
+        fwd = evolve(start, T=10.0, dt=dt)
+        back = evolve(reverse_state(fwd.final, dt), T=10.0, dt=dt)
         assert np.max(np.abs(np.conj(back.final.psi) - start.psi)) < 1e-6
         assert np.max(np.abs(back.final.phi - start.phi)) < 1e-6
 
     def test_second_order_in_dt(self):
-        # steps of 0.05, 0.025, 0.0125: the first two above the guard
+        # steps of 0.05, 0.025, 0.0125: the first two above stability_limit
         g = make_grid(1, 1024, 60.0)
         ana = sample_solution(spec_1d_b(P), P, g, t=1.0)
         errs = []
@@ -561,22 +535,15 @@ class TestGautschi:
             h = 1.0 / steps
             st = state_from_solution(spec_1d_b(P), P, g, dt=h)
             errs.append(float(np.max(np.abs(
-                evolve(st, T=1.0, dt=h, scheme="gautschi").final.psi
+                evolve(st, T=1.0, dt=h).final.psi
                 - ana.psi))))
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / fine == pytest.approx(4.0, abs=0.5)
 
-    def test_matches_leapfrog_at_a_small_step(self):
-        h = 1.0 / 2560
-        st, _ = soliton_state(dt=h)
-        gautschi = evolve(st, T=1.0, dt=h, scheme="gautschi").final
-        leapfrog = evolve(st, T=1.0, dt=h, scheme="leapfrog").final
-        assert np.max(np.abs(gautschi.psi - leapfrog.psi)) < 1e-6
-        assert np.max(np.abs(gautschi.phi - leapfrog.phi)) < 1e-5
-
     def test_free_mode_oscillates_at_the_exact_frequency(self):
         # a cosine mode follows 0.7 cos(w t) exactly, even at a step far
-        # above the guard, where leapfrog would diverge
+        # above stability_limit, where an explicit second difference of the
+        # wave equation would diverge
         g = make_grid(1, 256, 32.0)
         k1 = 2.0 * np.pi * 3 / g.length
         w = math.sqrt(k1**2 + P.m**2)
@@ -586,8 +553,7 @@ class TestGautschi:
                         phi=0.7 * mode, params=P, grid=g,
                         phi_prev=0.7 * math.cos(w * dt) * mode)
         states = []
-        evolve(st, T=6.0, dt=dt, mode="free", scheme="gautschi",
-               observer=states.append)
+        evolve(st, T=6.0, dt=dt, mode="free", observer=states.append)
         assert len(states) == 21
         for s in states:
             np.testing.assert_allclose(s.phi, 0.7 * math.cos(w * s.t) * mode,
@@ -597,7 +563,7 @@ class TestGautschi:
                                             (1, 256, "free"),
                                             (3, 16, "coupled")])
     def test_one_step_matches_separate_transforms(self, dim, n, mode):
-        # reverse_state hands back the scheme's next field, so it exposes
+        # reverse_state hands back the update's next field, so it exposes
         # one step; the reference transforms phi and the source apart
         from scipy import fft as sfft
         from solitonlab.model import scalar_source
@@ -609,7 +575,7 @@ class TestGautschi:
         st = FieldState(t=0.0, psi=psi, phi=phi, params=P, grid=g,
                         phi_prev=phi_prev)
         dt = 0.4
-        got = reverse_state(st, dt, mode, scheme="gautschi").phi_prev
+        got = reverse_state(st, dt, mode).phi_prev
         w2 = g.rfft_k_squared + P.m**2
         a = 2.0 * np.cos(np.sqrt(w2) * dt) - 2.0
         hat = a * sfft.rfftn(phi)
@@ -640,9 +606,9 @@ class TestGautschi:
             else None
         st = FieldState(t=0.0, psi=psi, phi=phi, params=P, grid=g,
                         phi_prev=phi_prev)
-        got = evolve(st, T=2.5, dt=0.05, mode=mode, scheme="gautschi").final
+        got = evolve(st, T=2.5, dt=0.05, mode=mode).final
         monkeypatch.setattr(evolution, "_Gautschi", XSpaceGautschi)
-        ref = evolve(st, T=2.5, dt=0.05, mode=mode, scheme="gautschi").final
+        ref = evolve(st, T=2.5, dt=0.05, mode=mode).final
         assert ref.t == got.t == pytest.approx(2.5)
         for a, b in ((got.psi, ref.psi), (got.phi, ref.phi),
                      (got.phi_prev, ref.phi_prev)):
@@ -667,7 +633,7 @@ class TestGautschi:
         st, _ = soliton_state(n=512, L=40.0, dt=0.05)
         for mode, rffts in (("coupled", 10), ("free", 1)):
             calls.clear()
-            traj = evolve(st, T=0.5, dt=0.05, mode=mode, scheme="gautschi")
+            traj = evolve(st, T=0.5, dt=0.05, mode=mode)
             steps = traj.step_count
             assert steps == 10
             assert calls.count("fft") == calls.count("ifft") == steps
@@ -676,18 +642,15 @@ class TestGautschi:
             assert len(calls) == 3 * steps + rffts
 
 
-@pytest.mark.parametrize("mode,scheme", [("coupled", "gautschi"),
-                                         ("coupled", "leapfrog"),
-                                         ("free", "gautschi"),
-                                         ("choquard", "gautschi")])
-def test_evolve_makes_no_blas_call(no_blas, mode, scheme):
+@pytest.mark.parametrize("mode", ["coupled", "free", "choquard"])
+def test_evolve_makes_no_blas_call(no_blas, mode):
     # the step loop, its default step and the observer run on FFTs and
     # ufuncs alone
     from solitonlab.diagnostics import SeriesObserver
     g = make_grid(1, 256, 30.0)
     st = state_from_solution(spec_1d_b(P), P, g)
     observer = SeriesObserver()
-    traj = evolve(st, T=0.5, mode=mode, scheme=scheme, observer=observer,
+    traj = evolve(st, T=0.5, mode=mode, observer=observer,
                   observer_stride=2)
     assert traj.step_count > 0 and len(observer.records) > 2
 

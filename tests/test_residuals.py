@@ -227,8 +227,22 @@ class TestFamilyAudit:
         assert [e.family for e in audit] == [s.family.value for s in specs]
         for entry, spec in zip(audit, specs):
             for rep in (entry.matter, entry.scalar):
+                # the coarse level runs at n/2 points and twice the step
                 assert rep.grid_points == 1024
-                assert rep.fd_step == 0.5 * auto_time_step(spec, P)
+                assert rep.fd_step == auto_time_step(spec, P)
+
+    def test_ratios_do_not_read_the_summation_order(self, monkeypatch):
+        # both levels sit above the 1/h^2 stencil's roundoff floor, so the
+        # ratios read the truncation order: reversing the order of the
+        # stencil's weighted sums, a change at roundoff, moves none of them
+        # by more than 1 % (n = 2048, verify-residuals' size)
+        before = full_family_audit(P, 2048)
+        stencil = residuals._stencil
+        monkeypatch.setattr(residuals, "_stencil",
+                            lambda w, stack: stencil(w[::-1], stack[::-1]))
+        for a, b in zip(before, full_family_audit(P, 2048)):
+            for equation, ratio in a.ratios.items():
+                assert b.ratios[equation] == pytest.approx(ratio, rel=0.01)
 
     def test_audit_makes_no_blas_call(self, no_blas):
         # the time stencils are plain weighted sums: a BLAS contraction of

@@ -87,8 +87,8 @@ class TestRunScenario:
         assert data["status"] == "failed"
 
     def test_abort_leaves_a_marker(self, tmp_path, monkeypatch):
-        # no default-scheme setting aborts (neither Gautschi nor the slaved
-        # field has a stability guard), so the engine raises on cue
+        # no default setting aborts (neither the Gautschi update nor the
+        # slaved field has a stability limit), so the engine raises on cue
         monkeypatch.setattr(runner, "evolve", blow_up)
         cfg = apply_overrides(default_config("soliton-propagation"),
                               ["grid.n=256", "run.T=0.5"])
@@ -101,7 +101,7 @@ class TestRunScenario:
         assert data["status"] == "aborted"
 
     def test_gautschi_has_no_stability_guard(self, tmp_path):
-        # a step over the leapfrog guard min(dx/2, 1/2m) runs under the
+        # a step over stability_limit min(dx/2, 1/2m) runs under the
         # coupled mode's Gautschi update, as it does under the slaved field
         cfg = apply_overrides(
             default_config("soliton-propagation"),
@@ -245,8 +245,8 @@ def _last_lines(code: str, tmp_path: Path, count: int) -> list[str]:
 
 class TestImports:
     def test_package_and_scenarios_load_no_scipy(self, tmp_path):
-        # scipy's import costs more than the package's own; only
-        # perturb(kind="width_rescale") may pull it in, lazily
+        # scipy's import costs more than the package's own, and no run
+        # needs it: width_rescale resamples with numpy FFTs
         code = textwrap.dedent("""
             import sys
             from solitonlab import apply_overrides, default_config
@@ -255,6 +255,8 @@ class TestImports:
                 "soliton-propagation": ["grid.n=256", "run.T=0.5"],
                 "free-spreading": ["grid.n=512", "run.T=0.5"],
                 "yukawa-oracle": ["oracle.run_3d=false", "oracle.cases=1"],
+                "perturbation-stability": ["perturb.kind=width_rescale",
+                                           "grid.n=256", "run.T=0.5"],
             }
             for name, overrides in runs.items():
                 config = apply_overrides(default_config(name), overrides)

@@ -15,7 +15,7 @@ from solitonlab.model import make_grid
 from solitonlab.spectral import (
     _HALF, _P, MAX_DIRECT_POINTS, _bulk_table, _circulant_apply, _corner_cell,
     _direct_weights, _direct_weights_1d, _direct_weights_3d, _gauss01,
-    _lagrange_basis, _min_mid_max, laplacian, spectral_derivative,
+    _lagrange_basis, _min_mid_max, laplacian,
     yukawa_convolve_direct, yukawa_invert,
 )
 
@@ -167,46 +167,14 @@ def rank_map_bulk_table(y, length, m, kernel, special):
 
 
 class TestSpectralDerivative:
-    def test_resonant_sine_second_derivative(self):
-        g = make_grid(1, 64, 16.0)
-        k = 2.0 * np.pi * 3 / 16.0
-        f = np.sin(k * g.axis)
-        d2 = spectral_derivative(f, g, order=2)
-        np.testing.assert_allclose(d2, -k * k * f, rtol=0, atol=1e-12)
-
-    def test_constant_first_derivative_is_zero(self):
-        g = make_grid(1, 64, 16.0)
-        d1 = spectral_derivative(np.full(64, 3.7), g, order=1)
-        np.testing.assert_allclose(d1, 0.0, atol=1e-12)
-
     def test_sech_second_derivative_closed_form(self):
         # (sech(a x))'' = a^2 (sech - 2 sech^3)(a x); domain long enough that
         # the wrap seam sits below the tolerance
         a = 1.0
         g = make_grid(1, 1024, 60.0)
         s = 1.0 / np.cosh(a * g.axis)
-        d2 = spectral_derivative(s, g, order=2)
-        np.testing.assert_allclose(d2, a * a * (s - 2.0 * s**3), atol=1e-8)
-
-    def test_first_derivative_of_real_field_is_real(self):
-        g = make_grid(1, 64, 16.0)
-        f = RNG.normal(size=64)
-        assert not np.iscomplexobj(spectral_derivative(f, g, order=1))
-
-    def test_bad_order_axis_shape(self):
-        g = make_grid(1, 64, 16.0)
-        with pytest.raises(ValueError, match="order"):
-            spectral_derivative(np.zeros(64), g, order=3)
-        with pytest.raises(ValueError, match="axis"):
-            spectral_derivative(np.zeros(64), g, axis=1)
-        with pytest.raises(ValueError, match="shape"):
-            spectral_derivative(np.zeros(32), g)
-
-    def test_3d_laplacian_matches_axis_sum(self):
-        g = make_grid(3, 16, 8.0)
-        f = RNG.normal(size=g.shape)
-        expect = sum(spectral_derivative(f, g, axis=ax, order=2) for ax in range(3))
-        np.testing.assert_allclose(laplacian(f, g), expect, atol=1e-10)
+        np.testing.assert_allclose(laplacian(s, g), a * a * (s - 2.0 * s**3),
+                                   atol=1e-8)
 
     def test_plane_wave_laplacian(self):
         g = make_grid(1, 64, 16.0)
