@@ -40,10 +40,10 @@ __all__ = [
 ]
 
 # The direct apply costs points^2 multiply-adds (half that for the
-# mirror-folded 3D weights) and copies a dense n^2 x n^2 block per offset
-# pair in 3D. At the 3D acceptance size 32^3 = 2^15 the weight build (once
-# per symmetry class) takes about 0.06 s and the apply 0.05 s (2-core Xeon,
-# OpenBLAS); anything larger is rejected.
+# mirror-folded 3D weights); its matrix is copied out a chunk at a time, so
+# its memory does not grow with points. At the 3D acceptance size 32^3 =
+# 2^15 the weight build (once per symmetry class) takes about 0.06 s and
+# the apply 0.05 s (2-core Xeon, OpenBLAS); anything larger is rejected.
 MAX_DIRECT_POINTS = 2**15
 
 
@@ -136,10 +136,11 @@ def yukawa_convolve_direct(source: np.ndarray, m: float, grid: Grid) -> np.ndarr
     Independent oracle for yukawa_invert: convolves the source with the
     periodic screened-Coulomb kernel (cosh closed form in 1D, minimum-image
     exp(-m r)/(4 pi r) in 3D) using per-cell product integration. The apply
-    is a dense circulant matrix product: in 1D one matrix-vector product,
-    points^2 multiply-adds; in 3D one BLAS matmul per mirror pair of offsets
-    d, -d along the first axis against the 2D-circulant block of the
-    remaining two, about points^2/2 multiply-adds. No FFT is involved.
+    is a dense circulant matrix product: in 1D matrix-vector products over
+    row chunks, points^2 multiply-adds; in 3D one BLAS matmul per mirror
+    pair of offsets d, -d along the first axis and column chunk of the
+    2D-circulant block of the remaining two, about points^2/2 multiply-adds.
+    No chunk holds more than 2 MiB of the matrix. No FFT is involved.
     Guarded to MAX_DIRECT_POINTS total points, and in 3D to m L >= 10:
     the periodic images past the first shell are dropped.
     """
@@ -166,6 +167,14 @@ _HALF = _P // 2 - 1   # stencil spans nodes [-3 .. 4] around the cell [0, 1]
 # sorted triples per block of _bulk_table: 64 KiB per float array, so a
 # block's working set stays in a core's L2 cache
 _BULK_BLOCK = 8192
+# middle indices of the bulk table gathered per matmul in the 3D build:
+# at 32^3 one slab is 96 x 4 x 96 floats (0.3 MB)
+_BULK_SLAB = 4
+# bytes of circulant matrix built per product in the apply (row chunks in
+# 1D, column chunks of the n^2 x n^2 block in 3D). At 32^3 a 2 MiB chunk
+# is 8 of the 32 i2 columns; a 3 MiB chunk raised the yukawa-oracle run's
+# peak RSS by 2 MiB, and the whole 8 MiB block was about 10 ms faster
+_APPLY_CHUNK_BYTES = 2**21
 
 
 @functools.lru_cache(maxsize=8)
@@ -236,12 +245,10 @@ def _direct_weights_3d(n: int, length: float, m: float) -> np.ndarray:
 
     Kernel, image shell and every rule are even in each axis and unchanged
     when the axes are permuted, so each part is computed once per symmetry
-    class. The bulk integrand (direct term plus image shell) is tabulated
-    on the distinct |offset| per axis, once per sorted index triple, in
-    cache-sized blocks scattered to the triple's six permutations
-    (_bulk_table); one (n, n/2 q_bulk) matrix maps an axis of samples onto
-    the n nodes, cell -1-e reading cell e with the node order reversed. The
-    shell is built from its cells (1,0,0), (0,1,1) and (1,1,1), the corners
+    class. The bulk (_bulk_weights) is tabulated on the distinct |offset|
+    per axis, once per sorted index triple (_bulk_table), and mapped onto
+    the nodes by one (n, n/2 q_bulk) matrix along each axis. The shell is
+    built from its cells (1,0,0), (0,1,1) and (1,1,1), the corners
     from one Duffy pyramid (_corner_cell); transposes and mirrors place
     each block in its other cells. Each weight of the finished table is
     read from its representative at sorted |offset|s: the table is exactly,
@@ -263,22 +270,7 @@ def _direct_weights_3d(n: int, length: float, m: float) -> np.ndarray:
                   for c, s in zip(cell, signs)]
             w[np.ix_(*ix)] += block[::signs[0], ::signs[1], ::signs[2]]
 
-    # bulk, on the distinct offsets y = (e + tb) dx, e = 0 .. n/2 - 1:
-    # sample t of cell e enters node e + a - _HALF through basis a, and
-    # the mirrored cell -1-e enters node -1-e + a - _HALF at sample q-1-t
-    tb, ob = _gauss01(q_bulk)
-    half = n // 2
-    y = (np.arange(half)[:, None] + tb[None, :]).ravel() * dx
-    T = _bulk_table(y, length, m, kernel, 2 * q_bulk)
-    c = _lagrange_basis(tb) * ob[:, None]                 # (q, P)
-    A = np.zeros((n, half, q_bulk))
-    e = np.arange(half)
-    for a in range(_P):
-        A[(e + a - _HALF) % n, e] += c[:, a]
-        A[(a - _HALF - 1 - e) % n, e] += c[::-1, a]
-    A = A.reshape(n, -1)
-    T = (A @ T.reshape(A.shape[1], -1)).reshape((n,) + T.shape[1:])
-    w += (A @ T) @ A.T * dx**3
+    w += _bulk_weights(n, length, m, kernel, q_bulk)
 
     # shell: the 4^3 block minus the 8 corner cells
     ts, os_ = _gauss01(q_shell)
@@ -297,7 +289,50 @@ def _direct_weights_3d(n: int, length: float, m: float) -> np.ndarray:
 
     place(_corner_cell(m, dx, q_corner), (0, 0, 0))
     offset = np.arange(n)
-    return w[_min_mid_max(np.minimum(offset, n - offset))]
+    offset = np.minimum(offset, n - offset)
+    return w[_min_mid_max(*np.ix_(offset, offset, offset))]
+
+
+def _bulk_weights(n: int, length: float, m: float,
+                  kernel: Callable[[np.ndarray], np.ndarray],
+                  q_bulk: int) -> np.ndarray:
+    """Bulk part (n, n, n) of the 3D weights: q_bulk tensor Gauss on every
+    cell of the direct term outside the 4^3 special block and of the
+    first-shell images.
+
+    The integrand is sampled on the distinct offsets y = (e + tb) dx,
+    e = 0 .. n/2 - 1, and kept packed, one value per sorted index triple
+    (1.2 MB at 32^3). One (n, n/2 q_bulk) matrix A maps an axis of samples
+    onto the n nodes: sample t of cell e enters node e + a - _HALF through
+    basis a, and the mirrored cell -1-e enters node -1-e + a - _HALF at
+    sample q-1-t. The first contraction, over the table's leading axis, is
+    filled _BULK_SLAB middle indices at a time, each slab gathered from the
+    packed values at the rank of its entries' sorted triples, so the whole
+    table is never formed. Every matmul keeps the whole dot product over
+    the leading axis, so each value is summed as from the whole table.
+    """
+    dx = length / n
+    tb, ob = _gauss01(q_bulk)
+    half = n // 2
+    y = (np.arange(half)[:, None] + tb[None, :]).ravel() * dx
+    packed = _bulk_table(y, length, m, kernel, 2 * q_bulk)
+    c = _lagrange_basis(tb) * ob[:, None]                 # (q, P)
+    A = np.zeros((n, half, q_bulk))
+    e = np.arange(half)
+    for a in range(_P):
+        A[(e + a - _HALF) % n, e] += c[:, a]
+        A[(a - _HALF - 1 - e) % n, e] += c[::-1, a]
+    A = A.reshape(n, -1)
+    # ranks in int32, half the traffic of int64: n <= 32 under
+    # MAX_DIRECT_POINTS, so at most 96 indices and ranks below 2^18
+    size = y.size
+    idx = np.arange(size, dtype=np.int32)
+    T = np.empty((n, size, size))
+    for j in range(0, size, _BULK_SLAB):
+        rank = _sorted_rank(*np.ix_(idx, idx[j:j + _BULK_SLAB], idx))
+        T[:, j:j + _BULK_SLAB] = (A @ packed[rank].reshape(size, -1)).reshape(
+            n, -1, size)
+    return (A @ T) @ A.T * dx**3
 
 
 # block.transpose(p) moves axis 0 to axis 0, 1, 2 (blocks alike in 1 and 2)
@@ -329,81 +364,109 @@ def _bulk_table(y: np.ndarray, length: float, m: float,
     indices are below special (the 4^3 special block, whose cells the shell
     and corner rules cover), plus the 26 first-shell images.
 
-    Evaluated on the sorted triples a <= b <= c only, in blocks of
-    _BULK_BLOCK triples. A block gathers (y + v L)^2 once per axis and forms
+    Evaluated on the sorted triples a <= b <= c only, and returned packed
+    in their rank order (by c, then b, then a): triple (a, b, c) is entry
+    c(c+1)(c+2)/6 + b(b+1)/2 + a. Each block of _BULK_BLOCK ranks finds
+    its triples from the ranks, gathers (y + v L)^2 once per axis and forms
     each (v1, v2) partial sum once for the v3 that share it; each value
-    takes the direct term first, then the images in (v1, v2, v3) order. The
-    block's values are scattered into the table at the six permutations of
-    (a, b, c), so no index map over y^3 is built.
+    takes the direct term first, then the images in (v1, v2, v3) order.
     """
     size = y.size
-    # the pairs a <= b <= c are the first per_max[c] pairs of tril_indices
+    # the pairs a <= b <= c are the first (c+1)(c+2)/2 pairs of
+    # tril_indices; tetra[c] triples have a largest index below c
     pairs_b, pairs_a = np.tril_indices(size)      # a <= b, by b then a
-    per_max = [(k + 1) * (k + 2) // 2 for k in range(size)]
-    a, b = (np.concatenate([p[:k] for k in per_max])
-            for p in (pairs_a, pairs_b))
-    c = np.repeat(np.arange(size), per_max)
+    idx = np.arange(size + 1)
+    tetra = idx * (idx + 1) * (idx + 2) // 6
     # row v holds shift v (row -1 is the last)
     y_sq = np.stack([(y + v * length) ** 2 for v in (0, 1, -1)])
     images = [v for v in itertools.product((-1, 0, 1), repeat=3)
               if any(v) and m * length * np.sqrt(np.count_nonzero(v)) <= 80.0]
-    table = np.empty((size, size, size))
-    for start in range(0, c.size, _BULK_BLOCK):
-        part = tuple(i[start:start + _BULK_BLOCK] for i in (a, b, c))
-        sq1, sq2, sq3 = (y_sq[:, i] for i in part)
+    packed = np.empty(tetra[size])
+    for start in range(0, packed.size, _BULK_BLOCK):
+        rank = np.arange(start, min(start + _BULK_BLOCK, packed.size))
+        c = np.searchsorted(tetra, rank, side="right") - 1
+        pos = rank - tetra[c]
+        sq1, sq2, sq3 = (y_sq[:, i] for i in (pairs_a[pos], pairs_b[pos], c))
         pair, pair_v = sq1[0] + sq2[0], (0, 0)
-        vals = kernel(np.sqrt(pair + sq3[0]))
-        vals[part[2] < special] = 0.0
+        vals = packed[start:start + rank.size]
+        vals[:] = kernel(np.sqrt(pair + sq3[0]))
+        vals[c < special] = 0.0
         for v1, v2, v3 in images:
             if (v1, v2) != pair_v:
                 pair, pair_v = sq1[v1] + sq2[v2], (v1, v2)
             vals += kernel(np.sqrt(pair + sq3[v3]))
-        for perm in itertools.permutations(part):
-            table[perm] = vals
-    return table
+    return packed
 
 
-def _min_mid_max(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                            np.ndarray]:
-    """Elementwise smallest, middle and largest of (idx_i, idx_j, idx_k)
-    over idx^3, without a sort."""
-    i, j, k = idx[:, None, None], idx[None, :, None], idx[None, None, :]
+def _min_mid_max(i: np.ndarray, j: np.ndarray, k: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise smallest, middle and largest of three broadcastable
+    integer arrays, without a sort."""
     lo = np.minimum(np.minimum(i, j), k)
     hi = np.maximum(np.maximum(i, j), k)
     return lo, i + j + k - lo - hi, hi
 
 
+def _sorted_rank(i: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Rank of the sorted triple of each (i, j, k) in _bulk_table's packed
+    order: c(c+1)(c+2)/6 + b(b+1)/2 + a for a <= b <= c."""
+    a, b, c = _min_mid_max(i, j, k)
+    rank = c * (c + 1) * (c + 2) // 6
+    rank += b * (b + 1) // 2
+    rank += a
+    return rank
+
+
 def _circulant_apply(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Dense circulant apply out_i = sum_j w[(j - i) mod n per axis] s_j.
 
+    The matrix is read from a sliding window over w tiled twice per axis,
+    with no index table, and copied out _APPLY_CHUNK_BYTES at a time. Each
+    chunk holds the whole sum over j for its outputs, so every output is
+    the same BLAS dot product as from the whole matrix, bitwise. In 1D row
+    i of the matrix is the window at n - i; each row chunk is one
+    matrix-vector product (a single chunk up to n = 512).
+
     In 3D the matrix is block circulant along the first axis: offset d1
     contributes roll(s, -d1, 0) (n x n^2) times the n^2 x n^2 2D-circulant
-    block of w[d1], one BLAS matmul per offset. The block is a strided copy
-    of a reversed sliding window over the plane tiled 2 x 2, with no index
-    table. Offsets d1 and n - d1 whose planes w[d1] and w[n - d1] are
-    bitwise equal share one block and one matmul on
-    roll(s, -d1) + roll(s, d1): n/2 + 1 blocks instead of n for a table even
-    along its first axis, as the screened-kernel weights are. Other planes
-    get the unfolded sum.
+    block of w[d1], a reversed window over the plane tiled 2 x 2, taken in
+    column chunks over i2, one BLAS matmul each. Offsets d1 and n - d1
+    whose planes w[d1] and w[n - d1] are bitwise equal share one block on
+    roll(s, -d1) + roll(s, d1): n/2 + 1 blocks instead of n for a table
+    even along its first axis, as the screened-kernel weights are. Only
+    exact equality makes the folded sum the unfolded one; other planes get
+    the unfolded sum.
     """
     n = s.shape[0]
     if s.ndim == 1:
-        i = np.arange(n)
-        return w[(i[None, :] - i[:, None]) % n] @ s
+        window = sliding_window_view(np.tile(w, 2), n)
+        step = max(1, _APPLY_CHUNK_BYTES // (8 * n))
+        out = np.empty(n)
+        for i in range(0, n, step):
+            stop = min(i + step, n)
+            out[i:stop] = np.ascontiguousarray(window[n - i:n - stop:-1]) @ s
+        return out
 
-    def block(plane: np.ndarray) -> np.ndarray:
-        # entry (j2 j3, i2 i3) = plane[j2 - i2, j3 - i3] = tiled[n + j2 - i2,
-        # n + j3 - i3]
+    step = max(1, _APPLY_CHUNK_BYTES // (8 * n**3))
+    out = np.zeros((n, n, n))
+
+    def add_block(rows: np.ndarray, plane: np.ndarray) -> None:
+        # out += rows @ block, entry (j2 j3, i2 i3) of the block =
+        # plane[j2 - i2, j3 - i3] = tiled[n + j2 - i2, n + j3 - i3]
         window = sliding_window_view(np.tile(plane, (2, 2)), (n, n))
-        return window[1:, 1:, ::-1, ::-1].reshape(n * n, n * n)
+        block = window[1:, 1:, ::-1, ::-1]
+        rows = rows.reshape(n, n * n)
+        for i2 in range(0, n, step):
+            out[:, i2:i2 + step] += (
+                rows @ block[:, :, i2:i2 + step].reshape(n * n, -1)
+            ).reshape(n, -1, n)
 
-    out = np.zeros((n, n * n))
     for d1 in range(n // 2 + 1):
         mirror = -d1 % n
         rows = np.roll(s, -d1, axis=0)
         if mirror != d1 and np.array_equal(w[d1], w[mirror]):
             rows += np.roll(s, d1, axis=0)
         elif mirror != d1:
-            out += np.roll(s, d1, axis=0).reshape(n, n * n) @ block(w[mirror])
-        out += rows.reshape(n, n * n) @ block(w[d1])
-    return out.reshape(s.shape)
+            add_block(np.roll(s, d1, axis=0), w[mirror])
+        add_block(rows, w[d1])
+    return out

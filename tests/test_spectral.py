@@ -102,7 +102,7 @@ def per_cell_weights_3d(n, length, m, q_bulk=6, q_shell=16, q_corner=16):
     tb, ob = _gauss01(q_bulk)
     half = n // 2
     y = (np.arange(half)[:, None] + tb[None, :]).ravel() * dx
-    T = _bulk_table(y, length, m, kernel, 2 * q_bulk)
+    T = expand_by_rank(_bulk_table(y, length, m, kernel, 2 * q_bulk), y.size)
     c = (_lagrange_basis(tb) * ob[:, None]).T
     for _ in range(3):
         rest = T.shape[1:]
@@ -131,21 +131,34 @@ def per_cell_weights_3d(n, length, m, q_bulk=6, q_shell=16, q_corner=16):
     for signs, block in pyramid_corner_cells(m, dx, q_corner).items():
         scatter(block, *(0 if s > 0 else -1 for s in signs))
     offset = np.arange(n)
-    return w[_min_mid_max(np.minimum(offset, n - offset))]
+    offset = np.minimum(offset, n - offset)
+    return w[_min_mid_max(*np.ix_(offset, offset, offset))]
+
+
+def triangular_numbers(size):
+    """tri[b] = b(b+1)/2 pairs a <= b' below b, and tetra[c] =
+    c(c+1)(c+2)/6 sorted triples a <= b <= c' below c, for indices < size."""
+    idx = np.arange(size, dtype=np.int32)
+    return idx * (idx + 1) // 2, idx * (idx + 1) * (idx + 2) // 6
+
+
+def expand_by_rank(packed, size):
+    """The size^3 table of values packed one per sorted triple, ordered by
+    c, then b, then a: (a, b, c) has rank tetra[c] + tri[b] + a."""
+    tri, tetra = triangular_numbers(size)
+    idx = np.arange(size)
+    lo, mid, hi = _min_mid_max(*np.ix_(idx, idx, idx))
+    return packed[tetra[hi] + tri[mid] + lo]
 
 
 def rank_map_bulk_table(y, length, m, kernel, special):
     """Reference bulk table: every sorted triple in one pass, the sum of the
     direct term and the images over all triples at once, expanded to y^3
-    through the rank of each entry's sorted triple. Same rule and the same
-    operations per value as _bulk_table."""
+    by expand_by_rank. Same rule and the same operations per value as
+    _bulk_table."""
     size = y.size
     idx = np.arange(size, dtype=np.int32)
-    # sorted triples a <= b <= c ordered by c, then b, then a: (a, b, c)
-    # has rank tetra[c] + tri[b] + a, tetra[c] = c(c+1)(c+2)/6 triples
-    # having a smaller c, tri[b] = b(b+1)/2 pairs having a smaller b
-    tri = idx * (idx + 1) // 2
-    tetra = idx * (idx + 1) * (idx + 2) // 6
+    tri, tetra = triangular_numbers(size)
     per_max = tri + idx + 1
     pairs_b, pairs_a = np.tril_indices(size)
     c = np.repeat(idx, per_max)
@@ -162,8 +175,7 @@ def rank_map_bulk_table(y, length, m, kernel, special):
                 if nnz == 0 or m * length * np.sqrt(nnz) > 80.0:
                     continue
                 vals += kernel(np.sqrt(sq[0][v1] + sq[1][v2] + sq[2][v3]))
-    lo, mid, hi = _min_mid_max(idx)
-    return vals[tetra[hi] + tri[mid] + lo]
+    return expand_by_rank(vals, size)
 
 
 class TestSpectralDerivative:
@@ -407,30 +419,63 @@ class TestDirectWeights:
         # m L = 60 drops the images with two or more nonzero shifts
         (16, 60.0, 1.0)])
     def test_bulk_table_matches_the_rank_map_expansion(self, n, length, m):
-        # bitwise: blocks, shared partial sums and the six-way scatter keep
-        # every value's operations and their order; at n = 32 the 152,096
-        # triples end in a partial block
+        # bitwise: blocks and shared partial sums keep every value's
+        # operations and their order; at n = 32 the 152,096 triples end in
+        # a partial block of 4,640
         def kernel(r):
             return np.exp(-m * r) / (4.0 * np.pi * r)
 
         tb, _ = _gauss01(6)
         y = (np.arange(n // 2)[:, None] + tb[None, :]).ravel() * (length / n)
-        table = _bulk_table(y, length, m, kernel, 12)
-        assert np.array_equal(
-            table, rank_map_bulk_table(y, length, m, kernel, 12))
+        packed = _bulk_table(y, length, m, kernel, 12)
+        assert packed.shape == (y.size * (y.size + 1) * (y.size + 2) // 6,)
+        assert np.array_equal(expand_by_rank(packed, y.size),
+                              rank_map_bulk_table(y, length, m, kernel, 12))
 
     def test_3d_weight_build_peak_memory(self):
-        # traced peak of an uncached 32^3 build: 12_391_712 bytes (numpy
-        # 2.4.6), the 96^3 bulk table (7.1 MB) and its sorted-triple index
-        # arrays. The bound is that plus 10 %, so one more array over the
-        # 96^3 table, such as an index map to expand it, fails the test
+        # traced peak of an uncached 32^3 build: 5,071,863 bytes (numpy
+        # 2.4.6), the packed bulk values (1.2 MB), the first contraction
+        # (2.4 MB) and one slab's ranks. The bound is that plus 10 %, so a
+        # 96^3 bulk table (7.1 MB) or a rank map over it fails the test
+        _gauss01(6)  # numpy.polynomial imported before tracing
         tracemalloc.start()
         try:
             _direct_weights_3d(32, 40.0, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 13_630_000
+        assert peak <= 5_579_000
+
+    def test_3d_apply_peak_memory(self):
+        # traced peak of the 32^3 apply: 2,730,965 bytes (numpy 2.4.6), one
+        # 2 MiB column chunk of the 2D-circulant block plus the output and
+        # rolled source. The bound is that plus 10 %; the whole 8 MiB block
+        # fails it
+        w = _direct_weights(3, 32, 40.0, 0.5)
+        s = np.random.default_rng(32).normal(size=(32, 32, 32))
+        tracemalloc.start()
+        try:
+            _circulant_apply(w, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_004_000
+
+    def test_1d_apply_peak_memory(self):
+        # traced peak at n = 4096: 2,198,121 bytes (numpy 2.4.6), one 2 MiB
+        # row chunk of the circulant matrix. The bound is that plus 10 %;
+        # a gathered n x n matrix and its index table (268 MB) fail it
+        rng = np.random.default_rng(4096)
+        w, s = rng.normal(size=4096), rng.normal(size=4096)
+        tracemalloc.start()
+        try:
+            out = _circulant_apply(w, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_418_000
+        ref = gather_apply(w, s)
+        assert np.abs(out - ref).max() / np.abs(ref).max() <= 1e-13
 
     def test_cached_weights_are_read_only(self):
         w = _direct_weights(1, 64, 16.0, 1.0)
