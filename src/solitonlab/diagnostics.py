@@ -136,6 +136,13 @@ def fit_velocity(records: Sequence[ObservableRecord], grid: Grid,
     slow drifts. Degenerate (slope not trustworthy) when fewer than 5
     records are available or the total displacement stays under 3 grid
     spacings; the fitted numbers are still reported.
+
+    The line is fit in closed form with numpy reductions, no LAPACK:
+    slope = S_tx / S_tt and stderr = sqrt(sum r^2 / ((N - 2) S_tt)), with
+    S_tx = sum (t - mean t)(x - mean x), S_tt = sum (t - mean t)^2 and r the
+    residuals. That is np.polyfit(t, x, 1, cov=True)'s slope and the root
+    of its covariance cov[0, 0], which it scales by the residual sum over
+    N - 2 degrees of freedom; the two agree to roundoff.
     """
     if use not in ("centroid", "peak_pos"):
         raise ValueError(f"use must be 'centroid' or 'peak_pos', got {use!r}")
@@ -151,8 +158,11 @@ def fit_velocity(records: Sequence[ObservableRecord], grid: Grid,
         slope = (x[1] - x[0]) / (t[1] - t[0])
         err = math.nan
     else:
-        (slope, _), cov = np.polyfit(t, x, 1, cov=True)
-        err = math.sqrt(max(float(cov[0, 0]), 0.0))
+        dt, dx = t - t.mean(), x - x.mean()
+        s_tt = float(np.sum(dt * dt))
+        slope = float(np.sum(dt * dx)) / s_tt
+        resid = dx - slope * dt
+        err = math.sqrt(float(np.sum(resid * resid)) / ((len(t) - 2) * s_tt))
     degenerate = False
     reason = ""
     if len(t) < 5:

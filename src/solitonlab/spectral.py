@@ -175,6 +175,11 @@ _BULK_SLAB = 4
 # is 8 of the 32 i2 columns; a 3 MiB chunk raised the yukawa-oracle run's
 # peak RSS by 2 MiB, and the whole 8 MiB block was about 10 ms faster
 _APPLY_CHUNK_BYTES = 2**21
+# bytes per (rows, q) Gauss-point array in the 1D weight build: one chunk
+# up to n = 6553, the default n_1d = 128 included. At n = 32768 a 1 MiB
+# chunk peaks at 6.6 MB traced (2 MiB: 10.9 MB, one chunk: 18.4 MB) at the
+# same speed
+_WEIGHT_CHUNK_BYTES = 2**20
 
 
 @functools.lru_cache(maxsize=8)
@@ -212,7 +217,9 @@ def _direct_weights_1d(n: int, length: float, m: float) -> np.ndarray:
 
     The 1D periodic kernel of (m^2 - d2/dx2) is closed form,
     cosh(m(L/2 - |x|)) / (2 m sinh(mL/2)); its kink always falls on a cell
-    boundary, so plain Gauss per cell sees a smooth integrand.
+    boundary, so plain Gauss per cell sees a smooth integrand. The
+    Gauss-point arrays are built in row chunks of _WEIGHT_CHUNK_BYTES; each
+    row's products are those of the whole build.
     """
     dx = length / n
     q = 20  # Gauss points per cell
@@ -220,10 +227,13 @@ def _direct_weights_1d(n: int, length: float, m: float) -> np.ndarray:
     B = _lagrange_basis(tau)                              # (q, P)
     w = np.zeros(n)
     sh = np.sinh(0.5 * m * length)
-    e = np.arange(n)[:, None]                             # cell corner minus node
-    arg = (e + tau[None, :] + n / 2) % n - n / 2          # lattice units, min image
-    K = np.cosh(m * (0.5 * length - np.abs(arg) * dx)) / (2.0 * m * sh)
-    contrib = (K * om[None, :]) @ B                       # (n, P)
+    contrib = np.empty((n, _P))
+    step = max(1, _WEIGHT_CHUNK_BYTES // (8 * q))
+    for i in range(0, n, step):
+        e = np.arange(i, min(i + step, n))[:, None]       # cell corner minus node
+        arg = (e + tau[None, :] + n / 2) % n - n / 2      # lattice units, min image
+        K = np.cosh(m * (0.5 * length - np.abs(arg) * dx)) / (2.0 * m * sh)
+        contrib[i:i + step] = (K * om[None, :]) @ B       # (rows, P)
     idx = np.arange(n)
     for a in range(_P):
         np.add.at(w, (idx - _HALF + a) % n, dx * contrib[:, a])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,18 @@ def _random_state(dim: int, n: int, seed: int = 7,
     phi = rng.standard_normal(shape)
     params = PhysicalParams(M=1.25, m=0.375, v=0.875)
     return FieldState(t=2.75, psi=psi, phi=phi, params=params, grid=grid)
+
+
+def _csv_writer_table(state: FieldState) -> bytes:
+    """The 1D snapshot table as csv.writer writes it for repr'd floats,
+    the format's definition: header row, then x, re_psi, im_psi, phi."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["x", "re_psi", "im_psi", "phi"])
+    for x, re, im, ph in zip(state.grid.axis, state.psi.real,
+                             state.psi.imag, state.phi):
+        writer.writerow([repr(float(v)) for v in (x, re, im, ph)])
+    return text.getvalue().encode()
 
 
 class TestSnapshots:
@@ -53,16 +66,43 @@ class TestSnapshots:
                            grid=state.grid)
         path = tmp_path / "snap.csv"
         write_snapshot(str(path), state)
-
-        text = io.StringIO(newline="")
-        writer = csv.writer(text)
-        writer.writerow(["x", "re_psi", "im_psi", "phi"])
-        for x, re, im, ph in zip(state.grid.axis, psi.real, psi.imag, phi):
-            writer.writerow([repr(float(v)) for v in (x, re, im, ph)])
         header, _, table = path.read_bytes().partition(b"\n")
         assert header.startswith(b"# solitonlab-snapshot")
-        assert table == text.getvalue().encode()
+        assert table == _csv_writer_table(state)
         assert b"-0.0,1e-300,-0.0\r\n" in table
+
+    @pytest.mark.parametrize("n, block", [(16, None), (1024, 100),
+                                          (4096, None)])
+    def test_1d_blocks_match_csv_writer(self, tmp_path, monkeypatch, n,
+                                        block):
+        # the rows are written a block at a time: under one block at
+        # n = 16, 16 whole blocks at n = 4096, and a partial last block
+        # (10 blocks of 100 rows, then 24) at n = 1024: a grid is a power of
+        # two, so the block is set smaller
+        if block is not None:
+            monkeypatch.setattr("solitonlab.artifacts._SNAPSHOT_BLOCK", block)
+        state = _random_state(1, n, seed=n)
+        path = tmp_path / "snap.csv"
+        write_snapshot(str(path), state)
+        assert path.read_bytes().partition(b"\n")[2] \
+            == _csv_writer_table(state)
+
+    def test_1d_write_peak_memory(self, tmp_path):
+        # traced peak of a 4096-point write: 87,357 bytes (numpy 2.4.6),
+        # one block's floats and text. The bound is that plus 10 %; the
+        # whole table's text and floats (1.06 MB) fail it
+        state = _random_state(1, 4096)
+        path = tmp_path / "snap.csv"
+        # a first write, so what is allocated once per process (120.6 kB
+        # traced in all) stays outside the trace
+        write_snapshot(str(path), state)
+        tracemalloc.start()
+        try:
+            write_snapshot(str(path), state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96_100
 
     def test_1d_transverse_mode_survives(self, tmp_path):
         state = _random_state(1, 32, transverse=(0.25, -0.5))

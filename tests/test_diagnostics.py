@@ -245,6 +245,59 @@ class TestVelocityFit:
         assert "displacement" in fit.reason
         assert fit.velocity == pytest.approx(0.0, abs=1e-10)
 
+    @staticmethod
+    def records(t, x):
+        return [ObservableRecord(t=a, norm=1.0, centroid=b, width=1.0,
+                                 peak_pos=b, phi_min=0.0, valid=True)
+                for a, b in zip(t, x)]
+
+    @pytest.mark.parametrize("count", [3, 5, 215])
+    def test_closed_form_matches_polyfit(self, count):
+        # np.polyfit's slope and the root of its cov[0, 0], to 1e-12: on
+        # a random series, and on a track crossing the seam that is
+        # unwrapped record by record as the observer does, its positions
+        # scattered by a grid spacing. Both keep their residuals far above
+        # roundoff, where the two methods' sums can agree that closely
+        g = make_grid(1, 256, 60.0)
+        L = g.length
+        rng = np.random.default_rng(count)
+        t_random = np.sort(rng.uniform(0.0, 20.0, count))
+        x_random = rng.uniform(-3.0, 3.0) * t_random \
+            + rng.uniform(0.1, 10.0) * rng.standard_normal(count)
+        times = np.linspace(0.0, 30.0, count)
+        track = 20.0 + 0.98 * times + g.spacing * rng.standard_normal(count)
+        wrapped = ((track + 0.5 * L) % L - 0.5 * L).tolist()
+        unwrapped = [wrapped[0]]
+        for x in wrapped[1:]:
+            unwrapped.append(x + L * round((unwrapped[-1] - x) / L))
+        assert max(wrapped) < 30.0 < max(unwrapped)
+        for t, x in ((t_random, x_random), (times, np.array(unwrapped))):
+            fit = fit_velocity(self.records(t.tolist(), x.tolist()), g)
+            (slope, _), cov = np.polyfit(t, x, 1, cov=True)
+            assert fit.velocity == pytest.approx(slope, rel=1e-12)
+            assert fit.stderr == pytest.approx(math.sqrt(cov[0, 0]),
+                                               rel=1e-12)
+
+    def test_closed_form_stderr_on_a_near_exact_track(self):
+        # the observer's own track of an exact soliton through the seam
+        # leaves residuals of 1e-6 on positions up to 50. There polyfit's
+        # stderr is 2.5e-10 off the exact rational least-squares value
+        # (1.5e-8 and 1.9e-8 at 3 and 5 records), the closed form's 8.7e-11
+        from fractions import Fraction
+        g = make_grid(1, 4096, 60.0)
+        recs = self.sampled_series(g, np.linspace(0.0, 30.0, 215), x0=20.0)
+        t = [Fraction(r.t) for r in recs]
+        x = [Fraction(r.peak_pos) for r in recs]
+        t_mean, x_mean = sum(t) / len(t), sum(x) / len(x)
+        s_tt = sum((a - t_mean) ** 2 for a in t)
+        slope = sum((a - t_mean) * (b - x_mean) for a, b in zip(t, x)) / s_tt
+        r2 = sum((b - x_mean - slope * (a - t_mean)) ** 2
+                 for a, b in zip(t, x))
+        fit = fit_velocity(recs, g)
+        assert fit.velocity == pytest.approx(float(slope), rel=1e-15)
+        assert fit.stderr == pytest.approx(
+            math.sqrt(float(r2 / ((len(t) - 2) * s_tt))), rel=1e-10)
+
     def test_bad_use_field(self):
         g = make_grid(1, 256, 60.0)
         with pytest.raises(ValueError, match="centroid"):

@@ -180,6 +180,18 @@ class TestRunScenario:
                      "snapshot_initial.csv", "snapshot_final.csv"):
             assert (tmp_path / name).exists(), name
 
+    def test_1d_scenarios_make_no_blas_call(self, tmp_path, no_blas):
+        # the step loop, the observer, the residual audit and the velocity
+        # fit (criterion 5) run on FFTs, ufuncs and reductions alone
+        with pytest.raises(AssertionError, match="numpy.polyfit"):
+            np.polyfit([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], 1)
+        runs = {"verify-residuals": [],
+                "soliton-propagation": ["grid.n=256", "run.T=0.5"]}
+        for name, overrides in runs.items():
+            cfg = apply_overrides(default_config(name), overrides)
+            report = run_scenario(cfg, out_dir=tmp_path / name)
+            assert report.checks, name
+
     def test_propagation_reports_kick_count(self, tmp_path):
         cfg = apply_overrides(default_config("soliton-propagation"),
                               ["grid.n=256", "run.T=1.0", "run.stride=4"])

@@ -477,6 +477,23 @@ class TestDirectWeights:
         ref = gather_apply(w, s)
         assert np.abs(out - ref).max() / np.abs(ref).max() <= 1e-13
 
+    def test_1d_weight_build_peak_memory(self, monkeypatch):
+        # traced peak at n = 32768, the largest 1D direct oracle: 6,608,832
+        # bytes (numpy 2.4.6), three 1 MiB chunks of Gauss-point arrays and
+        # the (n, 8) stencil contributions. The bound is that plus 10 %;
+        # the whole (n, 20) arrays (18.4 MB) fail it
+        _gauss01(20)  # numpy.polynomial imported before tracing
+        tracemalloc.start()
+        try:
+            w = _direct_weights_1d(32768, 40.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7_270_000
+        # rows are independent: the chunks give the one-chunk build bitwise
+        monkeypatch.setattr("solitonlab.spectral._WEIGHT_CHUNK_BYTES", 2**30)
+        assert np.array_equal(w, _direct_weights_1d(32768, 40.0, 1.0))
+
     def test_cached_weights_are_read_only(self):
         w = _direct_weights(1, 64, 16.0, 1.0)
         assert w is _direct_weights(1, 64, 16.0, 1.0)
