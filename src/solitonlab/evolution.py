@@ -529,6 +529,8 @@ def gaussian_packet(grid: Grid, params: PhysicalParams, sigma0: float,
     Intended for free-mode spreading runs; in coupled mode it simply starts
     the scalar field from rest at zero. sigma0 must be at least one lattice
     spacing: a narrower packet is not resolved, and its measured width is 0.
+    |k0| <= pi/dx - pi/sigma0 keeps the spectrum out to |k - k0| = pi/sigma0
+    in the lattice band; past it the lattice samples an alias.
     """
     if sigma0 <= 0.0:
         raise ValueError("sigma0 must be positive")
@@ -541,6 +543,12 @@ def gaussian_packet(grid: Grid, params: PhysicalParams, sigma0: float,
     if grid.length < 12.0 * sigma0:
         raise ValueError(f"domain {grid.length:g} too short for a packet of "
                          f"width {sigma0:g}; need >= {12.0 * sigma0:g}")
+    band = math.pi / grid.spacing - math.pi / sigma0
+    if not abs(k0) <= band:
+        raise ValueError(f"k0 = {k0:g} is outside the lattice band: a packet "
+                         f"of width {sigma0:g} needs |k0| <= pi/dx - "
+                         f"pi/sigma0 = {band:g} (pi/dx = "
+                         f"{math.pi / grid.spacing:g})")
     x = grid.axis
     psi = np.exp(-x * x / (4.0 * sigma0**2)) * np.exp(1j * k0 * x)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.spacing)

@@ -91,6 +91,7 @@ class RunReport:
     config_text: str
     checks: list[CriterionCheck] = field(default_factory=list)
     findings: list[str] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
     details: dict[str, Any] = field(default_factory=dict)
     step_count: int = 0
     wall_time: float = 0.0
@@ -109,6 +110,7 @@ class RunReport:
             "status": self.status,
             "checks": [asdict(c) for c in self.checks],
             "findings": list(self.findings),
+            "warnings": list(self.warnings),
             "details": self.details,
             "step_count": self.step_count,
             "wall_time_seconds": self.wall_time,
@@ -123,6 +125,8 @@ class RunReport:
             tag = "PASS" if c.passed else "FAIL"
             lines.append(f"  [{tag}] {c.criterion}: {c.description}: "
                          f"{c.value:.6g} {c.comparison} {c.threshold:g}")
+        for w in self.warnings:
+            lines.append(f"  warning: {w}")
         for f in self.findings:
             lines.append(f"  note: {f}")
         return lines
@@ -168,16 +172,16 @@ def _soliton_spec(config: ScenarioConfig,
 
 
 def _member(spec_for: Callable[[PhysicalParams], SolitonSpec],
-            params: PhysicalParams, findings: list[str]) -> SolitonSpec:
+            params: PhysicalParams, warnings: list[str]) -> SolitonSpec:
     """spec_for(params). A member the family factory refuses (it names
     the failed constraints) is a configuration error; advisories are
-    notes."""
+    warnings."""
     try:
         spec = spec_for(params)
     except ValueError as e:
         raise ConfigError(f"invalid [soliton]: {e}") from None
     for c in validate_params(params, spec).warnings:
-        findings.append(f"advisory {c.name}: {c.detail}")
+        warnings.append(f"advisory {c.name}: {c.detail}")
     return spec
 
 
@@ -250,7 +254,7 @@ def _stride(config: ScenarioConfig, n_steps: int) -> int:
     return max(1, n_steps // 200) if stride is None else stride
 
 
-def _plan(config: ScenarioConfig, findings: list[str],
+def _plan(config: ScenarioConfig, warnings: list[str],
           spec_for: Callable[[PhysicalParams], SolitonSpec], T_default: float,
           mode: str = "coupled"
           ) -> tuple[PhysicalParams, SolitonSpec, Grid, float, float, int]:
@@ -261,7 +265,7 @@ def _plan(config: ScenarioConfig, findings: list[str],
     the slaved update puts in place of the closed-form field.
     """
     params = _physical_params(config)
-    spec = _member(spec_for, params, findings)
+    spec = _member(spec_for, params, warnings)
     grid = _member_grid(config, spec, params)
     T = _run_T(config, T_default)
 
@@ -340,7 +344,7 @@ def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
     # checks soliton.mu, grid.n and grid.length before the audit halves it,
     # and the audit's members that the parameters can rule out (the
     # subluminal one, and the moving one at mu = m) are checked before the
-    # audit builds them. Their advisories are not this scenario's findings,
+    # audit builds them. Their advisories are not this scenario's warnings,
     # only their constraints.
     spec_b = _member(lambda p: spec_3d_b(p, mu=_mu(config, p)), params, [])
     for spec_for in (spec_1d_b, lambda p: spec_3d_b(p, mu=p.m)):
@@ -457,7 +461,7 @@ def _scenario_soliton_propagation(config: ScenarioConfig, report: RunReport,
                                   out: Path) -> ScenarioArtifacts:
     mode = config.get("run", "mode") or "coupled"
     params, spec, grid, T, dt, stride = _plan(
-        config, report.findings, functools.partial(_soliton_spec, config),
+        config, report.warnings, functools.partial(_soliton_spec, config),
         20.0, mode)
 
     initial = state_from_solution(spec, params, grid, t0=0.0, dt=dt,
@@ -496,20 +500,31 @@ def _scenario_soliton_propagation(config: ScenarioConfig, report: RunReport,
         report.findings.append(
             "no acceptance criterion pins this family/mode combination; "
             "metrics above are informational")
-    invalid = sum(1 for r in recs if not r.valid)
-    if invalid:
-        report.findings.append(
-            f"{invalid}/{len(recs)} records exceed the weak-coupling "
-            "validity bound max|phi| < M")
+    _weak_field(report, recs, params.M)
     return ScenarioArtifacts(
         records={"observables": recs},
         snapshots={"initial": traj.initial, "final": traj.final})
 
 
+def _weak_field(report: RunReport, recs: list[ObservableRecord],
+                M: float) -> None:
+    """details["weak_field"] from the records, and a warning when any
+    exceeds the bound (its valid flag reads both signs of phi)."""
+    over = sum(1 for r in recs if not r.valid)
+    depth = max(abs(r.phi_min) for r in recs)
+    report.details["weak_field"] = {"bound": M, "max_depth": depth,
+                                    "records_over": over,
+                                    "records": len(recs)}
+    if over:
+        report.warnings.append(
+            f"{over}/{len(recs)} records exceed the weak-field bound "
+            f"max|phi| < M = {M:g} (deepest |phi_min| = {depth:.6g})")
+
+
 def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
                              out: Path) -> ScenarioArtifacts:
     params = _physical_params(config)
-    spec = _member(spec_1d_b, params, report.findings)
+    spec = _member(spec_1d_b, params, report.warnings)
     T = _run_T(config, 20.0)
     sigma0 = config.get("packet", "sigma0")
     if sigma0 is None:
@@ -523,7 +538,8 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
         packet = gaussian_packet(grid, params, sigma0,
                                  k0=config.get("packet", "k0"))
     except ValueError as e:
-        raise ConfigError(f"invalid [grid] for the packet: {e}") from None
+        raise ConfigError(f"invalid [grid] for packet.sigma0 and packet.k0: "
+                          f"{e}") from None
     dt = _dividing_dt(T, config.get("run", "dt"), "free", lambda: packet)
     stride = _stride(config, round(T / dt))
     recs, traj = _evolve_observed(report, packet, T, dt, stride, "free")
@@ -566,7 +582,7 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
 
 def _scenario_choquard_stationary(config: ScenarioConfig, report: RunReport,
                                   out: Path) -> ScenarioArtifacts:
-    params, spec, grid, T, dt, stride = _plan(config, report.findings,
+    params, spec, grid, T, dt, stride = _plan(config, report.warnings,
                                               spec_1d_b, 50.0, "choquard")
     v_s = family_velocity(spec, params)
     if abs(v_s) > 1e-9:
@@ -707,7 +723,7 @@ def _scenario_yukawa_oracle(config: ScenarioConfig, report: RunReport,
 
 def _scenario_perturbation_stability(config: ScenarioConfig, report: RunReport,
                                      out: Path) -> ScenarioArtifacts:
-    params, spec, grid, T, dt, stride = _plan(config, report.findings,
+    params, spec, grid, T, dt, stride = _plan(config, report.warnings,
                                               spec_1d_b, 20.0)
     kind = config.get("perturb", "kind")
     strength = config.get("perturb", "strength")

@@ -7,9 +7,10 @@ Every family is a traveling sech-power envelope with a plane-wave phase:
 
 family_coefficients is the single source of truth for (A, k, p, V, Omega, K,
 C, pp); everything else (sampling, norms, widths, localization lengths)
-derives from it. Samplers periodize by summing the j = -1, 0, +1 lattice
-images, each with its own carrier phase, so the result is exactly periodic;
-the leftover wrap defect is below 1e-12 once the domain-length guard holds.
+derives from it. Samplers periodize by summing the three lattice images
+nearest the envelope center, each with its own carrier phase, so the
+result is exactly periodic; the leftover wrap defect is below 1e-12 once
+the domain-length guard holds.
 """
 
 from __future__ import annotations
@@ -241,11 +242,13 @@ def sample_solution(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
                     t: float, x0: float = 0.0) -> SolutionSample:
     """Evaluate the family on the lattice, exactly periodic.
 
-    Sums the j = -1, 0, +1 images of the traveling envelope, each with its
+    Sums the three images of the traveling envelope nearest its center
+    c = x0 + V t, j = r - 1, r, r + 1 with r = round(c / L), each with its
     carrier phase evaluated at x + jL, which makes the sum periodic by
-    construction. On 3D grids the transverse plane-wave factor is applied on
-    the actual y, z coordinates; on 1D (quasi-1D) grids it is carried
-    analytically by whoever consumes the sample.
+    construction; a center in the box has r = 0. On 3D grids the
+    transverse plane-wave factor is applied on the actual y, z
+    coordinates; on 1D (quasi-1D) grids it is carried analytically by
+    whoever consumes the sample.
     """
     co = family_coefficients(spec, params)
     L = grid.length
@@ -256,10 +259,11 @@ def sample_solution(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
             f"widths = {min_len:.6g}; wrap-around would exceed tolerance")
     x = grid.coords[0]
     center = x0 + co.velocity * t
+    r = round(center / L)
     env = np.zeros(x.shape)
     phi = np.zeros(x.shape)
     carrier_im = np.zeros(x.shape, dtype=complex)
-    for j in (-1, 0, 1):
+    for j in (r - 1, r, r + 1):
         s = _sech(co.envelope_k * (x + j * L - center))
         env_j = s**co.envelope_power
         carrier_im += env_j * np.exp(1j * co.K_carrier * (x + j * L))

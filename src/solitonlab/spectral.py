@@ -167,8 +167,8 @@ _HALF = _P // 2 - 1   # stencil spans nodes [-3 .. 4] around the cell [0, 1]
 # sorted triples per block of _bulk_table: 64 KiB per float array, so a
 # block's working set stays in a core's L2 cache
 _BULK_BLOCK = 8192
-# middle indices of the bulk table gathered per matmul in the 3D build:
-# at 32^3 one slab is 96 x 4 x 96 floats (0.3 MB)
+# last indices of the bulk table gathered per matmul in the 3D build:
+# at 32^3 one slab is 96 x 96 x 4 floats (0.3 MB)
 _BULK_SLAB = 4
 # bytes of circulant matrix built per product in the apply (row chunks in
 # 1D, column chunks of the n^2 x n^2 block in 3D). At 32^3 a 2 MiB chunk
@@ -206,10 +206,33 @@ def _lagrange_basis(tau: np.ndarray) -> np.ndarray:
 
 
 def _gauss01(q: int) -> tuple[np.ndarray, np.ndarray]:
-    # imported here: only the direct oracle needs numpy.polynomial
-    from numpy.polynomial.legendre import leggauss
-    x, w = leggauss(q)
+    """Gauss-Legendre rule of q points on [0, 1], nodes ascending: Newton
+    steps on P_q from Tricomi's guesses for the roots x >= 0, weights
+    2 / ((1 - x^2) P_q'(x)^2), mirrored onto x < 0. No eigenvalue solve,
+    so no LAPACK call (Hale & Townsend, SIAM J. Sci. Comput. 35, A652)."""
+    k = np.arange(1, (q + 1) // 2 + 1)
+    x = (1.0 - (q - 1) / (8.0 * q**3)) * np.cos(
+        np.pi * (4 * k - 1) / (4 * q + 2))
+    for _ in range(100):
+        p, dp = _legendre(q, x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() < 1e-15:
+            break
+    _, dp = _legendre(q, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    odd = q % 2  # an odd rule's middle node 0 is in the half already
+    x = np.concatenate((-x, x[::-1][odd:]))
+    w = np.concatenate((w, w[::-1][odd:]))
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _legendre(q: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_q(x) and P_q'(x) for |x| < 1, by the three-term recurrence."""
+    prev, p = np.ones_like(x), x
+    for j in range(1, q):
+        prev, p = p, ((2 * j + 1) * x * p - j * prev) / (j + 1)
+    return p, q * (prev - x * p) / (1.0 - x * x)
 
 
 def _direct_weights_1d(n: int, length: float, m: float) -> np.ndarray:
@@ -256,8 +279,9 @@ def _direct_weights_3d(n: int, length: float, m: float) -> np.ndarray:
     Kernel, image shell and every rule are even in each axis and unchanged
     when the axes are permuted, so each part is computed once per symmetry
     class. The bulk (_bulk_weights) is tabulated on the distinct |offset|
-    per axis, once per sorted index triple (_bulk_table), and mapped onto
-    the nodes by one (n, n/2 q_bulk) matrix along each axis. The shell is
+    per axis, once per sorted index triple (_bulk_table), mapped onto the
+    nodes at |offset| 0 .. n/2 by one (n/2 + 1, n/2 q_bulk) matrix along
+    each axis and mirrored onto the others. The shell is
     built from its cells (1,0,0), (0,1,1) and (1,1,1), the corners
     from one Duffy pyramid (_corner_cell); transposes and mirrors place
     each block in its other cells. Each weight of the finished table is
@@ -267,7 +291,8 @@ def _direct_weights_3d(n: int, length: float, m: float) -> np.ndarray:
     """
     dx = length / n
     q_bulk, q_shell, q_corner = 6, 16, 16  # Gauss points per axis
-    w = np.zeros((n, n, n))
+    offset = np.arange(n)
+    offset = np.minimum(offset, n - offset)
 
     def kernel(r: np.ndarray) -> np.ndarray:
         return np.exp(-m * r) / (4.0 * np.pi * r)
@@ -280,7 +305,9 @@ def _direct_weights_3d(n: int, length: float, m: float) -> np.ndarray:
                   for c, s in zip(cell, signs)]
             w[np.ix_(*ix)] += block[::signs[0], ::signs[1], ::signs[2]]
 
-    w += _bulk_weights(n, length, m, kernel, q_bulk)
+    # the bulk on the representative offsets, mirrored onto the lattice
+    w = _bulk_weights(n, length, m, kernel, q_bulk)[
+        np.ix_(offset, offset, offset)]
 
     # shell: the 4^3 block minus the 8 corner cells
     ts, os_ = _gauss01(q_shell)
@@ -298,28 +325,28 @@ def _direct_weights_3d(n: int, length: float, m: float) -> np.ndarray:
             place(C.transpose(perm), tuple(cell[p] for p in perm))
 
     place(_corner_cell(m, dx, q_corner), (0, 0, 0))
-    offset = np.arange(n)
-    offset = np.minimum(offset, n - offset)
     return w[_min_mid_max(*np.ix_(offset, offset, offset))]
 
 
 def _bulk_weights(n: int, length: float, m: float,
                   kernel: Callable[[np.ndarray], np.ndarray],
                   q_bulk: int) -> np.ndarray:
-    """Bulk part (n, n, n) of the 3D weights: q_bulk tensor Gauss on every
-    cell of the direct term outside the 4^3 special block and of the
-    first-shell images.
+    """Bulk part of the 3D weights on the nodes at |offset| 0 .. n/2 per
+    axis, (n/2 + 1)^3: q_bulk tensor Gauss on every cell of the direct
+    term outside the 4^3 special block and of the first-shell images. The
+    bulk is even in each axis, so these rows hold every value.
 
     The integrand is sampled on the distinct offsets y = (e + tb) dx,
     e = 0 .. n/2 - 1, and kept packed, one value per sorted index triple
-    (1.2 MB at 32^3). One (n, n/2 q_bulk) matrix A maps an axis of samples
-    onto the n nodes: sample t of cell e enters node e + a - _HALF through
-    basis a, and the mirrored cell -1-e enters node -1-e + a - _HALF at
-    sample q-1-t. The first contraction, over the table's leading axis, is
-    filled _BULK_SLAB middle indices at a time, each slab gathered from the
-    packed values at the rank of its entries' sorted triples, so the whole
-    table is never formed. Every matmul keeps the whole dot product over
-    the leading axis, so each value is summed as from the whole table.
+    (1.2 MB at 32^3). One (n/2 + 1, n/2 q_bulk) matrix A maps an axis of
+    samples onto the nodes 0 .. n/2: sample t of cell e enters node
+    e + a - _HALF through basis a, and the mirrored cell -1-e enters node
+    -1-e + a - _HALF (mod n) at sample q-1-t. The table is gathered
+    _BULK_SLAB last indices at a time, each slab from the packed values at
+    the rank of its entries' sorted triples, and contracted over its first
+    two axes; the last axis is contracted once every slab is in. So no
+    whole table or first contraction is formed, and every matmul keeps the
+    whole dot product over the axis it contracts.
     """
     dx = length / n
     tb, ob = _gauss01(q_bulk)
@@ -332,17 +359,17 @@ def _bulk_weights(n: int, length: float, m: float,
     for a in range(_P):
         A[(e + a - _HALF) % n, e] += c[:, a]
         A[(a - _HALF - 1 - e) % n, e] += c[::-1, a]
-    A = A.reshape(n, -1)
+    A = A[:half + 1].reshape(half + 1, -1)
     # ranks in int32, half the traffic of int64: n <= 32 under
     # MAX_DIRECT_POINTS, so at most 96 indices and ranks below 2^18
     size = y.size
     idx = np.arange(size, dtype=np.int32)
-    T = np.empty((n, size, size))
-    for j in range(0, size, _BULK_SLAB):
-        rank = _sorted_rank(*np.ix_(idx, idx[j:j + _BULK_SLAB], idx))
-        T[:, j:j + _BULK_SLAB] = (A @ packed[rank].reshape(size, -1)).reshape(
-            n, -1, size)
-    return (A @ T) @ A.T * dx**3
+    T = np.empty((half + 1, half + 1, size))
+    for k in range(0, size, _BULK_SLAB):
+        rank = _sorted_rank(*np.ix_(idx, idx, idx[k:k + _BULK_SLAB]))
+        first = (A @ packed[rank].reshape(size, -1)).reshape(half + 1, size, -1)
+        T[:, :, k:k + _BULK_SLAB] = A @ first
+    return T @ A.T * dx**3
 
 
 # block.transpose(p) moves axis 0 to axis 0, 1, 2 (blocks alike in 1 and 2)

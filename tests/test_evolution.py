@@ -291,6 +291,19 @@ class TestStateFactories:
         with pytest.raises(ValueError, match="1D"):
             gaussian_packet(make_grid(3, 16, 8.0), P, sigma0=0.5)
 
+    def test_gaussian_packet_stays_in_the_lattice_band(self):
+        # |k0| <= pi/dx - pi/sigma0: 50.265 - 2.094 = 48.171 here
+        g = make_grid(1, 1024, 64.0)
+        band = math.pi / g.spacing - math.pi / 1.5
+        for k0 in (band - 1e-9, -band + 1e-9):
+            pk = gaussian_packet(g, P, sigma0=1.5, k0=k0)
+            assert pk.norm() == pytest.approx(1.0, abs=1e-12)
+        for k0 in (band + 1e-9, -band - 1e-9, math.nan, 500.0):
+            with pytest.raises(ValueError, match="lattice band"):
+                gaussian_packet(g, P, sigma0=1.5, k0=k0)
+        # at k0 = 0 the bound is sigma0 >= dx: one spacing is accepted
+        gaussian_packet(g, P, sigma0=g.spacing)
+
     def test_static_field_matches_closed_form(self):
         g = make_grid(1, 1024, 64.0)
         s = sample_solution(spec_1d_b(PC), PC, g, t=0.0)

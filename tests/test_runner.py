@@ -31,6 +31,7 @@ from solitonlab.model import PhysicalParams, make_grid
 from solitonlab import runner
 from solitonlab.runner import FAILED_MARKER, _check, run_scenario
 from solitonlab.solutions import spec_1d_b
+from solitonlab.spectral import _direct_weights
 
 
 def blow_up(initial, T, dt, **kwargs):
@@ -192,6 +193,39 @@ class TestRunScenario:
             report = run_scenario(cfg, out_dir=tmp_path / name)
             assert report.checks, name
 
+    @pytest.mark.parametrize("m, over", [(0.5, True), (0.8, False)])
+    def test_weak_field_block_and_warning(self, tmp_path, m, over):
+        # max|phi| = (M/mv)^4/3: 5.33 at the default m = 0.5, 0.81 at 0.8
+        cfg = apply_overrides(default_config("soliton-propagation"),
+                              ["grid.n=256", "run.T=0.5", f"params.m={m}"])
+        report = run_scenario(cfg, out_dir=tmp_path)
+        block = json.loads((tmp_path / "report.json").read_text())[
+            "details"]["weak_field"]
+        rows = (tmp_path / "observables.csv").read_text().splitlines()
+        assert block["records"] == len(rows) - 1
+        assert block["bound"] == 1.0
+        assert block["max_depth"] == pytest.approx((1.0 / m) ** 4 / 3.0,
+                                                   rel=1e-3)
+        assert block["records_over"] == (block["records"] if over else 0)
+        lines = report.summary_lines()
+        warned = [l for l in lines if l.startswith("  warning: ")]
+        assert len(warned) == (2 if over else 0)
+        assert not any("weak-field" in l or "advisory" in l
+                       for l in lines if l.startswith("  note: "))
+
+    def test_oracle_makes_no_lapack_call(self, tmp_path, no_lapack):
+        # the Gauss rules of a cold weight build come from Newton steps on
+        # the Legendre recurrence, not an eigenvalue solve; the build and
+        # the apply use matmul alone
+        with pytest.raises(AssertionError, match="numpy.linalg.eigvalsh"):
+            np.linalg.eigvalsh(np.eye(2))
+        _direct_weights.cache_clear()
+        report = run_scenario(default_config("yukawa-oracle"),
+                              out_dir=tmp_path)
+        assert report.passed
+        assert any(row["dim"] == 3
+                   for row in report.details["oracle_cases"])
+
     def test_propagation_reports_kick_count(self, tmp_path):
         cfg = apply_overrides(default_config("soliton-propagation"),
                               ["grid.n=256", "run.T=1.0", "run.stride=4"])
@@ -279,20 +313,42 @@ class TestImports:
         assert _last_lines(code, tmp_path, 1) == ["[]"]
         assert (tmp_path / "free-spreading" / "report.json").exists()
 
+    def test_runner_is_compiled_first(self, tmp_path):
+        # the largest module's compile goes first, so the later, smaller
+        # ones reuse its transient heap (a lower peak RSS on every run)
+        code = textwrap.dedent("""
+            import importlib._bootstrap_external as external
+            import sys
+            sys.pycache_prefix = sys.argv[1]  # no cached bytecode found
+            compiled = []
+            to_code = external.SourceLoader.source_to_code
+            def record(self, data, path, *args, **kwargs):
+                compiled.append(str(path).rsplit("/", 1)[-1])
+                return to_code(self, data, path, *args, **kwargs)
+            external.SourceLoader.source_to_code = record
+            import solitonlab
+            print(compiled[:2])
+        """)
+        assert _last_lines(code, tmp_path, 1) == [
+            "['__init__.py', 'runner.py']"]
+        src = Path(solitonlab.__file__).parent
+        sizes = {p.stem: p.stat().st_size for p in src.glob("*.py")}
+        assert max(sizes, key=sizes.get) == "runner"
+
     def test_runs_load_no_unused_modules(self, tmp_path):
         # seeded draws come from the stdlib random module, so no run maps
         # numpy.random or, through secrets, OpenSSL; the sweep runs no
-        # thread pool; and only the direct oracle needs numpy.polynomial
+        # thread pool; and the direct oracle's Gauss rules need no
+        # numpy.polynomial
         code = textwrap.dedent('''
             import sys
             import solitonlab.cli
             from solitonlab import apply_overrides, default_config
             from solitonlab.runner import run_scenario
             UNUSED = ("numpy.random", "secrets", "_hashlib",
-                      "concurrent.futures")
+                      "concurrent.futures", "numpy.polynomial")
             def loaded(stage):
-                print(stage, sorted(m for m in UNUSED + ("numpy.polynomial",)
-                                    if m in sys.modules))
+                print(stage, sorted(m for m in UNUSED if m in sys.modules))
             loaded("import")
             runs = {
                 "soliton-propagation": ["grid.n=256", "run.T=0.5"],
@@ -313,7 +369,7 @@ class TestImports:
             loaded("oracle")
         ''')
         assert _last_lines(code, tmp_path, 3) == [
-            "import []", "scenarios []", "oracle ['numpy.polynomial']"]
+            "import []", "scenarios []", "oracle []"]
         for name in ("verify-residuals", "param-sweep", "yukawa-oracle"):
             assert (tmp_path / name / "report.json").exists()
 
@@ -492,6 +548,8 @@ class TestCliExitCodes:
         ("free-spreading", ["grid.dim=3"], "1D"),
         ("free-spreading", ["grid.length=10", "packet.sigma0=1"],
          "too short"),
+        # past pi/dx - pi/sigma0 the lattice samples an aliased packet
+        ("free-spreading", ["packet.k0=500"], "packet.k0"),
         ("verify-residuals", ["grid.n=1000"], "grid.n"),
         ("perturbation-stability",
          ["perturb.kind=width_rescale", "perturb.strength=-2"], "strength"),
@@ -538,7 +596,8 @@ class TestCliExitCodes:
          "spacing"),
         # 2048^3 points: 128 GiB per complex field
         ("soliton-propagation", ["grid.dim=3"], "grid.n"),
-    ], ids=["free-n", "free-dim", "free-length", "verify-n",
+    ], ids=["free-n", "free-dim", "free-length", "free-aliased-k0",
+            "verify-n",
             "rescale-strength", "verify-mu-2", "verify-mu-M",
             "propagate-mu-M", "propagate-mu-minus-M", "verify-1d_b-m",
             "free-1d_b-m", "perturb-1d_b-m", "free-packet-below-spacing",

@@ -209,6 +209,19 @@ class TestSampling:
         np.testing.assert_allclose(s3.psi[:, 0, 0], s1.psi, atol=1e-12)
         np.testing.assert_allclose(s3.phi[:, 0, 0], s1.phi, atol=1e-12)
 
+    @pytest.mark.parametrize("x0", [0.0, 13.0, -9.5])
+    def test_center_whole_periods_out_samples_the_same_member(self, x0):
+        # the images are summed around the center, so a center 7 periods
+        # out (or carried there by V t) is the member in the box
+        g = make_grid(1, 1024, 30.0)
+        spec = spec_1d_b(P)
+        a = sample_solution(spec, P, g, t=0.0, x0=x0)
+        for t, shift in ((0.0, x0 + 7 * g.length),
+                         (7 * g.length / spec.V_s, x0)):
+            b = sample_solution(spec, P, g, t=t, x0=shift)
+            assert np.abs(np.abs(b.psi) - np.abs(a.psi)).max() <= 1e-15
+            assert np.abs(b.phi - a.phi).max() <= 1e-15 * np.abs(a.phi).max()
+
     def test_moving_center_offset(self):
         g = make_grid(1, 2048, 64.0)
         spec = spec_1d_b(P)

@@ -378,6 +378,20 @@ class TestDirectApply:
 
 
 class TestDirectWeights:
+    @pytest.mark.parametrize("q", [6, 16, 20])
+    def test_gauss_rules_match_leggauss(self, q):
+        # the eigenvalue route, imported here only: the library's rules
+        # take Newton steps on the Legendre recurrence
+        from numpy.polynomial.legendre import leggauss
+        x, w = leggauss(q)
+        t, o = _gauss01(q)
+        assert np.abs(t - 0.5 * (x + 1.0)).max() <= 1e-15
+        assert np.abs(o - 0.5 * w).max() <= 1e-15
+        # mirrored about 1/2 from one half, nodes ascending
+        np.testing.assert_array_equal(o, o[::-1])
+        assert np.abs(t + t[::-1] - 1.0).max() <= 2.3e-16
+        assert np.all(np.diff(t) > 0.0)
+
     def test_3d_weights_are_cubic_symmetric(self):
         # the kernel and the quadrature rule treat the three axes alike and
         # are even in each, so the weights must be too (the bulk build
@@ -433,18 +447,18 @@ class TestDirectWeights:
                               rank_map_bulk_table(y, length, m, kernel, 12))
 
     def test_3d_weight_build_peak_memory(self):
-        # traced peak of an uncached 32^3 build: 5,071,863 bytes (numpy
-        # 2.4.6), the packed bulk values (1.2 MB), the first contraction
-        # (2.4 MB) and one slab's ranks. The bound is that plus 10 %, so a
-        # 96^3 bulk table (7.1 MB) or a rank map over it fails the test
-        _gauss01(6)  # numpy.polynomial imported before tracing
+        # traced peak of an uncached 32^3 build: 3,753,576 bytes (numpy
+        # 2.4.6), set by the Duffy corner's (4096, 64) basis product; the
+        # bulk contraction peaks at 2.9 MB. The bound is that plus 10 %, so
+        # a (32, 96, 96) first contraction (the 5.07 MB build that formed
+        # it), a 96^3 bulk table (7.1 MB) or a rank map over it fails
         tracemalloc.start()
         try:
             _direct_weights_3d(32, 40.0, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5_579_000
+        assert peak <= 4_129_000
 
     def test_3d_apply_peak_memory(self):
         # traced peak of the 32^3 apply: 2,730,965 bytes (numpy 2.4.6), one
@@ -482,7 +496,6 @@ class TestDirectWeights:
         # bytes (numpy 2.4.6), three 1 MiB chunks of Gauss-point arrays and
         # the (n, 8) stencil contributions. The bound is that plus 10 %;
         # the whole (n, 20) arrays (18.4 MB) fail it
-        _gauss01(20)  # numpy.polynomial imported before tracing
         tracemalloc.start()
         try:
             w = _direct_weights_1d(32768, 40.0, 1.0)
