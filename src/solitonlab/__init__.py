@@ -12,10 +12,13 @@ free modes) or a slaved field (choquard mode), diagnostics, and a
 config-driven experiment runner.
 """
 
-# runner first: the largest module. Compiled from source it takes up to
-# about 1 MB of transient heap; compiled before the other modules'
-# long-lived objects exist, that space is reused by their compiles instead
-# of being pinned under them, which lowers a run's peak RSS by 0.3-0.8 MiB
+# runner first, the largest module. Where no bytecode is cached (as under
+# PYTHONDONTWRITEBYTECODE) every start compiles the package, and
+# compiling runner takes up to about 1 MB of transient heap: compiled
+# before the other modules' long-lived objects exist, that space is reused
+# by their compiles instead of pinned under them, which lowers a run's
+# peak RSS by 0.3-0.8 MiB. With cached bytecode the order makes no
+# difference.
 from .runner import (
     CriterionCheck,
     RunReport,

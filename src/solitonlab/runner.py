@@ -508,17 +508,20 @@ def _scenario_soliton_propagation(config: ScenarioConfig, report: RunReport,
 
 def _weak_field(report: RunReport, recs: list[ObservableRecord],
                 M: float) -> None:
-    """details["weak_field"] from the records, and a warning when any
-    exceeds the bound (its valid flag reads both signs of phi)."""
-    over = sum(1 for r in recs if not r.valid)
-    depth = max(abs(r.phi_min) for r in recs)
-    report.details["weak_field"] = {"bound": M, "max_depth": depth,
+    """details["weak_field"] from the field depths |phi_min| the records
+    carry, and a warning when any reaches the bound M. A NaN depth counts
+    as over and makes the deepest NaN."""
+    depths = [abs(r.phi_min) for r in recs]
+    over = sum(1 for d in depths if not d < M)
+    deepest = (math.nan if any(math.isnan(d) for d in depths)
+               else max(depths))
+    report.details["weak_field"] = {"bound": M, "max_depth": deepest,
                                     "records_over": over,
                                     "records": len(recs)}
     if over:
         report.warnings.append(
-            f"{over}/{len(recs)} records exceed the weak-field bound "
-            f"max|phi| < M = {M:g} (deepest |phi_min| = {depth:.6g})")
+            f"{over}/{len(recs)} records have a field depth |phi_min| at or "
+            f"past the weak-field bound M = {M:g} (deepest {deepest:.6g})")
 
 
 def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,

@@ -207,10 +207,13 @@ def _lagrange_basis(tau: np.ndarray) -> np.ndarray:
 
 def _gauss01(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule of q points on [0, 1], nodes ascending: Newton
-    steps on P_q from Tricomi's guesses for the roots x >= 0, weights
+    steps on P_q from Tricomi's guesses for the roots x > 0, weights
     2 / ((1 - x^2) P_q'(x)^2), mirrored onto x < 0. No eigenvalue solve,
-    so no LAPACK call (Hale & Townsend, SIAM J. Sci. Comput. 35, A652)."""
-    k = np.arange(1, (q + 1) // 2 + 1)
+    so no LAPACK call (Hale & Townsend, SIAM J. Sci. Comput. 35, A652).
+    q is even: no node sits at x = 0."""
+    if q % 2:
+        raise ValueError(f"Gauss rule needs an even point count, got {q}")
+    k = np.arange(1, q // 2 + 1)
     x = (1.0 - (q - 1) / (8.0 * q**3)) * np.cos(
         np.pi * (4 * k - 1) / (4 * q + 2))
     for _ in range(100):
@@ -221,9 +224,8 @@ def _gauss01(q: int) -> tuple[np.ndarray, np.ndarray]:
             break
     _, dp = _legendre(q, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    odd = q % 2  # an odd rule's middle node 0 is in the half already
-    x = np.concatenate((-x, x[::-1][odd:]))
-    w = np.concatenate((w, w[::-1][odd:]))
+    x = np.concatenate((-x, x[::-1]))
+    w = np.concatenate((w, w[::-1]))
     return 0.5 * (x + 1.0), 0.5 * w
 
 

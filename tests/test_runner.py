@@ -26,10 +26,11 @@ from solitonlab import cli
 from solitonlab.cli import main
 from solitonlab.config import (ConfigError, ScenarioConfig, apply_overrides,
                                default_config, parse_config)
+from solitonlab.diagnostics import ObservableRecord
 from solitonlab.evolution import BlowUpError, state_from_solution
 from solitonlab.model import PhysicalParams, make_grid
 from solitonlab import runner
-from solitonlab.runner import FAILED_MARKER, _check, run_scenario
+from solitonlab.runner import FAILED_MARKER, RunReport, _check, run_scenario
 from solitonlab.solutions import spec_1d_b
 from solitonlab.spectral import _direct_weights
 
@@ -213,6 +214,26 @@ class TestRunScenario:
         assert not any("weak-field" in l or "advisory" in l
                        for l in lines if l.startswith("  note: "))
 
+    @pytest.mark.parametrize("nan_at", [0, 1, 2])
+    def test_weak_field_nan_depth(self, nan_at):
+        # a NaN depth is over the bound and makes the deepest NaN wherever
+        # it falls, so a blown-up record cannot hide behind finite ones
+        depths = [0.3, 0.6, 0.9]
+        depths[nan_at] = math.nan
+        recs = [ObservableRecord(t=float(i), norm=1.0, centroid=0.0,
+                                 width=1.0, peak_pos=0.0, phi_min=-d,
+                                 valid=d < 1.0)
+                for i, d in enumerate(depths)]
+        report = RunReport("soliton-propagation", {}, "")
+        runner._weak_field(report, recs, 1.0)
+        block = report.details["weak_field"]
+        assert math.isnan(block["max_depth"])
+        assert block["records_over"] == 1
+        assert block["records"] == 3
+        assert len(report.warnings) == 1
+        assert "1/3 records" in report.warnings[0]
+        assert "deepest nan" in report.warnings[0]
+
     def test_oracle_makes_no_lapack_call(self, tmp_path, no_lapack):
         # the Gauss rules of a cold weight build come from Newton steps on
         # the Legendre recurrence, not an eigenvalue solve; the build and
@@ -312,28 +333,6 @@ class TestImports:
         """)
         assert _last_lines(code, tmp_path, 1) == ["[]"]
         assert (tmp_path / "free-spreading" / "report.json").exists()
-
-    def test_runner_is_compiled_first(self, tmp_path):
-        # the largest module's compile goes first, so the later, smaller
-        # ones reuse its transient heap (a lower peak RSS on every run)
-        code = textwrap.dedent("""
-            import importlib._bootstrap_external as external
-            import sys
-            sys.pycache_prefix = sys.argv[1]  # no cached bytecode found
-            compiled = []
-            to_code = external.SourceLoader.source_to_code
-            def record(self, data, path, *args, **kwargs):
-                compiled.append(str(path).rsplit("/", 1)[-1])
-                return to_code(self, data, path, *args, **kwargs)
-            external.SourceLoader.source_to_code = record
-            import solitonlab
-            print(compiled[:2])
-        """)
-        assert _last_lines(code, tmp_path, 1) == [
-            "['__init__.py', 'runner.py']"]
-        src = Path(solitonlab.__file__).parent
-        sizes = {p.stem: p.stat().st_size for p in src.glob("*.py")}
-        assert max(sizes, key=sizes.get) == "runner"
 
     def test_runs_load_no_unused_modules(self, tmp_path):
         # seeded draws come from the stdlib random module, so no run maps

@@ -392,6 +392,11 @@ class TestDirectWeights:
         assert np.abs(t + t[::-1] - 1.0).max() <= 2.3e-16
         assert np.all(np.diff(t) > 0.0)
 
+    def test_gauss_rule_refuses_an_odd_count(self):
+        # every rule is mirrored from its x > 0 half, so none has a node at 0
+        with pytest.raises(ValueError, match="even"):
+            _gauss01(7)
+
     def test_3d_weights_are_cubic_symmetric(self):
         # the kernel and the quadrature rule treat the three axes alike and
         # are even in each, so the weights must be too (the bulk build
