@@ -152,6 +152,13 @@ def default_dt(initial: FieldState, mode: str = "coupled") -> float:
                min(mass_bound, bound))
 
 
+def landing_steps(T: float, dt: float) -> int:
+    """The number of steps of at most dt that land on T: ceil(T/dt), at
+    least 1. The tolerance is relative, so a step of T/N lands on itself
+    at any N."""
+    return max(1, math.ceil(T / dt * (1.0 - 1e-12)))
+
+
 def _state_rate(state: FieldState) -> float:
     """The largest of three rates, per unit time:
 
@@ -327,8 +334,8 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
            observer_stride: int = 1) -> Trajectory:
     """Advance a state by T and return the run's endpoints and counters.
 
-    The step count is ceil(T/dt), with the actual step shrunk to land on T
-    exactly; the requested dt is never exceeded. dt defaults to
+    The step count is landing_steps(T, dt), with the actual step shrunk to
+    land on T exactly; the requested dt is never exceeded. dt defaults to
     default_dt for the mode and the initial field. mode is a plain string
     from MODES: the coupled and free modes step the scalar field with the
     Gautschi update, and the choquard mode slaves it under the source
@@ -367,7 +374,7 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
         return Trajectory(initial=initial, final=initial, step_count=0,
                           kicks=0, dt=dt)
 
-    n_steps = max(1, math.ceil(T / dt - 1e-12))
+    n_steps = landing_steps(T, dt)
     requested_dt, dt = dt, T / n_steps
     # the slaved field never reads the history
     if (mode != "choquard" and initial.phi_prev is not None

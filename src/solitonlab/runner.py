@@ -3,9 +3,9 @@
 Each scenario reads its inputs from a ScenarioConfig, runs the relevant
 engine pieces, and fills the RunReport that run_scenario hands it with
 pass/fail checks, each tied to the acceptance criterion it realizes.
-Soliton runs read their inputs through one run plan (_plan), every
-evolution goes through _evolve_observed, and a setting the engine would
-reject is a ConfigError before the first step. run_scenario writes the
+A member run's inputs and initial state come from one run plan (_plan),
+every evolution goes through _evolve_observed, and a setting the engine
+would reject is a ConfigError before the first step. run_scenario writes the
 artifacts: a JSON report, observable CSVs, initial and final field
 snapshots where fields exist, and a plot script. A run that dies part-way
 still flushes what it has, plus a FAILED marker naming the scenario and
@@ -21,7 +21,7 @@ import math
 import operator
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -34,7 +34,7 @@ from .diagnostics import (ObservableRecord, SeriesObserver, VelocityFit,
                           fit_velocity, free_spreading_width,
                           spreading_ratio)
 from .evolution import (Trajectory, default_dt, evolve, gaussian_packet,
-                        perturb, state_from_solution,
+                        landing_steps, perturb, state_from_solution,
                         state_with_static_field)
 from .model import (FieldState, Family, Grid, PhysicalParams, SolitonSpec,
                     make_grid, scalar_source, validate_params)
@@ -227,21 +227,20 @@ def _member_grid(config: ScenarioConfig, spec: SolitonSpec,
 
 
 def _dividing_dt(T: float, requested: float | None, mode: str,
-                 member: Callable[[], FieldState]) -> float:
+                 initial: FieldState) -> float:
     """A step that divides T exactly, at or under the requested step, else
-    under evolution.default_dt for the mode and the state member() builds
-    (built only then).
+    under evolution.default_dt for the mode and the initial state.
 
-    Landing on T without adjustment keeps an analytically sampled scalar
-    history consistent with the step actually taken. A plan of more than
-    MAX_STEPS steps is a ConfigError.
+    evolve lands T/N on itself (evolution.landing_steps), so an
+    analytically sampled scalar history stays consistent with the step
+    actually taken. A plan of more than MAX_STEPS steps is a ConfigError.
     """
-    dt = default_dt(member(), mode) if requested is None else requested
+    dt = default_dt(initial, mode) if requested is None else requested
     if T / dt > MAX_STEPS:
         raise ConfigError(
             f"run.T / run.dt = {T:g} / {dt:g} plans {T / dt:.3g} steps, "
             f"over the limit of {MAX_STEPS:g}")
-    return T / max(1, math.ceil(T / dt - 1e-12))
+    return T / landing_steps(T, dt)
 
 
 def _run_T(config: ScenarioConfig, default: float) -> float:
@@ -254,29 +253,36 @@ def _stride(config: ScenarioConfig, n_steps: int) -> int:
     return max(1, n_steps // 200) if stride is None else stride
 
 
+def _member_start(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
+                  T: float, requested: float | None, mode: str,
+                  x0: float = 0.0) -> tuple[FieldState, float]:
+    """The member's initial state, centred at x0, and the step that divides
+    T. The member is sampled once, at t = 0; in choquard mode the state
+    carries the slaved field the run steps under, which the default step
+    reads, and the other modes get the analytic history phi(-dt)."""
+    state = state_from_solution(spec, params, grid, x0=x0)
+    if mode == "choquard":
+        state = state_with_static_field(state.psi, params, grid)
+    dt = _dividing_dt(T, requested, mode, state)
+    if mode != "choquard":
+        state = replace(state, phi_prev=sample_solution(
+            spec, params, grid, t=-dt, x0=x0).phi)
+    return state, dt
+
+
 def _plan(config: ScenarioConfig, warnings: list[str],
           spec_for: Callable[[PhysicalParams], SolitonSpec], T_default: float,
-          mode: str = "coupled"
-          ) -> tuple[PhysicalParams, SolitonSpec, Grid, float, float, int]:
-    """params, spec (validated), grid (auto: matched), T, dt, stride.
-
-    The default step reads the member at t = 0 with the field the run
-    steps under: in choquard mode the one slaved to its density, which
-    the slaved update puts in place of the closed-form field.
-    """
+          mode: str = "coupled", x0: float = 0.0) -> tuple[
+              PhysicalParams, SolitonSpec, FieldState, float, float, int]:
+    """params, spec (validated), initial state on the member's grid (auto:
+    matched), T, dt, stride; the state and dt come from _member_start."""
     params = _physical_params(config)
     spec = _member(spec_for, params, warnings)
     grid = _member_grid(config, spec, params)
     T = _run_T(config, T_default)
-
-    def member() -> FieldState:
-        state = state_from_solution(spec, params, grid)
-        if mode == "choquard":
-            return state_with_static_field(state.psi, params, grid)
-        return state
-
-    dt = _dividing_dt(T, config.get("run", "dt"), mode, member)
-    return params, spec, grid, T, dt, _stride(config, round(T / dt))
+    initial, dt = _member_start(spec, params, grid, T,
+                                config.get("run", "dt"), mode, x0)
+    return params, spec, initial, T, dt, _stride(config, round(T / dt))
 
 
 def _evolve_observed(report: RunReport, initial: FieldState, T: float,
@@ -460,17 +466,14 @@ def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
 def _scenario_soliton_propagation(config: ScenarioConfig, report: RunReport,
                                   out: Path) -> ScenarioArtifacts:
     mode = config.get("run", "mode") or "coupled"
-    params, spec, grid, T, dt, stride = _plan(
+    params, spec, initial, T, dt, stride = _plan(
         config, report.warnings, functools.partial(_soliton_spec, config),
-        20.0, mode)
-
-    initial = state_from_solution(spec, params, grid, t0=0.0, dt=dt,
-                                  x0=config.get("soliton", "x0"))
+        20.0, mode, config.get("soliton", "x0"))
     recs, traj = _evolve_observed(report, initial, T, dt, stride, mode)
     report.details["kicks"] = traj.kicks
 
     v_closed = family_velocity(spec, params)
-    fit = fit_velocity(recs, grid)
+    fit = fit_velocity(recs, initial.grid)
     norm_drift = max(abs(r.norm - recs[0].norm) for r in recs)
     width_change = abs(recs[-1].width - recs[0].width) / recs[0].width
     report.details["closed_form_velocity"] = v_closed
@@ -543,7 +546,7 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
     except ValueError as e:
         raise ConfigError(f"invalid [grid] for packet.sigma0 and packet.k0: "
                           f"{e}") from None
-    dt = _dividing_dt(T, config.get("run", "dt"), "free", lambda: packet)
+    dt = _dividing_dt(T, config.get("run", "dt"), "free", packet)
     stride = _stride(config, round(T / dt))
     recs, traj = _evolve_observed(report, packet, T, dt, stride, "free")
 
@@ -564,11 +567,10 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
     # of at most grid.n points at the default step: run.dt and run.stride
     # set the packet run only
     sol_grid = make_grid(1, min(grid.n, 1024), matched_length(spec, params))
-    sol_dt = _dividing_dt(T, None, "coupled", functools.partial(
-        state_from_solution, spec, params, sol_grid))
-    sol_recs, _ = _evolve_observed(
-        report, state_from_solution(spec, params, sol_grid, t0=0.0, dt=sol_dt),
-        T, sol_dt, max(1, round(T / sol_dt) // 50), "coupled")
+    sol_initial, sol_dt = _member_start(spec, params, sol_grid, T, None,
+                                        "coupled")
+    sol_recs, _ = _evolve_observed(report, sol_initial, T, sol_dt,
+                                   max(1, round(T / sol_dt) // 50), "coupled")
     ratio = spreading_ratio(sol_recs, recs)
     report.details["spreading_ratio"] = ratio
     report.checks.append(_check(
@@ -585,8 +587,8 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
 
 def _scenario_choquard_stationary(config: ScenarioConfig, report: RunReport,
                                   out: Path) -> ScenarioArtifacts:
-    params, spec, grid, T, dt, stride = _plan(config, report.warnings,
-                                              spec_1d_b, 50.0, "choquard")
+    params, spec, initial, T, dt, stride = _plan(
+        config, report.warnings, spec_1d_b, 50.0, "choquard")
     v_s = family_velocity(spec, params)
     if abs(v_s) > 1e-9:
         report.findings.append(
@@ -594,15 +596,13 @@ def _scenario_choquard_stationary(config: ScenarioConfig, report: RunReport,
             "stationarity checks below assume the standing member "
             "(m^3 v^2 = (2/3) M^3)")
 
-    psi0 = sample_solution(spec, params, grid, t=0.0).psi
-    initial = state_with_static_field(psi0, params, grid)
     recs, traj = _evolve_observed(report, initial, T, dt, stride,
                                   "choquard")
 
     width_drift = max(abs(r.width - recs[0].width) for r in recs) \
         / recs[0].width
     profile_drift = float(np.max(np.abs(np.abs(traj.final.psi)
-                                        - np.abs(psi0))))
+                                        - np.abs(initial.psi))))
     report.details["width_drift_rel"] = width_drift
     report.details["profile_drift_maxabs"] = profile_drift
     report.checks.append(_check(
@@ -726,16 +726,15 @@ def _scenario_yukawa_oracle(config: ScenarioConfig, report: RunReport,
 
 def _scenario_perturbation_stability(config: ScenarioConfig, report: RunReport,
                                      out: Path) -> ScenarioArtifacts:
-    params, spec, grid, T, dt, stride = _plan(config, report.warnings,
-                                              spec_1d_b, 20.0)
+    _, _, initial, T, dt, stride = _plan(config, report.warnings,
+                                         spec_1d_b, 20.0)
     kind = config.get("perturb", "kind")
     strength = config.get("perturb", "strength")
     seed = config.get("run", "seed")
 
     def one_run() -> tuple[list[ObservableRecord], Trajectory]:
-        base = state_from_solution(spec, params, grid, t0=0.0, dt=dt)
         try:
-            noisy = perturb(base, kind, strength, seed=seed)
+            noisy = perturb(initial, kind, strength, seed=seed)
         except ValueError as e:
             raise ConfigError(f"invalid [perturb]: {e}") from None
         return _evolve_observed(report, noisy, T, dt, stride, "coupled")
@@ -806,6 +805,8 @@ def _scenario_param_sweep(config: ScenarioConfig, report: RunReport,
             row["checks"] = [asdict(c) for c in child.checks]
             row["step_count"] = child.step_count
             report.step_count += child.step_count
+            report.warnings.extend(f"case {i} ({section}.{key} = {v:g}): {w}"
+                                   for w in child.warnings)
             for c in child.checks:
                 criteria.setdefault(c.criterion, []).append(c)
         merged.append(row)

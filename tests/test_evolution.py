@@ -4,6 +4,7 @@ modes, the default step and the Gautschi scalar update."""
 from __future__ import annotations
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -13,9 +14,10 @@ from solitonlab import evolution
 from solitonlab.model import FieldState, PhysicalParams, make_grid
 from solitonlab.evolution import (
     BlowUpError, default_dt, evolve,
-    gaussian_packet, perturb, reverse_state, stability_limit,
+    gaussian_packet, landing_steps, perturb, reverse_state, stability_limit,
     state_from_solution, state_with_static_field,
 )
+from solitonlab.runner import MAX_STEPS
 from solitonlab.solutions import (family_coefficients, matched_length,
                                   sample_solution, spec_1d_b, spec_3d_a,
                                   spec_3d_b)
@@ -53,6 +55,24 @@ class TestStepControl:
         assert traj.initial is st
         assert traj.final.t == pytest.approx(0.1, abs=1e-15)
         assert traj.dt * traj.step_count == pytest.approx(0.1, abs=1e-15)
+
+    @pytest.mark.parametrize("T", [0.001, 0.5, 7.3, 10.0, 20.0, 50.0,
+                                   123.456])
+    def test_a_step_of_T_over_N_lands_on_itself(self, T):
+        # the absolute tolerance ceil(T/dt - 1e-12) re-lands 446,367 of the
+        # N up to 10^7 at T = 20, the first at N = 18393, where the
+        # roundoff of T/(T/N) passes 1e-12; the relative one re-lands none
+        rng = random.Random(T)
+        ns = {1, 2, 3, 18393, MAX_STEPS}
+        ns |= {rng.randint(1, MAX_STEPS) for _ in range(5000)}
+        assert [n for n in sorted(ns) if landing_steps(T, T / n) != n] == []
+        assert math.ceil(20.0 / (20.0 / 18393) - 1e-12) == 18394
+
+    def test_landing_steps_never_exceed_the_step(self):
+        assert landing_steps(1.0, 0.3) == 4
+        assert landing_steps(1.0, 1.0 / 3.0 * (1.0 - 1e-9)) == 4
+        assert landing_steps(1.0, 2.0) == 1
+        assert landing_steps(1e-300, 1.0) == 1
 
     def test_zero_T_returns_initial_only(self):
         st, _ = soliton_state()

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,12 @@ from solitonlab.cli import main
 from solitonlab.config import (ConfigError, ScenarioConfig, apply_overrides,
                                default_config, parse_config)
 from solitonlab.diagnostics import ObservableRecord
-from solitonlab.evolution import BlowUpError, state_from_solution
+from solitonlab.evolution import (BlowUpError, evolve, state_from_solution,
+                                  state_with_static_field)
 from solitonlab.model import PhysicalParams, make_grid
 from solitonlab import runner
 from solitonlab.runner import FAILED_MARKER, RunReport, _check, run_scenario
-from solitonlab.solutions import spec_1d_b
+from solitonlab.solutions import matched_length, spec_1d_b
 from solitonlab.spectral import _direct_weights
 
 
@@ -284,6 +286,76 @@ class TestChoquardPlan:
         assert round(T / dt) == 375
         assert dt == pytest.approx(50.0 / 375, rel=1e-15)
 
+    def test_propagation_records_the_slaved_field_from_t0(self, tmp_path):
+        # the t = 0 record, the initial snapshot and the weak-field block
+        # read the field the run steps under (depth 1.708), not the
+        # closed-form one (5.333) the slaved update replaces
+        cfg = apply_overrides(default_config("soliton-propagation"),
+                              ["run.mode=choquard", "run.T=2"])
+        report = run_scenario(cfg, out_dir=tmp_path)
+        _, _, initial, *_ = runner._plan(
+            cfg, [], functools.partial(runner._soliton_spec, cfg), 20.0,
+            "choquard")
+        slaved = state_with_static_field(initial.psi, initial.params,
+                                         initial.grid).phi
+        assert np.array_equal(initial.phi, slaved)
+        rows = (tmp_path / "observables.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        first = dict(zip(header, rows[1].split(",")))
+        assert float(first["phi_min"]) == float(slaved.min())
+        assert float(first["phi_min"]) == pytest.approx(-1.70805, abs=1e-5)
+        snapshot = np.loadtxt(tmp_path / "snapshot_initial.csv",
+                              delimiter=",", skiprows=2)
+        assert snapshot[:, 3].min() == float(slaved.min())
+        block = report.details["weak_field"]
+        assert block["max_depth"] == pytest.approx(1.70805, abs=1e-5)
+        assert "deepest 1.70805" in report.warnings[-1]
+
+
+class TestMemberStart:
+    """_plan samples the member once, at t = 0, and once more for the
+    scalar history at the step the run takes."""
+
+    @pytest.mark.parametrize("scenario, overrides, calls", [
+        ("soliton-propagation", ["grid.n=256", "run.T=0.5"], 2),
+        ("soliton-propagation", ["grid.n=256", "run.T=0.5",
+                                 "run.mode=choquard"], 1),
+        ("free-spreading", ["grid.n=512", "run.T=2.0"], 2),
+        ("perturbation-stability", ["grid.n=256", "run.T=0.5"], 2),
+        ("choquard-stationary", ["grid.n=256", "run.T=0.5"], 1),
+    ])
+    def test_member_sampled_once_per_start(self, tmp_path, monkeypatch,
+                                           scenario, overrides, calls):
+        seen = []
+        sample = runner.sample_solution
+
+        def counted(*args, **kwargs):
+            seen.append(kwargs.get("t"))
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "sample_solution", counted)
+        monkeypatch.setattr(solitonlab.evolution, "sample_solution", counted)
+        cfg = apply_overrides(default_config(scenario), overrides)
+        run_scenario(cfg, out_dir=tmp_path)
+        assert len(seen) == calls
+        assert seen[0] == 0.0
+
+    def test_divided_step_runs_as_planned(self):
+        # 20/18393 is a step that ceil(T/dt - 1e-12) re-lands on 18394
+        # steps; the run takes the planned 18393, for which its history
+        # phi(-dt) was sampled, and does not warn
+        params = PhysicalParams(M=1.0, m=0.5, v=1.0)
+        spec = spec_1d_b(params)
+        grid = make_grid(1, 16, matched_length(spec, params))
+        initial, dt = runner._member_start(
+            spec, params, grid, 20.0, 0.0010873761070847989, "coupled")
+        assert dt == 20.0 / 18393
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve(initial, 20.0, dt)
+        assert traj.step_count == 18393
+        assert traj.dt == dt
+
 
 class TestSlavedDepths:
     def test_choquard_prefactor_halves_field_depth(self):
@@ -460,6 +532,25 @@ class TestParamSweep:
                                               r"value\) must be positive"):
             run_scenario(cfg, out_dir=tmp_path)
         assert not list(tmp_path.glob("case_*"))
+
+    def test_case_warnings_reach_the_sweep(self, tmp_path):
+        # max|phi| = 2.57 at m = 0.6 and 13.0 at m = 0.4, against M = 1
+        cfg = apply_overrides(
+            default_config("param-sweep"),
+            ["sweep.values=0.6,0.4", "run.T=0.5", "grid.n=256"])
+        report = run_scenario(cfg, out_dir=tmp_path)
+        expected = []
+        for i, (m, case) in enumerate(zip(("0.6", "0.4"), sorted(
+                tmp_path.glob("case_*")))):
+            child = json.loads((case / "report.json").read_text())
+            assert len(child["warnings"]) == 2
+            expected += [f"case {i} (params.m = {m}): {w}"
+                         for w in child["warnings"]]
+        assert report.warnings == expected
+        saved = json.loads((tmp_path / "report.json").read_text())
+        assert saved["warnings"] == expected
+        assert [l for l in report.summary_lines() if "warning: " in l] \
+            == [f"  warning: {w}" for w in expected]
 
     def test_all_cases_aborted_fails(self, tmp_path):
         # (3/2) m^3 v^2 > M^3 at both values: no subluminal 1d_b member,
