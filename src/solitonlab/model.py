@@ -362,11 +362,16 @@ def validate_params(params: PhysicalParams,
     if all(c.passed for c in checks):
         from .solutions import family_coefficients  # solutions imports model
         depth = abs(family_coefficients(spec, params).phi_amplitude)
-        checks.append(ConstraintCheck(
-            name="nonrelativistic_validity", passed=depth < M, margin=M - depth,
-            detail=f"max|phi| = {depth:.6g} vs M = {M:.6g}; the weak-field "
-                   "treatment assumes |phi| < M", advisory=True))
+        checks.append(weak_field_check(depth, M))
     return ValidationReport(checks=tuple(checks))
+
+
+def weak_field_check(depth: float, M: float) -> ConstraintCheck:
+    """The weak-field advisory on a field depth max|phi|: under M."""
+    return ConstraintCheck(
+        name="nonrelativistic_validity", passed=depth < M, margin=M - depth,
+        detail=f"max|phi| = {depth:.6g} vs M = {M:.6g}; the weak-field "
+               "treatment assumes |phi| < M", advisory=True)
 
 
 def require_valid(params: PhysicalParams, spec: SolitonSpec) -> None:

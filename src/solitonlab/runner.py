@@ -23,7 +23,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from .diagnostics import (ObservableRecord, SeriesObserver, VelocityFit,
 from .evolution import (Trajectory, default_dt, evolve, gaussian_packet,
                         landing_steps, perturb, state_from_solution,
                         state_with_static_field)
-from .model import (FieldState, Family, Grid, PhysicalParams, SolitonSpec,
-                    make_grid, scalar_source, validate_params)
+from .model import (ConstraintCheck, FieldState, Family, Grid, PhysicalParams,
+                    SolitonSpec, make_grid, scalar_source, validate_params,
+                    weak_field_check)
 from .residuals import FamilyAuditEntry, ResidualReport, full_family_audit
 from .solutions import (MIN_DOMAIN_WIDTHS, closed_form_width,
                         family_velocity, localization_length, matched_length,
@@ -180,9 +181,13 @@ def _member(spec_for: Callable[[PhysicalParams], SolitonSpec],
         spec = spec_for(params)
     except ValueError as e:
         raise ConfigError(f"invalid [soliton]: {e}") from None
-    for c in validate_params(params, spec).warnings:
-        warnings.append(f"advisory {c.name}: {c.detail}")
+    _advise(warnings, validate_params(params, spec).warnings)
     return spec
+
+
+def _advise(warnings: list[str], checks: Iterable[ConstraintCheck]) -> None:
+    warnings.extend(f"advisory {c.name}: {c.detail}"
+                    for c in checks if not c.passed)
 
 
 def _grid_for(config: ScenarioConfig, default_length: float,
@@ -275,13 +280,18 @@ def _plan(config: ScenarioConfig, warnings: list[str],
           mode: str = "coupled", x0: float = 0.0) -> tuple[
               PhysicalParams, SolitonSpec, FieldState, float, float, int]:
     """params, spec (validated), initial state on the member's grid (auto:
-    matched), T, dt, stride; the state and dt come from _member_start."""
+    matched), T, dt, stride; the state and dt come from _member_start.
+    In choquard mode the weak-field advisory reads the slaved field the run
+    steps under, not the closed-form member's."""
     params = _physical_params(config)
-    spec = _member(spec_for, params, warnings)
+    spec = _member(spec_for, params, [] if mode == "choquard" else warnings)
     grid = _member_grid(config, spec, params)
     T = _run_T(config, T_default)
     initial, dt = _member_start(spec, params, grid, T,
                                 config.get("run", "dt"), mode, x0)
+    if mode == "choquard":
+        _advise(warnings, [weak_field_check(abs(float(initial.phi.min())),
+                                            params.M)])
     return params, spec, initial, T, dt, _stride(config, round(T / dt))
 
 
@@ -637,7 +647,9 @@ def _smooth_random_source(grid: Grid, rng: random.Random) -> np.ndarray:
     at the Nyquist edge, so the spectral and quadrature routes see the
     same function rather than disagreeing on unresolved content. A bump
     and its periodic images factorize per axis: the outer product of the
-    per-axis sums of three images.
+    per-axis sums of the images at shifts -K .. K, where the first one
+    left out, at least K boxes away, is below 1e-17 of the peak (K = 1 from
+    n = 128 up; a cut image would leave a seam jump in the source).
     """
     length = grid.length
     out = np.zeros(grid.shape)
@@ -646,8 +658,9 @@ def _smooth_random_source(grid: Grid, rng: random.Random) -> np.ndarray:
                   for _ in range(grid.dim)]
         sig = rng.uniform(6.0, 8.0) * grid.spacing
         amp = rng.uniform(-1.0, 1.0)
+        K = int(math.sqrt(2.0 * math.log(1e17)) * sig / length) + 1
         factors = [sum(np.exp(-0.5 * (grid.axis - c + shift * length) ** 2
-                              / sig**2) for shift in (-1, 0, 1))
+                              / sig**2) for shift in range(-K, K + 1))
                    for c in center]
         out += amp * functools.reduce(np.multiply.outer, factors)
     return out
@@ -655,8 +668,9 @@ def _smooth_random_source(grid: Grid, rng: random.Random) -> np.ndarray:
 
 def _oracle_grid(config: ScenarioConfig, key: str, dim: int,
                  length: float) -> Grid:
-    # the source build squares distances of up to two boxes, and the 3D
-    # weights scale by the cell volume, at most length^3: both must be finite
+    # the source build squares distances of up to two boxes (a farther
+    # image's may overflow, to an exact 0 weight), and the 3D weights scale
+    # by the cell volume, at most length^3: both must be finite
     if not math.isfinite(max(4.0 * length * length,
                              math.prod([length] * dim))):
         raise ConfigError(

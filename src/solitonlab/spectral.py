@@ -39,11 +39,11 @@ __all__ = [
     "MAX_DIRECT_POINTS",
 ]
 
-# The direct apply costs points^2 multiply-adds (half that for the
-# mirror-folded 3D weights); its matrix is copied out a chunk at a time, so
-# its memory does not grow with points. At the 3D acceptance size 32^3 =
-# 2^15 the weight build (once per symmetry class) takes about 0.06 s and
-# the apply 0.05 s (2-core Xeon, OpenBLAS); anything larger is rejected.
+# The direct apply costs points^2 multiply-adds in 1D (a 2 MiB matrix chunk
+# at a time) and about points^2/6 in 3D, on the even and odd parts of the
+# source (one 668 KB matrix at a time at 32^3). At the 3D acceptance size
+# 32^3 = 2^15 the weight build (once per symmetry class) takes about 0.05 s
+# and the apply 0.03 s (2-core Xeon, OpenBLAS); anything larger is rejected.
 MAX_DIRECT_POINTS = 2**15
 
 
@@ -136,11 +136,9 @@ def yukawa_convolve_direct(source: np.ndarray, m: float, grid: Grid) -> np.ndarr
     Independent oracle for yukawa_invert: convolves the source with the
     periodic screened-Coulomb kernel (cosh closed form in 1D, minimum-image
     exp(-m r)/(4 pi r) in 3D) using per-cell product integration. The apply
-    is a dense circulant matrix product: in 1D matrix-vector products over
-    row chunks, points^2 multiply-adds; in 3D one BLAS matmul per mirror
-    pair of offsets d, -d along the first axis and column chunk of the
-    2D-circulant block of the remaining two, about points^2/2 multiply-adds.
-    No chunk holds more than 2 MiB of the matrix. No FFT is involved.
+    is a dense circulant matrix product (_circulant_apply): in 1D over row
+    chunks, points^2 multiply-adds; in 3D on the even and odd parts of the
+    source, about points^2/6. No FFT is involved.
     Guarded to MAX_DIRECT_POINTS total points, and in 3D to m L >= 10:
     the periodic images past the first shell are dropped.
     """
@@ -170,10 +168,7 @@ _BULK_BLOCK = 8192
 # last indices of the bulk table gathered per matmul in the 3D build:
 # at 32^3 one slab is 96 x 96 x 4 floats (0.3 MB)
 _BULK_SLAB = 4
-# bytes of circulant matrix built per product in the apply (row chunks in
-# 1D, column chunks of the n^2 x n^2 block in 3D). At 32^3 a 2 MiB chunk
-# is 8 of the 32 i2 columns; a 3 MiB chunk raised the yukawa-oracle run's
-# peak RSS by 2 MiB, and the whole 8 MiB block was about 10 ms faster
+# bytes of circulant matrix copied per 1D matrix-vector product (row chunks)
 _APPLY_CHUNK_BYTES = 2**21
 # bytes per (rows, q) Gauss-point array in the 1D weight build: one chunk
 # up to n = 6553, the default n_1d = 128 included. At n = 32768 a 1 MiB
@@ -382,17 +377,18 @@ def _corner_cell(m: float, dx: float, q: int) -> np.ndarray:
     """Weights (P, P, P) of the corner cell [0, dx]^3 on its stencil nodes.
 
     Duffy split into 3 pyramids along the largest coordinate: the one with
-    it along axis 0 is one product over q^3 points at (T, T*U, T*V), the
+    it along axis 0 is the q^3 points at (T, T*U, T*V), contracted over v,
+    then u, then t (the basis at T*U, which T*V shares, on q^2 points); the
     other two are its transposes. The other seven corner cells mirror it.
     """
     td, od = _gauss01(q)
-    T, U, V = np.meshgrid(td, td, td, indexing="ij")
+    T, U, V = td[:, None, None], td[None, :, None], td[None, None, :]
     WT = od[:, None, None] * od[None, :, None] * od[None, None, :]
     R = np.sqrt(1.0 + U**2 + V**2)
-    core = (T * np.exp(-m * dx * T * R) / (4.0 * np.pi * R) * WT * dx**2).ravel()
-    B0, B1, B2 = (_lagrange_basis(xi.ravel()) for xi in (T, T * U, T * V))
-    B12 = (B1[:, :, None] * B2[:, None, :]).reshape(-1, _P * _P)
-    P = ((core[:, None] * B0).T @ B12).reshape(_P, _P, _P)
+    core = T * np.exp(-m * dx * T * R) / (4.0 * np.pi * R) * WT * dx**2
+    B = _lagrange_basis(np.outer(td, td).ravel()).reshape(q, q, _P)  # at T*U
+    P = np.tensordot(_lagrange_basis(td), B.transpose(0, 2, 1) @ (core @ B),
+                     axes=(0, 0))
     return sum(P.transpose(p) for p in _AXIS_PLACEMENTS)
 
 
@@ -457,24 +453,22 @@ def _sorted_rank(i: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _circulant_apply(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Dense circulant apply out_i = sum_j w[(j - i) mod n per axis] s_j.
+    """Dense circulant apply out_i = sum_j w[(j - i) mod n per axis] s_j, its
+    matrices read from sliding windows over w tiled twice per axis.
 
-    The matrix is read from a sliding window over w tiled twice per axis,
-    with no index table, and copied out _APPLY_CHUNK_BYTES at a time. Each
-    chunk holds the whole sum over j for its outputs, so every output is
-    the same BLAS dot product as from the whole matrix, bitwise. In 1D row
-    i of the matrix is the window at n - i; each row chunk is one
-    matrix-vector product (a single chunk up to n = 512).
+    In 1D row i of the matrix is the window at n - i, copied out
+    _APPLY_CHUNK_BYTES at a time; each row chunk is one matrix-vector
+    product (a single chunk up to n = 512).
 
-    In 3D the matrix is block circulant along the first axis: offset d1
-    contributes roll(s, -d1, 0) (n x n^2) times the n^2 x n^2 2D-circulant
-    block of w[d1], a reversed window over the plane tiled 2 x 2, taken in
-    column chunks over i2, one BLAS matmul each. Offsets d1 and n - d1
-    whose planes w[d1] and w[n - d1] are bitwise equal share one block on
-    roll(s, -d1) + roll(s, d1): n/2 + 1 blocks instead of n for a table
-    even along its first axis, as the screened-kernel weights are. Only
-    exact equality makes the folded sum the unfolded one; other planes get
-    the unfolded sum.
+    In 3D n must be even and w bitwise even along each axis, as the weights
+    are (else ValueError). Planes d1 and -d1 share w[d1] on roll(s, -d1) +
+    roll(s, d1). A plane's 2D circulant is centrosymmetric (Cantoni &
+    Butler, Linear Algebra Appl. 13, 1976): it maps the parity parts of the
+    source along axes 1 and 2, (s_k + s_-k)/2 (weighted 1/4 at k = 0, n/2)
+    and (s_k - s_-k)/2 on k = 0 .. n/2, onto those of the output. A part
+    meets one (n/2 + 1)^2-square matrix per plane, along each axis the plane
+    at |j - i| plus (even) or minus (odd) the plane at j + i, built one at a
+    time: about points^2/6 multiply-adds in all.
     """
     n = s.shape[0]
     if s.ndim == 1:
@@ -486,26 +480,41 @@ def _circulant_apply(w: np.ndarray, s: np.ndarray) -> np.ndarray:
             out[i:stop] = np.ascontiguousarray(window[n - i:n - stop:-1]) @ s
         return out
 
-    step = max(1, _APPLY_CHUNK_BYTES // (8 * n**3))
-    out = np.zeros((n, n, n))
+    if n % 2 or not all(np.array_equal(v[1:], v[:0:-1]) for v in (
+            w, w.transpose(1, 0, 2), w.transpose(2, 1, 0))):
+        raise ValueError(f"3D apply needs an even n and w bitwise even, n = {n}")
+    h = n // 2
+    k = np.arange(h + 1)
+    signed = np.stack((k, -k % n))
+    at = (slice(None), signed[:, None, :, None], signed[None, :, None, :])
+    # the parts ee, eo, oe, oo from s at (+-k2, +-k3), and back
+    sum_diff = np.array([[1.0, 1.0], [1.0, -1.0]])
+    scale = np.stack((np.where((k == 0) | (k == h), 0.25, 0.5),
+                      np.full(h + 1, 0.5)))
+    parts = np.einsum("ai,bj,nijkl->abnkl", sum_diff, sum_diff, s[at])
+    parts *= scale[:, None, None, :, None] * scale[None, :, None, None, :]
 
-    def add_block(rows: np.ndarray, plane: np.ndarray) -> None:
-        # out += rows @ block, entry (j2 j3, i2 i3) of the block =
-        # plane[j2 - i2, j3 - i3] = tiled[n + j2 - i2, n + j3 - i3]
-        window = sliding_window_view(np.tile(plane, (2, 2)), (n, n))
-        block = window[1:, 1:, ::-1, ::-1]
-        rows = rows.reshape(n, n * n)
-        for i2 in range(0, n, step):
-            out[:, i2:i2 + step] += (
-                rows @ block[:, :, i2:i2 + step].reshape(n * n, -1)
-            ).reshape(n, -1, n)
+    def fold(x: np.ndarray, odd: int, out: np.ndarray | None = None
+             ) -> np.ndarray:
+        # [j, ..., i] = x[j - i] +- x[j + i] (mod n) along the first axis
+        win = sliding_window_view(np.concatenate((x, x)), h + 1, axis=0)
+        return (np.subtract if odd else np.add)(
+            win[h:n + 1, ..., ::-1], win[:h + 1], out=out)
 
-    for d1 in range(n // 2 + 1):
-        mirror = -d1 % n
-        rows = np.roll(s, -d1, axis=0)
-        if mirror != d1 and np.array_equal(w[d1], w[mirror]):
-            rows += np.roll(s, d1, axis=0)
-        elif mirror != d1:
-            add_block(np.roll(s, d1, axis=0), w[mirror])
-        add_block(rows, w[d1])
+    acc = np.zeros((2, 2, n, (h + 1) ** 2))
+    flat = np.empty(((h + 1) ** 2,) * 2)
+    for d1 in range(h + 1):
+        # entry (d2, j3, i3) is w[d1, d2, j3 - i3] +- w[d1, d2, j3 + i3]
+        along_2 = [fold(w[d1].T, odd).transpose(1, 0, 2) for odd in (0, 1)]
+        for a, b in np.ndindex(2, 2):
+            # part (a, b)'s matrix, rows (j2, j3) and columns (i3, i2)
+            fold(along_2[b], a, out=flat.reshape((h + 1,) * 4))
+            rows = np.roll(parts[a, b], -d1, axis=0)
+            if 0 < d1 < h:
+                rows += np.roll(parts[a, b], d1, axis=0)
+            acc[a, b] += rows.reshape(n, -1) @ flat
+    del parts, flat  # freed before out is formed from the sums
+    acc = acc.reshape(2, 2, n, h + 1, h + 1).transpose(0, 1, 2, 4, 3)
+    out = np.empty((n, n, n))
+    out[at] = np.einsum("ia,jb,abnkl->nijkl", sum_diff, sum_diff, acc)
     return out

@@ -249,6 +249,40 @@ class TestRunScenario:
         assert any(row["dim"] == 3
                    for row in report.details["oracle_cases"])
 
+    @pytest.mark.parametrize("overrides", [
+        ["oracle.n_1d=16", "oracle.run_3d=false"], ["oracle.n_3d=16"]])
+    def test_oracle_passes_at_the_smallest_lattice(self, tmp_path,
+                                                   overrides):
+        # a bump up to 8 spacings wide reaches e^-2 of its peak one box
+        # away at n = 16: summed over three images only, the source jumped
+        # at the seam and criterion 7 read 2.9e-4 (1D) and 4.4e-4 (3D)
+        cfg = apply_overrides(default_config("yukawa-oracle"), overrides)
+        report = run_scenario(cfg, out_dir=tmp_path)
+        assert report.passed
+        assert {row["n"] for row in report.details["oracle_cases"]} >= {16}
+
+    @pytest.mark.parametrize("dim, n", [(1, 16), (3, 16), (1, 32), (3, 32),
+                                        (1, 128)])
+    def test_oracle_source_sums_every_image_it_needs(self, dim, n):
+        # against 41 images per axis: rounding at n = 16 and 32, and bitwise
+        # the three images at n = 128, where the next ones are below e^-128
+        grid = make_grid(dim, n, 40.0)
+        source = runner._smooth_random_source(grid, random.Random(n + dim))
+        rng, L = random.Random(n + dim), grid.length
+        ref = np.zeros(grid.shape)
+        for _ in range(4):
+            center = [rng.uniform(-L / 2, L / 2) for _ in range(dim)]
+            sig = rng.uniform(6.0, 8.0) * grid.spacing
+            amp = rng.uniform(-1.0, 1.0)
+            shifts = (-1, 0, 1) if n == 128 else range(-20, 21)
+            factors = [sum(np.exp(-0.5 * (grid.axis - c + v * L) ** 2
+                                  / sig**2) for v in shifts) for c in center]
+            ref += amp * functools.reduce(np.multiply.outer, factors)
+        if n == 128:
+            assert np.array_equal(source, ref)
+        else:
+            assert np.abs(source - ref).max() <= 1e-15 * np.abs(ref).max()
+
     def test_propagation_reports_kick_count(self, tmp_path):
         cfg = apply_overrides(default_config("soliton-propagation"),
                               ["grid.n=256", "run.T=1.0", "run.stride=4"])
@@ -310,6 +344,23 @@ class TestChoquardPlan:
         block = report.details["weak_field"]
         assert block["max_depth"] == pytest.approx(1.70805, abs=1e-5)
         assert "deepest 1.70805" in report.warnings[-1]
+
+    def test_advisory_reads_the_slaved_depth(self, tmp_path):
+        # the advisory and the weak-field warning name the one depth the
+        # run steps under, 1.70805, not the closed-form member's 5.33333
+        cfg = apply_overrides(default_config("soliton-propagation"),
+                              ["run.mode=choquard", "run.T=2"])
+        report = run_scenario(cfg, out_dir=tmp_path)
+        assert [w for w in report.warnings if w.startswith("advisory")] == [
+            "advisory nonrelativistic_validity: max|phi| = 1.70805 vs M = "
+            "1; the weak-field treatment assumes |phi| < M"]
+        assert "deepest 1.70805" in report.warnings[-1]
+        assert len(report.warnings) == 2
+        stationary = run_scenario(
+            apply_overrides(default_config("choquard-stationary"),
+                            ["grid.n=256", "run.T=0.5"]),
+            out_dir=tmp_path / "stationary")
+        assert stationary.warnings == []
 
 
 class TestMemberStart:

@@ -39,24 +39,34 @@ def wrapped_gaussians(grid, rng, count=4, sig_lo=6.0, sig_hi=8.0):
     return out
 
 
-def gather_apply(w, s, chunk=256):
+def gather_apply(w, s, chunk=256, targets=None):
     """Reference circulant apply out_i = sum_j w[(j - i) mod n per axis] s_j
-    by an explicit flat-index gather, one block of target points at a time."""
+    by an explicit flat-index gather, one block of target points at a time;
+    at the given flat targets only (then flat), else at every point."""
     shape = s.shape
     n = shape[0]
     N = s.size
     grids = np.indices(shape).reshape(s.ndim, N).astype(np.int32)
     strides = np.array([int(np.prod(shape[a + 1:], dtype=int))
                         for a in range(s.ndim)], dtype=np.int32)
-    out = np.empty(N)
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        flat = np.zeros((hi - lo, N), dtype=np.int32)
+    rows = np.arange(N) if targets is None else np.asarray(targets)
+    out = np.empty(rows.size)
+    for lo in range(0, rows.size, chunk):
+        block = rows[lo:lo + chunk]
+        flat = np.zeros((block.size, N), dtype=np.int32)
         for a in range(s.ndim):
-            flat += ((grids[a][None, :] - grids[a][lo:hi, None]) % n) \
+            flat += ((grids[a][None, :] - grids[a][block, None]) % n) \
                 * strides[a]
-        out[lo:hi] = w.ravel()[flat] @ s.ravel()
-    return out.reshape(shape)
+        out[lo:lo + chunk] = w.ravel()[flat] @ s.ravel()
+    return out.reshape(shape) if targets is None else out
+
+
+def even_table(w):
+    """w plus its mirror along each axis: bitwise even along every axis."""
+    mirror = -np.arange(w.shape[0]) % w.shape[0]
+    for axis in range(w.ndim):
+        w = w + np.take(w, mirror, axis=axis)
+    return w
 
 
 def pyramid_corner_cells(m, dx, q):
@@ -351,30 +361,36 @@ class TestYukawaDirect:
 
 
 class TestDirectApply:
-    @pytest.mark.parametrize("shape", [(128,), (8, 8, 8), (16, 16, 16)])
+    @pytest.mark.parametrize("shape", [(128,), (8, 8, 8), (16, 16, 16),
+                                       (32, 32, 32)])
     def test_matches_gather_reference(self, shape):
+        # the 3D apply takes tables exactly even along each axis, as the
+        # weights are; 32^3, the oracle's size, is gathered at 1024 random
+        # targets
         rng = np.random.default_rng(sum(shape))
         w = rng.normal(size=shape)
+        if len(shape) == 3:
+            w = even_table(w)
         s = rng.normal(size=shape)
-        ref = gather_apply(w, s)
-        out = _circulant_apply(w, s)
+        targets = (rng.choice(s.size, 1024, replace=False)
+                   if s.size > 4096 else np.arange(s.size))
+        ref = gather_apply(w, s, targets=targets)
+        out = _circulant_apply(w, s).ravel()[targets]
         assert np.abs(out - ref).max() / np.abs(ref).max() <= 1e-13
 
-    @pytest.mark.parametrize("n", [8, 16, 9])
-    def test_mirror_fold_matches_gather_reference(self, n):
-        # weights exactly even along each axis take the folded path, one
-        # block per mirror pair of planes; n = 16 also has the self-paired
-        # plane n/2, n = 9 has none
-        rng = np.random.default_rng(n)
-        w = rng.normal(size=(n, n, n))
-        mirror = -np.arange(n) % n
-        for axis in range(3):
-            w = w + np.take(w, mirror, axis=axis)
-        assert all(np.array_equal(w[d], w[-d % n]) for d in range(n))
-        s = rng.normal(size=(n, n, n))
-        ref = gather_apply(w, s)
-        out = _circulant_apply(w, s)
-        assert np.abs(out - ref).max() / np.abs(ref).max() <= 1e-13
+    def test_3d_apply_refuses_a_table_it_cannot_split(self):
+        # the even and odd parts need w[-k] == w[k] bitwise along each axis
+        # and an even n; one ulp off along any one axis is refused
+        rng = np.random.default_rng(8)
+        w = even_table(rng.normal(size=(8, 8, 8)))
+        s = rng.normal(size=(8, 8, 8))
+        for cell in ((1, 0, 0), (0, 3, 0), (0, 0, 5)):
+            bad = w.copy()
+            bad[cell] = np.nextafter(bad[cell], np.inf)
+            with pytest.raises(ValueError, match="bitwise even"):
+                _circulant_apply(bad, s)
+        with pytest.raises(ValueError, match="even n .* n = 9"):
+            _circulant_apply(np.ones((9, 9, 9)), np.ones((9, 9, 9)))
 
 
 class TestDirectWeights:
@@ -452,24 +468,26 @@ class TestDirectWeights:
                               rank_map_bulk_table(y, length, m, kernel, 12))
 
     def test_3d_weight_build_peak_memory(self):
-        # traced peak of an uncached 32^3 build: 3,753,576 bytes (numpy
-        # 2.4.6), set by the Duffy corner's (4096, 64) basis product; the
-        # bulk contraction peaks at 2.9 MB. The bound is that plus 10 %, so
-        # a (32, 96, 96) first contraction (the 5.07 MB build that formed
-        # it), a 96^3 bulk table (7.1 MB) or a rank map over it fails
+        # traced peak of an uncached 32^3 build: 2,882,151 bytes (numpy
+        # 2.4.6), set by the bulk contraction; the Duffy corner, contracted
+        # one axis at a time, peaks at 0.14 MB. The bound is that plus 10 %,
+        # so the corner's (4096, 64) basis product (3.75 MB), a (32, 96, 96)
+        # first contraction (5.07 MB), a 96^3 bulk table (7.1 MB) or a rank
+        # map over it fails
         tracemalloc.start()
         try:
             _direct_weights_3d(32, 40.0, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4_129_000
+        assert peak <= 3_171_000
 
     def test_3d_apply_peak_memory(self):
-        # traced peak of the 32^3 apply: 2,730,965 bytes (numpy 2.4.6), one
-        # 2 MiB column chunk of the 2D-circulant block plus the output and
-        # rolled source. The bound is that plus 10 %; the whole 8 MiB block
-        # fails it
+        # traced peak of the 32^3 apply: 1,810,941 bytes (numpy 2.4.6), the
+        # 668 KB matrix of one parity part and plane, the four parts, their
+        # sums and the plane folded along one axis. The bound is that plus
+        # 10 %; a 2 MiB column chunk of the 8 MiB 2D-circulant block (the
+        # 2.73 MB apply that copied it) fails it
         w = _direct_weights(3, 32, 40.0, 0.5)
         s = np.random.default_rng(32).normal(size=(32, 32, 32))
         tracemalloc.start()
@@ -478,7 +496,7 @@ class TestDirectWeights:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3_004_000
+        assert peak <= 1_993_000
 
     def test_1d_apply_peak_memory(self):
         # traced peak at n = 4096: 2,198,121 bytes (numpy 2.4.6), one 2 MiB
