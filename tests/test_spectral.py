@@ -378,6 +378,27 @@ class TestDirectApply:
         out = _circulant_apply(w, s).ravel()[targets]
         assert np.abs(out - ref).max() / np.abs(ref).max() <= 1e-13
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_mirror_fold_matches_gather_reference(self, n):
+        # a source of one parity along axes 1 and 2 feeds one of the four
+        # parts alone; each must match the gather and keep that parity
+        # (n = 16 also has the self-paired plane n/2)
+        rng = np.random.default_rng(n)
+        w = even_table(rng.normal(size=(n, n, n)))
+        mirror = -np.arange(n) % n
+        for p2, p3 in itertools.product((1, -1), repeat=2):
+            s = rng.normal(size=(n, n, n))
+            s = s + p2 * np.take(s, mirror, axis=1)
+            s = s + p3 * np.take(s, mirror, axis=2)
+            ref = gather_apply(w, s)
+            out = _circulant_apply(w, s)
+            scale = np.abs(ref).max()
+            assert np.abs(out - ref).max() / scale <= 1e-13
+            assert np.abs(np.take(out, mirror, axis=1) - p2 * out).max() \
+                / scale <= 1e-13
+            assert np.abs(np.take(out, mirror, axis=2) - p3 * out).max() \
+                / scale <= 1e-13
+
     def test_3d_apply_refuses_a_table_it_cannot_split(self):
         # the even and odd parts need w[-k] == w[k] bitwise along each axis
         # and an even n; one ulp off along any one axis is refused
