@@ -39,11 +39,10 @@ __all__ = [
     "MAX_DIRECT_POINTS",
 ]
 
-# The direct apply costs points^2 multiply-adds in 1D (a 2 MiB matrix chunk
-# at a time) and about points^2/6 in 3D, on the even and odd parts of the
-# source (one 668 KB matrix at a time at 32^3). At the 3D acceptance size
-# 32^3 = 2^15 the weight build (once per symmetry class) takes about 0.05 s
-# and the apply 0.03 s (2-core Xeon, OpenBLAS); anything larger is rejected.
+# The direct apply costs points^2 multiply-adds in 1D and about points^2/6
+# in 3D. At the 3D acceptance size 32^3 = 2^15 a cold weight build takes
+# about 0.045 s and the apply 0.026 s (2-core Xeon, OpenBLAS); anything
+# larger is rejected.
 MAX_DIRECT_POINTS = 2**15
 
 
@@ -275,13 +274,11 @@ def _direct_weights_3d(n: int, length: float, m: float) -> np.ndarray:
 
     Kernel, image shell and every rule are even in each axis and unchanged
     when the axes are permuted, so each part is computed once per symmetry
-    class. The bulk (_bulk_weights) is tabulated on the distinct |offset|
-    per axis, once per sorted index triple (_bulk_table), mapped onto the
-    nodes at |offset| 0 .. n/2 by one (n/2 + 1, n/2 q_bulk) matrix along
-    each axis and mirrored onto the others. The shell is
-    built from its cells (1,0,0), (0,1,1) and (1,1,1), the corners
-    from one Duffy pyramid (_corner_cell); transposes and mirrors place
-    each block in its other cells. Each weight of the finished table is
+    class. The bulk (_bulk_weights) is built on the nodes at |offset|
+    0 .. n/2 and mirrored onto the others. The shell is built from its
+    cells (1,0,0), (0,1,1) and (1,1,1), the corners from one Duffy pyramid
+    (_corner_cell); transposes and mirrors place each block in its other
+    cells. Each weight of the finished table is
     read from its representative at sorted |offset|s: the table is exactly,
     bitwise, even along each axis and symmetric under axis permutation (the
     mirror fold of _circulant_apply relies on the evenness).
@@ -322,7 +319,9 @@ def _direct_weights_3d(n: int, length: float, m: float) -> np.ndarray:
             place(C.transpose(perm), tuple(cell[p] for p in perm))
 
     place(_corner_cell(m, dx, q_corner), (0, 0, 0))
-    return w[_min_mid_max(*np.ix_(offset, offset, offset))]
+    i, j, k = np.ix_(offset, offset, offset)
+    lo, hi = np.minimum(np.minimum(i, j), k), np.maximum(np.maximum(i, j), k)
+    return w[lo, i + j + k - lo - hi, hi]
 
 
 def _bulk_weights(n: int, length: float, m: float,
@@ -339,11 +338,11 @@ def _bulk_weights(n: int, length: float, m: float,
     samples onto the nodes 0 .. n/2: sample t of cell e enters node
     e + a - _HALF through basis a, and the mirrored cell -1-e enters node
     -1-e + a - _HALF (mod n) at sample q-1-t. The table is gathered
-    _BULK_SLAB last indices at a time, each slab from the packed values at
-    the rank of its entries' sorted triples, and contracted over its first
-    two axes; the last axis is contracted once every slab is in. So no
-    whole table or first contraction is formed, and every matmul keeps the
-    whole dot product over the axis it contracts.
+    _BULK_SLAB last indices at a time, at the ranks of the sorted triples,
+    and contracted over its first two axes; the last axis is contracted
+    once every slab is in. So no whole table or first contraction is
+    formed, and every matmul keeps the whole dot product over the axis it
+    contracts.
     """
     dx = length / n
     tb, ob = _gauss01(q_bulk)
@@ -361,10 +360,20 @@ def _bulk_weights(n: int, length: float, m: float,
     # MAX_DIRECT_POINTS, so at most 96 indices and ranks below 2^18
     size = y.size
     idx = np.arange(size, dtype=np.int32)
+    tri, tet = idx * (idx + 1) // 2, idx * (idx + 1) * (idx + 2) // 6
+    lo, hi = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
+    # (i, j, k) sorts to (lo, hi, k) on [:e, :e], e = k + 1, to (k, lo, hi)
+    # on [e:, e:] and to (lo, k, hi) off the diagonal blocks
+    top, bottom, off = tri[hi] + lo, tet[hi] + tri[lo], tet[hi] + lo
     T = np.empty((half + 1, half + 1, size))
     for k in range(0, size, _BULK_SLAB):
-        rank = _sorted_rank(*np.ix_(idx, idx, idx[k:k + _BULK_SLAB]))
-        first = (A @ packed[rank].reshape(size, -1)).reshape(half + 1, size, -1)
+        rank = np.empty((size, size, _BULK_SLAB), dtype=np.int32)
+        for e, r in enumerate(rank.transpose(2, 0, 1), k + 1):
+            np.add(off, tri[e - 1], out=r)
+            np.add(top[:e, :e], tet[e - 1], out=r[:e, :e])
+            np.add(bottom[e:, e:], e - 1, out=r[e:, e:])
+        first = (A @ packed.take(rank).reshape(size, -1)).reshape(
+            half + 1, size, -1)
         T[:, :, k:k + _BULK_SLAB] = A @ first
     return T @ A.T * dx**3
 
@@ -433,25 +442,6 @@ def _bulk_table(y: np.ndarray, length: float, m: float,
     return packed
 
 
-def _min_mid_max(i: np.ndarray, j: np.ndarray, k: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise smallest, middle and largest of three broadcastable
-    integer arrays, without a sort."""
-    lo = np.minimum(np.minimum(i, j), k)
-    hi = np.maximum(np.maximum(i, j), k)
-    return lo, i + j + k - lo - hi, hi
-
-
-def _sorted_rank(i: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Rank of the sorted triple of each (i, j, k) in _bulk_table's packed
-    order: c(c+1)(c+2)/6 + b(b+1)/2 + a for a <= b <= c."""
-    a, b, c = _min_mid_max(i, j, k)
-    rank = c * (c + 1) * (c + 2) // 6
-    rank += b * (b + 1) // 2
-    rank += a
-    return rank
-
-
 def _circulant_apply(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Dense circulant apply out_i = sum_j w[(j - i) mod n per axis] s_j, its
     matrices read from sliding windows over w tiled twice per axis.
@@ -465,10 +455,11 @@ def _circulant_apply(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     roll(s, d1). A plane's 2D circulant is centrosymmetric (Cantoni &
     Butler, Linear Algebra Appl. 13, 1976): it maps the parity parts of the
     source along axes 1 and 2, (s_k + s_-k)/2 (weighted 1/4 at k = 0, n/2)
-    and (s_k - s_-k)/2 on k = 0 .. n/2, onto those of the output. A part
-    meets one (n/2 + 1)^2-square matrix per plane, along each axis the plane
-    at |j - i| plus (even) or minus (odd) the plane at j + i, built one at a
-    time: about points^2/6 multiply-adds in all.
+    and (s_k - s_-k)/2 on k = 0 .. n/2, onto those of the output. Each
+    part, formed in turn, meets one (n/2 + 1)^2-square matrix per plane,
+    along each axis the plane at i - j plus (even) or minus (odd) the plane
+    at i + j, built one at a time from windows read forwards (w is even, so
+    w[i - j] is w[j - i]): about points^2/6 multiply-adds in all.
     """
     n = s.shape[0]
     if s.ndim == 1:
@@ -491,30 +482,31 @@ def _circulant_apply(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     sum_diff = np.array([[1.0, 1.0], [1.0, -1.0]])
     scale = np.stack((np.where((k == 0) | (k == h), 0.25, 0.5),
                       np.full(h + 1, 0.5)))
-    parts = np.einsum("ai,bj,nijkl->abnkl", sum_diff, sum_diff, s[at])
-    parts *= scale[:, None, None, :, None] * scale[None, :, None, None, :]
 
-    def fold(x: np.ndarray, odd: int, out: np.ndarray | None = None
-             ) -> np.ndarray:
-        # [j, ..., i] = x[j - i] +- x[j + i] (mod n) along the first axis
-        win = sliding_window_view(np.concatenate((x, x)), h + 1, axis=0)
+    def fold(x: np.ndarray, odd: int, out: np.ndarray) -> np.ndarray:
+        # [j, ..., i, ...] = x[..., i - j, ...] +- x[..., i + j, ...] (mod n)
+        # along axis 1, x even along it
+        win = np.moveaxis(sliding_window_view(
+            np.concatenate((x, x), axis=1), h + 1, axis=1), (1, -1), (0, 2))
         return (np.subtract if odd else np.add)(
-            win[h:n + 1, ..., ::-1], win[:h + 1], out=out)
+            win[n:h - 1:-1], win[:h + 1], out=out)
 
     acc = np.zeros((2, 2, n, (h + 1) ** 2))
-    flat = np.empty(((h + 1) ** 2,) * 2)
-    for d1 in range(h + 1):
-        # entry (d2, j3, i3) is w[d1, d2, j3 - i3] +- w[d1, d2, j3 + i3]
-        along_2 = [fold(w[d1].T, odd).transpose(1, 0, 2) for odd in (0, 1)]
-        for a, b in np.ndindex(2, 2):
-            # part (a, b)'s matrix, rows (j2, j3) and columns (i3, i2)
-            fold(along_2[b], a, out=flat.reshape((h + 1,) * 4))
-            rows = np.roll(parts[a, b], -d1, axis=0)
+    for a, b in np.ndindex(2, 2):
+        part = np.einsum("i,j,nijkl->nkl", sum_diff[a], sum_diff[b], s[at])
+        part *= scale[a][:, None] * scale[b][None, :]
+        flat = np.empty(((h + 1) ** 2,) * 2)
+        for d1 in range(h + 1):
+            # entry (j3, d2, i3) is w[d1, d2, i3 - j3] +- w[d1, d2, i3 + j3]
+            along_3 = fold(w[d1], b, np.empty((h + 1, n, h + 1)))
+            # part (a, b)'s matrix, rows (j2, j3) and columns (i2, i3)
+            fold(along_3, a, flat.reshape((h + 1,) * 4))
+            rows = np.roll(part, -d1, axis=0)
             if 0 < d1 < h:
-                rows += np.roll(parts[a, b], d1, axis=0)
+                rows += np.roll(part, d1, axis=0)
             acc[a, b] += rows.reshape(n, -1) @ flat
-    del parts, flat  # freed before out is formed from the sums
-    acc = acc.reshape(2, 2, n, h + 1, h + 1).transpose(0, 1, 2, 4, 3)
+        del part, flat, along_3, rows  # freed before the next part's
+    acc = acc.reshape(2, 2, n, h + 1, h + 1)
     out = np.empty((n, n, n))
     out[at] = np.einsum("ia,jb,abnkl->nijkl", sum_diff, sum_diff, acc)
     return out

@@ -9,13 +9,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc
 
 from solitonlab.model import make_grid
 from solitonlab.spectral import (
-    _HALF, _P, MAX_DIRECT_POINTS, _bulk_table, _circulant_apply, _corner_cell,
+    _BULK_SLAB, _HALF, _P, MAX_DIRECT_POINTS, _bulk_table, _bulk_weights,
+    _circulant_apply, _corner_cell,
     _direct_weights, _direct_weights_1d, _direct_weights_3d, _gauss01,
-    _lagrange_basis, _min_mid_max, laplacian,
+    _lagrange_basis, laplacian,
     yukawa_convolve_direct, yukawa_invert,
 )
 
@@ -67,6 +69,44 @@ def even_table(w):
     for axis in range(w.ndim):
         w = w + np.take(w, mirror, axis=axis)
     return w
+
+
+def reversed_window_apply(w, s):
+    """Reference 3D apply: the four parity parts formed at once, each plane
+    folded from windows read backwards, j - i along the first axis, into a
+    matrix with columns (i3, i2), transposed back at the end. Same matmuls
+    and sums as _circulant_apply."""
+    n = s.shape[0]
+    h = n // 2
+    k = np.arange(h + 1)
+    signed = np.stack((k, -k % n))
+    at = (slice(None), signed[:, None, :, None], signed[None, :, None, :])
+    sum_diff = np.array([[1.0, 1.0], [1.0, -1.0]])
+    scale = np.stack((np.where((k == 0) | (k == h), 0.25, 0.5),
+                      np.full(h + 1, 0.5)))
+    parts = np.einsum("ai,bj,nijkl->abnkl", sum_diff, sum_diff, s[at])
+    parts *= scale[:, None, None, :, None] * scale[None, :, None, None, :]
+
+    def fold(x, odd, out=None):
+        # [j, ..., i] = x[j - i] +- x[j + i] (mod n) along the first axis
+        win = sliding_window_view(np.concatenate((x, x)), h + 1, axis=0)
+        return (np.subtract if odd else np.add)(
+            win[h:n + 1, ..., ::-1], win[:h + 1], out=out)
+
+    acc = np.zeros((2, 2, n, (h + 1) ** 2))
+    flat = np.empty(((h + 1) ** 2,) * 2)
+    for d1 in range(h + 1):
+        along_2 = [fold(w[d1].T, odd).transpose(1, 0, 2) for odd in (0, 1)]
+        for a, b in np.ndindex(2, 2):
+            fold(along_2[b], a, out=flat.reshape((h + 1,) * 4))
+            rows = np.roll(parts[a, b], -d1, axis=0)
+            if 0 < d1 < h:
+                rows += np.roll(parts[a, b], d1, axis=0)
+            acc[a, b] += rows.reshape(n, -1) @ flat
+    acc = acc.reshape(2, 2, n, h + 1, h + 1).transpose(0, 1, 2, 4, 3)
+    out = np.empty((n, n, n))
+    out[at] = np.einsum("ia,jb,abnkl->nijkl", sum_diff, sum_diff, acc)
+    return out
 
 
 def pyramid_corner_cells(m, dx, q):
@@ -142,7 +182,15 @@ def per_cell_weights_3d(n, length, m, q_bulk=6, q_shell=16, q_corner=16):
         scatter(block, *(0 if s > 0 else -1 for s in signs))
     offset = np.arange(n)
     offset = np.minimum(offset, n - offset)
-    return w[_min_mid_max(*np.ix_(offset, offset, offset))]
+    return w[min_mid_max(*np.ix_(offset, offset, offset))]
+
+
+def min_mid_max(i, j, k):
+    """Elementwise smallest, middle and largest of three broadcastable
+    integer arrays."""
+    lo = np.minimum(np.minimum(i, j), k)
+    hi = np.maximum(np.maximum(i, j), k)
+    return lo, i + j + k - lo - hi, hi
 
 
 def triangular_numbers(size):
@@ -157,8 +205,33 @@ def expand_by_rank(packed, size):
     c, then b, then a: (a, b, c) has rank tetra[c] + tri[b] + a."""
     tri, tetra = triangular_numbers(size)
     idx = np.arange(size)
-    lo, mid, hi = _min_mid_max(*np.ix_(idx, idx, idx))
+    lo, mid, hi = min_mid_max(*np.ix_(idx, idx, idx))
     return packed[tetra[hi] + tri[mid] + lo]
+
+
+def expanded_bulk_weights(n, length, m, kernel, q_bulk=6):
+    """Reference bulk weights: the packed table expanded whole by
+    expand_by_rank, then contracted _BULK_SLAB last indices at a time with
+    the same matrix A and matmuls as _bulk_weights."""
+    dx = length / n
+    tb, ob = _gauss01(q_bulk)
+    half = n // 2
+    y = (np.arange(half)[:, None] + tb[None, :]).ravel() * dx
+    table = expand_by_rank(_bulk_table(y, length, m, kernel, 2 * q_bulk),
+                           y.size)
+    c = _lagrange_basis(tb) * ob[:, None]
+    A = np.zeros((n, half, q_bulk))
+    e = np.arange(half)
+    for a in range(_P):
+        A[(e + a - _HALF) % n, e] += c[:, a]
+        A[(a - _HALF - 1 - e) % n, e] += c[::-1, a]
+    A = A[:half + 1].reshape(half + 1, -1)
+    T = np.empty((half + 1, half + 1, y.size))
+    for k in range(0, y.size, _BULK_SLAB):
+        slab = np.ascontiguousarray(table[:, :, k:k + _BULK_SLAB])
+        first = (A @ slab.reshape(y.size, -1)).reshape(half + 1, y.size, -1)
+        T[:, :, k:k + _BULK_SLAB] = A @ first
+    return T @ A.T * dx**3
 
 
 def rank_map_bulk_table(y, length, m, kernel, special):
@@ -399,6 +472,21 @@ class TestDirectApply:
             assert np.abs(np.take(out, mirror, axis=2) - p3 * out).max() \
                 / scale <= 1e-13
 
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_3d_apply_matches_the_reversed_window_fold(self, n):
+        # bitwise: windows read forwards, columns (i2, i3) and one part at
+        # a time keep every matmul and sum; a source of each parity feeds
+        # one part alone, then a source of no parity feeds all four
+        rng = np.random.default_rng(n + 1)
+        w = even_table(rng.normal(size=(n, n, n)))
+        mirror = -np.arange(n) % n
+        for p2, p3 in [(1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0)]:
+            s = rng.normal(size=(n, n, n))
+            s = s + p2 * np.take(s, mirror, axis=1)
+            s = s + p3 * np.take(s, mirror, axis=2)
+            assert np.array_equal(_circulant_apply(w, s),
+                                  reversed_window_apply(w, s))
+
     def test_3d_apply_refuses_a_table_it_cannot_split(self):
         # the even and odd parts need w[-k] == w[k] bitwise along each axis
         # and an even n; one ulp off along any one axis is refused
@@ -488,11 +576,23 @@ class TestDirectWeights:
         assert np.array_equal(expand_by_rank(packed, y.size),
                               rank_map_bulk_table(y, length, m, kernel, 12))
 
+    @pytest.mark.parametrize("n, length, m", [(16, 20.0, 1.0),
+                                              (32, 40.0, 0.5)])
+    def test_bulk_weights_match_the_expanded_table(self, n, length, m):
+        # bitwise: each slab's ranks, one add per region of the last index,
+        # read the values expand_by_rank places by the sorted triple
+        def kernel(r):
+            return np.exp(-m * r) / (4.0 * np.pi * r)
+
+        assert np.array_equal(_bulk_weights(n, length, m, kernel, 6),
+                              expanded_bulk_weights(n, length, m, kernel))
+
     def test_3d_weight_build_peak_memory(self):
-        # traced peak of an uncached 32^3 build: 2,882,151 bytes (numpy
-        # 2.4.6), set by the bulk contraction; the Duffy corner, contracted
-        # one axis at a time, peaks at 0.14 MB. The bound is that plus 10 %,
-        # so the corner's (4096, 64) basis product (3.75 MB), a (32, 96, 96)
+        # traced peak of an uncached 32^3 build: 2,882,205 bytes (numpy
+        # 2.4.6), set by the bulk table; the slab contraction, its ranks one
+        # add per region, peaks at 2.45 MB and the Duffy corner, contracted
+        # one axis at a time, at 0.14 MB. The bound is that plus 10 %, so
+        # the corner's (4096, 64) basis product (3.75 MB), a (32, 96, 96)
         # first contraction (5.07 MB), a 96^3 bulk table (7.1 MB) or a rank
         # map over it fails
         tracemalloc.start()
@@ -504,11 +604,13 @@ class TestDirectWeights:
         assert peak <= 3_171_000
 
     def test_3d_apply_peak_memory(self):
-        # traced peak of the 32^3 apply: 1,810,941 bytes (numpy 2.4.6), the
-        # 668 KB matrix of one parity part and plane, the four parts, their
-        # sums and the plane folded along one axis. The bound is that plus
-        # 10 %; a 2 MiB column chunk of the 8 MiB 2D-circulant block (the
-        # 2.73 MB apply that copied it) fails it
+        # traced peak of the 32^3 apply: 1,463,607 bytes (numpy 2.4.6), the
+        # 668 KB matrix of one parity part and plane, the four sums, the one
+        # part formed and the plane folded along one axis; each part's
+        # matrix and temporaries are freed before the next part is formed.
+        # The bound is that plus 10 %; the 1.81 MB apply that formed all four
+        # parts at once fails it, as does a 2 MiB column chunk of the 8 MiB
+        # 2D-circulant block
         w = _direct_weights(3, 32, 40.0, 0.5)
         s = np.random.default_rng(32).normal(size=(32, 32, 32))
         tracemalloc.start()
@@ -517,7 +619,7 @@ class TestDirectWeights:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1_993_000
+        assert peak <= 1_610_000
 
     def test_1d_apply_peak_memory(self):
         # traced peak at n = 4096: 2,198,121 bytes (numpy 2.4.6), one 2 MiB
