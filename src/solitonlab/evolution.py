@@ -2,9 +2,10 @@
 
 The matter field advances by Strang splitting: a half kick by the scalar
 potential, a full spectral kinetic drift, and a second half kick by the
-updated potential. The scalar field advances by one scalar update, which
-the loop hands phi(t), phi(t - dt) and a source density and which hands
-back phi(t + dt). There are two:
+updated potential. The scalar field advances by one scalar update, a
+callable that maps a source density to phi(t + dt) and keeps any history
+it reads itself; the loop keeps the x-space phi and phi(t - dt) that the
+states carry. There are two:
 
   gautschi  the wave update of the coupled and free modes: the second
             difference of the driven wave equation with its exact-in-time
@@ -14,12 +15,11 @@ back phi(t + dt). There are two:
             phi^+ = 2 phi^ - phi^- + A (phi^ + s^/w^2), A = 2 cos(w dt) - 2,
             w^2 = k^2 + m^2, with the k^2 the Laplacian uses (so no
             transverse term). It is exact for the linear part at any dt
-            (Hochbruck & Lubich, Numer. Math. 83, 1999). The update carries
-            (phi^, phi^-) through the whole loop, so a step is one rfft of
-            the source and one irfft that gives the phi the kick reads (the
-            free mode has no source and takes the irfft alone). The first
-            step transforms phi and its history in the same rfft call as
-            its source
+            (Hochbruck & Lubich, Numer. Math. 83, 1999). The update
+            transforms phi and its history once, when it is built, and
+            carries (phi^, phi^-) through the whole loop, so a step is one
+            rfft of the source and one irfft that gives the phi the kick
+            reads (the free mode has no source and takes the irfft alone)
   slaved    the choquard mode's field, the static screened inverse of the
             post-drift density. The multiplier, screened inverse times
             source factor, is built once per evolve, so a substep is one
@@ -31,7 +31,7 @@ transforms psi in place. No BLAS call is made.
 
 Both scalar updates are time symmetric, and so is the Strang step, so a
 trajectory can be retraced exactly: conjugate the matter field and hand
-the scalar update its own forward-time next field as the new previous one.
+the scalar update's forward-time next field as the new previous one.
 
 The choquard mode composes each step as Yoshida's symmetric triple jump
 (Phys. Lett. A 150, 1990) of the Strang step: substeps of w1 dt, w0 dt and
@@ -45,13 +45,14 @@ Strang step.
 The closing half kick of a substep of weight w_a, exp(-i M w_a dt/2 phi),
 and the opening one of the next, of weight w_b, share phi, so the loop
 merges them into one kick at (w_a + w_b)/2 the full rate (a full kick
-between two plain Strang steps) and keeps the closing half pending.
-The pending half kick is applied only before an observer call or the
+between two plain Strang steps), so psi owes the closing half between
+steps. That half kick is applied only before an observer call or the
 return, so everything outside the loop sees fully kicked states, the same
 ones the unmerged scheme produces up to roundoff. phi does not move between
 that flush and the next step's opening half kick, so the opening reuses the
-flushed kick instead of evaluating it again. The blow-up check reads |psi|,
-which a kick does not change, so it runs every step regardless.
+flushed kick instead of evaluating it again; the first opening half kick is
+evaluated before the loop and reused the same way. The blow-up check reads
+|psi|, which a kick does not change, so it runs every step regardless.
 
 Three modes share one loop body (optional kick, drift, scalar update):
 
@@ -203,83 +204,46 @@ def _density(psi: np.ndarray) -> np.ndarray:
     return psi.real**2 + psi.imag**2
 
 
-def _phase_kick(psi: np.ndarray, phi: np.ndarray, rate: float,
-                phase: np.ndarray, kick: np.ndarray) -> None:
-    """psi *= exp(i rate phi) in place, through the buffers phase and kick."""
+def _phase_kick(phi: np.ndarray, rate: float, phase: np.ndarray,
+                kick: np.ndarray) -> None:
+    """kick = exp(i rate phi), through the buffer phase."""
     np.multiply(phi, rate, out=phase)
     np.cos(phase, out=kick.real)
     np.sin(phase, out=kick.imag)
-    psi *= kick
 
 
-class _ScalarUpdate:
-    """One scalar-field update at a fixed step dt.
-
-    start turns the initial (phi, phi_prev) into the loop's pair; a
-    phi_prev of None means a field at rest. step maps phi(t), phi(t - dt)
-    and the source density to (phi(t + dt), phi(t)); an update may carry
-    its own copy of the pair between steps, so the loop hands it back the
-    pair of the step before. reverse gives the history of the
-    time-reversed state. A wave update reads the density captured at the
-    step start; one with instantaneous set reads the post-drift one.
-    """
-
-    instantaneous = False
-
-    def start(self, phi: np.ndarray, phi_prev: np.ndarray | None,
-              density: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        return phi, phi_prev
-
-    def step(self, phi: np.ndarray, phi_prev: np.ndarray | None,
-             density: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        raise NotImplementedError
-
-    def reverse(self, phi: np.ndarray, phi_prev: np.ndarray,
-                density: np.ndarray) -> np.ndarray | None:
-        """phi(t + dt), which is phi(t - dt) once time runs backwards."""
-        return self.step(*self.start(phi, phi_prev, density), density)[0]
-
-
-class _Gautschi(_ScalarUpdate):
+class _Gautschi:
     """phi^+ = 2 phi^ - phi^- + A (phi^ + s^/w^2) on the rfft half
     spectrum, exact in time for a frozen source: A = 2 cos(w dt) - 2
     = -4 sin^2(w dt/2), w^2 = k^2 + m^2.
 
-    The pair (phi^, phi^-) lives here between steps; the phi the loop
-    hands back is the irfft of phi^, and the first step transforms the
-    loop's pair with the source in one call.
+    Built from phi(t) and its history phi(t - dt) (None for a field at
+    rest), which it transforms once; each call maps the density captured
+    at the step start to phi(t + dt), the irfft of the new phi^, and keeps
+    the pair (phi^, phi^-) for the next call.
     """
 
     def __init__(self, params: PhysicalParams, grid: Grid, dt: float,
-                 sourced: bool):
-        self.sourced = sourced
+                 sourced: bool, phi: np.ndarray,
+                 phi_prev: np.ndarray | None):
         w2 = grid.rfft_k_squared + params.m**2
         # the sine form keeps full relative precision where w dt is small
         self.a = -4.0 * np.sin(0.5 * dt * np.sqrt(w2)) ** 2
         # the source is linear in the density, so its factor joins 1/w^2
-        self.source_gain = scalar_source(1.0 / w2, params)
+        self.source_gain = scalar_source(1.0 / w2, params) if sourced \
+            else None
         tr = transforms(grid)
         self.rfft, self.irfft = tr.rfft, tr.irfft
-        self.hat = self.hat_prev = None
+        self.hat = self.rfft(phi)
+        self.hat_prev = None if phi_prev is None else self.rfft(phi_prev)
 
-    def step(self, phi, phi_prev, density):
-        first = self.hat is None
-        fields = [density] if self.sourced else []
-        if first:
-            fields += [phi] if phi_prev is None else [phi, phi_prev]
-        # one rfft call for all fields (none in free mode after the first
-        # step): the transforms act on the trailing grid axes of a stack
-        spectra = list(self.rfft(np.stack(fields))) if len(fields) > 1 \
-            else [self.rfft(f) for f in fields]
-        inc = spectra.pop(0) if self.sourced else None
-        if first:
-            self.hat = spectra[0]
-            self.hat_prev = spectra[1] if phi_prev is not None else None
+    def __call__(self, density: np.ndarray) -> np.ndarray:
         hat = self.hat
         # inc = A (phi^ + s^/w^2), in place on the fresh transform
-        if inc is None:
+        if self.source_gain is None:
             inc = hat * self.a
         else:
+            inc = self.rfft(density)
             inc *= self.source_gain
             inc += hat
             inc *= self.a
@@ -290,42 +254,24 @@ class _Gautschi(_ScalarUpdate):
         inc += hat
         inc += hat
         self.hat_prev, self.hat = hat, inc
-        return self.irfft(inc), phi
+        return self.irfft(inc)
 
 
-class _Slaved(_ScalarUpdate):
-    """phi = static screened inverse of the post-drift density, under the
-    field equation's source 2M/v^2; no history."""
+def _slaved(params: PhysicalParams,
+            grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from a density to its static screened inverse under the
+    field equation's source 2M/v^2."""
+    # the source is linear in the density, so its factor joins the
+    # screened inverse in one multiplier
+    multiplier = scalar_source(screened_inverse(params.m, grid), params)
+    tr = transforms(grid)
+    rfft, irfft = tr.rfft, tr.irfft
 
-    instantaneous = True
-
-    def __init__(self, params: PhysicalParams, grid: Grid):
-        # the source is linear in the density, so its factor joins the
-        # screened inverse in one multiplier
-        self.multiplier = scalar_source(screened_inverse(params.m, grid),
-                                        params)
-        tr = transforms(grid)
-        self.rfft, self.irfft = tr.rfft, tr.irfft
-
-    def start(self, phi, phi_prev, density):
-        # the density is kick-invariant, so the slaved field at a step start
-        # equals the one from the previous step end; compute it once here
-        return self.step(phi, phi_prev, density)
-
-    def step(self, phi, phi_prev, density):
-        hat = self.rfft(density)
-        hat *= self.multiplier
-        return self.irfft(hat), None
-
-    def reverse(self, phi, phi_prev, density):
-        return None
-
-
-def _scalar_update(mode: str, params: PhysicalParams, grid: Grid,
-                   dt: float) -> _ScalarUpdate:
-    if mode == "choquard":
-        return _Slaved(params, grid)
-    return _Gautschi(params, grid, dt, sourced=mode == "coupled")
+    def update(density: np.ndarray) -> np.ndarray:
+        hat = rfft(density)
+        hat *= multiplier
+        return irfft(hat)
+    return update
 
 
 def evolve(initial: FieldState, T: float, dt: float | None = None, *,
@@ -363,6 +309,7 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
         raise ValueError(f"observer_stride must be an integer >= 1, "
                          f"got {observer_stride!r}")
     params, grid = initial.params, initial.grid
+    slaved = mode == "choquard"
     if dt is None:
         dt = default_dt(initial, mode)
     if dt <= 0.0:
@@ -377,7 +324,7 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     n_steps = landing_steps(T, dt)
     requested_dt, dt = dt, T / n_steps
     # the slaved field never reads the history
-    if (mode != "choquard" and initial.phi_prev is not None
+    if (not slaved and initial.phi_prev is not None
             and abs(dt - requested_dt) > 1e-9 * requested_dt):
         warnings.warn(
             f"dt adjusted from {requested_dt:.6e} to {dt:.6e} to land on T "
@@ -390,13 +337,19 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     psi = initial.psi.astype(complex, copy=True)
     kicked = mode != "free"
     density = _density(psi)
-    scalar = _scalar_update(mode, params, grid, dt)
-    phi, phi_prev = scalar.start(
-        np.array(initial.phi, dtype=float, copy=True), initial.phi_prev,
-        density)
+    if slaved:
+        update = _slaved(params, grid)
+        # the density is kick-invariant, so the slaved field at a step
+        # start is the one from the previous step end; this is the first
+        phi, phi_prev = update(density), None
+    else:
+        phi = np.array(initial.phi, dtype=float, copy=True)
+        phi_prev = initial.phi_prev
+        update = _Gautschi(params, grid, dt, mode == "coupled", phi,
+                           phi_prev)
 
     k2 = grid.k_squared + grid.transverse_k2
-    weights = _TRIPLE_JUMP if mode == "choquard" else (1.0,)
+    weights = _TRIPLE_JUMP if slaved else (1.0,)
     drifts = {w: np.exp(-0.5j * (w * dt) / params.M * k2)
               for w in set(weights)}
     tr = transforms(grid)
@@ -413,11 +366,12 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     phase = np.empty(grid.shape)
     kick = np.empty(grid.shape, dtype=complex)
     kicks = 0
-    # psi still owes the closing half kick of the last substep
-    pending = False
-    # kick holds the flushed exp(i half phi), which the next opening reuses:
-    # phi has not moved since
-    flushed = False
+    # kick holds exp(i half phi), which the next opening applies as it is
+    # (phi has not moved since): the first opening's, and after that the
+    # one that flushed a closing half kick
+    if kicked:
+        _phase_kick(phi, half, phase, kick)
+    flushed = kicked
 
     initial_peak = float(np.max(np.abs(psi)))
     threshold = BLOWUP_FACTOR * max(initial_peak, 1e-300)
@@ -428,27 +382,25 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
         with np.errstate(over="ignore", invalid="ignore"):
             for merged, drift in substeps:
                 if kicked:
-                    if flushed:
-                        psi *= kick
-                        flushed = False
-                    else:
-                        _phase_kick(psi, phi, merged if pending else half,
-                                    phase, kick)
+                    if not flushed:
+                        _phase_kick(phi, merged, phase, kick)
+                    flushed = False
+                    psi *= kick
                     kicks += 1
-                    pending = True
                 fft(psi, out=psi)
                 psi *= drift
                 ifft(psi, out=psi)
                 fresh = _density(psi)
-                phi, phi_prev = scalar.step(
-                    phi, phi_prev, fresh if scalar.instantaneous else density)
+                phi_prev, phi = (None if slaved else phi), update(
+                    fresh if slaved else density)
                 density = fresh
 
-        # max |psi| from the density; the pending half kick leaves it as is
+        # max |psi| from the density; the closing half kick psi still owes
+        # leaves it as is
         peak = math.sqrt(density.max())
         if peak > threshold or not math.isfinite(peak):
             raise BlowUpError(t0 + (i + 1) * dt, peak)
-        if not scalar.instantaneous:
+        if not slaved:
             # a NaN anywhere makes both NaN
             phi_peak = max(phi.max(), -phi.min())
             if not math.isfinite(phi_peak):
@@ -456,10 +408,11 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
 
         last = i == n_steps - 1
         if last or (observer is not None and (i + 1) % observer_stride == 0):
-            if pending:
-                _phase_kick(psi, phi, half, phase, kick)
+            if kicked:
+                # the closing half kick of the last substep
+                _phase_kick(phi, half, phase, kick)
+                psi *= kick
                 kicks += 1
-                pending = False
                 flushed = True
             final = FieldState(
                 t=t0 + (i + 1) * dt, psi=psi.copy(), phi=phi.copy(),
@@ -485,10 +438,11 @@ def reverse_state(state: FieldState, dt: float,
     """
     _check_choice("evolution mode", mode, MODES)
     phi_prev_back = None
-    if state.phi_prev is not None:
-        phi_prev_back = _scalar_update(
-            mode, state.params, state.grid, dt).reverse(
-                state.phi, state.phi_prev, _density(state.psi))
+    # the slaved field has no history to turn around
+    if state.phi_prev is not None and mode != "choquard":
+        phi_prev_back = _Gautschi(
+            state.params, state.grid, dt, mode == "coupled", state.phi,
+            state.phi_prev)(_density(state.psi))
     return FieldState(t=state.t, psi=np.conj(state.psi), phi=state.phi,
                       params=state.params, grid=state.grid,
                       phi_prev=phi_prev_back)

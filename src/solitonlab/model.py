@@ -306,9 +306,6 @@ def validate_params(params: PhysicalParams,
     """
     checks: list[ConstraintCheck] = []
     M, m, v = params.M, params.m, params.v
-    checks.append(ConstraintCheck(
-        name="positivity", passed=True, margin=min(M, m, v),
-        detail="M, m, v all positive (enforced at construction)"))
 
     fam = spec.family
     if fam is Family.THREED_A:

@@ -879,6 +879,14 @@ def run_scenario(config: ScenarioConfig,
     if config.scenario not in _IMPLS:
         raise ConfigError(f"unknown scenario {config.scenario!r}; valid: "
                           f"{', '.join(_IMPLS)}")
+    # run.mode picks soliton-propagation's evolution; every other scenario
+    # runs the modes its criteria are written for and would ignore it
+    evolved = config.get("sweep", "scenario") \
+        if config.scenario == "param-sweep" else config.scenario
+    if config.get("run", "mode") is not None \
+            and evolved != "soliton-propagation":
+        raise ConfigError(f"run.mode is a soliton-propagation setting; "
+                          f"{evolved} does not read it")
     out = Path(out_dir) if out_dir is not None else \
         Path(config.get("run", "output_dir")
              or f"runs/{config.scenario}")

@@ -241,6 +241,26 @@ class TestTrajectoryPlumbing:
         assert traj.final.phi_prev is not None
         assert traj.final.phi_prev.shape == g.shape
 
+    @pytest.mark.parametrize("history", [True, False],
+                             ids=["history", "at-rest"])
+    @pytest.mark.parametrize("mode", ["coupled", "free"])
+    def test_loop_hands_phi_on_as_the_history(self, mode, history):
+        # the loop keeps the x-space pair itself: one step later the
+        # history is the phi the step started from, bit for bit
+        g = make_grid(1, 256, 30.0)
+        st = state_from_solution(spec_1d_b(P), P, g,
+                                 dt=0.01 if history else None)
+        one = evolve(st, T=0.01, dt=0.01, mode=mode).final
+        two = evolve(st, T=0.02, dt=0.01, mode=mode).final
+        assert one.phi_prev.tobytes() == st.phi.tobytes()
+        assert two.phi_prev.tobytes() == one.phi.tobytes()
+
+    def test_slaved_run_ends_without_history(self):
+        st = stationary_state(make_grid(1, 512, 64.0))
+        assert st.phi_prev is not None
+        final = evolve(st, T=0.2, dt=0.1, mode="choquard").final
+        assert final.phi_prev is None
+
 
 class TestModes:
     @pytest.mark.parametrize("mode", ["coupled", "choquard", "free"])
@@ -649,11 +669,11 @@ class TestGautschi:
 
     def test_two_transforms_per_scalar_step(self, monkeypatch):
         # per step the drift's complex pair, and the update's rfft of the
-        # source (the first one also takes phi and its history) and its
-        # irfft back to the phi the kick reads; the free mode has no source
-        # and runs its rfft on the first step alone. None at setup when the
-        # history is given; the package looks the transforms up on
-        # numpy.fft when evolve starts
+        # source and its irfft back to the phi the kick reads; the free mode
+        # has no source. The update transforms phi and its history once,
+        # when it is built, and the default step needs none when dt is
+        # given; the package looks the transforms up on numpy.fft when
+        # evolve starts
         calls = []
         for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft",
                      "rfft", "irfft"):
@@ -664,7 +684,7 @@ class TestGautschi:
                 return _f(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
         st, _ = soliton_state(n=512, L=40.0, dt=0.05)
-        for mode, rffts in (("coupled", 10), ("free", 1)):
+        for mode, rffts in (("coupled", 12), ("free", 2)):
             calls.clear()
             traj = evolve(st, T=0.5, dt=0.05, mode=mode)
             steps = traj.step_count
@@ -691,29 +711,25 @@ def test_evolve_makes_no_blas_call(no_blas, mode):
 class XSpaceGautschi:
     """The Gautschi update as an x-space recurrence, the reference for the
     half-spectrum one: phi+ = 2 phi - phi- + irfft(A (phi^ + s^/w^2)), with
-    phi^ and s^ transformed afresh every step."""
+    phi^ and s^ transformed afresh every step and the pair (phi, phi-)
+    kept in x space."""
 
-    instantaneous = False
-
-    def __init__(self, params, grid, dt, sourced):
+    def __init__(self, params, grid, dt, sourced, phi, phi_prev):
         from solitonlab.model import scalar_source
         self.source = (lambda d: scalar_source(d, params)) if sourced \
             else None
         self.w2 = grid.rfft_k_squared + params.m**2
         self.a = -4.0 * np.sin(0.5 * dt * np.sqrt(self.w2)) ** 2
+        self.phi, self.phi_prev = phi, phi_prev
 
-    def _increment(self, phi, density):
+    def __call__(self, density):
+        phi = self.phi
         hat = np.fft.rfftn(phi)
         if self.source is not None:
             hat += np.fft.rfftn(self.source(density)) / self.w2
-        return np.fft.irfftn(self.a * hat, s=phi.shape,
-                             axes=range(phi.ndim))
-
-    def start(self, phi, phi_prev, density):
-        if phi_prev is None:
+        inc = np.fft.irfftn(self.a * hat, s=phi.shape, axes=range(phi.ndim))
+        if self.phi_prev is None:
             # a field at rest has phi(t - dt) = phi(t + dt)
-            phi_prev = phi + 0.5 * self._increment(phi, density)
-        return phi, phi_prev
-
-    def step(self, phi, phi_prev, density):
-        return 2.0 * phi - phi_prev + self._increment(phi, density), phi
+            self.phi_prev = phi + 0.5 * inc
+        self.phi, self.phi_prev = 2.0 * phi - self.phi_prev + inc, phi
+        return self.phi

@@ -564,6 +564,18 @@ class TestParamSweep:
             assert child["config"]["oracle"]["n_1d"] == n
             assert isinstance(child["config"]["oracle"]["n_1d"], int)
 
+    def test_mode_reaches_soliton_propagation_cases(self, tmp_path):
+        # run.mode is soliton-propagation's key, so its sweep passes it on
+        cfg = apply_overrides(
+            default_config("param-sweep"),
+            ["sweep.values=0.6", "run.T=0.5", "grid.n=256",
+             "run.mode=choquard"])
+        report = run_scenario(cfg, out_dir=tmp_path)
+        assert [c["status"] for c in report.details["cases"]] == ["passed"]
+        child = json.loads((tmp_path / "case_00_params.m_0.6"
+                            / "report.json").read_text())
+        assert child["config"]["run"]["mode"] == "choquard"
+
     def test_fractional_integer_value_is_a_config_error(self, tmp_path):
         cfg = apply_overrides(
             default_config("param-sweep"),
@@ -737,6 +749,12 @@ class TestCliExitCodes:
          "spacing"),
         # 2048^3 points: 128 GiB per complex field
         ("soliton-propagation", ["grid.dim=3"], "grid.n"),
+        # run.mode is read by soliton-propagation alone
+        ("perturbation-stability", ["run.mode=choquard"], "run.mode"),
+        ("choquard-stationary", ["run.mode=coupled"], "run.mode"),
+        ("free-spreading", ["run.mode=free"], "run.mode"),
+        ("param-sweep", ["sweep.scenario=perturbation-stability",
+                         "run.mode=choquard"], "run.mode"),
     ], ids=["free-n", "free-dim", "free-length", "free-aliased-k0",
             "verify-n",
             "rescale-strength", "verify-mu-2", "verify-mu-M",
@@ -748,7 +766,8 @@ class TestCliExitCodes:
             "verify-negative-seed", "oracle-negative-seed",
             "propagate-negative-seed", "propagate-3d_b-mu-M-constraint",
             "propagate-3d_a-negative-alpha", "propagate-spacing-over-width",
-            "propagate-3d-too-many-points"])
+            "propagate-3d-too-many-points", "perturb-mode",
+            "choquard-mode", "free-mode", "sweep-perturb-mode"])
     def test_engine_rejected_setting_is_two_before_any_work(
             self, tmp_path, capsys, monkeypatch, scenario, overrides, named):
         # lattice sizes, packet widths, momenta and rescale strengths the
