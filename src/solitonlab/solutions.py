@@ -260,15 +260,16 @@ def sample_solution(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
     x = grid.coords[0]
     center = x0 + co.velocity * t
     r = round(center / L)
-    env = np.zeros(x.shape)
     phi = np.zeros(x.shape)
-    carrier_im = np.zeros(x.shape, dtype=complex)
+    images = np.zeros(x.shape, dtype=complex)
     for j in (r - 1, r, r + 1):
         s = _sech(co.envelope_k * (x + j * L - center))
-        env_j = s**co.envelope_power
-        carrier_im += env_j * np.exp(1j * co.K_carrier * (x + j * L))
-        env += env_j
+        # the image's carrier exp(iK(x + jL)) is exp(iKx) times a constant
+        shift = co.K_carrier * j * L
+        images += s**co.envelope_power * complex(math.cos(shift),
+                                                 math.sin(shift))
         phi += s**co.phi_power
+    carrier_im = images * np.exp(1j * co.K_carrier * x)
     psi = co.psi_amplitude * np.exp(1j * co.Omega * t) * carrier_im
     phi = co.phi_amplitude * phi
     if grid.dim == 3:

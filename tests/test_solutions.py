@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from solitonlab.model import (Family, PhysicalParams, SolitonSpec, make_grid,
                               validate_params)
 from solitonlab.solutions import (
-    alpha_from_dispersion_3d_a, closed_form_norm, closed_form_width,
+    _sech, alpha_from_dispersion_3d_a, closed_form_norm, closed_form_width,
     family_coefficients, family_velocity, localization_length, matched_length,
     phase_velocity, sample_solution, soliton_velocity_1d_b, spec_1d_a,
     spec_1d_b, spec_3d_a, spec_3d_b,
@@ -221,6 +221,39 @@ class TestSampling:
             b = sample_solution(spec, P, g, t=t, x0=shift)
             assert np.abs(np.abs(b.psi) - np.abs(a.psi)).max() <= 1e-15
             assert np.abs(b.phi - a.phi).max() <= 1e-15 * np.abs(a.phi).max()
+
+    @pytest.mark.parametrize("boxes", [0.0, 1.5])
+    @pytest.mark.parametrize("case", ["1d_b", "3d_b-quasi-1d", "3d_b-16^3"])
+    def test_matches_per_image_carriers(self, case, boxes):
+        # the sampler takes exp(iKx) once and each image's exp(iKjL) as a
+        # constant; the reference evaluates exp(iK(x + jL)) per image.
+        # Each rounds its own carrier phases, so they agree to a few ulp
+        # of the largest phase K(x + jL) the images reach
+        spec = spec_1d_b(P) if case == "1d_b" \
+            else spec_3d_b(P, mu=0.5, gamma=0.3, eps=0.2)
+        L = matched_length(spec, P)
+        if case == "3d_b-16^3":
+            g = make_grid(3, 16, L)
+        else:
+            g = make_grid(1, 2048, L, transverse_mode=(
+                None if case == "1d_b" else (0.3, 0.2)))
+        co = family_coefficients(spec, P)
+        t, x0 = 0.7, boxes * L
+        x = g.coords[0]
+        center = x0 + co.velocity * t
+        r = round(center / L)
+        images = sum(_sech(co.envelope_k * (x + j * L - center))
+                     ** co.envelope_power
+                     * np.exp(1j * co.K_carrier * (x + j * L))
+                     for j in (r - 1, r, r + 1))
+        want = co.psi_amplitude * np.exp(1j * co.Omega * t) * images
+        if g.dim == 3:
+            want = want * np.exp(1j * (spec.gamma * g.coords[1]
+                                       + spec.eps * g.coords[2]))
+        got = sample_solution(spec, P, g, t=t, x0=x0).psi
+        phase = abs(co.K_carrier) * (np.abs(x).max() + (abs(r) + 1) * L)
+        ulp = np.finfo(float).eps * phase * np.abs(want).max()
+        assert np.abs(got - want).max() <= 4.0 * ulp
 
     def test_moving_center_offset(self):
         g = make_grid(1, 2048, 64.0)
