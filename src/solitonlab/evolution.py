@@ -16,12 +16,11 @@ states carry. There are two:
             w^2 = k^2 + m^2, with the k^2 the Laplacian uses (so no
             transverse term). It is exact for the linear part at any dt
             (Hochbruck & Lubich, Numer. Math. 83, 1999). The update
+            transforms phi and its history once, when it is built, and
             carries phi^ and the step phi^ - phi^- (the summed form of
-            Stormer's method) through the whole loop; the first step
-            transforms phi and its history with its source in one stacked
-            rfft. So a step is one rfft of the source and one irfft that
-            gives the phi the kick reads (the free mode has no source and
-            takes the irfft alone)
+            Stormer's method) through the whole loop, so a step is one
+            rfft of the source and one irfft that gives the phi the kick
+            reads (the free mode has no source and takes the irfft alone)
   slaved    the choquard mode's field, the static screened inverse of the
             post-drift density. The multiplier, screened inverse times
             source factor, is built once per evolve, so a substep is one
@@ -234,11 +233,13 @@ class _Gautschi:
     so the scaling is exact), and the 1/N of each source transform joins
     the source gain.
 
-    Built from phi(t) and its history phi(t - dt) (None for a field at
-    rest); the first call transforms them together with its source in one
-    stacked rfft, and a field at rest starts with half the increment
-    (phi^- = phi^+). Each call maps the density captured at the step
-    start to phi(t + dt), the unscaled irfft of the new phi^.
+    Built from phi(t) and its history phi(t - dt), which it transforms
+    once in two single-row rffts (a stacked call would take numpy's
+    vectorized multi-row pocketfft path, whose first use raises the peak
+    RSS by about 128 KiB). A history of None is a field at rest, phi^- =
+    phi^+, whose step starts at half the increment. Each call maps the
+    density captured at the step start to phi(t + dt), the unscaled irfft
+    of the new phi^.
     """
 
     def __init__(self, params: PhysicalParams, grid: Grid, dt: float,
@@ -247,37 +248,27 @@ class _Gautschi:
         w2 = grid.rfft_k_squared + params.m**2
         # the sine form keeps full relative precision where w dt is small
         self.a = -4.0 * np.sin(0.5 * dt * np.sqrt(w2)) ** 2
-        self.scale = 1.0 / phi.size
+        scale = 1.0 / phi.size
         # the source is linear in the density, so its factor and the 1/N
         # of its transform join 1/w^2
-        self.source_gain = scalar_source(self.scale / w2, params) \
-            if sourced else None
+        self.source_gain = scalar_source(scale / w2, params) if sourced \
+            else None
         tr = transforms(grid)
         self.rfft, self.irfft = tr.rfft, tr.irfft
-        self.start = [phi] if phi_prev is None else [phi, phi_prev]
-        self.hat = self.step = None
+        self.hat = self.rfft(phi) * scale
+        self.step = None if phi_prev is None \
+            else self.hat - self.rfft(phi_prev) * scale
 
     def __call__(self, density: np.ndarray) -> np.ndarray:
-        sourced = self.source_gain is not None
-        if self.hat is None:
-            # the start fields and the first source in one transform
-            hats = self.rfft(np.stack(
-                self.start + [density] if sourced else self.start))
-            self.hat = hats[0] * self.scale
-            if len(self.start) == 2:
-                self.step = (hats[0] - hats[1]) * self.scale
-            source = hats[-1]
-        elif sourced:
-            source = self.rfft(density)
         hat = self.hat
         # inc = A (phi^ + s^/w^2), in place on the fresh transform
-        if sourced:
-            inc = source
+        if self.source_gain is None:
+            inc = hat * self.a
+        else:
+            inc = self.rfft(density)
             inc *= self.source_gain
             inc += hat
             inc *= self.a
-        else:
-            inc = hat * self.a
         if self.step is None:
             # a field at rest has phi^- = phi^+: half the increment
             self.step = 0.5 * inc

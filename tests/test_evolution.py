@@ -180,18 +180,21 @@ class TestConservationAndAccuracy:
 class TestBlowUp:
     # the coupled mode's first half kick, before the loop, takes cos(inf)
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("bad",[(np.nan,), (np.inf,), (-np.inf,),
-                                     (np.inf, -np.inf)],
-                             ids=["nan", "inf", "-inf", "inf-pair"])
-    @pytest.mark.parametrize("mode", ["coupled", "free"])
-    def test_non_finite_phi_aborts_after_one_step(self, mode, bad):
-        # non-finite nodes of phi: the coupled kick carries them into psi,
-        # which trips the |psi| check; the free mode kicks nothing, and the
-        # Gautschi update spreads them over phi, which trips the phi check
-        # (its sum; an inf and a -inf sum to NaN)
+    @pytest.mark.parametrize("mode,values", [
+        pytest.param(mode, values, id=mode + label)
+        for label, values in (("", (np.nan,)), ("-inf", (np.inf,)),
+                              ("-minus-inf", (-np.inf,)),
+                              ("-inf-pair", (np.inf, -np.inf)))
+        for mode in ("coupled", "free")])
+    def test_non_finite_phi_aborts_after_one_step(self, mode, values):
+        # non-finite nodes of phi (one NaN, +inf, -inf, or a +inf and a
+        # -inf): the coupled kick carries them into psi, which trips the
+        # |psi| check; the free mode kicks nothing, and the Gautschi update
+        # spreads them over phi, which trips the phi check (its sum; an
+        # inf and a -inf sum to NaN)
         st, g = soliton_state(dt=0.1, t0=1.5)
         phi = st.phi.copy()
-        for i, value in enumerate(bad):
+        for i, value in enumerate(values):
             phi[g.n // 3 + 7 * i] = value
         bad = FieldState(t=st.t, psi=st.psi, phi=phi, params=P, grid=g,
                          phi_prev=st.phi_prev)
@@ -709,10 +712,10 @@ class TestGautschi:
     def test_two_transforms_per_scalar_step(self, monkeypatch):
         # per step the drift's complex pair, and the update's rfft of the
         # source and its irfft back to the phi the kick reads; the free mode
-        # has no source. The first step transforms phi and its history in
-        # the one rfft of its source (the free mode: one rfft of the pair),
-        # and the default step needs none when dt is given; the package
-        # looks the transforms up on numpy.fft when evolve starts
+        # has no source. The update transforms phi and its history once,
+        # when it is built, and the default step needs none when dt is
+        # given; the package looks the transforms up on numpy.fft when
+        # evolve starts
         calls = []
         for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft",
                      "rfft", "irfft"):
@@ -723,7 +726,7 @@ class TestGautschi:
                 return _f(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
         st, _ = soliton_state(n=512, L=40.0, dt=0.05)
-        for mode, rffts in (("coupled", 10), ("free", 1)):
+        for mode, rffts in (("coupled", 12), ("free", 2)):
             calls.clear()
             traj = evolve(st, T=0.5, dt=0.05, mode=mode)
             steps = traj.step_count
