@@ -30,7 +30,6 @@ from .model import (
     SolitonSpec,
     Grid,
     FieldState,
-    ValidationReport,
     make_grid,
     validate_params,
 )

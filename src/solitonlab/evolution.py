@@ -360,15 +360,20 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     psi = initial.psi.astype(complex, copy=True)
     kicked = mode != "free"
     density = _density(psi)
-    if slaved:
-        update = _slaved(params, grid)
-        # the density is kick-invariant, so the slaved field at a step
-        # start is the one from the previous step end; this is the first
-        phi, phi_prev = update(density), None
-    else:
-        phi, phi_prev = initial.phi, initial.phi_prev
-        update = _Gautschi(params, grid, dt, mode == "coupled", phi,
-                           phi_prev)
+    # a run that blows up overflows before the checks in the loop trip, and
+    # a non-finite start field already does in the start transforms and
+    # the first half kick; the abort is the handler, so numpy is kept quiet
+    # about it there and in the loop (never around the observer)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if slaved:
+            update = _slaved(params, grid)
+            # the density is kick-invariant, so the slaved field at a step
+            # start is the one from the previous step end; this is the first
+            phi, phi_prev = update(density), None
+        else:
+            phi, phi_prev = initial.phi, initial.phi_prev
+            update = _Gautschi(params, grid, dt, mode == "coupled", phi,
+                               phi_prev)
 
     k2 = grid.k_squared + grid.transverse_k2
     weights = _TRIPLE_JUMP if slaved else (1.0,)
@@ -393,15 +398,14 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     # (phi has not moved since): the first opening's, and after that the
     # one that flushed a closing half kick
     if kicked:
-        _phase_kick(phi, half, phase, kick)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _phase_kick(phi, half, phase, kick)
     flushed = kicked
 
     initial_peak = float(np.max(np.abs(psi)))
     threshold = BLOWUP_FACTOR * max(initial_peak, 1e-300)
 
     for i in range(n_steps):
-        # a run that blows up overflows before the check below trips; the
-        # abort is the handler, so keep numpy quiet about it
         with np.errstate(over="ignore", invalid="ignore"):
             for merged, drift in substeps:
                 if kicked:
@@ -497,19 +501,19 @@ def state_from_solution(spec, params: PhysicalParams, grid: Grid,
 
 def state_with_static_field(psi: np.ndarray, params: PhysicalParams,
                             grid: Grid) -> FieldState:
-    """Initial data at t = 0 with the scalar field slaved to the density."""
+    """Initial data at t = 0 with the scalar field slaved to the density,
+    at rest (phi_prev None)."""
     psi = np.asarray(psi, dtype=complex)
     phi = yukawa_invert(scalar_source(_density(psi), params), m=params.m,
                         grid=grid)
-    return FieldState(t=0.0, psi=psi, phi=phi, params=params, grid=grid,
-                      phi_prev=phi.copy())
+    return FieldState(t=0.0, psi=psi, phi=phi, params=params, grid=grid)
 
 
 def gaussian_packet(grid: Grid, params: PhysicalParams, sigma0: float,
                     k0: float = 0.0) -> FieldState:
     """Unit-norm Gaussian packet whose density has standard deviation sigma0.
 
-    psi = N exp(-x^2 / 4 sigma0^2) exp(i k0 x), phi = 0, at t = 0.
+    psi = N exp(-x^2 / 4 sigma0^2) exp(i k0 x), phi = 0 at rest, at t = 0.
     Intended for free-mode spreading runs; in coupled mode it simply starts
     the scalar field from rest at zero. sigma0 must be at least one lattice
     spacing: a narrower packet is not resolved, and its measured width is 0.
@@ -536,9 +540,8 @@ def gaussian_packet(grid: Grid, params: PhysicalParams, sigma0: float,
     x = grid.axis
     psi = np.exp(-x * x / (4.0 * sigma0**2)) * np.exp(1j * k0 * x)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.spacing)
-    zero = np.zeros(grid.shape)
-    return FieldState(t=0.0, psi=psi, phi=zero, params=params, grid=grid,
-                      phi_prev=zero.copy())
+    return FieldState(t=0.0, psi=psi, phi=np.zeros(grid.shape),
+                      params=params, grid=grid)
 
 
 def perturb(state: FieldState, kind: str, strength: float,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "Grid",
     "FieldState",
     "ConstraintCheck",
-    "ValidationReport",
     "make_grid",
     "require_valid",
     "scalar_source",
@@ -79,26 +78,37 @@ def scalar_source(density: np.ndarray, params: PhysicalParams) -> np.ndarray:
     return 2.0 * params.M / params.v**2 * density
 
 
+# the fields beyond family that each family takes
+_FAMILY_FIELDS = {
+    Family.THREED_A: ("alpha", "omega", "gamma", "eps"),
+    Family.THREED_B: ("mu", "gamma", "eps"),
+    Family.ONED_A: ("phi_profile",),
+    Family.ONED_B: (),
+}
+
+
 @dataclass(frozen=True)
 class SolitonSpec:
-    """Descriptor of one member of a soliton family.
+    """Descriptor of one member of a soliton family: its given parameters.
 
-    Which fields are meaningful depends on the family:
+    Which fields a family takes:
 
-    - THREED_A: alpha (inverse width, > 0), omega (frequency), gamma, eps.
-      Tied by alpha^2 = 2 M omega + M^2 + gamma^2 + eps^2.
-    - THREED_B: mu (longitudinal momentum, |mu| < M), gamma, eps, and
-      alpha = sqrt(mu^2 + gamma^2 + eps^2); needs m != M.
+    - THREED_A: exactly one of alpha (inverse width, > 0) and omega
+      (frequency), and gamma, eps; family_coefficients derives the other
+      one of alpha, omega from alpha^2 = 2 M omega + M^2 + gamma^2 + eps^2.
+    - THREED_B: mu (longitudinal momentum, |mu| < M), gamma, eps; needs
+      m != M.
     - ONED_A: phi_profile selects the scalar profile; "sech" is the
       printed first-power form, "sech_squared" the corrected one. Both are
       first class so the residual audit can present them side by side.
-    - ONED_B: V_s, the envelope velocity sqrt(1 - (9/4)(m^3 v^2 / M^3)^2),
-      real for (3/2) m^3 v^2 <= M^3.
+    - ONED_B: nothing; the member, with its envelope velocity
+      sqrt(1 - (9/4)(m^3 v^2 / M^3)^2), is fixed by (M, m, v), real for
+      (3/2) m^3 v^2 <= M^3.
 
-    Constraints that involve the mass scale (the inequalities and closures
-    above) are written once, in validate_params, not here. The spec_*
-    factories in solutions.py enforce them and fill the dependent fields:
-    they return only members that pass.
+    A field the family does not take, left at anything but its default,
+    is a ValueError naming it. Constraints that involve the mass scale
+    (the inequalities above) are written once, in validate_params, not
+    here; the spec_* factories in solutions.py enforce them.
     """
 
     family: Family
@@ -107,16 +117,22 @@ class SolitonSpec:
     gamma: float = 0.0
     eps: float = 0.0
     mu: float | None = None
-    V_s: float | None = None
     phi_profile: str = "sech"
 
     def __post_init__(self) -> None:
         if self.phi_profile not in PHI_PROFILES:
             raise ValueError(
                 f"phi_profile must be one of {PHI_PROFILES}, got {self.phi_profile!r}")
-        if self.family in (Family.ONED_A, Family.ONED_B):
-            if self.gamma != 0.0 or self.eps != 0.0:
-                raise ValueError("1D families carry no transverse wavenumbers")
+        fam = self.family.value
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name not in _FAMILY_FIELDS[self.family] and value != f.default:
+                raise ValueError(f"family {fam} takes no {f.name}, got {value!r}")
+        if self.family is Family.THREED_A \
+                and (self.alpha is None) == (self.omega is None):
+            raise ValueError(f"family {fam} takes exactly one of alpha or omega")
+        if self.family is Family.THREED_B and self.mu is None:
+            raise ValueError(f"family {fam} needs mu")
 
 
 @dataclass(frozen=True)
@@ -259,50 +275,24 @@ class FieldState:
 
 @dataclass(frozen=True)
 class ConstraintCheck:
-    """One validated constraint: name, outcome, and the violating margin.
+    """One checked constraint: name, outcome, and the violating margin.
 
     margin is positive slack when the constraint passes and the (negative)
-    overshoot when it fails; advisory checks never fail the report.
+    overshoot when it fails.
     """
 
     name: str
     passed: bool
     margin: float
     detail: str = ""
-    advisory: bool = False
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[ConstraintCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if not c.advisory)
-
-    @property
-    def warnings(self) -> tuple[ConstraintCheck, ...]:
-        return tuple(c for c in self.checks if c.advisory and not c.passed)
-
-    def check(self, name: str) -> ConstraintCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-_CLOSURE_RTOL = 1e-12
 
 
 def validate_params(params: PhysicalParams,
-                    spec: SolitonSpec) -> ValidationReport:
-    """Report every constraint tying params to a family member, with margins.
+                    spec: SolitonSpec) -> tuple[ConstraintCheck, ...]:
+    """Every inequality tying params to a family member, with margins.
 
     The one place each family inequality is written; the spec_* factories
-    enforce it through require_valid. spec needs its given fields (alpha or
-    omega for 3d_a, mu for 3d_b); a dependent one left None is derived.
-    Never raises on such a spec. The weak-field advisory is added only to a
-    member that passes every constraint.
+    enforce it through require_valid. Never raises.
     """
     checks: list[ConstraintCheck] = []
     M, m, v = params.M, params.m, params.v
@@ -314,53 +304,27 @@ def validate_params(params: PhysicalParams,
                 name="alpha_positive", passed=spec.alpha > 0.0,
                 margin=spec.alpha,
                 detail="inverse width alpha must be positive"))
-        if spec.omega is not None:
+        else:
             radicand = 2.0 * M * spec.omega + M**2 + spec.gamma**2 + spec.eps**2
             checks.append(ConstraintCheck(
                 name="radicand_positive", passed=radicand > 0.0, margin=radicand,
                 detail="2 M omega + M^2 + gamma^2 + eps^2 must be positive"))
-            if spec.alpha is not None and radicand > 0.0:
-                err = abs(spec.alpha**2 - radicand)
-                tol = _CLOSURE_RTOL * max(spec.alpha**2, radicand)
-                checks.append(ConstraintCheck(
-                    name="dispersion_closure", passed=err <= tol, margin=tol - err,
-                    detail=f"alpha^2 vs 2 M omega + M^2 + gamma^2 + eps^2: |diff| = {err:.3e}"))
     elif fam is Family.THREED_B:
         checks.append(ConstraintCheck(
             name="mass_nondegenerate", passed=m != M, margin=abs(M - m),
             detail="m != M (the scalar amplitude -(3/4) m^2/(M^2 - m^2) "
                    "is singular at m = M)"))
-        if spec.mu is not None:
-            checks.append(ConstraintCheck(
-                name="momentum_bound", passed=abs(spec.mu) < M,
-                margin=M - abs(spec.mu),
-                detail="|mu| < M (envelope width factor sqrt(1 - mu^2/M^2) "
-                       "real and nonzero)"))
-            if spec.alpha is not None:
-                target = spec.mu**2 + spec.gamma**2 + spec.eps**2
-                err = abs(spec.alpha**2 - target)
-                tol = _CLOSURE_RTOL * max(spec.alpha**2, target, 1.0)
-                checks.append(ConstraintCheck(
-                    name="dispersion_closure", passed=err <= tol, margin=tol - err,
-                    detail=f"alpha^2 vs mu^2 + gamma^2 + eps^2: |diff| = {err:.3e}"))
+        checks.append(ConstraintCheck(
+            name="momentum_bound", passed=abs(spec.mu) < M,
+            margin=M - abs(spec.mu),
+            detail="|mu| < M (envelope width factor sqrt(1 - mu^2/M^2) "
+                   "real and nonzero)"))
     elif fam is Family.ONED_B:
         bound = M**3 - 1.5 * m**3 * v**2
         checks.append(ConstraintCheck(
             name="velocity_real", passed=bound >= 0.0, margin=bound,
             detail="(3/2) m^3 v^2 <= M^3 required for a real envelope velocity"))
-        if spec.V_s is not None and bound >= 0.0:
-            vs2 = 1.0 - (2.25 * (m**3 * v**2 / M**3) ** 2)
-            err = abs(spec.V_s**2 - vs2)
-            tol = _CLOSURE_RTOL * max(1.0, abs(vs2))
-            checks.append(ConstraintCheck(
-                name="velocity_closure", passed=err <= tol, margin=tol - err,
-                detail=f"stored V_s^2 vs 1 - (9/4)(m^3 v^2/M^3)^2: |diff| = {err:.3e}"))
-
-    if all(c.passed for c in checks):
-        from .solutions import family_coefficients  # solutions imports model
-        depth = abs(family_coefficients(spec, params).phi_amplitude)
-        checks.append(weak_field_check(depth, M))
-    return ValidationReport(checks=tuple(checks))
+    return tuple(checks)
 
 
 def weak_field_check(depth: float, M: float) -> ConstraintCheck:
@@ -368,15 +332,15 @@ def weak_field_check(depth: float, M: float) -> ConstraintCheck:
     return ConstraintCheck(
         name="nonrelativistic_validity", passed=depth < M, margin=M - depth,
         detail=f"max|phi| = {depth:.6g} vs M = {M:.6g}; the weak-field "
-               "treatment assumes |phi| < M", advisory=True)
+               "treatment assumes |phi| < M")
 
 
-def require_valid(params: PhysicalParams, spec: SolitonSpec) -> None:
-    """Raise ValueError naming each constraint of validate_params that the
-    member fails, with its detail and margin."""
-    report = validate_params(params, spec)
-    if not report.passed:
-        bad = [f"{c.name}: {c.detail} (margin {c.margin:.3g})"
-               for c in report.checks if not (c.passed or c.advisory)]
+def require_valid(params: PhysicalParams, spec: SolitonSpec) -> SolitonSpec:
+    """spec, if it passes every constraint of validate_params; else a
+    ValueError naming each failed one, with its detail and margin."""
+    bad = [f"{c.name}: {c.detail} (margin {c.margin:.3g})"
+           for c in validate_params(params, spec) if not c.passed]
+    if bad:
         raise ValueError(f"parameters violate {spec.family.value} "
                          "constraints: " + "; ".join(bad))
+    return spec

@@ -23,7 +23,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,9 +36,8 @@ from .diagnostics import (ObservableRecord, SeriesObserver, VelocityFit,
 from .evolution import (Trajectory, default_dt, evolve, gaussian_packet,
                         landing_steps, perturb, state_from_solution,
                         state_with_static_field)
-from .model import (ConstraintCheck, FieldState, Family, Grid, PhysicalParams,
-                    SolitonSpec, make_grid, scalar_source, validate_params,
-                    weak_field_check)
+from .model import (FieldState, Family, Grid, PhysicalParams, SolitonSpec,
+                    make_grid, require_valid, scalar_source, weak_field_check)
 from .residuals import FamilyAuditEntry, ResidualReport, full_family_audit
 from .solutions import (MIN_DOMAIN_WIDTHS, closed_form_width,
                         family_velocity, localization_length, matched_length,
@@ -153,41 +152,40 @@ def _mu(config: ScenarioConfig, params: PhysicalParams) -> float:
 
 def _soliton_spec(config: ScenarioConfig,
                   params: PhysicalParams) -> SolitonSpec:
+    """The [soliton] member. Every [soliton] value and toggles.phi_profile
+    reach the spec, whose rule refuses one the family does not take; 3d_a
+    given neither alpha nor omega takes omega = M (its width from the
+    dispersion relation), and 3d_b takes soliton.mu (_mu)."""
     fam = Family(config.get("soliton", "family"))
-    gamma = config.get("soliton", "gamma")
-    eps = config.get("soliton", "eps")
-    if fam is Family.THREED_A:
-        omega = config.get("soliton", "omega")
-        alpha = config.get("soliton", "alpha")
-        if omega is None and alpha is None:
-            omega = params.M  # default width from the dispersion closure
-        return spec_3d_a(params, alpha=alpha, omega=omega,
-                         gamma=gamma, eps=eps)
+    given = {key: config.get("soliton", key)
+             for key in ("alpha", "omega", "mu", "gamma", "eps")}
+    if fam is Family.THREED_A and given["alpha"] is None \
+            and given["omega"] is None:
+        given["omega"] = params.M
     if fam is Family.THREED_B:
-        return spec_3d_b(params, mu=_mu(config, params), gamma=gamma,
-                         eps=eps)
-    if fam is Family.ONED_A:
-        return spec_1d_a(params,
-                         phi_profile=config.get("toggles", "phi_profile"))
-    return spec_1d_b(params)
+        given["mu"] = _mu(config, params)
+    return require_valid(params, SolitonSpec(
+        family=fam, phi_profile=config.get("toggles", "phi_profile"),
+        **given))
 
 
 def _member(spec_for: Callable[[PhysicalParams], SolitonSpec],
-            params: PhysicalParams, warnings: list[str]) -> SolitonSpec:
+            params: PhysicalParams) -> SolitonSpec:
     """spec_for(params). A member the family factory refuses (it names
-    the failed constraints) is a configuration error; advisories are
-    warnings."""
+    the failed constraints or the field it does not take) is a
+    configuration error."""
     try:
-        spec = spec_for(params)
+        return spec_for(params)
     except ValueError as e:
         raise ConfigError(f"invalid [soliton]: {e}") from None
-    _advise(warnings, validate_params(params, spec).warnings)
-    return spec
 
 
-def _advise(warnings: list[str], checks: Iterable[ConstraintCheck]) -> None:
-    warnings.extend(f"advisory {c.name}: {c.detail}"
-                    for c in checks if not c.passed)
+def _advise(warnings: list[str], start: FieldState) -> None:
+    """The weak-field advisory on the field a run starts with, read from
+    its depth |phi_min|: a warning when that reaches M."""
+    check = weak_field_check(abs(float(start.phi.min())), start.params.M)
+    if not check.passed:
+        warnings.append(f"advisory {check.name}: {check.detail}")
 
 
 def _grid_for(config: ScenarioConfig, default_length: float,
@@ -280,18 +278,16 @@ def _plan(config: ScenarioConfig, warnings: list[str],
           mode: str = "coupled", x0: float = 0.0) -> tuple[
               PhysicalParams, SolitonSpec, FieldState, float, float, int]:
     """params, spec (validated), initial state on the member's grid (auto:
-    matched), T, dt, stride; the state and dt come from _member_start.
-    In choquard mode the weak-field advisory reads the slaved field the run
-    steps under, not the closed-form member's."""
+    matched), T, dt, stride; the state and dt come from _member_start. The
+    weak-field advisory reads the initial field: in choquard mode the
+    slaved field the run steps under, not the closed-form member's."""
     params = _physical_params(config)
-    spec = _member(spec_for, params, [] if mode == "choquard" else warnings)
+    spec = _member(spec_for, params)
     grid = _member_grid(config, spec, params)
     T = _run_T(config, T_default)
     initial, dt = _member_start(spec, params, grid, T,
                                 config.get("run", "dt"), mode, x0)
-    if mode == "choquard":
-        _advise(warnings, [weak_field_check(abs(float(initial.phi.min())),
-                                            params.M)])
+    _advise(warnings, initial)
     return params, spec, initial, T, dt, _stride(config, round(T / dt))
 
 
@@ -360,11 +356,10 @@ def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
     # checks soliton.mu, grid.n and grid.length before the audit halves it,
     # and the audit's members that the parameters can rule out (the
     # subluminal one, and the moving one at mu = m) are checked before the
-    # audit builds them. Their advisories are not this scenario's warnings,
-    # only their constraints.
-    spec_b = _member(lambda p: spec_3d_b(p, mu=_mu(config, p)), params, [])
+    # audit builds them.
+    spec_b = _member(lambda p: spec_3d_b(p, mu=_mu(config, p)), params)
     for spec_for in (spec_1d_b, lambda p: spec_3d_b(p, mu=p.m)):
-        _member(spec_for, params, [])
+        _member(spec_for, params)
     grid_b = _member_grid(config, spec_b, params)
     rng = random.Random(config.get("run", "seed"))
 
@@ -540,7 +535,7 @@ def _weak_field(report: RunReport, recs: list[ObservableRecord],
 def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
                              out: Path) -> ScenarioArtifacts:
     params = _physical_params(config)
-    spec = _member(spec_1d_b, params, report.warnings)
+    spec = _member(spec_1d_b, params)
     T = _run_T(config, 20.0)
     sigma0 = config.get("packet", "sigma0")
     if sigma0 is None:
@@ -579,6 +574,7 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
     sol_grid = make_grid(1, min(grid.n, 1024), matched_length(spec, params))
     sol_initial, sol_dt = _member_start(spec, params, sol_grid, T, None,
                                         "coupled")
+    _advise(report.warnings, sol_initial)
     sol_recs, _ = _evolve_observed(report, sol_initial, T, sol_dt,
                                    max(1, round(T / sol_dt) // 50), "coupled")
     ratio = spreading_ratio(sol_recs, recs)

@@ -16,7 +16,7 @@ the domain-length guard holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,26 +92,19 @@ def soliton_velocity_1d_b(M: float, m: float, v: float) -> float:
 def spec_3d_a(params: PhysicalParams, alpha: float | None = None,
               omega: float | None = None, gamma: float = 0.0,
               eps: float = 0.0) -> SolitonSpec:
-    """Family 3d_a member; give alpha or omega, the other is derived.
-    Raises ValueError unless the given ones pass validate_params."""
-    if omega is None and alpha is None:
-        raise ValueError("give alpha or omega for family 3d_a")
-    given = SolitonSpec(family=Family.THREED_A, alpha=alpha, omega=omega,
-                        gamma=gamma, eps=eps)
-    require_valid(params, given)
-    co = family_coefficients(given, params)
-    return replace(given, alpha=co.envelope_k, omega=co.Omega)
+    """Family 3d_a member, given exactly one of alpha and omega; raises
+    ValueError unless it passes validate_params."""
+    return require_valid(params, SolitonSpec(
+        family=Family.THREED_A, alpha=alpha, omega=omega, gamma=gamma,
+        eps=eps))
 
 
 def spec_3d_b(params: PhysicalParams, mu: float, gamma: float = 0.0,
               eps: float = 0.0) -> SolitonSpec:
     """Family 3d_b member with longitudinal momentum mu; raises ValueError
     unless it passes validate_params (|mu| < M, m != M)."""
-    spec = SolitonSpec(family=Family.THREED_B,
-                       alpha=math.sqrt(mu * mu + gamma * gamma + eps * eps),
-                       mu=mu, gamma=gamma, eps=eps)
-    require_valid(params, spec)
-    return spec
+    return require_valid(params, SolitonSpec(
+        family=Family.THREED_B, mu=mu, gamma=gamma, eps=eps))
 
 
 def spec_1d_a(params: PhysicalParams, phi_profile: str = "sech") -> SolitonSpec:
@@ -120,28 +113,25 @@ def spec_1d_a(params: PhysicalParams, phi_profile: str = "sech") -> SolitonSpec:
 
 def spec_1d_b(params: PhysicalParams) -> SolitonSpec:
     """Family 1d_b member; raises ValueError unless (3/2) m^3 v^2 <= M^3
-    (validate_params), checked before V_s is computed."""
-    require_valid(params, SolitonSpec(family=Family.ONED_B))
-    return SolitonSpec(family=Family.ONED_B,
-                       V_s=soliton_velocity_1d_b(params.M, params.m, params.v))
+    (validate_params)."""
+    return require_valid(params, SolitonSpec(family=Family.ONED_B))
 
 
 def family_coefficients(spec: SolitonSpec,
                         params: PhysicalParams) -> FamilyCoefficients:
     """Evaluate the family's closed-form scalars for a member that passes
     validate_params, as a spec_* factory's output does; its inequalities
-    are not checked again. A dependent field left None is derived."""
+    are not checked again. The fields a spec does not hold are derived
+    here: 3d_a's other one of alpha and omega, and 1d_b's velocity V_s."""
     M, m, v = params.M, params.m, params.v
     mv = params.mv
     fam = spec.family
     if fam is Family.THREED_A:
         alpha = spec.alpha
         omega = spec.omega
-        if alpha is None and omega is None:
-            raise ValueError("3d_a spec needs alpha or omega (use spec_3d_a)")
         if alpha is None:
             alpha = alpha_from_dispersion_3d_a(M, omega, spec.gamma, spec.eps)
-        if omega is None:
+        else:
             omega = (alpha * alpha - M * M - spec.gamma * spec.gamma
                      - spec.eps * spec.eps) / (2.0 * M)
         return FamilyCoefficients(
@@ -150,8 +140,6 @@ def family_coefficients(spec: SolitonSpec,
             Omega=omega, K_carrier=M,
             phi_amplitude=-(alpha * alpha) / (M * M), phi_power=2)
     if fam is Family.THREED_B:
-        if spec.mu is None:
-            raise ValueError("3d_b spec needs mu (use spec_3d_b)")
         mu = spec.mu
         lam2 = 1.0 - (mu / M) ** 2
         lam = math.sqrt(lam2)
@@ -170,9 +158,7 @@ def family_coefficients(spec: SolitonSpec,
             phi_amplitude=-(M**4) / mv**4,
             phi_power=1 if spec.phi_profile == "sech" else 2)
     if fam is Family.ONED_B:
-        V_s = spec.V_s
-        if V_s is None:
-            V_s = soliton_velocity_1d_b(M, m, v)
+        V_s = soliton_velocity_1d_b(M, m, v)
         return FamilyCoefficients(
             psi_amplitude=M**1.5 / (2.0 * mv),
             envelope_k=M**3 / (3.0 * mv**2), envelope_power=2, velocity=V_s,

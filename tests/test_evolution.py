@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,12 +119,31 @@ class TestStepControl:
         # the slaved field never reads phi_prev, so a step that does not
         # divide T is no reason to warn in choquard mode
         st = stationary_state(make_grid(1, 512, 64.0))
-        assert st.phi_prev is not None
+        st = replace(st, phi_prev=st.phi.copy())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             evolve(st, T=1.0, dt=0.07, mode="choquard")
         with pytest.warns(UserWarning, match="phi_prev"):
             evolve(st, T=1.0, dt=0.07, mode="coupled")
+
+    @pytest.mark.parametrize("mode", ["coupled", "free"])
+    @pytest.mark.parametrize("start", ["packet", "static"])
+    def test_starts_at_rest_take_any_step_without_a_warning(self, mode,
+                                                            start):
+        # a packet and a static field start at rest (phi_prev None), which
+        # the Gautschi update starts exactly, so a step that does not
+        # divide T carries no history built for another step
+        g = make_grid(1, 512, 64.0)
+        st = gaussian_packet(g, P, sigma0=1.0) if start == "packet" \
+            else stationary_state(g)
+        assert st.phi_prev is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve(st, T=1.0, dt=0.3, mode=mode)
+        assert traj.step_count == 4
+        if start == "packet" and mode == "free":
+            # a zero field at rest stays zero
+            assert not traj.final.phi.any()
 
 
 class TestConservationAndAccuracy:
@@ -178,8 +198,9 @@ class TestConservationAndAccuracy:
 
 
 class TestBlowUp:
-    # the coupled mode's first half kick, before the loop, takes cos(inf)
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    # the start transforms and the first half kick, before the loop, take
+    # the non-finite field too, under the loop's errstate: no warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode,values", [
         pytest.param(mode, values, id=mode + label)
         for label, values in (("", (np.nan,)), ("-inf", (np.inf,)),
@@ -278,7 +299,7 @@ class TestTrajectoryPlumbing:
 
     def test_slaved_run_ends_without_history(self):
         st = stationary_state(make_grid(1, 512, 64.0))
-        assert st.phi_prev is not None
+        st = replace(st, phi_prev=st.phi.copy())
         final = evolve(st, T=0.2, dt=0.1, mode="choquard").final
         assert final.phi_prev is None
 

@@ -6,13 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from solitonlab.model import (
     Family, PhysicalParams, SolitonSpec, Grid, FieldState,
-    make_grid, validate_params,
+    make_grid, require_valid, validate_params, weak_field_check,
 )
-from solitonlab.solutions import spec_1d_a, spec_1d_b, spec_3d_a, spec_3d_b
+from solitonlab.solutions import (family_coefficients, family_velocity,
+                                  spec_1d_a, spec_1d_b, spec_3d_a)
 
 
 class TestFamily:
@@ -50,8 +51,48 @@ class TestSolitonSpec:
             SolitonSpec(family=Family.ONED_A, phi_profile="sech_cubed")
 
     def test_1d_families_reject_transverse(self):
-        with pytest.raises(ValueError, match="transverse"):
-            SolitonSpec(family=Family.ONED_B, gamma=0.3)
+        for family in (Family.ONED_A, Family.ONED_B):
+            with pytest.raises(ValueError, match="takes no gamma"):
+                SolitonSpec(family=family, gamma=0.3)
+            with pytest.raises(ValueError, match="takes no eps"):
+                SolitonSpec(family=family, eps=-0.2)
+
+    @pytest.mark.parametrize("family, fields", [
+        ("3d_a", {"alpha": 2.0}),
+        ("3d_a", {"omega": -0.2, "gamma": 0.3, "eps": 0.1}),
+        ("3d_b", {"mu": 0.5, "gamma": 0.3, "eps": 0.1}),
+        ("1d_a", {}),
+        ("1d_a", {"phi_profile": "sech_squared"}),
+        ("1d_b", {}),
+    ])
+    def test_shape_rule_takes_the_given_parameters(self, family, fields):
+        # the shape alone, with no constraint of the mass scale
+        spec = SolitonSpec(family=Family(family), **fields)
+        assert all(getattr(spec, k) == v for k, v in fields.items())
+
+    @pytest.mark.parametrize("family, fields, named", [
+        ("3d_a", {}, "takes exactly one of alpha or omega"),
+        ("3d_a", {"gamma": 0.3}, "takes exactly one of alpha or omega"),
+        ("3d_a", {"alpha": 2.0, "omega": 1.5},
+         "takes exactly one of alpha or omega"),
+        ("3d_a", {"omega": 1.5, "mu": 0.5}, "takes no mu"),
+        ("3d_a", {"alpha": 2.0, "phi_profile": "sech_squared"},
+         "takes no phi_profile"),
+        ("3d_b", {}, "needs mu"),
+        ("3d_b", {"gamma": 0.3}, "needs mu"),
+        ("3d_b", {"mu": 0.5, "alpha": 0.5}, "takes no alpha"),
+        ("3d_b", {"mu": 0.5, "omega": 1.0}, "takes no omega"),
+        ("1d_a", {"alpha": 2.0}, "takes no alpha"),
+        ("1d_a", {"mu": 0.5}, "takes no mu"),
+        ("1d_b", {"alpha": 3.0}, "takes no alpha"),
+        ("1d_b", {"omega": 1.0}, "takes no omega"),
+        ("1d_b", {"mu": 0.2}, "takes no mu"),
+        ("1d_b", {"phi_profile": "sech_squared"},
+         "takes no phi_profile"),
+    ])
+    def test_shape_rule_refuses(self, family, fields, named):
+        with pytest.raises(ValueError, match=f"family {family} {named}"):
+            SolitonSpec(family=Family(family), **fields)
 
 
 class TestGrid:
@@ -150,28 +191,33 @@ class TestFieldState:
         assert st.norm() == pytest.approx(16.0)
 
 
+def _checks(p: PhysicalParams, spec: SolitonSpec) -> dict:
+    return {c.name: c for c in validate_params(p, spec)}
+
+
+INEQUALITIES = ("alpha_positive", "radicand_positive", "mass_nondegenerate",
+                "momentum_bound", "velocity_real")
+
+
 class TestValidateParams:
     def test_oned_b_velocity_bound_fails(self):
         p = PhysicalParams(M=1.0, m=1.0, v=1.0)
-        rep = validate_params(p, SolitonSpec(family=Family.ONED_B))
-        c = rep.check("velocity_real")
+        c, = validate_params(p, SolitonSpec(family=Family.ONED_B))
+        assert c.name == "velocity_real"
         assert not c.passed
         assert c.margin == pytest.approx(-0.5)
-        assert not rep.passed
 
     def test_oned_b_saturated_bound_passes(self):
         p = PhysicalParams(M=1.0, m=1.0, v=math.sqrt(2.0 / 3.0))
         spec = spec_1d_b(p)
-        assert spec.V_s == 0.0
-        rep = validate_params(p, spec)
-        assert rep.check("velocity_real").passed
-        assert rep.check("velocity_closure").passed
+        assert family_velocity(spec, p) == 0.0
+        assert list(_checks(p, spec)) == ["velocity_real"]
+        assert _checks(p, spec)["velocity_real"].passed
 
     def test_threed_b_momentum_bound_fails(self):
         p = PhysicalParams(M=1.0, m=0.5, v=1.0)
-        spec = SolitonSpec(family=Family.THREED_B, mu=1.5, alpha=1.5)
-        rep = validate_params(p, spec)
-        c = rep.check("momentum_bound")
+        spec = SolitonSpec(family=Family.THREED_B, mu=1.5)
+        c = _checks(p, spec)["momentum_bound"]
         assert not c.passed
         assert c.margin == pytest.approx(-0.5)
 
@@ -181,46 +227,69 @@ class TestValidateParams:
     def test_threed_b_momentum_bound_is_strict_in_abs_mu(self, mu, passed):
         # |mu| = M is the zero-width member that spec_3d_b refuses
         p = PhysicalParams(M=1.0, m=0.5, v=1.0)
-        spec = SolitonSpec(family=Family.THREED_B, mu=mu, alpha=abs(mu))
-        assert validate_params(p, spec).check("momentum_bound").passed \
-            is passed
+        spec = SolitonSpec(family=Family.THREED_B, mu=mu)
+        assert _checks(p, spec)["momentum_bound"].passed is passed
 
     def test_threed_a_dispersion_closure(self):
+        # the spec holds the given one of alpha and omega, so there is no
+        # closure left to check: the table holds the given one's inequality
+        # and family_coefficients derives the other
         p = PhysicalParams(M=1.0, m=0.5, v=1.0)
-        rep = validate_params(p, spec_3d_a(p, omega=1.5))
-        assert rep.check("dispersion_closure").passed
-        bad = SolitonSpec(family=Family.THREED_A, alpha=2.5, omega=1.5)
-        assert not validate_params(p, bad).check("dispersion_closure").passed
+        by_omega, by_alpha = spec_3d_a(p, omega=1.5), spec_3d_a(p, alpha=2.0)
+        assert list(_checks(p, by_omega)) == ["radicand_positive"]
+        assert list(_checks(p, by_alpha)) == ["alpha_positive"]
+        assert family_coefficients(by_omega, p).envelope_k == 2.0
+        assert family_coefficients(by_alpha, p).Omega == 1.5
 
     def test_nonrelativistic_advisory_is_not_fatal(self):
+        # scalar depth 16 >> M: the advisory fails, the member is valid
         p = PhysicalParams(M=1.0, m=0.5, v=1.0)
-        rep = validate_params(p, spec_1d_a(p))  # scalar depth 16 >> M
-        assert rep.passed
-        warn = rep.check("nonrelativistic_validity")
-        assert warn.advisory and not warn.passed
-        assert any(w.name == "nonrelativistic_validity" for w in rep.warnings)
+        spec = spec_1d_a(p)
+        assert "nonrelativistic_validity" not in _checks(p, spec)
+        assert require_valid(p, spec) is spec
+        depth = abs(family_coefficients(spec, p).phi_amplitude)
+        warn = weak_field_check(depth, p.M)
+        assert warn.name == "nonrelativistic_validity"
+        assert not warn.passed
+        assert warn.margin == pytest.approx(-15.0)
 
     def test_nonrelativistic_advisory_passes_for_shallow_field(self):
         p = PhysicalParams(M=1.0, m=0.5, v=1.0)
-        rep = validate_params(p, spec_3d_a(p, alpha=0.5))  # depth 0.25 < M
-        assert rep.check("nonrelativistic_validity").passed
-
-    def test_check_lookup_error(self):
-        p = PhysicalParams(M=1.0, m=1.0, v=1.0)
-        with pytest.raises(KeyError):
-            validate_params(p, spec_1d_a(p)).check("no_such_constraint")
+        spec = spec_3d_a(p, alpha=0.5)  # depth 0.25 < M
+        depth = abs(family_coefficients(spec, p).phi_amplitude)
+        assert weak_field_check(depth, p.M).passed
 
 
-# dependent-parameter closure: re-deriving the stored dependent field from the
-# independent ones reproduces it
-@given(M=st.floats(0.3, 3.0), omega=st.floats(0.01, 5.0),
-       gamma=st.floats(0.0, 2.0), eps=st.floats(0.0, 2.0))
-def test_3d_a_dispersion_closure_property(M, omega, gamma, eps):
+@settings(max_examples=60)
+@given(M=st.floats(0.3, 3.0), m=st.floats(0.1, 3.0), v=st.floats(0.1, 2.0),
+       shape=st.sampled_from(("3d_a-alpha", "3d_a-omega", "3d_b", "1d_a",
+                              "1d_b")),
+       value=st.floats(-4.0, 4.0), gamma=st.floats(-2.0, 2.0))
+def test_table_holds_the_inequalities_only(M, m, v, shape, value, gamma):
+    # valid or not, every member's table names only family inequalities
+    family, _, given_field = shape.partition("-")
+    fields = {}
+    if family.startswith("3d"):
+        fields = {given_field or "mu": value, "gamma": gamma}
+    spec = SolitonSpec(family=Family(family), **fields)
+    names = [c.name for c in validate_params(PhysicalParams(M, m, v), spec)]
+    assert set(names) <= set(INEQUALITIES)
+    assert len(names) == len(set(names))
+
+
+# the derived fields keep the family relations: the dispersion relation of
+# 3d_a from either given field, and the 1d_b velocity
+@given(M=st.floats(0.3, 3.0), value=st.floats(0.01, 5.0),
+       given_alpha=st.booleans(), gamma=st.floats(0.0, 2.0),
+       eps=st.floats(0.0, 2.0))
+def test_3d_a_dispersion_closure_property(M, value, given_alpha, gamma, eps):
     p = PhysicalParams(M=M, m=0.5, v=1.0)
-    spec = spec_3d_a(p, omega=omega, gamma=gamma, eps=eps)
-    expect = 2.0 * M * omega + M * M + gamma * gamma + eps * eps
-    assert spec.alpha**2 == pytest.approx(expect, rel=1e-12)
-    assert validate_params(p, spec).check("dispersion_closure").passed
+    field = "alpha" if given_alpha else "omega"
+    co = family_coefficients(
+        spec_3d_a(p, gamma=gamma, eps=eps, **{field: value}), p)
+    assert (co.envelope_k if given_alpha else co.Omega) == value
+    expect = 2.0 * M * co.Omega + M * M + gamma * gamma + eps * eps
+    assert co.envelope_k**2 == pytest.approx(expect, rel=1e-12)
 
 
 @given(M=st.floats(0.5, 2.0), m=st.floats(0.1, 0.8), v=st.floats(0.1, 1.0))
@@ -228,14 +297,6 @@ def test_1d_b_velocity_closure_property(M, m, v):
     if 1.5 * m**3 * v**2 > M**3:
         return
     p = PhysicalParams(M=M, m=m, v=v)
-    spec = spec_1d_b(p)
-    assert 0.0 <= spec.V_s < 1.0
-    assert spec.V_s**2 + (2.25 * (m**3 * v**2 / M**3) ** 2) == pytest.approx(1.0, abs=1e-12)
-
-
-@given(mu=st.floats(-0.9, 0.9), gamma=st.floats(0.0, 1.0), eps=st.floats(0.0, 1.0))
-def test_3d_b_alpha_closure_property(mu, gamma, eps):
-    p = PhysicalParams(M=1.0, m=0.5, v=1.0)
-    spec = spec_3d_b(p, mu=mu, gamma=gamma, eps=eps)
-    assert spec.alpha**2 == pytest.approx(mu * mu + gamma * gamma + eps * eps,
-                                          rel=1e-12, abs=1e-15)
+    V = family_velocity(spec_1d_b(p), p)
+    assert 0.0 <= V < 1.0
+    assert V**2 + (2.25 * (m**3 * v**2 / M**3) ** 2) == pytest.approx(1.0, abs=1e-12)

@@ -30,7 +30,7 @@ from solitonlab.config import (ConfigError, ScenarioConfig, apply_overrides,
 from solitonlab.diagnostics import ObservableRecord
 from solitonlab.evolution import (BlowUpError, evolve, state_from_solution,
                                   state_with_static_field)
-from solitonlab.model import PhysicalParams, make_grid
+from solitonlab.model import PhysicalParams, make_grid, weak_field_check
 from solitonlab import runner
 from solitonlab.runner import FAILED_MARKER, RunReport, _check, run_scenario
 from solitonlab.solutions import matched_length, spec_1d_b
@@ -361,6 +361,38 @@ class TestChoquardPlan:
                             ["grid.n=256", "run.T=0.5"]),
             out_dir=tmp_path / "stationary")
         assert stationary.warnings == []
+
+    @pytest.mark.parametrize("scenario, overrides, mode, x0", [
+        ("soliton-propagation", ["soliton.x0=3.3"], "coupled", 3.3),
+        ("perturbation-stability", [], "coupled", 0.0),
+    ], ids=["propagation-off-node", "perturbation"])
+    def test_advisory_reads_the_initial_field(self, tmp_path, scenario,
+                                              overrides, mode, x0):
+        # the one advisory of a member run reads the field the run starts
+        # with; off a node that is the lattice depth, not the closed form's
+        cfg = apply_overrides(default_config(scenario),
+                              ["grid.n=256", "run.T=0.5", *overrides])
+        report = run_scenario(cfg, out_dir=tmp_path)
+        spec_for = functools.partial(runner._soliton_spec, cfg) \
+            if scenario == "soliton-propagation" else spec_1d_b
+        _, _, initial, *_ = runner._plan(cfg, [], spec_for, 20.0, mode, x0)
+        check = weak_field_check(abs(initial.phi.min()), initial.params.M)
+        assert not check.passed
+        assert [w for w in report.warnings if w.startswith("advisory")] == [
+            f"advisory {check.name}: {check.detail}"]
+        if x0:
+            assert "max|phi| = 5.33333 " not in report.warnings[0]
+
+    def test_free_spreading_advisory_reads_the_reference_start(self,
+                                                               tmp_path):
+        # the packet starts with no field; the self-trapped reference run
+        # starts on a node with the member's depth (M/mv)^4/3 = 5.33333
+        report = run_scenario(
+            apply_overrides(default_config("free-spreading"),
+                            ["grid.n=512", "run.T=10"]), out_dir=tmp_path)
+        assert report.warnings == [
+            "advisory nonrelativistic_validity: max|phi| = 5.33333 vs M = "
+            "1; the weak-field treatment assumes |phi| < M"]
 
 
 class TestMemberStart:
@@ -755,6 +787,19 @@ class TestCliExitCodes:
         ("free-spreading", ["run.mode=free"], "run.mode"),
         ("param-sweep", ["sweep.scenario=perturbation-stability",
                          "run.mode=choquard"], "run.mode"),
+        # every [soliton] value reaches the member or is refused, naming
+        # the field its family does not take
+        ("soliton-propagation", ["soliton.gamma=0.3"], "takes no gamma"),
+        ("soliton-propagation", ["soliton.mu=0.2"], "takes no mu"),
+        ("soliton-propagation", ["soliton.alpha=3"], "takes no alpha"),
+        ("soliton-propagation", ["soliton.family=3d_b", "soliton.alpha=5"],
+         "takes no alpha"),
+        ("soliton-propagation", ["toggles.phi_profile=sech_squared"],
+         "takes no phi_profile"),
+        # a consistent pair too: the member takes one of the two
+        ("soliton-propagation", ["soliton.family=3d_a", "soliton.alpha=2",
+                                 "soliton.omega=1.5"],
+         "exactly one of alpha or omega"),
     ], ids=["free-n", "free-dim", "free-length", "free-aliased-k0",
             "verify-n",
             "rescale-strength", "verify-mu-2", "verify-mu-M",
@@ -767,7 +812,10 @@ class TestCliExitCodes:
             "propagate-negative-seed", "propagate-3d_b-mu-M-constraint",
             "propagate-3d_a-negative-alpha", "propagate-spacing-over-width",
             "propagate-3d-too-many-points", "perturb-mode",
-            "choquard-mode", "free-mode", "sweep-perturb-mode"])
+            "choquard-mode", "free-mode", "sweep-perturb-mode",
+            "propagate-1d_b-gamma", "propagate-1d_b-mu",
+            "propagate-1d_b-alpha", "propagate-3d_b-alpha",
+            "propagate-1d_b-phi-profile", "propagate-3d_a-pair"])
     def test_engine_rejected_setting_is_two_before_any_work(
             self, tmp_path, capsys, monkeypatch, scenario, overrides, named):
         # lattice sizes, packet widths, momenta and rescale strengths the

@@ -58,15 +58,21 @@ class TestSolitonVelocity:
 class TestSpecFactories:
     def test_3d_a_derives_alpha(self):
         s = spec_3d_a(P, omega=1.5)
-        assert s.alpha == pytest.approx(2.0)
+        assert (s.alpha, s.omega) == (None, 1.5)
+        assert family_coefficients(s, P).envelope_k == pytest.approx(2.0)
 
     def test_3d_a_derives_omega(self):
         s = spec_3d_a(P, alpha=2.0)
-        assert s.omega == pytest.approx(1.5)
+        assert (s.alpha, s.omega) == (2.0, None)
+        assert family_coefficients(s, P).Omega == pytest.approx(1.5)
 
     def test_3d_a_rejects_inconsistent_pair(self):
-        with pytest.raises(ValueError, match="dispersion_closure"):
-            spec_3d_a(P, alpha=2.5, omega=1.5)
+        # a spec holds one of the two, so no pair, consistent or not, is
+        # taken
+        for alpha in (2.5, 2.0):
+            with pytest.raises(ValueError, match="exactly one of alpha or "
+                                                 "omega"):
+                spec_3d_a(P, alpha=alpha, omega=1.5)
 
     def test_3d_a_needs_one_parameter(self):
         with pytest.raises(ValueError, match="alpha or omega"):
@@ -120,7 +126,7 @@ class TestPhaseVelocity:
             return
         p = PhysicalParams(M=M, m=m, v=v)
         spec = spec_1d_b(p)
-        assert spec.V_s >= phase_velocity(spec, p)
+        assert family_velocity(spec, p) >= phase_velocity(spec, p)
 
 
 class TestLocalizationLength:
@@ -217,7 +223,7 @@ class TestSampling:
         spec = spec_1d_b(P)
         a = sample_solution(spec, P, g, t=0.0, x0=x0)
         for t, shift in ((0.0, x0 + 7 * g.length),
-                         (7 * g.length / spec.V_s, x0)):
+                         (7 * g.length / family_velocity(spec, P), x0)):
             b = sample_solution(spec, P, g, t=t, x0=shift)
             assert np.abs(np.abs(b.psi) - np.abs(a.psi)).max() <= 1e-15
             assert np.abs(b.phi - a.phi).max() <= 1e-15 * np.abs(a.phi).max()
@@ -261,7 +267,7 @@ class TestSampling:
         t = 5.0
         s = sample_solution(spec, P, g, t=t, x0=2.0)
         peak = g.axis[np.argmax(np.abs(s.psi))]
-        expect = 2.0 + spec.V_s * t
+        expect = 2.0 + family_velocity(spec, P) * t
         assert abs(peak - expect) <= g.spacing
 
 
@@ -368,7 +374,7 @@ class TestCoefficients:
 def _one_verdict(build, given_spec: SolitonSpec, p: PhysicalParams) -> None:
     """build() returns exactly when validate_params passes given_spec, the
     member of the fields build was given; a returned member is usable."""
-    passed = validate_params(p, given_spec).passed
+    passed = all(c.passed for c in validate_params(p, given_spec))
     try:
         spec = build()
     except ValueError as e:
