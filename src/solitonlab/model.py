@@ -2,7 +2,7 @@
 
 Everything downstream (closed-form samplers, residual audits, time stepping,
 diagnostics) consumes the types defined here. All types are immutable after
-construction and safe to share across workers.
+construction.
 
 Units are natural (hbar = c = 1); every quantity is a dimensionless multiple
 of the chosen mass scale.

@@ -144,48 +144,34 @@ def _physical_params(config: ScenarioConfig) -> PhysicalParams:
     return PhysicalParams(**config.settings["params"])
 
 
-def _mu(config: ScenarioConfig, params: PhysicalParams) -> float:
-    """soliton.mu, by default the matched momentum m of the exact member."""
-    mu = config.get("soliton", "mu")
-    return params.m if mu is None else mu
+# the config key of each SolitonSpec field _soliton_spec sets
+_SPEC_KEYS = {"alpha": "soliton.alpha", "omega": "soliton.omega",
+              "mu": "soliton.mu", "gamma": "soliton.gamma",
+              "eps": "soliton.eps", "phi_profile": "toggles.phi_profile"}
 
 
 def _soliton_spec(config: ScenarioConfig,
                   params: PhysicalParams) -> SolitonSpec:
-    """The [soliton] member. Every [soliton] value and toggles.phi_profile
-    reach the spec, whose rule refuses one the family does not take; 3d_a
-    given neither alpha nor omega takes omega = M (its width from the
-    dispersion relation), and 3d_b takes soliton.mu (_mu)."""
+    """The [soliton] member, the one reader of every [soliton] value and
+    toggles.phi_profile for an evolving member run. 3d_a given neither
+    alpha nor omega takes omega = M (its width from the dispersion
+    relation), and 3d_b without soliton.mu the matched momentum mu = m of
+    the exact member. A member the spec's rule or the family's constraints
+    refuse is a ConfigError; a field the family does not take is named by
+    its key."""
     fam = Family(config.get("soliton", "family"))
-    given = {key: config.get("soliton", key)
-             for key in ("alpha", "omega", "mu", "gamma", "eps")}
+    given = {f: config.get(*key.split(".")) for f, key in _SPEC_KEYS.items()}
     if fam is Family.THREED_A and given["alpha"] is None \
             and given["omega"] is None:
         given["omega"] = params.M
-    if fam is Family.THREED_B:
-        given["mu"] = _mu(config, params)
-    return require_valid(params, SolitonSpec(
-        family=fam, phi_profile=config.get("toggles", "phi_profile"),
-        **given))
-
-
-def _member(spec_for: Callable[[PhysicalParams], SolitonSpec],
-            params: PhysicalParams) -> SolitonSpec:
-    """spec_for(params). A member the family factory refuses (it names
-    the failed constraints or the field it does not take) is a
-    configuration error."""
+    if fam is Family.THREED_B and given["mu"] is None:
+        given["mu"] = params.m
     try:
-        return spec_for(params)
+        return require_valid(params, SolitonSpec(family=fam, **given))
     except ValueError as e:
-        raise ConfigError(f"invalid [soliton]: {e}") from None
-
-
-def _advise(warnings: list[str], start: FieldState) -> None:
-    """The weak-field advisory on the field a run starts with, read from
-    its depth |phi_min|: a warning when that reaches M."""
-    check = weak_field_check(abs(float(start.phi.min())), start.params.M)
-    if not check.passed:
-        warnings.append(f"advisory {check.name}: {check.detail}")
+        key = next((k for f, k in _SPEC_KEYS.items()
+                    if f"takes no {f}," in str(e)), "[soliton]")
+        raise ConfigError(f"invalid {key}: {e}") from None
 
 
 def _grid_for(config: ScenarioConfig, default_length: float,
@@ -256,13 +242,17 @@ def _stride(config: ScenarioConfig, n_steps: int) -> int:
     return max(1, n_steps // 200) if stride is None else stride
 
 
-def _member_start(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
-                  T: float, requested: float | None, mode: str,
-                  x0: float = 0.0) -> tuple[FieldState, float]:
+def _member_start(warnings: list[str], spec: SolitonSpec,
+                  params: PhysicalParams, grid: Grid, T: float,
+                  requested: float | None, mode: str,
+                  x0: float) -> tuple[FieldState, float]:
     """The member's initial state, centred at x0, and the step that divides
     T. The member is sampled once, at t = 0; in choquard mode the state
     carries the slaved field the run steps under, which the default step
-    reads, and the other modes get the analytic history phi(-dt)."""
+    reads, and the other modes get the analytic history phi(-dt). The
+    weak-field advisory reads the depth |phi_min| of the state the run
+    starts with (in choquard mode the slaved field, not the closed-form
+    member's): a warning when that reaches M."""
     state = state_from_solution(spec, params, grid, x0=x0)
     if mode == "choquard":
         state = state_with_static_field(state.psi, params, grid)
@@ -270,24 +260,25 @@ def _member_start(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
     if mode != "choquard":
         state = replace(state, phi_prev=sample_solution(
             spec, params, grid, t=-dt, x0=x0).phi)
+    check = weak_field_check(abs(float(state.phi.min())), params.M)
+    if not check.passed:
+        warnings.append(f"advisory {check.name}: {check.detail}")
     return state, dt
 
 
-def _plan(config: ScenarioConfig, warnings: list[str],
-          spec_for: Callable[[PhysicalParams], SolitonSpec], T_default: float,
-          mode: str = "coupled", x0: float = 0.0) -> tuple[
+def _plan(config: ScenarioConfig, warnings: list[str], T_default: float,
+          mode: str = "coupled") -> tuple[
               PhysicalParams, SolitonSpec, FieldState, float, float, int]:
-    """params, spec (validated), initial state on the member's grid (auto:
-    matched), T, dt, stride; the state and dt come from _member_start. The
-    weak-field advisory reads the initial field: in choquard mode the
-    slaved field the run steps under, not the closed-form member's."""
+    """params, the [soliton] member (_soliton_spec), its initial state at
+    soliton.x0 on the member's grid (auto: matched), T, dt, stride; the
+    state and dt come from _member_start."""
     params = _physical_params(config)
-    spec = _member(spec_for, params)
+    spec = _soliton_spec(config, params)
     grid = _member_grid(config, spec, params)
     T = _run_T(config, T_default)
-    initial, dt = _member_start(spec, params, grid, T,
-                                config.get("run", "dt"), mode, x0)
-    _advise(warnings, initial)
+    initial, dt = _member_start(warnings, spec, params, grid, T,
+                                config.get("run", "dt"), mode,
+                                config.get("soliton", "x0"))
     return params, spec, initial, T, dt, _stride(config, round(T / dt))
 
 
@@ -352,14 +343,21 @@ def _audit_dict(e: FamilyAuditEntry) -> dict[str, Any]:
 def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
                                out: Path) -> ScenarioArtifacts:
     params = _physical_params(config)
-    # the moving member's lattice is the [grid] one; building it first
-    # checks soliton.mu, grid.n and grid.length before the audit halves it,
-    # and the audit's members that the parameters can rule out (the
-    # subluminal one, and the moving one at mu = m) are checked before the
-    # audit builds them.
-    spec_b = _member(lambda p: spec_3d_b(p, mu=_mu(config, p)), params)
-    for spec_for in (spec_1d_b, lambda p: spec_3d_b(p, mu=p.m)):
-        _member(spec_for, params)
+    # the audit's members that the parameters can rule out (the subluminal
+    # one, and the moving one at mu = m) are checked before the audit
+    # builds them, then the moving member at soliton.mu (default m); its
+    # lattice is the [grid] one, so building it checks grid.n and
+    # grid.length before the audit halves it
+    mu = config.get("soliton", "mu")
+    key = "[params]"
+    try:
+        spec_1d_b(params)
+        spec_b = spec_3d_b(params, mu=params.m)
+        if mu is not None:
+            key = "soliton.mu"
+            spec_b = spec_3d_b(params, mu=mu)
+    except ValueError as e:
+        raise ConfigError(f"invalid {key}: {e}") from None
     grid_b = _member_grid(config, spec_b, params)
     rng = random.Random(config.get("run", "seed"))
 
@@ -471,9 +469,8 @@ def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
 def _scenario_soliton_propagation(config: ScenarioConfig, report: RunReport,
                                   out: Path) -> ScenarioArtifacts:
     mode = config.get("run", "mode") or "coupled"
-    params, spec, initial, T, dt, stride = _plan(
-        config, report.warnings, functools.partial(_soliton_spec, config),
-        20.0, mode, config.get("soliton", "x0"))
+    params, spec, initial, T, dt, stride = _plan(config, report.warnings,
+                                                 20.0, mode)
     recs, traj = _evolve_observed(report, initial, T, dt, stride, mode)
     report.details["kicks"] = traj.kicks
 
@@ -535,7 +532,7 @@ def _weak_field(report: RunReport, recs: list[ObservableRecord],
 def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
                              out: Path) -> ScenarioArtifacts:
     params = _physical_params(config)
-    spec = _member(spec_1d_b, params)
+    spec = _soliton_spec(config, params)
     T = _run_T(config, 20.0)
     sigma0 = config.get("packet", "sigma0")
     if sigma0 is None:
@@ -569,12 +566,14 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
         law_err, 0.005))
 
     # self-trapped reference over the same span, on its own matched lattice
-    # of at most grid.n points at the default step: run.dt and run.stride
-    # set the packet run only
-    sol_grid = make_grid(1, min(grid.n, 1024), matched_length(spec, params))
-    sol_initial, sol_dt = _member_start(spec, params, sol_grid, T, None,
-                                        "coupled")
-    _advise(report.warnings, sol_initial)
+    # of at most grid.n points (with the member's transverse mode) at the
+    # default step: run.dt and run.stride set the packet run only
+    transverse = (spec.gamma, spec.eps)
+    sol_grid = make_grid(1, min(grid.n, 1024), matched_length(spec, params),
+                         transverse if any(transverse) else None)
+    sol_initial, sol_dt = _member_start(
+        report.warnings, spec, params, sol_grid, T, None, "coupled",
+        config.get("soliton", "x0"))
     sol_recs, _ = _evolve_observed(report, sol_initial, T, sol_dt,
                                    max(1, round(T / sol_dt) // 50), "coupled")
     ratio = spreading_ratio(sol_recs, recs)
@@ -594,13 +593,13 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
 def _scenario_choquard_stationary(config: ScenarioConfig, report: RunReport,
                                   out: Path) -> ScenarioArtifacts:
     params, spec, initial, T, dt, stride = _plan(
-        config, report.warnings, spec_1d_b, 50.0, "choquard")
+        config, report.warnings, 50.0, "choquard")
     v_s = family_velocity(spec, params)
     if abs(v_s) > 1e-9:
         report.findings.append(
-            f"V_s = {v_s:.6g} is not zero at these parameters; the "
-            "stationarity checks below assume the standing member "
-            "(m^3 v^2 = (2/3) M^3)")
+            f"the {spec.family.value} member's envelope moves at "
+            f"{v_s:.6g}; the stationarity checks below assume a member at "
+            "rest")
 
     recs, traj = _evolve_observed(report, initial, T, dt, stride,
                                   "choquard")
@@ -736,8 +735,7 @@ def _scenario_yukawa_oracle(config: ScenarioConfig, report: RunReport,
 
 def _scenario_perturbation_stability(config: ScenarioConfig, report: RunReport,
                                      out: Path) -> ScenarioArtifacts:
-    _, _, initial, T, dt, stride = _plan(config, report.warnings,
-                                         spec_1d_b, 20.0)
+    _, _, initial, T, dt, stride = _plan(config, report.warnings, 20.0)
     kind = config.get("perturb", "kind")
     strength = config.get("perturb", "strength")
     seed = config.get("run", "seed")

@@ -4,8 +4,9 @@ check, a configuration error or a numerical abort, never an internal error.
 Each draw runs one scenario in-process at grid.n <= 512 and run.T <= 0.5,
 with physical, soliton, toggle, packet, lattice and step values drawn
 both inside and just outside their valid ranges. The examples pin seven
-settings that once ended in tracebacks: a quasi-1D member with a
-transverse wavenumber (its lattice lacked the transverse mode), a packet
+settings that once ended in tracebacks, and one that would without its
+fix: a quasi-1D member with a transverse wavenumber (its lattice lacked
+the transverse mode, and so would free-spreading's reference), a packet
 far narrower than the lattice spacing (its measured width was 0), a
 moving member at rest (its speed check divided by the zero speed), a box
 shorter than the member's sampling needs (the sampler raised mid-run), an
@@ -93,6 +94,8 @@ def override_sets(draw) -> dict:
          overrides={"params.m": 1.0, "params.v": 0.75, "soliton.mu": 0.0})
 @example(scenario="soliton-propagation", n=256, T=0.5,
          overrides={"grid.length": 1e9})
+@example(scenario="free-spreading", n=512, T=0.5,
+         overrides={"soliton.family": "3d_b", "soliton.gamma": 0.1})
 def test_no_override_set_is_an_internal_error(tmp_path_factory, scenario, n,
                                               T, overrides):
     if scenario not in ("soliton-propagation", "param-sweep"):

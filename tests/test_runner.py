@@ -28,12 +28,14 @@ from solitonlab.cli import main
 from solitonlab.config import (ConfigError, ScenarioConfig, apply_overrides,
                                default_config, parse_config)
 from solitonlab.diagnostics import ObservableRecord
-from solitonlab.evolution import (BlowUpError, evolve, state_from_solution,
+from solitonlab.evolution import (BlowUpError, evolve, perturb,
+                                  state_from_solution,
                                   state_with_static_field)
 from solitonlab.model import PhysicalParams, make_grid, weak_field_check
 from solitonlab import runner
 from solitonlab.runner import FAILED_MARKER, RunReport, _check, run_scenario
-from solitonlab.solutions import matched_length, spec_1d_b
+from solitonlab.solutions import (closed_form_width, matched_length,
+                                  spec_1d_b, spec_3d_a, spec_3d_b)
 from solitonlab.spectral import _direct_weights
 
 
@@ -300,23 +302,20 @@ class TestChoquardPlan:
     runs under, the screened inverse of the member's density, not the
     closed-form coupled field."""
 
-    def plan(self, scenario, overrides, spec_for, T_default):
+    def plan(self, scenario, overrides, T_default):
         cfg = apply_overrides(default_config(scenario), overrides)
-        spec_for = spec_for or functools.partial(runner._soliton_spec, cfg)
-        *_, T, dt, _ = runner._plan(cfg, [], spec_for, T_default,
-                                    "choquard")
+        *_, T, dt, _ = runner._plan(cfg, [], T_default, "choquard")
         return T, dt
 
     def test_propagation_steps_at_the_slaved_rate(self):
         # (M, m, v) = (1, 0.5, 1): M max|phi| reads 5.33 on the closed-form
         # field and 1.71 on the slaved one; 1067 steps under the former
-        T, dt = self.plan("soliton-propagation", ["run.mode=choquard"], None,
-                          20.0)
+        T, dt = self.plan("soliton-propagation", ["run.mode=choquard"], 20.0)
         assert round(T / dt) == 342
 
     def test_stationary_member_keeps_its_step(self):
         # at the standing point the slaved field is the closed-form one
-        T, dt = self.plan("choquard-stationary", [], spec_1d_b, 50.0)
+        T, dt = self.plan("choquard-stationary", [], 50.0)
         assert round(T / dt) == 375
         assert dt == pytest.approx(50.0 / 375, rel=1e-15)
 
@@ -327,9 +326,7 @@ class TestChoquardPlan:
         cfg = apply_overrides(default_config("soliton-propagation"),
                               ["run.mode=choquard", "run.T=2"])
         report = run_scenario(cfg, out_dir=tmp_path)
-        _, _, initial, *_ = runner._plan(
-            cfg, [], functools.partial(runner._soliton_spec, cfg), 20.0,
-            "choquard")
+        _, _, initial, *_ = runner._plan(cfg, [], 20.0, "choquard")
         slaved = state_with_static_field(initial.psi, initial.params,
                                          initial.grid).phi
         assert np.array_equal(initial.phi, slaved)
@@ -373,9 +370,7 @@ class TestChoquardPlan:
         cfg = apply_overrides(default_config(scenario),
                               ["grid.n=256", "run.T=0.5", *overrides])
         report = run_scenario(cfg, out_dir=tmp_path)
-        spec_for = functools.partial(runner._soliton_spec, cfg) \
-            if scenario == "soliton-propagation" else spec_1d_b
-        _, _, initial, *_ = runner._plan(cfg, [], spec_for, 20.0, mode, x0)
+        _, _, initial, *_ = runner._plan(cfg, [], 20.0, mode)
         check = weak_field_check(abs(initial.phi.min()), initial.params.M)
         assert not check.passed
         assert [w for w in report.warnings if w.startswith("advisory")] == [
@@ -431,13 +426,77 @@ class TestMemberStart:
         spec = spec_1d_b(params)
         grid = make_grid(1, 16, matched_length(spec, params))
         initial, dt = runner._member_start(
-            spec, params, grid, 20.0, 0.0010873761070847989, "coupled")
+            [], spec, params, grid, 20.0, 0.0010873761070847989, "coupled",
+            0.0)
         assert dt == 20.0 / 18393
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = evolve(initial, 20.0, dt)
         assert traj.step_count == 18393
         assert traj.dt == dt
+
+
+class TestSolitonMember:
+    """choquard-stationary, perturbation-stability and free-spreading's
+    self-trapped reference run the [soliton] member the config names."""
+
+    def test_choquard_stationary_starts_at_soliton_x0(self, tmp_path):
+        cfg = apply_overrides(default_config("choquard-stationary"),
+                              ["grid.n=256", "run.T=0.5", "soliton.x0=3"])
+        run_scenario(cfg, out_dir=tmp_path)
+        P = runner._physical_params(cfg)
+        spec = spec_1d_b(P)
+        grid = make_grid(1, 256, matched_length(spec, P))
+        snapshot = np.loadtxt(tmp_path / "snapshot_initial.csv",
+                              delimiter=",", skiprows=2)
+        psi = snapshot[:, 1] + 1j * snapshot[:, 2]
+        assert np.array_equal(
+            psi, state_from_solution(spec, P, grid, x0=3.0).psi)
+        assert not np.array_equal(psi, state_from_solution(spec, P, grid).psi)
+
+    def test_perturbation_perturbs_the_named_family(self, tmp_path,
+                                                    monkeypatch):
+        seen = []
+
+        def spy(state, *args, **kwargs):
+            seen.append(state)
+            return perturb(state, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "perturb", spy)
+        cfg = apply_overrides(default_config("perturbation-stability"),
+                              ["grid.n=256", "run.T=0.5",
+                               "soliton.family=3d_a"])
+        run_scenario(cfg, out_dir=tmp_path)
+        P = runner._physical_params(cfg)
+        spec = spec_3d_a(P, omega=P.M)
+        grid = make_grid(1, 256, matched_length(spec, P))
+        expected = state_from_solution(spec, P, grid).psi
+        assert len(seen) == 2
+        assert all(np.array_equal(s.psi, expected) for s in seen)
+
+    def test_free_spreading_reference_is_the_named_member(self, tmp_path,
+                                                          monkeypatch):
+        # a quasi-1D 3d_b reference carries its transverse mode on the
+        # reference lattice, and the default packet matches its width
+        starts = []
+
+        def spy(initial, *args, **kwargs):
+            starts.append(initial)
+            return evolve(initial, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "evolve", spy)
+        cfg = apply_overrides(default_config("free-spreading"),
+                              ["grid.n=512", "run.T=0.5",
+                               "soliton.family=3d_b", "soliton.gamma=0.1"])
+        report = run_scenario(cfg, out_dir=tmp_path)
+        P = runner._physical_params(cfg)
+        spec = spec_3d_b(P, mu=P.m, gamma=0.1)
+        grid = make_grid(1, 512, matched_length(spec, P), (0.1, 0.0))
+        assert len(starts) == 2
+        assert starts[1].grid == grid
+        assert np.array_equal(starts[1].psi,
+                              state_from_solution(spec, P, grid).psi)
+        assert report.details["sigma0"] == closed_form_width(spec, P)
 
 
 class TestSlavedDepths:
@@ -738,14 +797,16 @@ class TestCliExitCodes:
         ("verify-residuals", ["grid.n=1000"], "grid.n"),
         ("perturbation-stability",
          ["perturb.kind=width_rescale", "perturb.strength=-2"], "strength"),
-        ("verify-residuals", ["soliton.mu=2"], "mu"),
-        ("verify-residuals", ["soliton.mu=1.0"], "mu"),
+        ("verify-residuals", ["soliton.mu=2"], "invalid soliton.mu"),
+        ("verify-residuals", ["soliton.mu=1.0"], "invalid soliton.mu"),
         ("soliton-propagation", ["soliton.family=3d_b", "soliton.mu=1.0"],
          "mu"),
         ("soliton-propagation", ["soliton.family=3d_b", "soliton.mu=-1.0"],
          "mu"),
         # (3/2) m^3 v^2 > M^3: no subluminal 1d_b member
-        ("verify-residuals", ["params.m=0.9"], "m^3 v^2"),
+        ("verify-residuals", ["params.m=0.9"],
+         "invalid [params]: parameters violate 1d_b constraints: "
+         "velocity_real: (3/2) m^3 v^2"),
         ("free-spreading", ["params.m=0.9"], "m^3 v^2"),
         ("perturbation-stability", ["params.m=0.9"], "m^3 v^2"),
         # the default packet (the 1d_b width) is 0.011 lattice spacings
@@ -760,7 +821,9 @@ class TestCliExitCodes:
         ("soliton-propagation", ["soliton.family=3d_b", "params.m=1.0",
                                  "params.v=0.75"], "m != M"),
         ("verify-residuals", ["params.m=1.0", "params.v=0.75",
-                              "soliton.mu=0"], "m != M"),
+                              "soliton.mu=0"],
+         "invalid [params]: parameters violate 3d_b constraints: "
+         "mass_nondegenerate: m != M"),
         ("verify-residuals", ["params.M=0.95", "params.m=1.0",
                               "params.v=0.6", "soliton.mu=0"],
          "momentum_bound"),
@@ -795,11 +858,18 @@ class TestCliExitCodes:
         ("soliton-propagation", ["soliton.family=3d_b", "soliton.alpha=5"],
          "takes no alpha"),
         ("soliton-propagation", ["toggles.phi_profile=sech_squared"],
-         "takes no phi_profile"),
+         "invalid toggles.phi_profile: family 1d_b takes no phi_profile"),
         # a consistent pair too: the member takes one of the two
         ("soliton-propagation", ["soliton.family=3d_a", "soliton.alpha=2",
                                  "soliton.omega=1.5"],
          "exactly one of alpha or omega"),
+        # so do the other evolving member runs, naming the key
+        ("free-spreading", ["soliton.alpha=3"],
+         "invalid soliton.alpha: family 1d_b takes no alpha"),
+        ("choquard-stationary", ["soliton.gamma=0.3"],
+         "invalid soliton.gamma: family 1d_b takes no gamma"),
+        ("perturbation-stability", ["toggles.phi_profile=sech_squared"],
+         "invalid toggles.phi_profile: family 1d_b takes no phi_profile"),
     ], ids=["free-n", "free-dim", "free-length", "free-aliased-k0",
             "verify-n",
             "rescale-strength", "verify-mu-2", "verify-mu-M",
@@ -815,7 +885,9 @@ class TestCliExitCodes:
             "choquard-mode", "free-mode", "sweep-perturb-mode",
             "propagate-1d_b-gamma", "propagate-1d_b-mu",
             "propagate-1d_b-alpha", "propagate-3d_b-alpha",
-            "propagate-1d_b-phi-profile", "propagate-3d_a-pair"])
+            "propagate-1d_b-phi-profile", "propagate-3d_a-pair",
+            "free-1d_b-alpha", "choquard-1d_b-gamma",
+            "perturb-1d_b-phi-profile"])
     def test_engine_rejected_setting_is_two_before_any_work(
             self, tmp_path, capsys, monkeypatch, scenario, overrides, named):
         # lattice sizes, packet widths, momenta and rescale strengths the
