@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import fields
+from operator import attrgetter
 from typing import Sequence, get_type_hints
 
 import numpy as np
@@ -133,12 +134,14 @@ def read_snapshot(path: str) -> FieldState:
 _TYPES = get_type_hints(ObservableRecord)
 _COLUMNS = tuple((f.name, _TYPES[f.name]) for f in fields(ObservableRecord))
 _COLUMN_NAMES = ObservableRecord.field_names()
-
-
-def _format_cell(value: float | bool, kind: type) -> str:
-    if kind is bool:
-        return "true" if value else "false"
-    return repr(float(value))
+_RECORD_VALUES = attrgetter(*_COLUMN_NAMES)
+# a row as csv.writer writes it: no cell needs quoting, CRLF row ends
+_ROW = ",".join("%s" if kind is bool else "%r" for _, kind in _COLUMNS) \
+    + "\r\n"
+# a cell's value as _ROW takes it: true/false, or a Python float (the repr
+# of a numpy scalar names its type)
+_CELLS = tuple((lambda v: "true" if v else "false") if kind is bool
+               else float for _, kind in _COLUMNS)
 
 
 def _parse_cell(text: str, kind: type) -> float | bool:
@@ -147,12 +150,13 @@ def _parse_cell(text: str, kind: type) -> float | bool:
 
 def write_observables_csv(path: str,
                           records: Sequence[ObservableRecord]) -> None:
+    """The table, every row formatted from one template and the rows
+    written in one call."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_COLUMN_NAMES)
-        for rec in records:
-            writer.writerow([_format_cell(getattr(rec, name), kind)
-                             for name, kind in _COLUMNS])
+        fh.write(",".join(_COLUMN_NAMES) + "\r\n")
+        fh.write("".join([_ROW % tuple([cell(value) for cell, value
+                                        in zip(_CELLS, _RECORD_VALUES(rec))])
+                          for rec in records]))
 
 
 def read_observables_csv(path: str) -> list[ObservableRecord]:

@@ -38,7 +38,9 @@ class ObservableRecord:
 
 def _axis_density(state: FieldState) -> np.ndarray:
     """Density reduced onto the first axis (3D sums the transverse plane)."""
-    d = state.psi.real**2 + state.psi.imag**2
+    psi = state.psi
+    d = psi.real * psi.real
+    d += psi.imag * psi.imag
     if state.grid.dim == 3:
         d = d.sum(axis=(1, 2))
     return d
@@ -50,7 +52,7 @@ def _unwrap(value: float, reference: float, L: float) -> float:
 
 
 def _parabolic_peak(density: np.ndarray, grid: Grid) -> float:
-    j = int(np.argmax(density))
+    j = int(density.argmax())
     n = grid.n
     dm, d0, dp = density[(j - 1) % n], density[j], density[(j + 1) % n]
     denom = dm - 2.0 * d0 + dp
@@ -68,8 +70,9 @@ def _min_image(axis: np.ndarray, centroid: float, L: float) -> np.ndarray:
     only a head below 0 takes + L (the sum np.mod rounds too) and a tail
     at or above L takes - L (exact, as fmod is, by Sterbenz's lemma).
     """
-    u = axis - centroid + 0.5 * L
-    head, tail = np.searchsorted(u, (0.0, L))
+    u = axis - centroid
+    u += 0.5 * L
+    head, tail = u.searchsorted((0.0, L))
     u[:head] += L
     u[tail:] -= L
     u -= 0.5 * L
@@ -91,10 +94,13 @@ def measure(state: FieldState,
         return ObservableRecord(t=state.t, norm=0.0, centroid=math.nan,
                                 width=math.nan, peak_pos=math.nan,
                                 phi_min=phi_min, valid=valid)
-    angle = np.angle(np.sum(d * grid.circular_phase))
+    angle = np.angle((d * grid.circular_phase).sum())
     centroid = angle * L / (2.0 * np.pi)
+    # the squared distances, weighted by the density, in place
     dist = _min_image(grid.axis, centroid, L)
-    width = math.sqrt(float(np.sum(dist * dist * d)) / total)
+    dist *= dist
+    dist *= d
+    width = math.sqrt(float(dist.sum()) / total)
     peak = _parabolic_peak(d, grid)
     peak = _unwrap(peak, centroid, L)
     if prev is not None and math.isfinite(prev.centroid):

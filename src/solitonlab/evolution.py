@@ -34,6 +34,15 @@ into a multiplier the step applies anyway (the drift, the slaved
 multiplier, the Gautschi source gain with phi^ carried at 1/N), so
 the result is bitwise that of the scaled inverse. No BLAS call is made.
 
+A step allocates nothing. psi, the kick and the density change in place;
+the scalar updates write their transforms into arrays they own (numpy.fft's
+out=), and the Gautschi update hands out its results in two that take
+turns, phi and its history. The kick, spent once applied, holds the phase
+it is made from and is the scratch that squares psi into the density, so
+at an observation the loop holds no more arrays than a loop that
+allocates per step. One numpy error-state scope covers the run; the
+observer runs under the caller's.
+
 Both scalar updates are time symmetric, and so is the Strang step, so a
 trajectory can be retraced exactly: conjugate the matter field and hand
 the scalar update's forward-time next field as the new previous one.
@@ -59,7 +68,9 @@ flushed kick instead of evaluating it again; the first opening half kick is
 evaluated before the loop and reused the same way. The blow-up check reads
 |psi|, which a kick does not change, so it runs every step regardless.
 
-Three modes share one loop body (optional kick, drift, scalar update):
+Three modes share one loop body: the optional kick, the wave update
+(which reads the density at the step start, so it runs before the drift),
+the drift, and the slaved update of the post-drift density:
 
   coupled   full dynamics, scalar field carries its own wave equation
             (gautschi with the density source)
@@ -209,12 +220,13 @@ def _density(psi: np.ndarray) -> np.ndarray:
     return psi.real**2 + psi.imag**2
 
 
-def _phase_kick(phi: np.ndarray, rate: float, phase: np.ndarray,
-                kick: np.ndarray) -> None:
-    """kick = exp(i rate phi), through the buffer phase."""
-    np.multiply(phi, rate, out=phase)
-    np.cos(phase, out=kick.real)
-    np.sin(phase, out=kick.imag)
+def _phase_kick(phi: np.ndarray, rate: float, kick_re: np.ndarray,
+                kick_im: np.ndarray) -> None:
+    """exp(i rate phi) into the views kick_re and kick_im of the kick; the
+    phase passes through kick_im."""
+    np.multiply(phi, rate, out=kick_im)
+    np.cos(kick_im, out=kick_re)
+    np.sin(kick_im, out=kick_im)
 
 
 class _Gautschi:
@@ -239,7 +251,8 @@ class _Gautschi:
     RSS by about 128 KiB). A history of None is a field at rest, phi^- =
     phi^+, whose step starts at half the increment. Each call maps the
     density captured at the step start to phi(t + dt), the unscaled irfft
-    of the new phi^.
+    of the new phi^, written over the older of its last two results (the
+    loop holds both, as phi and its history).
     """
 
     def __init__(self, params: PhysicalParams, grid: Grid, dt: float,
@@ -258,14 +271,16 @@ class _Gautschi:
         self.hat = self.rfft(phi) * scale
         self.step = None if phi_prev is None \
             else self.hat - self.rfft(phi_prev) * scale
+        self.inc = np.empty_like(self.hat)
+        self.fields = [np.empty(grid.shape), np.empty(grid.shape)]
 
     def __call__(self, density: np.ndarray) -> np.ndarray:
-        hat = self.hat
-        # inc = A (phi^ + s^/w^2), in place on the fresh transform
+        hat, inc = self.hat, self.inc
+        # inc = A (phi^ + s^/w^2), in place on the source transform
         if self.source_gain is None:
-            inc = hat * self.a
+            np.multiply(hat, self.a, out=inc)
         else:
-            inc = self.rfft(density)
+            self.rfft(density, out=inc)
             inc *= self.source_gain
             inc += hat
             inc *= self.a
@@ -275,7 +290,9 @@ class _Gautschi:
         else:
             self.step += inc
         hat += self.step
-        return self.irfft(hat, norm="forward")
+        fields = self.fields
+        fields.reverse()
+        return self.irfft(hat, norm="forward", out=fields[0])
 
 
 def _slaved(params: PhysicalParams,
@@ -288,11 +305,13 @@ def _slaved(params: PhysicalParams,
         screened_inverse(params.m, grid) / grid.n**grid.dim, params)
     tr = transforms(grid)
     rfft, irfft = tr.rfft, tr.irfft
+    # the loop reads each result before it asks for the next
+    hat = np.empty(multiplier.shape, dtype=complex)
+    field = np.empty(grid.shape)
 
     def update(density: np.ndarray) -> np.ndarray:
-        hat = rfft(density)
-        hat *= multiplier
-        return irfft(hat, norm="forward")
+        np.multiply(rfft(density, out=hat), multiplier, out=hat)
+        return irfft(hat, norm="forward", out=field)
     return update
 
 
@@ -358,23 +377,10 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
 
     t0 = initial.t
     psi = initial.psi.astype(complex, copy=True)
+    # psi and the kick change in place, so their part views are made once
+    psi_re, psi_im = psi.real, psi.imag
     kicked = mode != "free"
     density = _density(psi)
-    # a run that blows up overflows before the checks in the loop trip, and
-    # a non-finite start field already does in the start transforms and
-    # the first half kick; the abort is the handler, so numpy is kept quiet
-    # about it there and in the loop (never around the observer)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if slaved:
-            update = _slaved(params, grid)
-            # the density is kick-invariant, so the slaved field at a step
-            # start is the one from the previous step end; this is the first
-            phi, phi_prev = update(density), None
-        else:
-            phi, phi_prev = initial.phi, initial.phi_prev
-            update = _Gautschi(params, grid, dt, mode == "coupled", phi,
-                               phi_prev)
-
     k2 = grid.k_squared + grid.transverse_k2
     weights = _TRIPLE_JUMP if slaved else (1.0,)
     # the 1/N of the unscaled inverse transform joins the drift
@@ -391,62 +397,84 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     # the weights are symmetric: the first opening and the last closing
     # half kick are the same
     half = 0.5 * weights[0] * kick_rate
-    phase = np.empty(grid.shape)
     kick = np.empty(grid.shape, dtype=complex)
+    kick_re, kick_im = kick.real, kick.imag
     kicks = 0
-    # kick holds exp(i half phi), which the next opening applies as it is
-    # (phi has not moved since): the first opening's, and after that the
-    # one that flushed a closing half kick
-    if kicked:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _phase_kick(phi, half, phase, kick)
-    flushed = kicked
-
     initial_peak = float(np.max(np.abs(psi)))
     threshold = BLOWUP_FACTOR * max(initial_peak, 1e-300)
 
-    for i in range(n_steps):
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a run that blows up overflows before the checks in the loop trip, and
+    # a non-finite start field already does in the start transforms and
+    # the first half kick; the abort is the handler, so numpy is kept quiet
+    # about it from there to the return, but the observer runs under the
+    # caller's settings
+    caller = np.geterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if slaved:
+            update = _slaved(params, grid)
+            # the density is kick-invariant, so the slaved field at a step
+            # start is the one from the previous step end; this is the first
+            phi, phi_prev = update(density), None
+        else:
+            phi, phi_prev = initial.phi, initial.phi_prev
+            update = _Gautschi(params, grid, dt, mode == "coupled", phi,
+                               phi_prev)
+        # kick holds exp(i half phi), which the next opening applies as it
+        # is (phi has not moved since): the first opening's, and after that
+        # the one that flushed a closing half kick
+        if kicked:
+            _phase_kick(phi, half, kick_re, kick_im)
+        flushed = kicked
+
+        for i in range(n_steps):
             for merged, drift in substeps:
                 if kicked:
                     if not flushed:
-                        _phase_kick(phi, merged, phase, kick)
+                        _phase_kick(phi, merged, kick_re, kick_im)
                     flushed = False
                     psi *= kick
                     kicks += 1
+                if not slaved:
+                    # the wave update reads the density at the step start
+                    phi_prev, phi = phi, update(density)
                 fft(psi, out=psi)
                 psi *= drift
                 ifft(psi, out=psi, norm="forward")
-                fresh = _density(psi)
-                phi_prev, phi = (None if slaved else phi), update(
-                    fresh if slaved else density)
-                density = fresh
+                # |psi|^2 in place, through the spent kick
+                np.multiply(psi_re, psi_re, out=density)
+                np.multiply(psi_im, psi_im, out=kick_re)
+                density += kick_re
+                if slaved:
+                    phi = update(density)
 
-        # max |psi| from the density; the closing half kick psi still owes
-        # leaves it as is
-        peak = math.sqrt(density.max())
-        if peak > threshold or not math.isfinite(peak):
-            raise BlowUpError(t0 + (i + 1) * dt, peak)
-        # a NaN or an infinity anywhere makes the sum non-finite, and so
-        # does a sum that overflows; max and min only word the error
-        if not slaved and not math.isfinite(phi.sum()):
-            raise BlowUpError(t0 + (i + 1) * dt,
-                              float(max(phi.max(), -phi.min())))
+            # max |psi| from the density; the closing half kick psi still
+            # owes leaves it as is
+            peak = math.sqrt(density.max())
+            if peak > threshold or not math.isfinite(peak):
+                raise BlowUpError(t0 + (i + 1) * dt, peak)
+            # a NaN or an infinity anywhere makes the sum non-finite, and so
+            # does a sum that overflows; max and min only word the error
+            if not slaved and not math.isfinite(phi.sum()):
+                raise BlowUpError(t0 + (i + 1) * dt,
+                                  float(max(phi.max(), -phi.min())))
 
-        last = i == n_steps - 1
-        if last or (observer is not None and (i + 1) % observer_stride == 0):
-            if kicked:
-                # the closing half kick of the last substep
-                _phase_kick(phi, half, phase, kick)
-                psi *= kick
-                kicks += 1
-                flushed = True
-            final = FieldState(
-                t=t0 + (i + 1) * dt, psi=psi.copy(), phi=phi.copy(),
-                params=params, grid=grid,
-                phi_prev=None if phi_prev is None else phi_prev.copy())
-            if observer is not None:
-                observer(final)
+            last = i == n_steps - 1
+            if last or (observer is not None
+                        and (i + 1) % observer_stride == 0):
+                if kicked:
+                    # the closing half kick of the last substep
+                    _phase_kick(phi, half, kick_re, kick_im)
+                    psi *= kick
+                    kicks += 1
+                    flushed = True
+                # the loop's arrays change on: the state takes copies
+                final = FieldState(
+                    t=t0 + (i + 1) * dt, psi=psi.copy(), phi=phi.copy(),
+                    params=params, grid=grid,
+                    phi_prev=None if phi_prev is None else phi_prev.copy())
+                if observer is not None:
+                    with np.errstate(**caller):
+                        observer(final)
 
     return Trajectory(initial=initial, final=final, step_count=n_steps,
                       kicks=kicks, dt=dt)

@@ -29,7 +29,8 @@ import numpy as np
 
 from .artifacts import (write_observables_csv, write_plot_script,
                         write_snapshot)
-from .config import ConfigError, ScenarioConfig, coerce_number, serialize
+from .config import (SCHEMA, ConfigError, ScenarioConfig, coerce_number,
+                     serialize)
 from .diagnostics import (ObservableRecord, SeriesObserver, VelocityFit,
                           fit_velocity, free_spreading_width,
                           spreading_ratio)
@@ -342,6 +343,16 @@ def _audit_dict(e: FamilyAuditEntry) -> dict[str, Any]:
 
 def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
                                out: Path) -> ScenarioArtifacts:
+    # the audit reads soliton.mu alone: a value left off its default in any
+    # other [soliton] key or toggles.phi_profile would go unread, so it is
+    # refused, as a spec refuses a field its family does not take
+    for section, key in [("soliton", k) for k in SCHEMA["soliton"]
+                         if k != "mu"] + [("toggles", "phi_profile")]:
+        value = config.get(section, key)
+        if value != SCHEMA[section][key].default:
+            raise ConfigError(f"invalid {section}.{key}: verify-residuals "
+                              f"does not read it (its one [soliton] value "
+                              f"is soliton.mu), got {value!r}")
     params = _physical_params(config)
     # the audit's members that the parameters can rule out (the subluminal
     # one, and the moving one at mu = m) are checked before the audit

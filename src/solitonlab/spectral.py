@@ -49,8 +49,8 @@ MAX_DIRECT_POINTS = 2**15
 class Transforms(NamedTuple):
     """numpy.fft transforms over every axis of one grid.
 
-    fft, ifft and rfft take the field (and out= where numpy takes it);
-    irfft takes a half spectrum and returns the real field on the grid.
+    fft, ifft and rfft take the field; irfft takes a half spectrum and
+    returns the real field on the grid. Each takes numpy's out=.
     rfft and irfft act on the trailing grid axes, so a stack of fields
     transforms in one call.
     """

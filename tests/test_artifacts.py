@@ -187,6 +187,34 @@ class TestObservablesCsv:
         assert [r.valid for r in back] == [True, True, True, False, True]
 
 
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # the table's definition: csv.writer rows of repr'd floats and
+        # true/false, for values whose repr is special, numpy scalars
+        # (measure's centroid is one) and both flags
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e+20,
+                    0.1, np.float64(-2.5), np.float64(np.nan)]
+        records = [ObservableRecord(
+            t=0.25 * i, norm=specials[i], centroid=specials[-1 - i],
+            width=specials[(3 * i) % 10], peak_pos=-specials[i],
+            phi_min=specials[(7 * i) % 10], valid=i % 2 == 0)
+            for i in range(10)]
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(ObservableRecord.field_names())
+        for rec in records:
+            writer.writerow(
+                [("true" if v else "false") if isinstance(v, bool)
+                 else repr(float(v))
+                 for v in (getattr(rec, f)
+                           for f in ObservableRecord.field_names())])
+        path = tmp_path / "obs.csv"
+        write_observables_csv(str(path), records)
+        assert path.read_bytes() == text.getvalue().encode()
+        write_observables_csv(str(path), [])
+        assert path.read_bytes() == \
+            b"t,norm,centroid,width,peak_pos,phi_min,valid\r\n"
+
+
 class TestPlotScript:
     def test_script_references_the_table(self, tmp_path):
         path = tmp_path / "plot.gp"

@@ -109,9 +109,10 @@ class TestMeasure:
             "t", "norm", "centroid", "width", "peak_pos", "phi_min", "valid")
 
 
-def np_mod_measure(state):
-    """measure as it stood with np.mod, np.clip and max|phi|: the reference
-    the lean observer must equal bit for bit."""
+def np_mod_measure(state, prev=None):
+    """measure as it stood with np.mod, np.clip and max|phi|, and with the
+    density, weighted phase and width sums out of place: the reference the
+    lean observer must equal bit for bit."""
     g, L = state.grid, state.grid.length
     d = state.psi.real**2 + state.psi.imag**2
     if g.dim == 3:
@@ -127,6 +128,9 @@ def np_mod_measure(state):
     offset = 0.5 * (dm - dp) / denom if abs(denom) > 0.0 else 0.0
     peak = float(g.axis[j] + float(np.clip(offset, -0.5, 0.5)) * g.spacing)
     peak += L * round((centroid - peak) / L)
+    if prev is not None and math.isfinite(prev.centroid):
+        centroid += L * round((prev.centroid - centroid) / L)
+        peak += L * round((prev.peak_pos - peak) / L)
     return ObservableRecord(
         t=state.t, norm=total * g.volume_element, centroid=centroid,
         width=width, peak_pos=peak, phi_min=float(state.phi.min()),
@@ -146,9 +150,24 @@ def bump_state(g, nodes, weights, phi_scale=0.5):
     return FieldState(t=0.25, psi=psi, phi=phi, params=P, grid=g)
 
 
+def random_state(g, seed, center=0.0):
+    """A random field whose density gathers about center on the first
+    axis, over a floor of noise."""
+    rng = np.random.default_rng(seed)
+    x = g.coords[0]
+    L = g.length
+    gap = (x - center + 0.5 * L) % L - 0.5 * L
+    envelope = np.exp(-(gap / 3.0) ** 2) + 0.05
+    psi = envelope * (rng.standard_normal(g.shape)
+                      + 1j * rng.standard_normal(g.shape))
+    phi = 0.3 * rng.standard_normal(g.shape)
+    return FieldState(t=0.5, psi=psi, phi=phi, params=P, grid=g)
+
+
 class TestMeasureMatchesNpMod:
     """The observer shifts the ends of the sorted axis - c + L/2 in place
-    of np.mod; its records equal the np.mod form's bit for bit."""
+    of np.mod, and squares, weights and sums in place; its records equal
+    the np.mod form's bit for bit."""
 
     # L = n: the nodes are whole numbers, so a centroid on a node or on the
     # seam puts axis - c + L/2 exactly on 0 or on L
@@ -197,6 +216,34 @@ class TestMeasureMatchesNpMod:
                     np.full(g.n, P.M), np.full(g.n, -P.M)):
             self.assert_same(FieldState(t=0.0, psi=st.psi, phi=phi,
                                         params=P, grid=g))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim,n,L", [(1, 1024, 60.0), (1, 2048, 47.3),
+                                         (3, 16, 24.0)])
+    def test_random_states(self, dim, n, L, seed):
+        g = make_grid(dim, n, L)
+        st = random_state(g, seed, center=(seed - 1.5) * 0.2 * L)
+        assert bits(measure(st)) == bits(np_mod_measure(st))
+
+    def test_centroid_crossing_the_seam(self):
+        # a random field carried across the seam: the records unwrap
+        # against the previous one past L/2, identically
+        g = make_grid(1, 1024, 60.0)
+        got = ref = None
+        for k, center in enumerate(np.linspace(20.0, 40.0, 9)):
+            st = random_state(g, 10 + k, center=center)
+            got, ref = measure(st, got), np_mod_measure(st, ref)
+            assert bits(got) == bits(ref)
+        assert got.centroid > 0.5 * g.length
+
+    @pytest.mark.parametrize("x0", [3.3, -17.05, 0.25])
+    def test_off_node_center(self, x0):
+        g = make_grid(1, 2048, 60.0)
+        st = state_from_solution(spec_1d_b(P), P, g, x0=x0)
+        assert x0 / g.spacing % 1.0 != 0.0
+        rec = measure(st)
+        assert bits(rec) == bits(np_mod_measure(st))
+        assert rec.centroid == pytest.approx(x0, abs=1e-6)
 
 
 class TestVelocityFit:

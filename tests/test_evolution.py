@@ -224,6 +224,92 @@ class TestBlowUp:
         assert exc.value.t == pytest.approx(1.6, abs=1e-12)
         assert not math.isfinite(exc.value.amplitude)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("mode", ["coupled", "choquard", "free"])
+    def test_non_finite_psi_aborts_after_one_step(self, mode, value):
+        # a non-finite node of psi reaches the density the first step
+        # ends with, in every mode, under the loop's errstate: no warning
+        st, g = soliton_state(n=256, L=30.0, dt=0.1)
+        psi = st.psi.copy()
+        psi[g.n // 3] = value
+        bad = FieldState(t=st.t, psi=psi, phi=st.phi, params=P, grid=g,
+                         phi_prev=st.phi_prev)
+        with pytest.raises(BlowUpError) as exc:
+            evolve(bad, T=1.0, dt=0.1, mode=mode)
+        assert exc.value.t == pytest.approx(0.1, abs=1e-12)
+        assert not math.isfinite(exc.value.amplitude)
+
+
+class TestObserverView:
+    """The loop runs under one errstate that quiets overflow and invalid;
+    the observer runs under the caller's settings, and the states it is
+    handed own their arrays."""
+
+    @pytest.mark.parametrize("settings", [
+        None, dict(all="raise"),
+        dict(divide="ignore", over="warn", under="raise", invalid="print")],
+        ids=["default", "raise", "mixed"])
+    @pytest.mark.parametrize("mode", ["coupled", "choquard", "free"])
+    def test_observer_sees_the_callers_error_state(self, mode, settings):
+        st, _ = soliton_state(n=256, L=30.0, dt=0.01)
+        seen = []
+        with np.errstate(**(settings or {})):
+            caller = np.geterr()
+            evolve(st, T=0.05, dt=0.01, mode=mode,
+                   observer=lambda s: seen.append(np.geterr()),
+                   observer_stride=2)
+            assert np.geterr() == caller
+        assert len(seen) == 4
+        assert all(err == caller for err in seen)
+
+    @pytest.mark.parametrize("mode", ["coupled", "choquard", "free"])
+    def test_observer_warning_reaches_the_caller(self, mode):
+        # the loop ignores overflow and invalid; an observer's own
+        # overflow and invalid operation still warn, once per call
+        st, _ = soliton_state(n=256, L=30.0, dt=0.01)
+
+        def observer(state):
+            np.array([1e308]) * 10.0
+            np.sqrt(np.array([-1.0]))
+
+        with pytest.warns(RuntimeWarning) as caught:
+            evolve(st, T=0.03, dt=0.01, mode=mode, observer=observer)
+        messages = [str(w.message) for w in caught]
+        assert sum("overflow" in m for m in messages) == 4
+        assert sum("invalid value" in m for m in messages) == 4
+
+    @pytest.mark.parametrize("history", [True, False],
+                             ids=["history", "at-rest"])
+    @pytest.mark.parametrize("mode", ["coupled", "choquard", "free"])
+    def test_kept_states_stay_as_observed(self, mode, history):
+        # the loop rewrites psi, the kick, the density and the update's
+        # results in place; every state handed out is a copy, so states
+        # kept at stride 1 read after the run as they did when observed
+        g = make_grid(1, 256, 30.0)
+        st = state_from_solution(spec_1d_b(P), P, g,
+                                 dt=0.01 if history else None)
+        kept, observed = [], []
+
+        def fields(state):
+            return [None if a is None else a.tobytes()
+                    for a in (state.psi, state.phi, state.phi_prev)]
+
+        def observer(state):
+            kept.append(state)
+            observed.append(fields(state))
+
+        traj = evolve(st, T=0.06, dt=0.01, mode=mode, observer=observer)
+        assert len(kept) == 7 and kept[-1] is traj.final
+        assert [fields(state) for state in kept] == observed
+        arrays = [a for state in kept[1:]
+                  for a in (state.psi, state.phi, state.phi_prev)
+                  if a is not None]
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[:i])
+        if mode != "choquard":
+            assert all(state.phi_prev is not None for state in kept[1:])
+
 
 class TestTrajectoryPlumbing:
     def test_endpoints_only_by_default(self):

@@ -870,6 +870,22 @@ class TestCliExitCodes:
          "invalid soliton.gamma: family 1d_b takes no gamma"),
         ("perturbation-stability", ["toggles.phi_profile=sech_squared"],
          "invalid toggles.phi_profile: family 1d_b takes no phi_profile"),
+        # verify-residuals reads soliton.mu alone: any other [soliton]
+        # value or toggles.phi_profile off its default is refused
+        ("verify-residuals", ["soliton.family=3d_a"],
+         "invalid soliton.family: verify-residuals does not read it"),
+        ("verify-residuals", ["soliton.gamma=0.3"],
+         "invalid soliton.gamma: verify-residuals does not read it"),
+        ("verify-residuals", ["soliton.alpha=2"],
+         "invalid soliton.alpha: verify-residuals does not read it"),
+        ("verify-residuals", ["soliton.omega=1.5"],
+         "invalid soliton.omega: verify-residuals does not read it"),
+        ("verify-residuals", ["soliton.eps=0.1"],
+         "invalid soliton.eps: verify-residuals does not read it"),
+        ("verify-residuals", ["soliton.x0=2"],
+         "invalid soliton.x0: verify-residuals does not read it"),
+        ("verify-residuals", ["toggles.phi_profile=sech_squared"],
+         "invalid toggles.phi_profile: verify-residuals does not read it"),
     ], ids=["free-n", "free-dim", "free-length", "free-aliased-k0",
             "verify-n",
             "rescale-strength", "verify-mu-2", "verify-mu-M",
@@ -887,7 +903,9 @@ class TestCliExitCodes:
             "propagate-1d_b-alpha", "propagate-3d_b-alpha",
             "propagate-1d_b-phi-profile", "propagate-3d_a-pair",
             "free-1d_b-alpha", "choquard-1d_b-gamma",
-            "perturb-1d_b-phi-profile"])
+            "perturb-1d_b-phi-profile", "verify-family", "verify-gamma",
+            "verify-alpha", "verify-omega", "verify-eps", "verify-x0",
+            "verify-phi-profile"])
     def test_engine_rejected_setting_is_two_before_any_work(
             self, tmp_path, capsys, monkeypatch, scenario, overrides, named):
         # lattice sizes, packet widths, momenta and rescale strengths the
@@ -903,6 +921,19 @@ class TestCliExitCodes:
             argv += ["--override", override]
         assert main(argv) == 2
         assert named in capsys.readouterr().err
+
+    def test_verify_residuals_runs_at_its_defaults_written_out(
+            self, tmp_path, capsys):
+        # the refusal reads values, not whether a key was given: the
+        # defaults spelled out run, and soliton.mu is still read
+        code = main(["verify-residuals", "--out", str(tmp_path),
+                     "--override", "soliton.family=1d_b",
+                     "--override", "soliton.gamma=0",
+                     "--override", "soliton.x0=0",
+                     "--override", "toggles.phi_profile=sech",
+                     "--override", "soliton.mu=0.45"])
+        assert code == 0
+        assert "vs mu/M = 0.45" in capsys.readouterr().out
 
     @pytest.mark.parametrize("dim, n, kept", [(1, 16384, True),
                                               (3, 128, True),
