@@ -34,7 +34,6 @@ from .model import (
     validate_params,
 )
 from .solutions import (
-    SolutionSample,
     family_coefficients,
     spec_3d_a,
     spec_3d_b,

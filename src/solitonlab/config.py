@@ -72,7 +72,6 @@ SCHEMA: dict[str, dict[str, Setting]] = {
         "stride": Setting(_INT, positive=True),
         "seed": Setting(_INT, 0, nonnegative=True),
         "mode": Setting(_STR, None, MODES),
-        "output_dir": Setting(_STR),
     },
     "params": {
         "M": Setting(_FLOAT, 1.0, positive=True),

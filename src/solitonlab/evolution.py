@@ -100,7 +100,7 @@ import math
 import numbers
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -519,12 +519,11 @@ def state_from_solution(spec, params: PhysicalParams, grid: Grid,
                 "transverse wavenumbers of the soliton spec and the "
                 f"quasi-1D grid disagree: spec carries {spec_k2:.6g}, "
                 f"grid {grid.transverse_k2:.6g}")
-    s = sample_solution(spec, params, grid, t=t0, x0=x0)
-    phi_prev = None
+    state = sample_solution(spec, params, grid, t=t0, x0=x0)
     if dt is not None:
-        phi_prev = sample_solution(spec, params, grid, t=t0 - dt, x0=x0).phi
-    return FieldState(t=t0, psi=s.psi, phi=s.phi, params=params, grid=grid,
-                      phi_prev=phi_prev)
+        state = replace(state, phi_prev=sample_solution(
+            spec, params, grid, t=t0 - dt, x0=x0).phi)
+    return state
 
 
 def state_with_static_field(psi: np.ndarray, params: PhysicalParams,

@@ -327,14 +327,6 @@ def validate_params(params: PhysicalParams,
     return tuple(checks)
 
 
-def weak_field_check(depth: float, M: float) -> ConstraintCheck:
-    """The weak-field advisory on a field depth max|phi|: under M."""
-    return ConstraintCheck(
-        name="nonrelativistic_validity", passed=depth < M, margin=M - depth,
-        detail=f"max|phi| = {depth:.6g} vs M = {M:.6g}; the weak-field "
-               "treatment assumes |phi| < M")
-
-
 def require_valid(params: PhysicalParams, spec: SolitonSpec) -> SolitonSpec:
     """spec, if it passes every constraint of validate_params; else a
     ValueError naming each failed one, with its detail and margin."""

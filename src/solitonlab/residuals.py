@@ -30,7 +30,6 @@ from .solutions import family_coefficients, matched_length, \
     sample_solution, spec_1d_a, spec_1d_b, spec_3d_a, spec_3d_b
 from .spectral import laplacian, yukawa_invert
 
-FD_ORDER = 6
 _D1 = np.array([-1.0 / 60, 3.0 / 20, -3.0 / 4, 0.0,
                 3.0 / 4, -3.0 / 20, 1.0 / 60])
 _D2 = np.array([1.0 / 90, -3.0 / 20, 3.0 / 2, -49.0 / 18,
@@ -61,14 +60,6 @@ class ResidualReport:
     term_magnitudes: dict[str, float]
     grid_points: int
     fd_step: float
-    fd_order: int = FD_ORDER
-
-    def __str__(self) -> str:
-        terms = ", ".join(f"{k}={v:.6g}"
-                          for k, v in self.term_magnitudes.items())
-        return (f"{self.equation}: abs={self.abs_residual:.3e} "
-                f"rel={self.rel_residual:.3e} (n={self.grid_points}, "
-                f"h={self.fd_step:.3g}; {terms})")
 
 
 def _relative(res: np.ndarray, terms: dict[str, float]) -> tuple[float, float]:

@@ -38,7 +38,7 @@ from .evolution import (Trajectory, default_dt, evolve, gaussian_packet,
                         landing_steps, perturb, state_from_solution,
                         state_with_static_field)
 from .model import (FieldState, Family, Grid, PhysicalParams, SolitonSpec,
-                    make_grid, require_valid, scalar_source, weak_field_check)
+                    make_grid, require_valid, scalar_source)
 from .residuals import FamilyAuditEntry, ResidualReport, full_family_audit
 from .solutions import (MIN_DOMAIN_WIDTHS, closed_form_width,
                         family_velocity, localization_length, matched_length,
@@ -243,17 +243,13 @@ def _stride(config: ScenarioConfig, n_steps: int) -> int:
     return max(1, n_steps // 200) if stride is None else stride
 
 
-def _member_start(warnings: list[str], spec: SolitonSpec,
-                  params: PhysicalParams, grid: Grid, T: float,
-                  requested: float | None, mode: str,
+def _member_start(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
+                  T: float, requested: float | None, mode: str,
                   x0: float) -> tuple[FieldState, float]:
     """The member's initial state, centred at x0, and the step that divides
     T. The member is sampled once, at t = 0; in choquard mode the state
     carries the slaved field the run steps under, which the default step
-    reads, and the other modes get the analytic history phi(-dt). The
-    weak-field advisory reads the depth |phi_min| of the state the run
-    starts with (in choquard mode the slaved field, not the closed-form
-    member's): a warning when that reaches M."""
+    reads, and the other modes get the analytic history phi(-dt)."""
     state = state_from_solution(spec, params, grid, x0=x0)
     if mode == "choquard":
         state = state_with_static_field(state.psi, params, grid)
@@ -261,13 +257,10 @@ def _member_start(warnings: list[str], spec: SolitonSpec,
     if mode != "choquard":
         state = replace(state, phi_prev=sample_solution(
             spec, params, grid, t=-dt, x0=x0).phi)
-    check = weak_field_check(abs(float(state.phi.min())), params.M)
-    if not check.passed:
-        warnings.append(f"advisory {check.name}: {check.detail}")
     return state, dt
 
 
-def _plan(config: ScenarioConfig, warnings: list[str], T_default: float,
+def _plan(config: ScenarioConfig, T_default: float,
           mode: str = "coupled") -> tuple[
               PhysicalParams, SolitonSpec, FieldState, float, float, int]:
     """params, the [soliton] member (_soliton_spec), its initial state at
@@ -277,7 +270,7 @@ def _plan(config: ScenarioConfig, warnings: list[str], T_default: float,
     spec = _soliton_spec(config, params)
     grid = _member_grid(config, spec, params)
     T = _run_T(config, T_default)
-    initial, dt = _member_start(warnings, spec, params, grid, T,
+    initial, dt = _member_start(spec, params, grid, T,
                                 config.get("run", "dt"), mode,
                                 config.get("soliton", "x0"))
     return params, spec, initial, T, dt, _stride(config, round(T / dt))
@@ -480,8 +473,7 @@ def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
 def _scenario_soliton_propagation(config: ScenarioConfig, report: RunReport,
                                   out: Path) -> ScenarioArtifacts:
     mode = config.get("run", "mode") or "coupled"
-    params, spec, initial, T, dt, stride = _plan(config, report.warnings,
-                                                 20.0, mode)
+    params, spec, initial, T, dt, stride = _plan(config, 20.0, mode)
     recs, traj = _evolve_observed(report, initial, T, dt, stride, mode)
     report.details["kicks"] = traj.kicks
 
@@ -524,11 +516,12 @@ def _scenario_soliton_propagation(config: ScenarioConfig, report: RunReport,
 
 def _weak_field(report: RunReport, recs: list[ObservableRecord],
                 M: float) -> None:
-    """details["weak_field"] from the field depths |phi_min| the records
-    carry, and a warning when any reaches the bound M. A NaN depth counts
-    as over and makes the deepest NaN."""
+    """details["weak_field"], the one summary of the weak-field bound
+    max|phi| < M that measure evaluates as each record's valid flag (a
+    NaN field is invalid), and a warning when any record is past it. The
+    deepest field depth |phi_min| is NaN if any record's is."""
+    over = sum(1 for r in recs if not r.valid)
     depths = [abs(r.phi_min) for r in recs]
-    over = sum(1 for d in depths if not d < M)
     deepest = (math.nan if any(math.isnan(d) for d in depths)
                else max(depths))
     report.details["weak_field"] = {"bound": M, "max_depth": deepest,
@@ -536,8 +529,8 @@ def _weak_field(report: RunReport, recs: list[ObservableRecord],
                                     "records": len(recs)}
     if over:
         report.warnings.append(
-            f"{over}/{len(recs)} records have a field depth |phi_min| at or "
-            f"past the weak-field bound M = {M:g} (deepest {deepest:.6g})")
+            f"{over}/{len(recs)} records have max|phi| at or past the "
+            f"weak-field bound M = {M:g} (deepest {deepest:.6g})")
 
 
 def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
@@ -583,7 +576,7 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
     sol_grid = make_grid(1, min(grid.n, 1024), matched_length(spec, params),
                          transverse if any(transverse) else None)
     sol_initial, sol_dt = _member_start(
-        report.warnings, spec, params, sol_grid, T, None, "coupled",
+        spec, params, sol_grid, T, None, "coupled",
         config.get("soliton", "x0"))
     sol_recs, _ = _evolve_observed(report, sol_initial, T, sol_dt,
                                    max(1, round(T / sol_dt) // 50), "coupled")
@@ -596,6 +589,7 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
         f"free packet width grew {recs[-1].width / recs[0].width:.1f}x "
         f"over T = {T:g} while the matched-width soliton grew "
         f"{sol_recs[-1].width / sol_recs[0].width:.4f}x")
+    _weak_field(report, recs + sol_recs, params.M)
     return ScenarioArtifacts(
         records={"observables": recs, "soliton_reference": sol_recs},
         snapshots={"initial": traj.initial, "final": traj.final})
@@ -603,8 +597,7 @@ def _scenario_free_spreading(config: ScenarioConfig, report: RunReport,
 
 def _scenario_choquard_stationary(config: ScenarioConfig, report: RunReport,
                                   out: Path) -> ScenarioArtifacts:
-    params, spec, initial, T, dt, stride = _plan(
-        config, report.warnings, 50.0, "choquard")
+    params, spec, initial, T, dt, stride = _plan(config, 50.0, "choquard")
     v_s = family_velocity(spec, params)
     if abs(v_s) > 1e-9:
         report.findings.append(
@@ -641,6 +634,7 @@ def _scenario_choquard_stationary(config: ScenarioConfig, report: RunReport,
         f"source prefactor, {half:.6f} under the half "
         f"convention (ratio {ratio:.6f}); only the full convention "
         "reproduces the closed-form profile depth")
+    _weak_field(report, recs, params.M)
     return ScenarioArtifacts(
         records={"observables": recs},
         snapshots={"initial": traj.initial, "final": traj.final})
@@ -746,7 +740,7 @@ def _scenario_yukawa_oracle(config: ScenarioConfig, report: RunReport,
 
 def _scenario_perturbation_stability(config: ScenarioConfig, report: RunReport,
                                      out: Path) -> ScenarioArtifacts:
-    _, _, initial, T, dt, stride = _plan(config, report.warnings, 20.0)
+    params, _, initial, T, dt, stride = _plan(config, 20.0)
     kind = config.get("perturb", "kind")
     strength = config.get("perturb", "strength")
     seed = config.get("run", "seed")
@@ -785,6 +779,7 @@ def _scenario_perturbation_stability(config: ScenarioConfig, report: RunReport,
         f"{'survived' if survived else 'dispersed'} (final/initial width "
         f"{width_ratio:.4f}, threshold 2); classification is exploratory, "
         "determinism is the pass condition")
+    _weak_field(report, recs, params.M)
     # the two CSVs are written above, byte-compared
     return ScenarioArtifacts(
         snapshots={"initial": traj.initial, "final": traj.final})
@@ -892,9 +887,8 @@ def run_scenario(config: ScenarioConfig,
             and evolved != "soliton-propagation":
         raise ConfigError(f"run.mode is a soliton-propagation setting; "
                           f"{evolved} does not read it")
-    out = Path(out_dir) if out_dir is not None else \
-        Path(config.get("run", "output_dir")
-             or f"runs/{config.scenario}")
+    out = Path(out_dir if out_dir is not None
+               else f"runs/{config.scenario}")
     out.mkdir(parents=True, exist_ok=True)
     marker = out / FAILED_MARKER
     marker.unlink(missing_ok=True)

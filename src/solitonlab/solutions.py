@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Family, Grid, PhysicalParams, SolitonSpec, require_valid
+from .model import (Family, FieldState, Grid, PhysicalParams, SolitonSpec,
+                    require_valid)
 
 __all__ = [
     "FamilyCoefficients",
-    "SolutionSample",
     "family_coefficients",
     "spec_3d_a",
     "spec_3d_b",
@@ -210,23 +210,11 @@ def matched_length(spec: SolitonSpec, params: PhysicalParams) -> float:
     return 40.0 / family_coefficients(spec, params).envelope_k
 
 
-@dataclass(frozen=True)
-class SolutionSample:
-    """Fields of one family member evaluated on a grid at time t.
-
-    |psi| is even about the moving center x0 + V t and phi <= 0 everywhere.
-    """
-
-    psi: np.ndarray
-    phi: np.ndarray
-    spec: SolitonSpec
-    t: float
-    grid: Grid
-
-
 def sample_solution(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
-                    t: float, x0: float = 0.0) -> SolutionSample:
-    """Evaluate the family on the lattice, exactly periodic.
+                    t: float, x0: float = 0.0) -> FieldState:
+    """The member's fields on the lattice at time t, exactly periodic, as
+    a state with no scalar history (phi_prev None). |psi| is even about
+    the moving center x0 + V t and phi <= 0 everywhere.
 
     Sums the three images of the traveling envelope nearest its center
     c = x0 + V t, j = r - 1, r, r + 1 with r = round(c / L), each with its
@@ -265,7 +253,7 @@ def sample_solution(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
         phi = phi * np.ones_like(y) * np.ones_like(z)
     psi = np.broadcast_to(psi, grid.shape).copy() if psi.shape != grid.shape else psi
     phi = np.broadcast_to(phi, grid.shape).copy() if phi.shape != grid.shape else phi
-    return SolutionSample(psi=psi, phi=phi, spec=spec, t=t, grid=grid)
+    return FieldState(t=t, psi=psi, phi=phi, params=params, grid=grid)
 
 
 def closed_form_norm(spec: SolitonSpec, params: PhysicalParams) -> float:

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from solitonlab.model import (
     Family, PhysicalParams, SolitonSpec, Grid, FieldState,
-    make_grid, require_valid, validate_params, weak_field_check,
+    make_grid, validate_params,
 )
 from solitonlab.solutions import (family_coefficients, family_velocity,
-                                  spec_1d_a, spec_1d_b, spec_3d_a)
+                                  spec_1d_b, spec_3d_a)
 
 
 class TestFamily:
@@ -240,24 +240,6 @@ class TestValidateParams:
         assert list(_checks(p, by_alpha)) == ["alpha_positive"]
         assert family_coefficients(by_omega, p).envelope_k == 2.0
         assert family_coefficients(by_alpha, p).Omega == 1.5
-
-    def test_nonrelativistic_advisory_is_not_fatal(self):
-        # scalar depth 16 >> M: the advisory fails, the member is valid
-        p = PhysicalParams(M=1.0, m=0.5, v=1.0)
-        spec = spec_1d_a(p)
-        assert "nonrelativistic_validity" not in _checks(p, spec)
-        assert require_valid(p, spec) is spec
-        depth = abs(family_coefficients(spec, p).phi_amplitude)
-        warn = weak_field_check(depth, p.M)
-        assert warn.name == "nonrelativistic_validity"
-        assert not warn.passed
-        assert warn.margin == pytest.approx(-15.0)
-
-    def test_nonrelativistic_advisory_passes_for_shallow_field(self):
-        p = PhysicalParams(M=1.0, m=0.5, v=1.0)
-        spec = spec_3d_a(p, alpha=0.5)  # depth 0.25 < M
-        depth = abs(family_coefficients(spec, p).phi_amplitude)
-        assert weak_field_check(depth, p.M).passed
 
 
 @settings(max_examples=60)

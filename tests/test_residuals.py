@@ -44,7 +44,6 @@ class TestExactFamilies:
         rep = residual_pair(spec, P, grid_for(spec))[0]
         assert set(rep.term_magnitudes) == {"time", "kinetic", "coupling"}
         assert rep.fd_step == pytest.approx(auto_time_step(spec, P))
-        assert rep.fd_order == 6
         rep = residual_pair(spec, P, grid_for(spec))[1]
         assert set(rep.term_magnitudes) == {"wave_operator", "mass", "source"}
 

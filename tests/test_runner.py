@@ -24,6 +24,7 @@ import pytest
 
 import solitonlab
 from solitonlab import cli
+from solitonlab.artifacts import read_observables_csv
 from solitonlab.cli import main
 from solitonlab.config import (ConfigError, ScenarioConfig, apply_overrides,
                                default_config, parse_config)
@@ -31,7 +32,7 @@ from solitonlab.diagnostics import ObservableRecord
 from solitonlab.evolution import (BlowUpError, evolve, perturb,
                                   state_from_solution,
                                   state_with_static_field)
-from solitonlab.model import PhysicalParams, make_grid, weak_field_check
+from solitonlab.model import PhysicalParams, make_grid
 from solitonlab import runner
 from solitonlab.runner import FAILED_MARKER, RunReport, _check, run_scenario
 from solitonlab.solutions import (closed_form_width, matched_length,
@@ -214,7 +215,7 @@ class TestRunScenario:
         assert block["records_over"] == (block["records"] if over else 0)
         lines = report.summary_lines()
         warned = [l for l in lines if l.startswith("  warning: ")]
-        assert len(warned) == (2 if over else 0)
+        assert len(warned) == (1 if over else 0)
         assert not any("weak-field" in l or "advisory" in l
                        for l in lines if l.startswith("  note: "))
 
@@ -237,6 +238,52 @@ class TestRunScenario:
         assert len(report.warnings) == 1
         assert "1/3 records" in report.warnings[0]
         assert "deepest nan" in report.warnings[0]
+
+    def test_weak_field_counts_the_invalid_records(self):
+        # the bound is measure's max|phi| < M: a record whose phi peaks
+        # above M on its positive side is over, however shallow its
+        # |phi_min|, and the deepest |phi_min| is still reported
+        recs = [ObservableRecord(t=float(i), norm=1.0, centroid=0.0,
+                                 width=1.0, peak_pos=0.0, phi_min=-0.3,
+                                 valid=valid)
+                for i, valid in enumerate((True, False, True))]
+        report = RunReport("soliton-propagation", {}, "")
+        runner._weak_field(report, recs, 1.0)
+        assert report.details["weak_field"] == {
+            "bound": 1.0, "max_depth": 0.3, "records_over": 1, "records": 3}
+        assert len(report.warnings) == 1
+        assert "1/3 records" in report.warnings[0]
+        assert "deepest 0.3)" in report.warnings[0]
+
+    @pytest.mark.parametrize("scenario, overrides, run_dir, series", [
+        ("soliton-propagation", ["grid.n=256", "run.T=0.5"], "",
+         ["observables"]),
+        ("choquard-stationary", ["grid.n=256", "run.T=0.5"], "",
+         ["observables"]),
+        ("perturbation-stability", ["grid.n=256", "run.T=0.5"], "",
+         ["observables"]),
+        ("free-spreading", ["grid.n=512", "run.T=2.0"], "",
+         ["observables", "soliton_reference"]),
+        ("param-sweep", ["sweep.values=0.6", "run.T=0.5", "grid.n=256"],
+         "case_00_params.m_0.6", ["observables"]),
+    ], ids=["propagation", "stationary", "perturbation", "free-spreading",
+            "sweep-case"])
+    def test_weak_field_block_counts_the_invalid_cells(
+            self, tmp_path, scenario, overrides, run_dir, series):
+        # every evolving run summarizes the valid flags of the records it
+        # writes, once: records_over is the count of false cells
+        run_scenario(apply_overrides(default_config(scenario), overrides),
+                     out_dir=tmp_path)
+        out = tmp_path / run_dir
+        block = json.loads((out / "report.json").read_text())[
+            "details"]["weak_field"]
+        cells = []
+        for name in series:
+            header, *rows = (out / f"{name}.csv").read_text().splitlines()
+            column = header.split(",").index("valid")
+            cells += [row.split(",")[column] for row in rows]
+        assert block["records"] == len(cells)
+        assert block["records_over"] == cells.count("false")
 
     def test_oracle_makes_no_lapack_call(self, tmp_path, no_lapack):
         # the Gauss rules of a cold weight build come from Newton steps on
@@ -304,7 +351,7 @@ class TestChoquardPlan:
 
     def plan(self, scenario, overrides, T_default):
         cfg = apply_overrides(default_config(scenario), overrides)
-        *_, T, dt, _ = runner._plan(cfg, [], T_default, "choquard")
+        *_, T, dt, _ = runner._plan(cfg, T_default, "choquard")
         return T, dt
 
     def test_propagation_steps_at_the_slaved_rate(self):
@@ -326,7 +373,7 @@ class TestChoquardPlan:
         cfg = apply_overrides(default_config("soliton-propagation"),
                               ["run.mode=choquard", "run.T=2"])
         report = run_scenario(cfg, out_dir=tmp_path)
-        _, _, initial, *_ = runner._plan(cfg, [], 20.0, "choquard")
+        _, _, initial, *_ = runner._plan(cfg, 20.0, "choquard")
         slaved = state_with_static_field(initial.psi, initial.params,
                                          initial.grid).phi
         assert np.array_equal(initial.phi, slaved)
@@ -343,21 +390,23 @@ class TestChoquardPlan:
         assert "deepest 1.70805" in report.warnings[-1]
 
     def test_advisory_reads_the_slaved_depth(self, tmp_path):
-        # the advisory and the weak-field warning name the one depth the
-        # run steps under, 1.70805, not the closed-form member's 5.33333
+        # the one weak-field warning names the one depth the run steps
+        # under, 1.70805, not the closed-form member's 5.33333; the
+        # standing member stays under the bound
         cfg = apply_overrides(default_config("soliton-propagation"),
                               ["run.mode=choquard", "run.T=2"])
         report = run_scenario(cfg, out_dir=tmp_path)
-        assert [w for w in report.warnings if w.startswith("advisory")] == [
-            "advisory nonrelativistic_validity: max|phi| = 1.70805 vs M = "
-            "1; the weak-field treatment assumes |phi| < M"]
-        assert "deepest 1.70805" in report.warnings[-1]
-        assert len(report.warnings) == 2
+        assert len(report.warnings) == 1
+        assert "36/36 records" in report.warnings[0]
+        assert "deepest 1.70805" in report.warnings[0]
         stationary = run_scenario(
             apply_overrides(default_config("choquard-stationary"),
                             ["grid.n=256", "run.T=0.5"]),
             out_dir=tmp_path / "stationary")
         assert stationary.warnings == []
+        block = stationary.details["weak_field"]
+        assert block["records_over"] == 0 < block["records"]
+        assert block["max_depth"] < 1.0
 
     @pytest.mark.parametrize("scenario, overrides, mode, x0", [
         ("soliton-propagation", ["soliton.x0=3.3"], "coupled", 3.3),
@@ -365,29 +414,39 @@ class TestChoquardPlan:
     ], ids=["propagation-off-node", "perturbation"])
     def test_advisory_reads_the_initial_field(self, tmp_path, scenario,
                                               overrides, mode, x0):
-        # the one advisory of a member run reads the field the run starts
-        # with; off a node that is the lattice depth, not the closed form's
+        # record 0, which the weak-field block counts, is the field the run
+        # starts with; off a node that is the lattice depth, not the closed
+        # form's
         cfg = apply_overrides(default_config(scenario),
                               ["grid.n=256", "run.T=0.5", *overrides])
         report = run_scenario(cfg, out_dir=tmp_path)
-        _, _, initial, *_ = runner._plan(cfg, [], 20.0, mode)
-        check = weak_field_check(abs(initial.phi.min()), initial.params.M)
-        assert not check.passed
-        assert [w for w in report.warnings if w.startswith("advisory")] == [
-            f"advisory {check.name}: {check.detail}"]
+        _, _, initial, *_ = runner._plan(cfg, 20.0, mode)
+        recs = read_observables_csv(str(tmp_path / "observables.csv"))
+        assert recs[0].phi_min == float(initial.phi.min())
+        assert not recs[0].valid
+        block = report.details["weak_field"]
+        assert block["records_over"] == block["records"] == len(recs)
+        assert len(report.warnings) == 1
         if x0:
-            assert "max|phi| = 5.33333 " not in report.warnings[0]
+            assert -recs[0].phi_min < 16.0 / 3.0
 
     def test_free_spreading_advisory_reads_the_reference_start(self,
                                                                tmp_path):
-        # the packet starts with no field; the self-trapped reference run
-        # starts on a node with the member's depth (M/mv)^4/3 = 5.33333
+        # the packet has no field; the self-trapped reference run starts on
+        # a node with the member's depth (M/mv)^4/3 = 5.33333, and the one
+        # block counts both series
         report = run_scenario(
             apply_overrides(default_config("free-spreading"),
                             ["grid.n=512", "run.T=10"]), out_dir=tmp_path)
-        assert report.warnings == [
-            "advisory nonrelativistic_validity: max|phi| = 5.33333 vs M = "
-            "1; the weak-field treatment assumes |phi| < M"]
+        packet = read_observables_csv(str(tmp_path / "observables.csv"))
+        reference = read_observables_csv(
+            str(tmp_path / "soliton_reference.csv"))
+        block = report.details["weak_field"]
+        assert block["records"] == len(packet) + len(reference)
+        assert block["records_over"] == len(reference)
+        assert block["max_depth"] == pytest.approx(16.0 / 3.0, rel=1e-5)
+        assert len(report.warnings) == 1
+        assert "deepest 5.3333" in report.warnings[0]
 
 
 class TestMemberStart:
@@ -426,8 +485,7 @@ class TestMemberStart:
         spec = spec_1d_b(params)
         grid = make_grid(1, 16, matched_length(spec, params))
         initial, dt = runner._member_start(
-            [], spec, params, grid, 20.0, 0.0010873761070847989, "coupled",
-            0.0)
+            spec, params, grid, 20.0, 0.0010873761070847989, "coupled", 0.0)
         assert dt == 20.0 / 18393
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -697,7 +755,11 @@ class TestParamSweep:
         for i, (m, case) in enumerate(zip(("0.6", "0.4"), sorted(
                 tmp_path.glob("case_*")))):
             child = json.loads((case / "report.json").read_text())
-            assert len(child["warnings"]) == 2
+            block = child["details"]["weak_field"]
+            assert block["records_over"] == block["records"]
+            assert block["max_depth"] == pytest.approx(
+                (1.0 / float(m)) ** 4 / 3.0, rel=1e-3)
+            assert len(child["warnings"]) == 1
             expected += [f"case {i} (params.m = {m}): {w}"
                          for w in child["warnings"]]
         assert report.warnings == expected
