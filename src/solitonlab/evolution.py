@@ -75,7 +75,7 @@ the drift, and the slaved update of the post-drift density:
   coupled   full dynamics, scalar field carries its own wave equation
             (gautschi with the density source)
   choquard  scalar field slaved to the instantaneous density through the
-            static screened inverse, refreshed after every drift
+            static screened inverse, set at the start and after every drift
   free      coupling switched off: no kicks, matter drifts freely, scalar
             field obeys the sourceless wave equation (gautschi)
 
@@ -149,7 +149,8 @@ def default_dt(initial: FieldState, mode: str = "coupled") -> float:
     """The step evolve takes from initial when none is given, before it
     lands on T.
 
-    With r the fastest rate of change of the initial state (_state_rate):
+    With r the fastest rate of change of the initial state (_state_rate),
+    in choquard mode under the slaved field evolve starts the run with:
 
       choquard         1/(10 r): the fourth-order step is held to accuracy
                        alone; 0.9/2m when r = 0
@@ -161,9 +162,11 @@ def default_dt(initial: FieldState, mode: str = "coupled") -> float:
     _check_choice("evolution mode", mode, MODES)
     params = initial.params
     mass_bound = 0.9 / (2.0 * params.m)
-    rate = _state_rate(initial)
     if mode == "choquard":
+        rate = _state_rate(state_with_static_field(initial.psi, params,
+                                                   initial.grid))
         return 1.0 / (10.0 * rate) if rate > 0.0 else mass_bound
+    rate = _state_rate(initial)
     bound = 1.0 / (8.0 * rate) if rate > 0.0 else math.inf
     return max(0.9 * stability_limit(initial.grid, params),
                min(mass_bound, bound))
@@ -327,20 +330,23 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     from MODES: the coupled and free modes step the scalar field with the
     Gautschi update, and the choquard mode slaves it under the source
     2M/v^2 and takes every step as a triple jump of three Strang substeps.
-    No step size is refused for stability. The observer is the only view
-    of the states in between: when given, it is called on the initial
-    state and every observer_stride steps after that (plus the final
-    state), and its return value is ignored.
-    observer_stride must be an integer >= 1. The returned trajectory counts
-    the phase kicks it applied in kicks: for N steps with nothing
-    observed in between, N + 1 coupled and 3N + 1 choquard; up to 2N and
-    4N when every step is observed; 0 in free mode. An observed step's
-    closing half kick is reused as the next step's opening one, so the
-    phase is evaluated N + 1 (coupled) or 3N + 1 (choquard) times at any
-    observer_stride. The run aborts with
-    BlowUpError once max|psi| exceeds BLOWUP_FACTOR times its initial value
-    or a field turns non-finite; a phi whose sum overflows counts as blown
-    up too.
+    A choquard run starts at initial.t under the field slaved to initial.psi
+    (state_with_static_field), with no history, whatever phi and phi_prev
+    initial carries. That start is the state the observer sees first and the
+    trajectory's initial state, and default_dt derives its rate r from that
+    same slaved field.
+    No step size is refused for stability. The observer is the only view of the
+    states in between: when given, it is called on the initial state and every
+    observer_stride steps after that (plus the final state), and its return
+    value is ignored. observer_stride must be an integer >= 1. The returned
+    trajectory counts the phase kicks it applied in kicks: for N steps with
+    nothing observed in between, N + 1 coupled and 3N + 1 choquard; up to 2N
+    and 4N when every step is observed; 0 in free mode. An observed step's
+    closing half kick is reused as the next step's opening one, so the phase is
+    evaluated N + 1 (coupled) or 3N + 1 (choquard) times at any
+    observer_stride. The run aborts with BlowUpError once max|psi| exceeds
+    BLOWUP_FACTOR times its initial value or a field turns non-finite; a phi
+    whose sum overflows counts as blown up too.
     """
     _check_choice("evolution mode", mode, MODES)
     if T < 0.0:
@@ -352,6 +358,10 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
                          f"got {observer_stride!r}")
     params, grid = initial.params, initial.grid
     slaved = mode == "choquard"
+    if slaved:  # a non-finite psi overflows here; the loop aborts it
+        with np.errstate(over="ignore", invalid="ignore"):
+            initial = replace(state_with_static_field(initial.psi, params,
+                                                      grid), t=initial.t)
     if dt is None:
         dt = default_dt(initial, mode)
     if dt <= 0.0:
@@ -365,8 +375,8 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
 
     n_steps = landing_steps(T, dt)
     requested_dt, dt = dt, T / n_steps
-    # the slaved field never reads the history
-    if (not slaved and initial.phi_prev is not None
+    # a slaved start carries no history
+    if (initial.phi_prev is not None
             and abs(dt - requested_dt) > 1e-9 * requested_dt):
         warnings.warn(
             f"dt adjusted from {requested_dt:.6e} to {dt:.6e} to land on T "
@@ -542,8 +552,9 @@ def gaussian_packet(grid: Grid, params: PhysicalParams, sigma0: float,
 
     psi = N exp(-x^2 / 4 sigma0^2) exp(i k0 x), phi = 0 at rest, at t = 0.
     Intended for free-mode spreading runs; in coupled mode it simply starts
-    the scalar field from rest at zero. sigma0 must be at least one lattice
-    spacing: a narrower packet is not resolved, and its measured width is 0.
+    the scalar field from rest at zero, and a choquard run under the slaved
+    field (evolve). sigma0 must be at least one lattice spacing: a narrower
+    packet is not resolved, and its measured width is 0.
     |k0| <= pi/dx - pi/sigma0 keeps the spectrum out to |k - k0| = pi/sigma0
     in the lattice band; past it the lattice samples an alias.
     """

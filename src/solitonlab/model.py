@@ -243,7 +243,7 @@ class FieldState:
     of the scalar wave equation consumes; None means a field at rest (zero
     time derivative at t), from which the update builds its own first
     history. The free mode still evolves phi, by the sourceless wave
-    equation, and the slaved (choquard) mode never reads phi_prev.
+    equation, and the slaved (choquard) mode reads neither phi nor phi_prev.
     """
 
     t: float

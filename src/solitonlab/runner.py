@@ -35,8 +35,7 @@ from .diagnostics import (ObservableRecord, SeriesObserver, VelocityFit,
                           fit_velocity, free_spreading_width,
                           spreading_ratio)
 from .evolution import (Trajectory, default_dt, evolve, gaussian_packet,
-                        landing_steps, perturb, state_from_solution,
-                        state_with_static_field)
+                        landing_steps, perturb, state_from_solution)
 from .model import (FieldState, Family, Grid, PhysicalParams, SolitonSpec,
                     make_grid, require_valid, scalar_source)
 from .residuals import FamilyAuditEntry, ResidualReport, full_family_audit
@@ -50,7 +49,7 @@ from .spectral import (MAX_DIRECT_POINTS, yukawa_convolve_direct,
 FAILED_MARKER = "FAILED"
 # the most steps one evolution may plan; a longer plan is a ConfigError
 MAX_STEPS = 10**7
-# the most points a member's lattice may have (3D 128^3: 32 MiB per
+# the most points a [grid] lattice may have (3D 128^3: 32 MiB per
 # complex field); a larger grid.n ** grid.dim is a ConfigError
 MAX_GRID_POINTS = 2**21
 
@@ -178,16 +177,22 @@ def _soliton_spec(config: ScenarioConfig,
 def _grid_for(config: ScenarioConfig, default_length: float,
               transverse: tuple[float, float] = (0.0, 0.0)) -> Grid:
     """The [grid] lattice; a 1D one carries the quasi-1D member's transverse
-    wavenumbers (gamma, eps) when they are not both zero."""
+    wavenumbers (gamma, eps) when they are not both zero; one of more than
+    MAX_GRID_POINTS points is refused before any field is built on it."""
     length = config.get("grid", "length")
     dim = config.get("grid", "dim")
     try:
-        return make_grid(dim, config.get("grid", "n"),
+        grid = make_grid(dim, config.get("grid", "n"),
                          default_length if length is None else length,
                          transverse if dim == 1 and any(transverse) else None)
     except ValueError as e:
         # Grid's messages open with the name of the offending field
         raise ConfigError(f"invalid [grid]: grid.{e}") from None
+    if grid.n**grid.dim > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid.n ** grid.dim = {grid.n}^{grid.dim} lattice points is "
+            f"over the limit of {MAX_GRID_POINTS} (2^21)")
+    return grid
 
 
 def _member_grid(config: ScenarioConfig, spec: SolitonSpec,
@@ -197,10 +202,6 @@ def _member_grid(config: ScenarioConfig, spec: SolitonSpec,
     (a spacing at most one envelope width)."""
     grid = _grid_for(config, matched_length(spec, params),
                      (spec.gamma, spec.eps))
-    if grid.n**grid.dim > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"grid.n ** grid.dim = {grid.n}^{grid.dim} lattice points is "
-            f"over the limit of {MAX_GRID_POINTS} (2^21)")
     width = localization_length(spec, params)
     if grid.length < MIN_DOMAIN_WIDTHS * width:
         raise ConfigError(
@@ -247,12 +248,10 @@ def _member_start(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
                   T: float, requested: float | None, mode: str,
                   x0: float) -> tuple[FieldState, float]:
     """The member's initial state, centred at x0, and the step that divides
-    T. The member is sampled once, at t = 0; in choquard mode the state
-    carries the slaved field the run steps under, which the default step
-    reads, and the other modes get the analytic history phi(-dt)."""
+    T. The member is sampled once, at t = 0, and the modes that read a
+    history get the analytic phi(-dt); evolve starts a choquard run under
+    the slaved field, and default_dt reads that field."""
     state = state_from_solution(spec, params, grid, x0=x0)
-    if mode == "choquard":
-        state = state_with_static_field(state.psi, params, grid)
     dt = _dividing_dt(T, requested, mode, state)
     if mode != "choquard":
         state = replace(state, phi_prev=sample_solution(

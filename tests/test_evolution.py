@@ -383,6 +383,19 @@ class TestTrajectoryPlumbing:
         assert [a.tobytes() for a in (st.psi, st.phi, st.phi_prev)] \
             == before
 
+    def test_slaved_start_is_idempotent(self):
+        # the sampled member (closed-form field, depth 5.333) and the same
+        # member under its slaved field (1.708) make one and the same run
+        spec = spec_1d_b(P)
+        g = make_grid(1, 1024, matched_length(spec, P))
+        raw = state_from_solution(spec, P, g)
+        runs = [evolve(st, T=2.0, mode="choquard")
+                for st in (raw, state_with_static_field(raw.psi, P, g))]
+        assert [r.step_count for r in runs] == [35, 35]
+        assert runs[0].final.psi.tobytes() == runs[1].final.psi.tobytes()
+        assert runs[0].initial.phi.tobytes() == runs[1].initial.phi.tobytes()
+        assert runs[0].initial.phi.min() == pytest.approx(-1.708, abs=1e-3)
+
     def test_slaved_run_ends_without_history(self):
         st = stationary_state(make_grid(1, 512, 64.0))
         st = replace(st, phi_prev=st.phi.copy())
@@ -567,6 +580,31 @@ class TestDefaultStep:
         empty = FieldState(t=0.0, psi=np.zeros(g.n, dtype=complex),
                            phi=np.zeros(g.n), params=PC, grid=g)
         assert default_dt(empty, mode="choquard") == 0.9 / (2.0 * PC.m)
+        # a member carrying its closed-form field (M max|phi| = 5.33 at P)
+        # gets the step of its slaved state (1.71)
+        raw = state_from_solution(spec_1d_b(P), P, g)
+        assert default_dt(raw, "choquard") \
+            == default_dt(state_with_static_field(raw.psi, P, g), "choquard")
+
+    @pytest.mark.parametrize("sigma0, depth", [(3.0, -0.8231), (8.0, None)],
+                             ids=["sigma0=3", "sigma0=8"])
+    def test_choquard_packet_steps_under_its_slaved_field(self, sigma0,
+                                                          depth):
+        # a packet carries phi = 0; its run starts under the field its
+        # density sources, and the default step resolves that run: a
+        # quarter of it moves |psi| by under 1e-3 of its peak
+        g = make_grid(1, 512, 100.0)
+        packet = gaussian_packet(g, P, sigma0)
+        seen = []
+        run = evolve(packet, T=20.0, mode="choquard", observer=seen.append,
+                     observer_stride=MAX_STEPS)
+        ref = evolve(packet, T=20.0, dt=run.dt / 4, mode="choquard")
+        err = np.max(np.abs(np.abs(run.final.psi) - np.abs(ref.final.psi)))
+        assert err / np.max(np.abs(ref.final.psi)) < 1e-3
+        slaved = state_with_static_field(packet.psi, P, g)
+        assert seen[0].phi.min() == slaved.phi.min()
+        if depth is not None:
+            assert seen[0].phi.min() == pytest.approx(depth, abs=1e-4)
 
     def test_choquard_has_no_stability_guard(self):
         st, g = soliton_state()

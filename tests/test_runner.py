@@ -367,16 +367,16 @@ class TestChoquardPlan:
         assert dt == pytest.approx(50.0 / 375, rel=1e-15)
 
     def test_propagation_records_the_slaved_field_from_t0(self, tmp_path):
-        # the t = 0 record, the initial snapshot and the weak-field block
-        # read the field the run steps under (depth 1.708), not the
-        # closed-form one (5.333) the slaved update replaces
+        # the plan hands evolve the sampled member; the t = 0 record, the
+        # initial snapshot and the weak-field block read the field the run
+        # steps under (depth 1.708), not the closed-form one (5.333) that
+        # evolve replaces
         cfg = apply_overrides(default_config("soliton-propagation"),
                               ["run.mode=choquard", "run.T=2"])
         report = run_scenario(cfg, out_dir=tmp_path)
         _, _, initial, *_ = runner._plan(cfg, 20.0, "choquard")
         slaved = state_with_static_field(initial.psi, initial.params,
                                          initial.grid).phi
-        assert np.array_equal(initial.phi, slaved)
         rows = (tmp_path / "observables.csv").read_text().splitlines()
         header = rows[0].split(",")
         first = dict(zip(header, rows[1].split(",")))
@@ -384,7 +384,7 @@ class TestChoquardPlan:
         assert float(first["phi_min"]) == pytest.approx(-1.70805, abs=1e-5)
         snapshot = np.loadtxt(tmp_path / "snapshot_initial.csv",
                               delimiter=",", skiprows=2)
-        assert snapshot[:, 3].min() == float(slaved.min())
+        assert np.array_equal(snapshot[:, 3], slaved)
         block = report.details["weak_field"]
         assert block["max_depth"] == pytest.approx(1.70805, abs=1e-5)
         assert "deepest 1.70805" in report.warnings[-1]
@@ -851,7 +851,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("scenario,overrides,named", [
         ("free-spreading", ["grid.n=1000"], "grid.n"),
-        ("free-spreading", ["grid.dim=3"], "1D"),
+        ("free-spreading", ["grid.dim=3", "grid.n=64"], "1D"),
         ("free-spreading", ["grid.length=10", "packet.sigma0=1"],
          "too short"),
         # past pi/dx - pi/sigma0 the lattice samples an aliased packet
@@ -1010,6 +1010,18 @@ class TestCliExitCodes:
         else:
             with pytest.raises(ConfigError, match="grid.dim"):
                 runner._member_grid(cfg, spec_1d_b(params), params)
+
+    def test_packet_lattice_point_limit(self, tmp_path, capsys, monkeypatch):
+        # free-spreading's packet lattice is held to the same limit, and
+        # refused before the packet is sampled on it
+        def no_field(*args, **kwargs):
+            raise AssertionError("a field was built on the lattice")
+
+        monkeypatch.setattr(runner, "gaussian_packet", no_field)
+        code = main(["free-spreading", "--out", str(tmp_path),
+                     "--override", "grid.n=4194304"])
+        assert code == 2
+        assert "grid.n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides", [
         ["soliton.family=3d_b", "soliton.gamma=0.1"],
