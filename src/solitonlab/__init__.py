@@ -19,82 +19,6 @@ config-driven experiment runner.
 # by their compiles instead of pinned under them, which lowers a run's
 # peak RSS by 0.3-0.8 MiB. With cached bytecode the order makes no
 # difference.
-from .runner import (
-    CriterionCheck,
-    RunReport,
-    run_scenario,
-)
-from .model import (
-    Family,
-    PhysicalParams,
-    SolitonSpec,
-    Grid,
-    FieldState,
-    make_grid,
-    validate_params,
-)
-from .solutions import (
-    family_coefficients,
-    spec_3d_a,
-    spec_3d_b,
-    spec_1d_a,
-    spec_1d_b,
-    alpha_from_dispersion_3d_a,
-    soliton_velocity_1d_b,
-    phase_velocity,
-    localization_length,
-    family_velocity,
-    sample_solution,
-    closed_form_norm,
-    closed_form_width,
-)
-from .spectral import (
-    laplacian,
-    yukawa_invert,
-    yukawa_convolve_direct,
-)
-from .residuals import (
-    ResidualReport,
-    FamilyAuditEntry,
-    residual_pair,
-    choquard_residual,
-    full_family_audit,
-)
-from .evolution import (
-    BlowUpError,
-    Trajectory,
-    stability_limit,
-    evolve,
-    reverse_state,
-    state_from_solution,
-    state_with_static_field,
-    gaussian_packet,
-    perturb,
-)
-from .diagnostics import (
-    ObservableRecord,
-    SeriesObserver,
-    VelocityFit,
-    measure,
-    fit_velocity,
-    free_spreading_width,
-    spreading_ratio,
-)
-from .config import (
-    SCENARIOS,
-    ConfigError,
-    ScenarioConfig,
-    default_config,
-    parse_config,
-    serialize,
-    apply_overrides,
-)
-from .artifacts import (
-    write_snapshot,
-    read_snapshot,
-    write_observables_csv,
-    read_observables_csv,
-    write_plot_script,
-)
+from .runner import run_scenario
 
 __version__ = "0.1.0"

@@ -22,9 +22,10 @@ states carry. There are two:
             rfft of the source and one irfft that gives the phi the kick
             reads (the free mode has no source and takes the irfft alone)
   slaved    the choquard mode's field, the static screened inverse of the
-            post-drift density. The multiplier, screened inverse times
-            source factor, is built once per evolve, so a substep is one
-            rfft, one multiply, one irfft
+            post-drift density (slaved_map, which also slaves every
+            choquard start). The multiplier, screened inverse times source
+            factor, is built once per map, so a substep is one rfft, one
+            multiply, one irfft
 
 Every transform is numpy.fft's, picked once per evolve (and per scalar
 update) by spectral.transforms: the 1D calls on a 1D grid. The drift
@@ -75,7 +76,8 @@ the drift, and the slaved update of the post-drift density:
   coupled   full dynamics, scalar field carries its own wave equation
             (gautschi with the density source)
   choquard  scalar field slaved to the instantaneous density through the
-            static screened inverse, set at the start and after every drift
+            static screened inverse, solved at the start and after every
+            drift
   free      coupling switched off: no kicks, matter drifts freely, scalar
             field obeys the sourceless wave equation (gautschi)
 
@@ -107,7 +109,7 @@ import numpy as np
 
 from .model import FieldState, Grid, PhysicalParams, scalar_source
 from .solutions import sample_solution
-from .spectral import screened_inverse, transforms, yukawa_invert
+from .spectral import screened_inverse, transforms
 
 BLOWUP_FACTOR = 1e3
 
@@ -298,10 +300,11 @@ class _Gautschi:
         return self.irfft(hat, norm="forward", out=fields[0])
 
 
-def _slaved(params: PhysicalParams,
-            grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from a density to its static screened inverse under the
-    field equation's source 2M/v^2."""
+def slaved_map(params: PhysicalParams,
+               grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from a density to its slaved field: the static screened
+    inverse under the field equation's source 2M/v^2. Each call writes its
+    result over the one before."""
     # the source is linear in the density, so its factor and the 1/N of
     # the unscaled inverse join the screened inverse in one multiplier
     multiplier = scalar_source(
@@ -332,9 +335,9 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     2M/v^2 and takes every step as a triple jump of three Strang substeps.
     A choquard run starts at initial.t under the field slaved to initial.psi
     (state_with_static_field), with no history, whatever phi and phi_prev
-    initial carries. That start is the state the observer sees first and the
-    trajectory's initial state, and default_dt derives its rate r from that
-    same slaved field.
+    initial carries. That start is the state the observer sees first, the
+    trajectory's initial state and the field its first kick reads, and
+    default_dt derives its rate r from that same slaved field.
     No step size is refused for stability. The observer is the only view of the
     states in between: when given, it is called on the initial state and every
     observer_stride steps after that (plus the final state), and its return
@@ -421,10 +424,11 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     caller = np.geterr()
     with np.errstate(over="ignore", invalid="ignore"):
         if slaved:
-            update = _slaved(params, grid)
+            update = slaved_map(params, grid)
             # the density is kick-invariant, so the slaved field at a step
-            # start is the one from the previous step end; this is the first
-            phi, phi_prev = update(density), None
+            # start is the one from the previous step end; the start's is
+            # the first
+            phi, phi_prev = initial.phi, None
         else:
             phi, phi_prev = initial.phi, initial.phi_prev
             update = _Gautschi(params, grid, dt, mode == "coupled", phi,
@@ -538,11 +542,10 @@ def state_from_solution(spec, params: PhysicalParams, grid: Grid,
 
 def state_with_static_field(psi: np.ndarray, params: PhysicalParams,
                             grid: Grid) -> FieldState:
-    """Initial data at t = 0 with the scalar field slaved to the density,
-    at rest (phi_prev None)."""
+    """Initial data at t = 0 with the scalar field slaved to the density
+    (slaved_map), at rest (phi_prev None)."""
     psi = np.asarray(psi, dtype=complex)
-    phi = yukawa_invert(scalar_source(_density(psi), params), m=params.m,
-                        grid=grid)
+    phi = slaved_map(params, grid)(_density(psi))
     return FieldState(t=0.0, psi=psi, phi=phi, params=params, grid=grid)
 
 

@@ -35,10 +35,11 @@ from .diagnostics import (ObservableRecord, SeriesObserver, VelocityFit,
                           fit_velocity, free_spreading_width,
                           spreading_ratio)
 from .evolution import (Trajectory, default_dt, evolve, gaussian_packet,
-                        landing_steps, perturb, state_from_solution)
+                        landing_steps, perturb, slaved_map,
+                        state_from_solution, state_with_static_field)
 from .model import (FieldState, Family, Grid, PhysicalParams, SolitonSpec,
-                    make_grid, require_valid, scalar_source)
-from .residuals import FamilyAuditEntry, ResidualReport, full_family_audit
+                    make_grid, require_valid)
+from .residuals import FamilyAuditEntry, full_family_audit
 from .solutions import (MIN_DOMAIN_WIDTHS, closed_form_width,
                         family_velocity, localization_length, matched_length,
                         sample_solution, spec_1d_a, spec_1d_b, spec_3d_a,
@@ -294,13 +295,14 @@ def _matched_state(spec: SolitonSpec, params: PhysicalParams) -> FieldState:
 
 
 def _slaved_depths(state: FieldState) -> tuple[float, float]:
-    """min(phi) slaved to the density under the field equation's source
-    2M/v^2 and under the half-strength printed convention. Halving is
-    exact, so the second field is bitwise half the first."""
-    psi, params = state.psi, state.params
-    source = scalar_source(psi.real**2 + psi.imag**2, params)
-    return tuple(float(yukawa_invert(s, m=params.m, grid=state.grid).min())
-                 for s in (source, 0.5 * source))
+    """min(phi) of a slaved state (the field equation's source 2M/v^2)
+    and of the field slaved to half its density (the half-strength
+    printed convention). Halving is exact, so the second
+    field is bitwise half the first."""
+    psi = state.psi
+    half = slaved_map(state.params, state.grid)(
+        0.5 * (psi.real**2 + psi.imag**2))
+    return float(state.phi.min()), float(half.min())
 
 
 def _speed_error(measured: float, expected: float) -> float:
@@ -314,18 +316,10 @@ def _fit_dict(fit: VelocityFit) -> dict[str, Any]:
     return {**asdict(fit), "use": "peak_pos"}
 
 
-def _residual_dict(r: ResidualReport) -> dict[str, Any]:
-    return {"equation": r.equation, "abs_residual": r.abs_residual,
-            "rel_residual": r.rel_residual,
-            "term_magnitudes": dict(r.term_magnitudes),
-            "grid_points": r.grid_points, "fd_step": r.fd_step}
-
-
 def _audit_dict(e: FamilyAuditEntry) -> dict[str, Any]:
     return {"label": e.label, "family": e.family,
             "phi_profile": e.phi_profile, "exact": e.exact,
-            "matter": _residual_dict(e.matter),
-            "scalar": _residual_dict(e.scalar),
+            "matter": asdict(e.matter), "scalar": asdict(e.scalar),
             "convergence_ratios": dict(e.ratios)}
 
 
@@ -458,7 +452,9 @@ def _scenario_verify_residuals(config: ScenarioConfig, report: RunReport,
         "normalizing alpha", abs(norm_off - 1.0), 0.05, ">"))
 
     # kernel prefactor contrast on a reference density
-    full, half = _slaved_depths(_matched_state(spec_1d_b(params), params))
+    member = _matched_state(spec_1d_b(params), params)
+    full, half = _slaved_depths(state_with_static_field(
+        member.psi, params, member.grid))
     depth_ratio = full / half
     report.details["kernel_prefactor_depth_ratio"] = depth_ratio
     report.findings.append(
@@ -620,7 +616,7 @@ def _scenario_choquard_stationary(config: ScenarioConfig, report: RunReport,
         "criterion-8", "|psi| profile drift vs t=0 (max-abs)",
         profile_drift, 1e-4))
 
-    full, half = _slaved_depths(initial)
+    full, half = _slaved_depths(traj.initial)
     ratio = full / half
     report.details["slaved_depth_full"] = full
     report.details["slaved_depth_half"] = half
@@ -800,7 +796,7 @@ def _scenario_param_sweep(config: ScenarioConfig, report: RunReport,
               out / f"case_{i:02d}_{section}.{key}_{v:g}")
              for i, v in enumerate(values)]
 
-    merged = []
+    merged, errors = [], []
     criteria: dict[str, list[CriterionCheck]] = {}
     for i, v, cfg, child_out in cases:
         row: dict[str, Any] = {"case": i, f"{section}.{key}": v,
@@ -808,6 +804,7 @@ def _scenario_param_sweep(config: ScenarioConfig, report: RunReport,
         try:
             child = run_scenario(cfg, out_dir=child_out)
         except Exception as e:  # noqa: BLE001 - collected into the merge
+            errors.append(e)
             err = f"{type(e).__name__}: {e}"
             row["status"] = "aborted"
             row["error"] = err
@@ -824,8 +821,14 @@ def _scenario_param_sweep(config: ScenarioConfig, report: RunReport,
                 criteria.setdefault(c.criterion, []).append(c)
         merged.append(row)
     report.details["cases"] = merged
+    # no case ran: the sweep's settings are at fault, not its physics
+    if errors and len(errors) == len(cases) \
+            and all(isinstance(e, ConfigError) for e in errors):
+        raise ConfigError(f"all {len(cases)} sweep cases are misconfigured; "
+                          f"case 0 ({section}.{key} = {values[0]:g}): "
+                          f"{errors[0]}")
 
-    aborted = sum(1 for row in merged if row["status"] == "aborted")
+    aborted = len(errors)
     for crit in sorted(criteria):
         checks = criteria[crit]
         worst = max(checks, key=lambda c: (not c.passed, c.value))

@@ -396,6 +396,27 @@ class TestTrajectoryPlumbing:
         assert runs[0].initial.phi.tobytes() == runs[1].initial.phi.tobytes()
         assert runs[0].initial.phi.min() == pytest.approx(-1.708, abs=1e-3)
 
+    def test_choquard_start_is_solved_once(self, monkeypatch):
+        # one solve for the start and three per step, and the first kick
+        # reads the start's field bit for bit; 2M/v^2 = 3 is not a power of
+        # two, so a second route to that field would round apart from it
+        solves, kicked = [], []
+        slaved_map, kick = evolution.slaved_map, evolution._phase_kick
+
+        def counted(params, grid):
+            update = slaved_map(params, grid)
+            return lambda density: solves.append(1) or update(density)
+
+        monkeypatch.setattr(evolution, "slaved_map", counted)
+        monkeypatch.setattr(evolution, "_phase_kick", lambda phi, *a: (
+            kicked.append(phi.copy()) or kick(phi, *a)))
+        spec = spec_1d_b(PC)
+        g = make_grid(1, 2048, matched_length(spec, PC))
+        traj = evolve(sample_solution(spec, PC, g, t=0.0), T=0.5, dt=0.1,
+                      mode="choquard")
+        assert len(solves) == 3 * traj.step_count + 1
+        assert traj.initial.phi.tobytes() == kicked[0].tobytes()
+
     def test_slaved_run_ends_without_history(self):
         st = stationary_state(make_grid(1, 512, 64.0))
         st = replace(st, phi_prev=st.phi.copy())

@@ -564,8 +564,9 @@ class TestSlavedDepths:
         # its field
         PC = PhysicalParams(M=1.0, m=1.0, v=math.sqrt(2.0 / 3.0))
         g = make_grid(1, 1024, 64.0)
+        member = state_from_solution(spec_1d_b(PC), PC, g)
         full, half = runner._slaved_depths(
-            state_from_solution(spec_1d_b(PC), PC, g))
+            state_with_static_field(member.psi, PC, g))
         assert half == 0.5 * full
         assert full == pytest.approx(-0.75, abs=1e-10)
 
@@ -588,7 +589,7 @@ class TestImports:
         # needs it: width_rescale resamples with numpy FFTs
         code = textwrap.dedent("""
             import sys
-            from solitonlab import apply_overrides, default_config
+            from solitonlab.config import apply_overrides, default_config
             from solitonlab.runner import run_scenario
             runs = {
                 "soliton-propagation": ["grid.n=256", "run.T=0.5"],
@@ -614,7 +615,7 @@ class TestImports:
         code = textwrap.dedent('''
             import sys
             import solitonlab.cli
-            from solitonlab import apply_overrides, default_config
+            from solitonlab.config import apply_overrides, default_config
             from solitonlab.runner import run_scenario
             UNUSED = ("numpy.random", "secrets", "_hashlib",
                       "concurrent.futures", "numpy.polynomial")
@@ -768,19 +769,30 @@ class TestParamSweep:
         assert [l for l in report.summary_lines() if "warning: " in l] \
             == [f"  warning: {w}" for w in expected]
 
-    def test_all_cases_aborted_fails(self, tmp_path):
-        # (3/2) m^3 v^2 > M^3 at both values: no subluminal 1d_b member,
-        # so each child aborts with a configuration error
+    def test_all_cases_aborted_fails(self, tmp_path, monkeypatch):
+        # each child's run blows up: the sweep finishes and fails
+        monkeypatch.setattr(runner, "evolve", blow_up)
         cfg = apply_overrides(
             default_config("param-sweep"),
-            ["sweep.key=params.m", "sweep.values=0.9,0.95",
-             "sweep.scenario=free-spreading"])
+            ["sweep.values=0.5,0.6", "grid.n=256"])
         report = run_scenario(cfg, out_dir=tmp_path)
         assert not report.passed
         assert [c["status"] for c in report.details["cases"]] \
             == ["aborted", "aborted"]
         assert [c.criterion for c in report.checks if not c.passed] \
             == ["sweep"]
+
+    def test_one_case_run_keeps_the_merge(self, tmp_path):
+        # m = 0.9 has no subluminal 1d_b member (a configuration error),
+        # but the case at 0.5 runs: the sweep finishes, failed by the first
+        cfg = apply_overrides(
+            default_config("param-sweep"),
+            ["sweep.values=0.9,0.5", "run.T=0.5", "grid.n=256"])
+        report = run_scenario(cfg, out_dir=tmp_path)
+        assert [c["status"] for c in report.details["cases"]] \
+            == ["aborted", "passed"]
+        assert "sweep" in [c.criterion for c in report.checks
+                           if not c.passed]
 
 
 class TestCliExitCodes:
@@ -817,15 +829,29 @@ class TestCliExitCodes:
         assert code == 2
         assert "mismatch" in capsys.readouterr().err
 
-    def test_all_aborted_sweep_is_nonzero(self, tmp_path, capsys):
+    def test_all_aborted_sweep_is_nonzero(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr(runner, "evolve", blow_up)
         code = main(["param-sweep", "--out", str(tmp_path),
-                     "--override", "sweep.key=params.m",
-                     "--override", "sweep.values=0.9,0.95",
-                     "--override", "sweep.scenario=free-spreading"])
+                     "--override", "sweep.values=0.5,0.6",
+                     "--override", "grid.n=256"])
         assert code == 1
         out = capsys.readouterr().out
         assert "param-sweep: failed" in out
         assert "[FAIL] sweep" in out
+
+    @pytest.mark.parametrize("scenario", ["soliton-propagation",
+                                          "verify-residuals"])
+    def test_misconfigured_sweep_is_two(self, tmp_path, capsys, scenario):
+        # every case refuses soliton.gamma: the first refusal is named
+        code = main(["param-sweep", "--out", str(tmp_path),
+                     "--override", "sweep.key=soliton.gamma",
+                     "--override", "sweep.values=0.1,0.2",
+                     "--override", f"sweep.scenario={scenario}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error: all 2 sweep cases are misconfigured; " \
+            "case 0 (soliton.gamma = 0.1): invalid soliton.gamma" in err
 
     @pytest.mark.parametrize("override", [
         "oracle.n_3d=30", "oracle.n_3d=8", "oracle.n_1d=100",
