@@ -423,14 +423,13 @@ def evolve(initial: FieldState, T: float, dt: float | None = None, *,
     # caller's settings
     caller = np.geterr()
     with np.errstate(over="ignore", invalid="ignore"):
+        phi, phi_prev = initial.phi, initial.phi_prev
         if slaved:
-            update = slaved_map(params, grid)
             # the density is kick-invariant, so the slaved field at a step
             # start is the one from the previous step end; the start's is
             # the first
-            phi, phi_prev = initial.phi, None
+            update = slaved_map(params, grid)
         else:
-            phi, phi_prev = initial.phi, initial.phi_prev
             update = _Gautschi(params, grid, dt, mode == "coupled", phi,
                                phi_prev)
         # kick holds exp(i half phi), which the next opening applies as it

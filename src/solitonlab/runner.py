@@ -295,10 +295,9 @@ def _matched_state(spec: SolitonSpec, params: PhysicalParams) -> FieldState:
 
 
 def _slaved_depths(state: FieldState) -> tuple[float, float]:
-    """min(phi) of a slaved state (the field equation's source 2M/v^2)
-    and of the field slaved to half its density (the half-strength
-    printed convention). Halving is exact, so the second
-    field is bitwise half the first."""
+    """min(phi) of a slaved state (source 2M/v^2) and of the field slaved
+    to half its density (the half-strength printed convention), which is
+    bitwise half the first: halving is exact."""
     psi = state.psi
     half = slaved_map(state.params, state.grid)(
         0.5 * (psi.real**2 + psi.imag**2))
