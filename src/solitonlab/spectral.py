@@ -9,8 +9,9 @@ Two independent routes are provided for the static scalar field:
   node-sampled sum would be second order and useless as a 1e-6 oracle;
   instead each lattice cell integrates the kernel against a degree-7
   local Lagrange model of the source (product integration). The two routes
-  share nothing beyond the lattice, which is what makes their agreement a
-  meaningful cross-check.
+  share only numpy's DFT, which the direct route calls as a black box to
+  apply its weights; that is what makes their agreement a meaningful
+  cross-check.
 
 The spectral operators run plain forward/inverse numpy.fft transform
 pairs, so the normalization convention cancels. transforms(grid) picks
@@ -28,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily; here, not inside the first run
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import Grid
 
@@ -39,10 +39,10 @@ __all__ = [
     "MAX_DIRECT_POINTS",
 ]
 
-# The direct apply costs points^2 multiply-adds in 1D and about points^2/6
-# in 3D. At the 3D acceptance size 32^3 = 2^15 a cold weight build takes
-# about 0.045 s and the apply 0.026 s (2-core Xeon, OpenBLAS); anything
-# larger is rejected.
+# The weight build sets the limit. At the 3D acceptance size 32^3 = 2^15 a
+# cold build takes about 0.025 s (2-core Xeon, OpenBLAS) and peaks at
+# 2.9 MB traced, and its time grows faster than the lattice; the apply,
+# three real transforms, takes under 1 ms. Anything larger is rejected.
 MAX_DIRECT_POINTS = 2**15
 
 
@@ -134,10 +134,11 @@ def yukawa_convolve_direct(source: np.ndarray, m: float, grid: Grid) -> np.ndarr
 
     Independent oracle for yukawa_invert: convolves the source with the
     periodic screened-Coulomb kernel (cosh closed form in 1D, minimum-image
-    exp(-m r)/(4 pi r) in 3D) using per-cell product integration. The apply
-    is a dense circulant matrix product (_circulant_apply): in 1D over row
-    chunks, points^2 multiply-adds; in 3D on the even and odd parts of the
-    source, about points^2/6. No FFT is involved.
+    exp(-m r)/(4 pi r) in 3D) using per-cell product integration. The
+    weights are applied as a circulant correlation through three real
+    transforms (_circulant_apply), O(points log points); numpy's DFT is
+    the only part shared with yukawa_invert, which never reads these
+    weights.
     Guarded to MAX_DIRECT_POINTS total points, and in 3D to m L >= 10:
     the periodic images past the first shell are dropped.
     """
@@ -167,8 +168,6 @@ _BULK_BLOCK = 8192
 # last indices of the bulk table gathered per matmul in the 3D build:
 # at 32^3 one slab is 96 x 96 x 4 floats (0.3 MB)
 _BULK_SLAB = 4
-# bytes of circulant matrix copied per 1D matrix-vector product (row chunks)
-_APPLY_CHUNK_BYTES = 2**21
 # bytes per (rows, q) Gauss-point array in the 1D weight build: one chunk
 # up to n = 6553, the default n_1d = 128 included. At n = 32768 a 1 MiB
 # chunk peaks at 6.6 MB traced (2 MiB: 10.9 MB, one chunk: 18.4 MB) at the
@@ -280,8 +279,7 @@ def _direct_weights_3d(n: int, length: float, m: float) -> np.ndarray:
     (_corner_cell); transposes and mirrors place each block in its other
     cells. Each weight of the finished table is
     read from its representative at sorted |offset|s: the table is exactly,
-    bitwise, even along each axis and symmetric under axis permutation (the
-    mirror fold of _circulant_apply relies on the evenness).
+    bitwise, even along each axis and symmetric under axis permutation.
     """
     dx = length / n
     q_bulk, q_shell, q_corner = 6, 16, 16  # Gauss points per axis
@@ -443,70 +441,15 @@ def _bulk_table(y: np.ndarray, length: float, m: float,
 
 
 def _circulant_apply(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Dense circulant apply out_i = sum_j w[(j - i) mod n per axis] s_j, its
-    matrices read from sliding windows over w tiled twice per axis.
+    """Circulant apply out_i = sum_j w[(j - i) mod n per axis] s_j.
 
-    In 1D row i of the matrix is the window at n - i, copied out
-    _APPLY_CHUNK_BYTES at a time; each row chunk is one matrix-vector
-    product (a single chunk up to n = 512).
-
-    In 3D n must be even and w bitwise even along each axis, as the weights
-    are (else ValueError). Planes d1 and -d1 share w[d1] on roll(s, -d1) +
-    roll(s, d1). A plane's 2D circulant is centrosymmetric (Cantoni &
-    Butler, Linear Algebra Appl. 13, 1976): it maps the parity parts of the
-    source along axes 1 and 2, (s_k + s_-k)/2 (weighted 1/4 at k = 0, n/2)
-    and (s_k - s_-k)/2 on k = 0 .. n/2, onto those of the output. Each
-    part, formed in turn, meets one (n/2 + 1)^2-square matrix per plane,
-    along each axis the plane at i - j plus (even) or minus (odd) the plane
-    at i + j, built one at a time from windows read forwards (w is even, so
-    w[i - j] is w[j - i]): about points^2/6 multiply-adds in all.
+    The correlation of s with w, through the convolution theorem: the
+    circulant matrix is diagonal in the DFT basis (Davis, Circulant
+    Matrices, 1979), so out = irfftn(rfftn(s) conj(rfftn(w))), three real
+    transforms over every axis, any n and any real w.
     """
-    n = s.shape[0]
-    if s.ndim == 1:
-        window = sliding_window_view(np.tile(w, 2), n)
-        step = max(1, _APPLY_CHUNK_BYTES // (8 * n))
-        out = np.empty(n)
-        for i in range(0, n, step):
-            stop = min(i + step, n)
-            out[i:stop] = np.ascontiguousarray(window[n - i:n - stop:-1]) @ s
-        return out
-
-    if n % 2 or not all(np.array_equal(v[1:], v[:0:-1]) for v in (
-            w, w.transpose(1, 0, 2), w.transpose(2, 1, 0))):
-        raise ValueError(f"3D apply needs an even n and w bitwise even, n = {n}")
-    h = n // 2
-    k = np.arange(h + 1)
-    signed = np.stack((k, -k % n))
-    at = (slice(None), signed[:, None, :, None], signed[None, :, None, :])
-    # the parts ee, eo, oe, oo from s at (+-k2, +-k3), and back
-    sum_diff = np.array([[1.0, 1.0], [1.0, -1.0]])
-    scale = np.stack((np.where((k == 0) | (k == h), 0.25, 0.5),
-                      np.full(h + 1, 0.5)))
-
-    def fold(x: np.ndarray, odd: int, out: np.ndarray) -> np.ndarray:
-        # [j, ..., i, ...] = x[..., i - j, ...] +- x[..., i + j, ...] (mod n)
-        # along axis 1, x even along it
-        win = np.moveaxis(sliding_window_view(
-            np.concatenate((x, x), axis=1), h + 1, axis=1), (1, -1), (0, 2))
-        return (np.subtract if odd else np.add)(
-            win[n:h - 1:-1], win[:h + 1], out=out)
-
-    acc = np.zeros((2, 2, n, (h + 1) ** 2))
-    for a, b in np.ndindex(2, 2):
-        part = np.einsum("i,j,nijkl->nkl", sum_diff[a], sum_diff[b], s[at])
-        part *= scale[a][:, None] * scale[b][None, :]
-        flat = np.empty(((h + 1) ** 2,) * 2)
-        for d1 in range(h + 1):
-            # entry (j3, d2, i3) is w[d1, d2, i3 - j3] +- w[d1, d2, i3 + j3]
-            along_3 = fold(w[d1], b, np.empty((h + 1, n, h + 1)))
-            # part (a, b)'s matrix, rows (j2, j3) and columns (i2, i3)
-            fold(along_3, a, flat.reshape((h + 1,) * 4))
-            rows = np.roll(part, -d1, axis=0)
-            if 0 < d1 < h:
-                rows += np.roll(part, d1, axis=0)
-            acc[a, b] += rows.reshape(n, -1) @ flat
-        del part, flat, along_3, rows  # freed before the next part's
-    acc = acc.reshape(2, 2, n, h + 1, h + 1)
-    out = np.empty((n, n, n))
-    out[at] = np.einsum("ia,jb,abnkl->nijkl", sum_diff, sum_diff, acc)
-    return out
+    hat = np.fft.rfftn(s)
+    w_hat = np.fft.rfftn(w)
+    hat *= np.conjugate(w_hat, out=w_hat)
+    del w_hat  # freed before the inverse transform allocates
+    return np.fft.irfftn(hat, s=s.shape, axes=range(s.ndim))

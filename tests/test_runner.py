@@ -33,7 +33,7 @@ from solitonlab.evolution import (BlowUpError, evolve, perturb,
                                   state_from_solution,
                                   state_with_static_field)
 from solitonlab.model import PhysicalParams, make_grid
-from solitonlab import runner
+from solitonlab import runner, spectral
 from solitonlab.runner import FAILED_MARKER, RunReport, _check, run_scenario
 from solitonlab.solutions import (closed_form_width, matched_length,
                                   spec_1d_b, spec_3d_a, spec_3d_b)
@@ -287,8 +287,8 @@ class TestRunScenario:
 
     def test_oracle_makes_no_lapack_call(self, tmp_path, no_lapack):
         # the Gauss rules of a cold weight build come from Newton steps on
-        # the Legendre recurrence, not an eigenvalue solve; the build and
-        # the apply use matmul alone
+        # the Legendre recurrence, not an eigenvalue solve; the build uses
+        # matmul alone and the apply numpy's real transforms
         with pytest.raises(AssertionError, match="numpy.linalg.eigvalsh"):
             np.linalg.eigvalsh(np.eye(2))
         _direct_weights.cache_clear()
@@ -297,6 +297,24 @@ class TestRunScenario:
         assert report.passed
         assert any(row["dim"] == 3
                    for row in report.details["oracle_cases"])
+
+    def test_oracle_catches_a_spectral_multiplier_off_by_1e_4(
+            self, tmp_path, monkeypatch):
+        # the direct route shares only numpy's DFT with the spectral one,
+        # so a multiplier 1 + 1e-4 off fails both spectral-vs-direct
+        # checks of criterion 7, 1D and 3D, and the run exits 1
+        exact = spectral.screened_inverse
+
+        def off(m, grid):
+            return exact(m, grid) * (1.0 + 1e-4)
+
+        monkeypatch.setattr(spectral, "screened_inverse", off)
+        assert main(["yukawa-oracle", "--out", str(tmp_path)]) == 1
+        checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+        direct = [c for c in checks if "vs direct" in c["description"]]
+        assert len(direct) == 2
+        for c in direct:
+            assert not c["passed"] and 0.9e-4 < c["value"] < 1.1e-4
 
     @pytest.mark.parametrize("overrides", [
         ["oracle.n_1d=16", "oracle.run_3d=false"], ["oracle.n_3d=16"]])

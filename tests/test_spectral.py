@@ -9,10 +9,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc
 
-from solitonlab.model import make_grid
+from solitonlab import spectral
+from solitonlab.model import Grid, make_grid
 from solitonlab.spectral import (
     _BULK_SLAB, _HALF, _P, MAX_DIRECT_POINTS, _bulk_table, _bulk_weights,
     _circulant_apply, _corner_cell,
@@ -69,44 +69,6 @@ def even_table(w):
     for axis in range(w.ndim):
         w = w + np.take(w, mirror, axis=axis)
     return w
-
-
-def reversed_window_apply(w, s):
-    """Reference 3D apply: the four parity parts formed at once, each plane
-    folded from windows read backwards, j - i along the first axis, into a
-    matrix with columns (i3, i2), transposed back at the end. Same matmuls
-    and sums as _circulant_apply."""
-    n = s.shape[0]
-    h = n // 2
-    k = np.arange(h + 1)
-    signed = np.stack((k, -k % n))
-    at = (slice(None), signed[:, None, :, None], signed[None, :, None, :])
-    sum_diff = np.array([[1.0, 1.0], [1.0, -1.0]])
-    scale = np.stack((np.where((k == 0) | (k == h), 0.25, 0.5),
-                      np.full(h + 1, 0.5)))
-    parts = np.einsum("ai,bj,nijkl->abnkl", sum_diff, sum_diff, s[at])
-    parts *= scale[:, None, None, :, None] * scale[None, :, None, None, :]
-
-    def fold(x, odd, out=None):
-        # [j, ..., i] = x[j - i] +- x[j + i] (mod n) along the first axis
-        win = sliding_window_view(np.concatenate((x, x)), h + 1, axis=0)
-        return (np.subtract if odd else np.add)(
-            win[h:n + 1, ..., ::-1], win[:h + 1], out=out)
-
-    acc = np.zeros((2, 2, n, (h + 1) ** 2))
-    flat = np.empty(((h + 1) ** 2,) * 2)
-    for d1 in range(h + 1):
-        along_2 = [fold(w[d1].T, odd).transpose(1, 0, 2) for odd in (0, 1)]
-        for a, b in np.ndindex(2, 2):
-            fold(along_2[b], a, out=flat.reshape((h + 1,) * 4))
-            rows = np.roll(parts[a, b], -d1, axis=0)
-            if 0 < d1 < h:
-                rows += np.roll(parts[a, b], d1, axis=0)
-            acc[a, b] += rows.reshape(n, -1) @ flat
-    acc = acc.reshape(2, 2, n, h + 1, h + 1).transpose(0, 1, 2, 4, 3)
-    out = np.empty((n, n, n))
-    out[at] = np.einsum("ia,jb,abnkl->nijkl", sum_diff, sum_diff, acc)
-    return out
 
 
 def pyramid_corner_cells(m, dx, q):
@@ -432,14 +394,38 @@ class TestYukawaDirect:
         out = yukawa_convolve_direct(np.full(g.shape, 0.5), m=1.25, grid=g)
         np.testing.assert_allclose(out, -0.5 / 1.25**2, rtol=2e-6, atol=0)
 
+    def test_direct_route_reads_nothing_of_the_spectral_route(
+            self, monkeypatch):
+        # the oracle's weights and apply never read the spectral multiplier,
+        # the grid's wavenumbers or the spectral transforms: with all of
+        # them raising, a cold build and apply give the same field bitwise
+        cases = [(make_grid(1, 128, 32.0), 1.0),
+                 (make_grid(3, 16, 16.0), 2.5)]
+        sources = [wrapped_gaussians(g, np.random.default_rng(g.dim))
+                   for g, _ in cases]
+        expect = [yukawa_convolve_direct(s, m=m, grid=g)
+                  for s, (g, m) in zip(sources, cases)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the direct route read the spectral route")
+
+        monkeypatch.setattr(spectral, "screened_inverse", refuse)
+        monkeypatch.setattr(spectral, "transforms", refuse)
+        for name in ("k_squared", "rfft_k_squared", "wavenumbers"):
+            monkeypatch.setattr(Grid, name, property(refuse))
+        with pytest.raises(AssertionError, match="spectral route"):
+            yukawa_invert(sources[0], m=1.0, grid=cases[0][0])
+        _direct_weights.cache_clear()
+        for s, (g, m), ref in zip(sources, cases, expect):
+            assert np.array_equal(yukawa_convolve_direct(s, m=m, grid=g), ref)
+
 
 class TestDirectApply:
     @pytest.mark.parametrize("shape", [(128,), (8, 8, 8), (16, 16, 16),
                                        (32, 32, 32)])
     def test_matches_gather_reference(self, shape):
-        # the 3D apply takes tables exactly even along each axis, as the
-        # weights are; 32^3, the oracle's size, is gathered at 1024 random
-        # targets
+        # 3D tables even along each axis, as the weights are; 32^3, the
+        # oracle's size, is gathered at 1024 random targets
         rng = np.random.default_rng(sum(shape))
         w = rng.normal(size=shape)
         if len(shape) == 3:
@@ -453,9 +439,9 @@ class TestDirectApply:
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_mirror_fold_matches_gather_reference(self, n):
-        # a source of one parity along axes 1 and 2 feeds one of the four
-        # parts alone; each must match the gather and keep that parity
-        # (n = 16 also has the self-paired plane n/2)
+        # an even table maps a source of one parity along axes 1 and 2
+        # onto an output of that parity; each must match the gather (n = 16
+        # also has the self-paired plane n/2)
         rng = np.random.default_rng(n)
         w = even_table(rng.normal(size=(n, n, n)))
         mirror = -np.arange(n) % n
@@ -472,34 +458,24 @@ class TestDirectApply:
             assert np.abs(np.take(out, mirror, axis=2) - p3 * out).max() \
                 / scale <= 1e-13
 
-    @pytest.mark.parametrize("n", [8, 16, 32])
-    def test_3d_apply_matches_the_reversed_window_fold(self, n):
-        # bitwise: windows read forwards, columns (i2, i3) and one part at
-        # a time keep every matmul and sum; a source of each parity feeds
-        # one part alone, then a source of no parity feeds all four
-        rng = np.random.default_rng(n + 1)
-        w = even_table(rng.normal(size=(n, n, n)))
-        mirror = -np.arange(n) % n
-        for p2, p3 in [(1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0)]:
-            s = rng.normal(size=(n, n, n))
-            s = s + p2 * np.take(s, mirror, axis=1)
-            s = s + p3 * np.take(s, mirror, axis=2)
-            assert np.array_equal(_circulant_apply(w, s),
-                                  reversed_window_apply(w, s))
-
-    def test_3d_apply_refuses_a_table_it_cannot_split(self):
-        # the even and odd parts need w[-k] == w[k] bitwise along each axis
-        # and an even n; one ulp off along any one axis is refused
-        rng = np.random.default_rng(8)
-        w = even_table(rng.normal(size=(8, 8, 8)))
-        s = rng.normal(size=(8, 8, 8))
-        for cell in ((1, 0, 0), (0, 3, 0), (0, 0, 5)):
-            bad = w.copy()
-            bad[cell] = np.nextafter(bad[cell], np.inf)
-            with pytest.raises(ValueError, match="bitwise even"):
-                _circulant_apply(bad, s)
-        with pytest.raises(ValueError, match="even n .* n = 9"):
-            _circulant_apply(np.ones((9, 9, 9)), np.ones((9, 9, 9)))
+    @pytest.mark.parametrize("shape, gathered", [
+        ((128,), None), ((4096,), None), ((8, 8, 8), None),
+        ((16, 16, 16), None), ((32, 32, 32), 1024)])
+    def test_uneven_table_matches_gather_reference(self, shape, gathered):
+        # a table that is not even along any axis tells the correlation
+        # w[j - i] from the convolution w[i - j], which an even table hides;
+        # 32^3 is gathered at 1024 random targets
+        rng = np.random.default_rng(len(shape) * shape[0] + 1)
+        w = rng.normal(size=shape)
+        mirror = -np.arange(shape[0]) % shape[0]
+        for axis in range(w.ndim):
+            assert not np.array_equal(np.take(w, mirror, axis=axis), w)
+        s = rng.normal(size=shape)
+        targets = (np.arange(s.size) if gathered is None
+                   else rng.choice(s.size, gathered, replace=False))
+        ref = gather_apply(w, s, targets=targets)
+        out = _circulant_apply(w, s).ravel()[targets]
+        assert np.abs(out - ref).max() / np.abs(ref).max() <= 1e-13
 
 
 class TestDirectWeights:
@@ -534,7 +510,8 @@ class TestDirectWeights:
         assert np.abs(reflected - w).max() / scale <= 1e-14
 
     def test_3d_weights_are_exactly_even_and_permutation_symmetric(self):
-        # bitwise: the apply folds mirror planes only when they are equal
+        # bitwise: every weight is read from its representative at sorted
+        # |offset|s
         w = np.asarray(_direct_weights(3, 16, 16.0, 2.5))
         mirror = -np.arange(16) % 16
         for axis in range(3):
@@ -604,13 +581,12 @@ class TestDirectWeights:
         assert peak <= 3_171_000
 
     def test_3d_apply_peak_memory(self):
-        # traced peak of the 32^3 apply: 1,463,607 bytes (numpy 2.4.6), the
-        # 668 KB matrix of one parity part and plane, the four sums, the one
-        # part formed and the plane folded along one axis; each part's
-        # matrix and temporaries are freed before the next part is formed.
-        # The bound is that plus 10 %; the 1.81 MB apply that formed all four
-        # parts at once fails it, as does a 2 MiB column chunk of the 8 MiB
-        # 2D-circulant block
+        # traced peak of the 32^3 apply: 837,872 bytes (numpy 2.4.6), the
+        # source's and the table's half spectra (272 KiB each) and the
+        # transform that fills the second. The bound is that plus 10 %;
+        # full complex spectra (512 KiB each) fail it, as do the
+        # parity-part fold of 668 KB matrices (1.46 MB) and any block of a
+        # dense circulant matrix
         w = _direct_weights(3, 32, 40.0, 0.5)
         s = np.random.default_rng(32).normal(size=(32, 32, 32))
         tracemalloc.start()
@@ -619,12 +595,13 @@ class TestDirectWeights:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1_610_000
+        assert peak <= 922_000
 
     def test_1d_apply_peak_memory(self):
-        # traced peak at n = 4096: 2,198,121 bytes (numpy 2.4.6), one 2 MiB
-        # row chunk of the circulant matrix. The bound is that plus 10 %;
-        # a gathered n x n matrix and its index table (268 MB) fail it
+        # traced peak at n = 4096: 67,648 bytes (numpy 2.4.6), two half
+        # spectra and the output. The bound is that plus 10 %; a conjugate
+        # copy of the table's spectrum (98.9 KB) fails it, as does a 2 MiB
+        # row chunk of the circulant matrix (2.2 MB) or the whole matrix
         rng = np.random.default_rng(4096)
         w, s = rng.normal(size=4096), rng.normal(size=4096)
         tracemalloc.start()
@@ -633,7 +610,7 @@ class TestDirectWeights:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2_418_000
+        assert peak <= 74_500
         ref = gather_apply(w, s)
         assert np.abs(out - ref).max() / np.abs(ref).max() <= 1e-13
 
