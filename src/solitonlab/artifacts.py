@@ -148,15 +148,19 @@ def _parse_cell(text: str, kind: type) -> float | bool:
     return text == "true" if kind is bool else float(text)
 
 
+def observables_csv_text(records: Sequence[ObservableRecord]) -> str:
+    """The table's text, every row formatted from one template."""
+    return ",".join(_COLUMN_NAMES) + "\r\n" + "".join(
+        [_ROW % tuple([cell(value) for cell, value
+                       in zip(_CELLS, _RECORD_VALUES(rec))])
+         for rec in records])
+
+
 def write_observables_csv(path: str,
                           records: Sequence[ObservableRecord]) -> None:
-    """The table, every row formatted from one template and the rows
-    written in one call."""
+    """The table, written in one call."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_COLUMN_NAMES) + "\r\n")
-        fh.write("".join([_ROW % tuple([cell(value) for cell, value
-                                        in zip(_CELLS, _RECORD_VALUES(rec))])
-                          for rec in records]))
+        fh.write(observables_csv_text(records))
 
 
 def read_observables_csv(path: str) -> list[ObservableRecord]:

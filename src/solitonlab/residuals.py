@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Grid, PhysicalParams, SolitonSpec, scalar_source
+from .model import Grid, PhysicalParams, SolitonSpec, make_grid, \
+    scalar_source
 from .solutions import family_coefficients, matched_length, \
     sample_solution, spec_1d_a, spec_1d_b, spec_3d_a, spec_3d_b
 from .spectral import laplacian, yukawa_invert
@@ -68,6 +69,14 @@ def _relative(res: np.ndarray, terms: dict[str, float]) -> tuple[float, float]:
     return abs_res, (abs_res / scale if scale > 0.0 else 0.0)
 
 
+def _kinetic_and_coupling(psi: np.ndarray, phi: np.ndarray,
+                          params: PhysicalParams,
+                          grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(1/2M) Lap psi, quasi-1D transverse term included, and M phi psi."""
+    lap = laplacian(psi, grid) - grid.transverse_k2 * psi
+    return lap / (2.0 * params.M), params.M * phi * psi
+
+
 def matter_residual_from_stack(psi_stack: np.ndarray, phi: np.ndarray,
                                params: PhysicalParams, grid: Grid,
                                h: float) -> ResidualReport:
@@ -84,9 +93,7 @@ def matter_residual_from_stack(psi_stack: np.ndarray, phi: np.ndarray,
         raise ValueError("stencil step h must be positive")
     psi = psi_stack[3]
     dpsi_dt = _stencil(_D1, psi_stack) / h
-    lap = laplacian(psi, grid) - grid.transverse_k2 * psi
-    kinetic = lap / (2.0 * params.M)
-    coupling = params.M * phi * psi
+    kinetic, coupling = _kinetic_and_coupling(psi, phi, params, grid)
     res = 1j * dpsi_dt + kinetic - coupling
     terms = {
         "time": float(np.max(np.abs(dpsi_dt))),
@@ -143,17 +150,6 @@ def auto_time_step(spec: SolitonSpec, params: PhysicalParams) -> float:
     return max(0.15 / w_eff, 1e-12)
 
 
-def _sample_stacks(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
-                   t: float, x0: float, h: float):
-    psi_stack = np.empty((7, *grid.shape), dtype=complex)
-    phi_stack = np.empty((7, *grid.shape))
-    for i, j in enumerate(_STENCIL_OFFSETS):
-        s = sample_solution(spec, params, grid, t=t + j * h, x0=x0)
-        psi_stack[i] = s.psi
-        phi_stack[i] = s.phi
-    return psi_stack, phi_stack
-
-
 def residual_pair(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
                   t: float = 0.0, x0: float = 0.0,
                   h: float | None = None) -> tuple[ResidualReport,
@@ -161,7 +157,12 @@ def residual_pair(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
     """Both equation residuals from one shared set of time samples."""
     if h is None:
         h = auto_time_step(spec, params)
-    psi_stack, phi_stack = _sample_stacks(spec, params, grid, t, x0, h)
+    psi_stack = np.empty((7, *grid.shape), dtype=complex)
+    phi_stack = np.empty((7, *grid.shape))
+    for i, j in enumerate(_STENCIL_OFFSETS):
+        s = sample_solution(spec, params, grid, t=t + j * h, x0=x0)
+        psi_stack[i] = s.psi
+        phi_stack[i] = s.phi
     return (matter_residual_from_stack(psi_stack, phi_stack[3], params,
                                        grid, h),
             scalar_residual_from_stack(phi_stack, psi_stack[3], params,
@@ -188,9 +189,7 @@ def choquard_residual(psi: np.ndarray, rotation_frequency: float,
                          "is undefined")
     phi = yukawa_invert(scalar_source(np.abs(psi) ** 2, params),
                         m=params.m, grid=grid)
-    lap = laplacian(psi, grid) - grid.transverse_k2 * psi
-    kinetic = lap / (2.0 * params.M)
-    coupling = params.M * phi * psi
+    kinetic, coupling = _kinetic_and_coupling(psi, phi, params, grid)
     rotation = rotation_frequency * psi
     res = -rotation + kinetic - coupling
     terms = {
@@ -263,7 +262,7 @@ def full_family_audit(params: PhysicalParams,
         length = matched_length(spec, params)
         h = auto_time_step(spec, params)
         coarse, fine = (
-            residual_pair(spec, params, Grid(dim=1, n=k, length=length),
+            residual_pair(spec, params, make_grid(1, k, length),
                           t=AUDIT_TIME, h=step)
             for k, step in ((coarse_n, 2.0 * h), (2 * coarse_n, h)))
         ratios = {c.equation: (c.abs_residual / f.abs_residual

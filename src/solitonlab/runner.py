@@ -6,10 +6,12 @@ pass/fail checks, each tied to the acceptance criterion it realizes.
 A member run's inputs and initial state come from one run plan (_plan),
 every evolution goes through _evolve_observed, and a setting the engine
 would reject is a ConfigError before the first step. run_scenario writes the
-artifacts: a JSON report, observable CSVs, initial and final field
-snapshots where fields exist, and a plot script. A run that dies part-way
-still flushes what it has, plus a FAILED marker naming the scenario and
-the error, before the exception propagates.
+artifacts from what the scenario returns (param-sweep alone writes its own
+summary): a JSON report, observable CSVs, initial and final field snapshots
+where fields exist, and a plot script. A run that dies part-way, writes
+included, still leaves its aborted report with all it had gathered, plus a
+FAILED marker naming the scenario and the error, before the exception
+propagates.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .artifacts import (write_observables_csv, write_plot_script,
-                        write_snapshot)
+from .artifacts import (observables_csv_text, write_observables_csv,
+                        write_plot_script, write_snapshot)
 from .config import (SCHEMA, ConfigError, ScenarioConfig, coerce_number,
                      serialize)
 from .diagnostics import (ObservableRecord, SeriesObserver, VelocityFit,
@@ -96,19 +98,23 @@ class RunReport:
     details: dict[str, Any] = field(default_factory=dict)
     step_count: int = 0
     wall_time: float = 0.0
+    error: str | None = None  # the exception that aborted the run
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return self.error is None and all(c.passed for c in self.checks)
 
     @property
     def status(self) -> str:
+        if self.error is not None:
+            return "aborted"
         return "passed" if self.passed else "failed"
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "scenario": self.scenario,
             "status": self.status,
+            **({} if self.error is None else {"error": self.error}),
             "checks": [asdict(c) for c in self.checks],
             "findings": list(self.findings),
             "warnings": list(self.warnings),
@@ -749,11 +755,8 @@ def _scenario_perturbation_stability(config: ScenarioConfig, report: RunReport,
     recs, traj = one_run()
     repeat, _ = one_run()
 
-    path_a = out / "observables.csv"
-    path_b = out / "observables_repeat.csv"
-    write_observables_csv(str(path_a), recs)
-    write_observables_csv(str(path_b), repeat)
-    identical = path_a.read_bytes() == path_b.read_bytes()
+    # the two tables' text, as run_scenario writes them
+    identical = observables_csv_text(recs) == observables_csv_text(repeat)
     report.details["repeat_runs_identical"] = identical
     report.checks.append(_check(
         "criterion-10", "repeated run under the same seed is byte-identical "
@@ -774,8 +777,8 @@ def _scenario_perturbation_stability(config: ScenarioConfig, report: RunReport,
         f"{width_ratio:.4f}, threshold 2); classification is exploratory, "
         "determinism is the pass condition")
     _weak_field(report, recs, params.M)
-    # the two CSVs are written above, byte-compared
     return ScenarioArtifacts(
+        records={"observables": recs, "observables_repeat": repeat},
         snapshots={"initial": traj.initial, "final": traj.final})
 
 
@@ -786,10 +789,8 @@ def _scenario_param_sweep(config: ScenarioConfig, report: RunReport,
     values = config.get("sweep", "values")
 
     def child_config(value: float) -> ScenarioConfig:
-        settings = {s: dict(kv) for s, kv in config.settings.items()}
-        settings["run"]["scenario"] = child_name
-        child = ScenarioConfig(scenario=child_name, settings=settings)
-        return child.replace(section, key, coerce_number(section, key, value))
+        return config.replace("run", "scenario", child_name).replace(
+            section, key, coerce_number(section, key, value))
 
     cases = [(i, v, child_config(v),
               out / f"case_{i:02d}_{section}.{key}_{v:g}")
@@ -804,11 +805,9 @@ def _scenario_param_sweep(config: ScenarioConfig, report: RunReport,
             child = run_scenario(cfg, out_dir=child_out)
         except Exception as e:  # noqa: BLE001 - collected into the merge
             errors.append(e)
-            err = f"{type(e).__name__}: {e}"
-            row["status"] = "aborted"
-            row["error"] = err
+            row.update(status="aborted", error=f"{type(e).__name__}: {e}")
             report.findings.append(f"case {i} ({section}.{key} = {v:g}) "
-                                   f"aborted: {err}")
+                                   f"aborted: {row['error']}")
         else:
             row["status"] = child.status
             row["checks"] = [asdict(c) for c in child.checks]
@@ -870,11 +869,11 @@ def run_scenario(config: ScenarioConfig,
                  out_dir: str | Path | None = None) -> RunReport:
     """Run one scenario and write its artifacts under out_dir.
 
-    Artifacts: report.json (the RunReport), observables CSVs, initial and
-    final field snapshots where the scenario evolves fields, and a gnuplot
-    script for the main observables table. An aborting run leaves a FAILED
-    marker naming the scenario and the error next to whatever partial
-    artifacts were flushed, then re-raises.
+    Artifacts: report.json (the RunReport), a CSV per returned observables
+    series, initial and final field snapshots where the scenario evolves
+    fields, and a gnuplot script when it returns observables. An exception
+    in the scenario or the writes leaves a FAILED marker naming the error
+    and the aborted report next to what was written, then re-raises.
     """
     start = time.perf_counter()
     if config.scenario not in _IMPLS:
@@ -899,26 +898,26 @@ def run_scenario(config: ScenarioConfig,
                        config_text=serialize(config))
     try:
         artifacts = _IMPLS[config.scenario](config, report, out)
+        report.wall_time = time.perf_counter() - start
+        for name, series in artifacts.records.items():
+            write_observables_csv(str(out / f"{name}.csv"), series)
+        if "observables" in artifacts.records:
+            write_plot_script(str(out / "plot.gp"), "observables.csv",
+                              config.scenario)
+        for name, state in artifacts.snapshots.items():
+            ext = "csv" if state.grid.dim == 1 else "bin"
+            write_snapshot(str(out / f"snapshot_{name}.{ext}"), state)
     except Exception as e:
+        report.error = f"{type(e).__name__}: {e}"
+        report.wall_time = time.perf_counter() - start
         marker.write_text(f"scenario {config.scenario} aborted: "
-                          f"{type(e).__name__}: {e}\n")
-        partial = {"scenario": config.scenario, "status": "aborted",
-                   "error": f"{type(e).__name__}: {e}",
-                   "config": report.config_echo,
-                   "wall_time_seconds": time.perf_counter() - start}
-        (out / "report.json").write_text(json.dumps(partial, indent=2,
-                                                    default=str) + "\n")
+                          f"{report.error}\n")
+        _write_report(out, report)
         raise
-    report.wall_time = time.perf_counter() - start
+    _write_report(out, report)
+    return report
 
-    for name, series in artifacts.records.items():
-        write_observables_csv(str(out / f"{name}.csv"), series)
-    main_csv = "observables.csv"
-    if (out / main_csv).exists():
-        write_plot_script(str(out / "plot.gp"), main_csv, config.scenario)
-    for name, state in artifacts.snapshots.items():
-        ext = "csv" if state.grid.dim == 1 else "bin"
-        write_snapshot(str(out / f"snapshot_{name}.{ext}"), state)
+
+def _write_report(out: Path, report: RunReport) -> None:
     (out / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2, default=str) + "\n")
-    return report

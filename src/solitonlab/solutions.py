@@ -251,8 +251,6 @@ def sample_solution(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
         z = grid.coords[2]
         psi = psi * np.exp(1j * (spec.gamma * y + spec.eps * z))
         phi = phi * np.ones_like(y) * np.ones_like(z)
-    psi = np.broadcast_to(psi, grid.shape).copy() if psi.shape != grid.shape else psi
-    phi = np.broadcast_to(phi, grid.shape).copy() if phi.shape != grid.shape else phi
     return FieldState(t=t, psi=psi, phi=phi, params=params, grid=grid)
 
 

@@ -243,6 +243,19 @@ class TestFamilyAudit:
             for equation, ratio in a.ratios.items():
                 assert b.ratios[equation] == pytest.approx(ratio, rel=0.01)
 
+    def test_audit_builds_its_lattices_with_make_grid(self, monkeypatch):
+        # two levels for each of the six members, through the one lattice
+        # constructor every other lattice is built with
+        seen = []
+
+        def spy(*args):
+            seen.append(args[:2])
+            return make_grid(*args)
+
+        monkeypatch.setattr(residuals, "make_grid", spy)
+        full_family_audit(P, 256)
+        assert seen == [(1, 128), (1, 256)] * 6
+
     def test_audit_makes_no_blas_call(self, no_blas):
         # the time stencils are plain weighted sums: a BLAS contraction of
         # 7 samples costs milliseconds per call on a multithreaded BLAS

@@ -107,6 +107,56 @@ class TestRunScenario:
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["status"] == "aborted"
 
+    def test_aborted_report_has_the_finished_keys_plus_error(
+            self, tmp_path, monkeypatch):
+        cfg = apply_overrides(default_config("soliton-propagation"),
+                              ["grid.n=256", "run.T=0.5"])
+        run_scenario(cfg, out_dir=tmp_path / "finished")
+        monkeypatch.setattr(runner, "evolve", blow_up)
+        with pytest.raises(BlowUpError):
+            run_scenario(cfg, out_dir=tmp_path / "aborted")
+        finished, aborted = (
+            json.loads((tmp_path / name / "report.json").read_text())
+            for name in ("finished", "aborted"))
+        keys = list(finished)
+        assert list(aborted) == keys[:2] + ["error"] + keys[2:]
+        assert aborted["status"] == "aborted"
+        assert aborted["error"].startswith("BlowUpError: ")
+        assert aborted["config_text"] == finished["config_text"]
+
+    def test_failed_write_aborts_the_run(self, tmp_path, monkeypatch):
+        # an artifact write that raises is an abort like any other: the
+        # marker and the aborted report keep what the scenario gathered
+        def full_disk(path, state):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(runner, "write_snapshot", full_disk)
+        cfg = apply_overrides(default_config("soliton-propagation"),
+                              ["grid.n=256", "run.T=0.5"])
+        with pytest.raises(OSError):
+            run_scenario(cfg, out_dir=tmp_path)
+        assert "OSError" in (tmp_path / FAILED_MARKER).read_text()
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert data["status"] == "aborted"
+        assert data["error"].startswith("OSError: ")
+        assert [c["criterion"] for c in data["checks"]] \
+            == ["criterion-5"] * 3
+        assert data["step_count"] > 0 and data["details"]["velocity_fit"]
+        assert (tmp_path / "observables.csv").exists()
+
+    def test_plot_script_follows_the_returned_series(self, tmp_path):
+        # a run that returns no observables leaves an earlier run's table
+        # and its plot script as they were
+        run_scenario(apply_overrides(default_config("soliton-propagation"),
+                                     ["grid.n=256", "run.T=0.5"]),
+                     out_dir=tmp_path)
+        plot = (tmp_path / "plot.gp").read_bytes()
+        run_scenario(apply_overrides(default_config("yukawa-oracle"),
+                                     ["oracle.run_3d=false",
+                                      "oracle.cases=1"]),
+                     out_dir=tmp_path)
+        assert (tmp_path / "plot.gp").read_bytes() == plot
+
     def test_gautschi_has_no_stability_guard(self, tmp_path):
         # a step over stability_limit min(dx/2, 1/2m) runs under the
         # coupled mode's Gautschi update, as it does under the slaved field
@@ -674,6 +724,38 @@ class TestDeterminism:
         repeat = (tmp_path / "observables_repeat.csv").read_bytes()
         assert first == repeat
 
+    def test_repeat_check_compares_the_written_tables(self, tmp_path,
+                                                      monkeypatch):
+        # a repeat whose perturbation differs in its last digits fails
+        # criterion 10, and its table differs from the first run's
+        strengths = []
+
+        def drifting(state, kind, strength, seed=None):
+            strengths.append(strength * (1.0 + 1e-12 * len(strengths)))
+            return perturb(state, kind, strengths[-1], seed=seed)
+
+        monkeypatch.setattr(runner, "perturb", drifting)
+        cfg = apply_overrides(default_config("perturbation-stability"),
+                              ["grid.n=256", "run.T=0.5"])
+        report = run_scenario(cfg, out_dir=tmp_path)
+        assert report.details["repeat_runs_identical"] is False
+        assert [c.passed for c in report.checks
+                if c.criterion == "criterion-10"] == [False]
+        assert (tmp_path / "observables.csv").read_bytes() \
+            != (tmp_path / "observables_repeat.csv").read_bytes()
+
+    def test_scenario_writes_no_file_itself(self, tmp_path):
+        # perturbation-stability returns both series; run_scenario writes
+        cfg = apply_overrides(default_config("perturbation-stability"),
+                              ["grid.n=256", "run.T=0.5"])
+        report = RunReport(scenario=cfg.scenario, config_echo={},
+                           config_text="")
+        artifacts = runner._IMPLS[cfg.scenario](cfg, report, tmp_path)
+        assert not list(tmp_path.iterdir())
+        assert list(artifacts.records) == ["observables",
+                                           "observables_repeat"]
+        assert report.details["repeat_runs_identical"] is True
+
     def test_same_seed_same_report(self, tmp_path):
         cfg = apply_overrides(default_config("perturbation-stability"),
                               ["grid.n=256", "run.T=1.0"])
@@ -799,6 +881,24 @@ class TestParamSweep:
             == ["aborted", "aborted"]
         assert [c.criterion for c in report.checks if not c.passed] \
             == ["sweep"]
+
+    def test_refused_sweep_leaves_an_aborted_report(self, tmp_path):
+        # every case refuses soliton.gamma; the sweep's report keeps the
+        # two aborted rows it gathered before the refusal
+        cfg = apply_overrides(
+            default_config("param-sweep"),
+            ["sweep.key=soliton.gamma", "sweep.values=0.1,0.2"])
+        with pytest.raises(ConfigError, match="misconfigured"):
+            run_scenario(cfg, out_dir=tmp_path)
+        assert (tmp_path / FAILED_MARKER).exists()
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert data["status"] == "aborted"
+        assert data["error"].startswith("ConfigError: all 2 sweep cases")
+        assert parse_config(data["config_text"]) == cfg
+        cases = data["details"]["cases"]
+        assert [c["status"] for c in cases] == ["aborted", "aborted"]
+        assert all(c["error"].startswith("ConfigError: ")
+                   and "soliton.gamma" in c["error"] for c in cases)
 
     def test_one_case_run_keeps_the_merge(self, tmp_path):
         # m = 0.9 has no subluminal 1d_b member (a configuration error),
