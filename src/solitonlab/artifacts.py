@@ -1,12 +1,8 @@
 """Run artifacts: field snapshots, observable tables, plot scripts.
 
-One snapshot format per dimensionality. 1D snapshots are plain text: a
-single '#' header line declaring the grid, the time, the transform
-convention, and the physical parameters, then a CSV table with columns
-x, re_psi, im_psi, phi. 3D snapshots keep the same header line (plus an
-explicit axis-ordering declaration) and follow it with the three field
-arrays flattened in C order as little-endian float64, since a 3D CSV
-would be both huge and ambiguous.
+A field snapshot is plain text: a single '#' header line declaring the
+grid, the time, the transform convention, and the physical parameters,
+then a CSV table with columns x, re_psi, im_psi, phi.
 
 Observable tables are RFC-4180-style CSV with a header row; floats are
 written with repr so a round trip through the file is exact.
@@ -15,7 +11,6 @@ written with repr so a round trip through the file is exact.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import fields
 from operator import attrgetter
 from typing import Sequence, get_type_hints
@@ -26,8 +21,7 @@ from .diagnostics import ObservableRecord
 from .model import FieldState, PhysicalParams, make_grid
 
 SNAPSHOT_MAGIC = "solitonlab-snapshot"
-_BINARY_DTYPE = "<f8"  # little endian, explicit on every platform
-# rows of a 1D snapshot formatted per write: about 20 kB of text, where
+# rows of a snapshot formatted per write: about 20 kB of text, where
 # the whole n = 4096 table is 0.4 MB (1.1 MB traced with its floats)
 _SNAPSHOT_BLOCK = 256
 
@@ -47,37 +41,27 @@ def _header_line(state: FieldState) -> str:
     if g.transverse_mode is not None:
         gam, eps = g.transverse_mode
         fields.append(f"transverse=gamma:{gam!r},eps:{eps!r}")
-    if g.dim == 3:
-        fields.append(f"layout=C-order axes (x,y,z), arrays "
-                      f"re_psi,im_psi,phi concatenated, dtype {_BINARY_DTYPE}")
-    else:
-        fields.append("columns=x,re_psi,im_psi,phi")
+    fields.append("columns=x,re_psi,im_psi,phi")
     return "# " + " | ".join(fields)
 
 
 def write_snapshot(path: str, state: FieldState) -> None:
-    """Write a field snapshot; format is chosen by the grid dimension."""
-    header = _header_line(state)
-    if state.grid.dim == 1:
-        # the bytes csv.writer gives for these rows (no field needs
-        # quoting, CRLF row ends), formatted from Python floats and
-        # written _SNAPSHOT_BLOCK rows at a time, so the text of the whole
-        # table is never held
-        columns = [np.asarray(a, dtype=float)
-                   for a in (state.grid.axis, state.psi.real,
-                             state.psi.imag, state.phi)]
-        with open(path, "w", newline="") as fh:
-            fh.write(f"{header}\nx,re_psi,im_psi,phi\r\n")
-            for i in range(0, state.grid.n, _SNAPSHOT_BLOCK):
-                rows = zip(*(c[i:i + _SNAPSHOT_BLOCK].tolist()
-                             for c in columns))
-                fh.write("".join(f"{x!r},{re!r},{im!r},{ph!r}\r\n"
-                                 for x, re, im, ph in rows))
-        return
-    with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8") + b"\n")
-        for arr in (state.psi.real, state.psi.imag, state.phi):
-            fh.write(np.ascontiguousarray(arr, dtype=_BINARY_DTYPE).tobytes())
+    """Write a field snapshot: the header line, then the table.
+
+    The table is the bytes csv.writer gives for these rows (no field
+    needs quoting, CRLF row ends), formatted from Python floats and
+    written _SNAPSHOT_BLOCK rows at a time, so its whole text is never
+    held.
+    """
+    columns = [np.asarray(a, dtype=float)
+               for a in (state.grid.axis, state.psi.real, state.psi.imag,
+                         state.phi)]
+    with open(path, "w", newline="") as fh:
+        fh.write(f"{_header_line(state)}\nx,re_psi,im_psi,phi\r\n")
+        for i in range(0, state.grid.n, _SNAPSHOT_BLOCK):
+            rows = zip(*(c[i:i + _SNAPSHOT_BLOCK].tolist() for c in columns))
+            fh.write("".join(f"{x!r},{re!r},{im!r},{ph!r}\r\n"
+                             for x, re, im, ph in rows))
 
 
 def _parse_header(line: str) -> dict[str, str]:
@@ -94,38 +78,25 @@ def _parse_header(line: str) -> dict[str, str]:
 
 def read_snapshot(path: str) -> FieldState:
     """Inverse of write_snapshot (phi_prev is not stored and reads None)."""
-    with open(path, "rb") as fh:
-        header = _parse_header(fh.readline().decode("utf-8"))
-        payload = fh.read()
-    dim, n = int(header["dim"]), int(header["n"])
+    with open(path, newline="") as fh:
+        header = _parse_header(fh.readline())
+        rows = list(csv.reader(fh))
+    n = int(header["n"])
     transverse = None
     if "transverse" in header:
         gam, eps = (float(tok.split(":")[1])
                     for tok in header["transverse"].split(","))
         transverse = (gam, eps)
-    grid = make_grid(dim, n, float(header["length"]),
+    grid = make_grid(int(header["dim"]), n, float(header["length"]),
                      transverse_mode=transverse)
     params = PhysicalParams(M=float(header["M"]), m=float(header["m"]),
                             v=float(header["v"]))
-    if dim == 1:
-        text = payload.decode("utf-8")
-        rows = list(csv.reader(io.StringIO(text)))
-        data = np.array([[float(c) for c in row] for row in rows[1:]])
-        if data.shape != (n, 4):
-            raise ValueError(f"snapshot table has shape {data.shape}, "
-                             f"expected ({n}, 4)")
-        psi = data[:, 1] + 1j * data[:, 2]
-        phi = data[:, 3]
-    else:
-        flat = np.frombuffer(payload, dtype=_BINARY_DTYPE)
-        if flat.size != 3 * n**3:
-            raise ValueError(f"snapshot payload holds {flat.size} values, "
-                             f"expected {3 * n**3}")
-        re, im, phi = flat.reshape(3, n, n, n)
-        psi = re + 1j * im
-        phi = np.ascontiguousarray(phi)
-    return FieldState(t=float(header["t"]), psi=psi, phi=phi,
-                      params=params, grid=grid)
+    data = np.array([[float(c) for c in row] for row in rows[1:]])
+    if data.shape != (n, 4):
+        raise ValueError(f"snapshot table has shape {data.shape}, "
+                         f"expected ({n}, 4)")
+    return FieldState(t=float(header["t"]), psi=data[:, 1] + 1j * data[:, 2],
+                      phi=data[:, 3], params=params, grid=grid)
 
 
 # the observables table: one column per ObservableRecord field, in field

@@ -88,7 +88,6 @@ SCHEMA: dict[str, dict[str, Setting]] = {
         "x0": Setting(_FLOAT, 0.0),
     },
     "grid": {
-        "dim": Setting(_INT, 1),
         "n": Setting(_INT, 2048),
         "length": Setting(_FLOAT),
     },

@@ -1,4 +1,4 @@
-"""Observables of evolving field states.
+"""Observables of evolving field states, on their 1D lattice.
 
 All localization measures respect the periodic topology: the centroid is a
 circular mean, widths are second moments about it with minimum-image
@@ -34,16 +34,6 @@ class ObservableRecord:
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
         return tuple(f.name for f in fields(cls))
-
-
-def _axis_density(state: FieldState) -> np.ndarray:
-    """Density reduced onto the first axis (3D sums the transverse plane)."""
-    psi = state.psi
-    d = psi.real * psi.real
-    d += psi.imag * psi.imag
-    if state.grid.dim == 3:
-        d = d.sum(axis=(1, 2))
-    return d
 
 
 def _unwrap(value: float, reference: float, L: float) -> float:
@@ -84,7 +74,9 @@ def measure(state: FieldState,
     """Observables of one state; prev unwraps positions across the seam."""
     grid = state.grid
     L = grid.length
-    d = _axis_density(state)
+    psi = state.psi
+    d = psi.real * psi.real
+    d += psi.imag * psi.imag
     total = float(d.sum())
     norm = total * grid.volume_element
     phi_min = float(state.phi.min())
@@ -133,15 +125,13 @@ class VelocityFit:
     reason: str = ""
 
 
-def fit_velocity(records: Sequence[ObservableRecord], grid: Grid,
-                 use: str = "peak_pos") -> VelocityFit:
+def fit_velocity(records: Sequence[ObservableRecord],
+                 grid: Grid) -> VelocityFit:
     """Least-squares slope of the unwrapped peak position vs time.
 
-    use="centroid" fits the circular-mean centroid instead, which resolves
-    displacements far below a grid spacing and is the better choice for
-    slow drifts. Degenerate (slope not trustworthy) when fewer than 5
-    records are available or the total displacement stays under 3 grid
-    spacings; the fitted numbers are still reported.
+    Degenerate (slope not trustworthy) when fewer than 5 records are
+    available or the total displacement stays under 3 grid spacings; the
+    fitted numbers are still reported.
 
     The line is fit in closed form with numpy reductions, no LAPACK:
     slope = S_tx / S_tt and stderr = sqrt(sum r^2 / ((N - 2) S_tt)), with
@@ -150,10 +140,8 @@ def fit_velocity(records: Sequence[ObservableRecord], grid: Grid,
     of its covariance cov[0, 0], which it scales by the residual sum over
     N - 2 degrees of freedom; the two agree to roundoff.
     """
-    if use not in ("centroid", "peak_pos"):
-        raise ValueError(f"use must be 'centroid' or 'peak_pos', got {use!r}")
     t = np.array([r.t for r in records], dtype=float)
-    x = np.array([getattr(r, use) for r in records], dtype=float)
+    x = np.array([r.peak_pos for r in records], dtype=float)
     keep = np.isfinite(x)
     t, x = t[keep], x[keep]
     if len(t) < 2 or np.ptp(t) == 0.0:

@@ -308,7 +308,7 @@ def slaved_map(params: PhysicalParams,
     # the source is linear in the density, so its factor and the 1/N of
     # the unscaled inverse join the screened inverse in one multiplier
     multiplier = scalar_source(
-        screened_inverse(params.m, grid) / grid.n**grid.dim, params)
+        screened_inverse(params.m, grid) / grid.n, params)
     tr = transforms(grid)
     rfft, irfft = tr.rfft, tr.irfft
     # the loop reads each result before it asks for the next
@@ -525,13 +525,12 @@ def state_from_solution(spec, params: PhysicalParams, grid: Grid,
     analytically, which starts the scalar update on the exact trajectory
     instead of a field at rest.
     """
-    if grid.dim == 1:
-        spec_k2 = spec.gamma**2 + spec.eps**2
-        if abs(spec_k2 - grid.transverse_k2) > 1e-12:
-            raise ValueError(
-                "transverse wavenumbers of the soliton spec and the "
-                f"quasi-1D grid disagree: spec carries {spec_k2:.6g}, "
-                f"grid {grid.transverse_k2:.6g}")
+    spec_k2 = spec.gamma**2 + spec.eps**2
+    if abs(spec_k2 - grid.transverse_k2) > 1e-12:
+        raise ValueError(
+            "transverse wavenumbers of the soliton spec and the quasi-1D "
+            f"grid disagree: spec carries {spec_k2:.6g}, grid "
+            f"{grid.transverse_k2:.6g}")
     state = sample_solution(spec, params, grid, t=t0, x0=x0)
     if dt is not None:
         state = replace(state, phi_prev=sample_solution(
@@ -562,8 +561,6 @@ def gaussian_packet(grid: Grid, params: PhysicalParams, sigma0: float,
     """
     if sigma0 <= 0.0:
         raise ValueError("sigma0 must be positive")
-    if grid.dim != 1:
-        raise ValueError("gaussian_packet is a 1D initial condition")
     if sigma0 < grid.spacing:
         raise ValueError(f"packet width {sigma0:g} is below the lattice "
                          f"spacing {grid.spacing:g}; the lattice cannot "
@@ -593,8 +590,8 @@ def perturb(state: FieldState, kind: str, strength: float,
     width_rescale    envelope stretched about the domain center by the
                      factor 1 + strength (band-limited resampling, _stretch)
 
-    eta comes from the stdlib random.Random(seed), node by node in C
-    order. strength = 0 returns the state unchanged for every kind. The
+    eta comes from the stdlib random.Random(seed), node by node.
+    strength = 0 returns the state unchanged for every kind. The
     scalar field and its history are left alone.
     """
     _check_choice("perturbation kind", kind, PERTURBATION_KINDS)
@@ -603,8 +600,7 @@ def perturb(state: FieldState, kind: str, strength: float,
     psi = state.psi
     if kind != "width_rescale":
         rng = random.Random(seed)
-        eta = np.array([rng.gauss(0.0, 1.0)
-                        for _ in range(psi.size)]).reshape(psi.shape)
+        eta = np.array([rng.gauss(0.0, 1.0) for _ in range(psi.size)])
     if kind == "amplitude_noise":
         psi = psi * (1.0 + strength * eta)
     elif kind == "phase_noise":
@@ -613,8 +609,7 @@ def perturb(state: FieldState, kind: str, strength: float,
         factor = 1.0 + strength
         if factor <= 0.0:
             raise ValueError("width_rescale strength must exceed -1")
-        for axis in range(state.grid.dim):
-            psi = _stretch(psi, factor, axis)
+        psi = _stretch(psi, factor)
     old = math.sqrt(float(np.sum(np.abs(state.psi) ** 2)))
     new = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     if new == 0.0:
@@ -624,10 +619,10 @@ def perturb(state: FieldState, kind: str, strength: float,
                       grid=state.grid, phi_prev=state.phi_prev)
 
 
-def _stretch(psi: np.ndarray, factor: float, axis: int) -> np.ndarray:
-    """psi along axis at the fractional indices c + (j - c)/factor, c = n/2,
-    from its band-limited trigonometric interpolant (exact for a field
-    that the lattice resolves).
+def _stretch(psi: np.ndarray, factor: float) -> np.ndarray:
+    """psi at the fractional indices c + (j - c)/factor, c = n/2, from its
+    band-limited trigonometric interpolant (exact for a field that the
+    lattice resolves).
 
     With the node offset j - c and the wavenumber index kappa both in
     [-n/2, n/2), the values are sum_kappa g_kappa exp(2 pi i a kappa j),
@@ -635,7 +630,7 @@ def _stretch(psi: np.ndarray, factor: float, axis: int) -> np.ndarray:
     2 kappa j = kappa^2 + j^2 - (j - kappa)^2 turns it into a chirp
     convolution, done by FFTs of length 2n.
     """
-    n = psi.shape[axis]
+    n = psi.size
     j = np.arange(n) - n // 2
     t = np.arange(2 * n) - n  # the lags j - kappa, in ifftshift order below
 
@@ -643,8 +638,7 @@ def _stretch(psi: np.ndarray, factor: float, axis: int) -> np.ndarray:
         return np.exp((1j * np.pi / (n * factor)) * (u * u))
 
     # the spectrum by kappa; (-1)^kappa moves its origin to the centre node
-    g = np.fft.fftshift(np.fft.fft(np.moveaxis(psi, axis, -1)), axes=-1)
+    g = np.fft.fftshift(np.fft.fft(psi))
     g *= (-1.0) ** j * chirp(j) / n
     lags = np.fft.fft(np.fft.ifftshift(np.conj(chirp(t))))
-    out = np.fft.ifft(np.fft.fft(g, 2 * n) * lags)[..., :n] * chirp(j)
-    return np.moveaxis(out, -1, axis)
+    return np.fft.ifft(np.fft.fft(g, 2 * n) * lags)[:n] * chirp(j)

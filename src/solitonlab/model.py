@@ -35,8 +35,8 @@ class Family(enum.Enum):
     """The four closed-form soliton families.
 
     THREED_A / THREED_B live in three dimensions but depend on (x, t) only,
-    with exact plane-wave factors in y and z; they are usually handled
-    quasi-1D. ONED_A / ONED_B are genuinely one-dimensional.
+    with exact plane-wave factors in y and z; they are handled quasi-1D
+    (Grid.transverse_mode). ONED_A / ONED_B are genuinely one-dimensional.
     """
 
     THREED_A = "3d_a"
@@ -139,6 +139,10 @@ class SolitonSpec:
 class Grid:
     """Uniform periodic lattice, 1D or 3D (cubic), coordinates centered on 0.
 
+    Fields (FieldState) live on 1D lattices; a 3D one serves the
+    screened-Poisson oracle alone (spectral.yukawa_invert against
+    spectral.yukawa_convolve_direct).
+
     transverse_mode optionally carries a (gamma, eps) pair for quasi-1D runs
     of the 3D families: the y, z plane-wave dependence is then exact and
     enters the matter kinetic term as a constant gamma^2 + eps^2 offset.
@@ -239,6 +243,10 @@ def make_grid(dim: int, n: int, length: float,
 class FieldState:
     """Matter field psi, scalar field phi, and the previous-step scalar.
 
+    The fields live on a 1D grid, the only kind __post_init__ accepts; a
+    member of the 3D families is carried quasi-1D, its y, z plane waves in
+    the grid's transverse_mode.
+
     phi_prev holds phi at t - dt and is what the two-step Gautschi update
     of the scalar wave equation consumes; None means a field at rest (zero
     time derivative at t), from which the update builds its own first
@@ -254,6 +262,9 @@ class FieldState:
     phi_prev: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if self.grid.dim != 1:
+            raise ValueError("fields live on a 1D (quasi-1D) grid, got a "
+                             f"grid of dim {self.grid.dim}")
         if self.psi.shape != self.grid.shape:
             raise ValueError(
                 f"psi shape {self.psi.shape} does not match grid {self.grid.shape}")

@@ -52,8 +52,8 @@ from .spectral import (MAX_DIRECT_POINTS, yukawa_convolve_direct,
 FAILED_MARKER = "FAILED"
 # the most steps one evolution may plan; a longer plan is a ConfigError
 MAX_STEPS = 10**7
-# the most points a [grid] lattice may have (3D 128^3: 32 MiB per
-# complex field); a larger grid.n ** grid.dim is a ConfigError
+# the most points a [grid] lattice may have (32 MiB per complex field);
+# a larger grid.n is a ConfigError
 MAX_GRID_POINTS = 2**21
 
 
@@ -183,22 +183,20 @@ def _soliton_spec(config: ScenarioConfig,
 
 def _grid_for(config: ScenarioConfig, default_length: float,
               transverse: tuple[float, float] = (0.0, 0.0)) -> Grid:
-    """The [grid] lattice; a 1D one carries the quasi-1D member's transverse
+    """The [grid] lattice, 1D; it carries the quasi-1D member's transverse
     wavenumbers (gamma, eps) when they are not both zero; one of more than
     MAX_GRID_POINTS points is refused before any field is built on it."""
     length = config.get("grid", "length")
-    dim = config.get("grid", "dim")
     try:
-        grid = make_grid(dim, config.get("grid", "n"),
+        grid = make_grid(1, config.get("grid", "n"),
                          default_length if length is None else length,
-                         transverse if dim == 1 and any(transverse) else None)
+                         transverse if any(transverse) else None)
     except ValueError as e:
         # Grid's messages open with the name of the offending field
         raise ConfigError(f"invalid [grid]: grid.{e}") from None
-    if grid.n**grid.dim > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"grid.n ** grid.dim = {grid.n}^{grid.dim} lattice points is "
-            f"over the limit of {MAX_GRID_POINTS} (2^21)")
+    if grid.n > MAX_GRID_POINTS:
+        raise ConfigError(f"grid.n = {grid.n} lattice points is over the "
+                          f"limit of {MAX_GRID_POINTS} (2^21)")
     return grid
 
 
@@ -905,8 +903,7 @@ def run_scenario(config: ScenarioConfig,
             write_plot_script(str(out / "plot.gp"), "observables.csv",
                               config.scenario)
         for name, state in artifacts.snapshots.items():
-            ext = "csv" if state.grid.dim == 1 else "bin"
-            write_snapshot(str(out / f"snapshot_{name}.{ext}"), state)
+            write_snapshot(str(out / f"snapshot_{name}.csv"), state)
     except Exception as e:
         report.error = f"{type(e).__name__}: {e}"
         report.wall_time = time.perf_counter() - start

@@ -5,6 +5,8 @@ Every family is a traveling sech-power envelope with a plane-wave phase:
     psi(x, t) = A sech^p(k (x - x0 - V t)) exp(i (Omega t + K x [+ gamma y + eps z]))
     phi(x, t) = C sech^pp(k (x - x0 - V t))
 
+Samples live on a 1D lattice: the 3D families' y, z plane wave is exact
+and carried quasi-1D by the grid's transverse_mode, not sampled.
 family_coefficients is the single source of truth for (A, k, p, V, Omega, K,
 C, pp); everything else (sampling, norms, widths, localization lengths)
 derives from it. Samplers periodize by summing the three lattice images
@@ -219,10 +221,9 @@ def sample_solution(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
     Sums the three images of the traveling envelope nearest its center
     c = x0 + V t, j = r - 1, r, r + 1 with r = round(c / L), each with its
     carrier phase evaluated at x + jL, which makes the sum periodic by
-    construction; a center in the box has r = 0. On 3D grids the
-    transverse plane-wave factor is applied on the actual y, z
-    coordinates; on 1D (quasi-1D) grids it is carried analytically by
-    whoever consumes the sample.
+    construction; a center in the box has r = 0. The transverse plane-wave
+    factor of the 3D families is carried analytically by whoever consumes
+    the sample (Grid.transverse_mode).
     """
     co = family_coefficients(spec, params)
     L = grid.length
@@ -231,7 +232,7 @@ def sample_solution(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
         raise ValueError(
             f"domain too short: length {L:.6g} < {MIN_DOMAIN_WIDTHS:.0f} envelope "
             f"widths = {min_len:.6g}; wrap-around would exceed tolerance")
-    x = grid.coords[0]
+    x = grid.axis
     center = x0 + co.velocity * t
     r = round(center / L)
     phi = np.zeros(x.shape)
@@ -246,11 +247,6 @@ def sample_solution(spec: SolitonSpec, params: PhysicalParams, grid: Grid,
     carrier_im = images * np.exp(1j * co.K_carrier * x)
     psi = co.psi_amplitude * np.exp(1j * co.Omega * t) * carrier_im
     phi = co.phi_amplitude * phi
-    if grid.dim == 3:
-        y = grid.coords[1]
-        z = grid.coords[2]
-        psi = psi * np.exp(1j * (spec.gamma * y + spec.eps * z))
-        phi = phi * np.ones_like(y) * np.ones_like(z)
     return FieldState(t=t, psi=psi, phi=phi, params=params, grid=grid)
 
 

@@ -17,10 +17,9 @@ from solitonlab.diagnostics import ObservableRecord
 from solitonlab.model import FieldState, PhysicalParams, make_grid
 
 
-def _random_state(dim: int, n: int, seed: int = 7,
-                  transverse=None) -> FieldState:
+def _random_state(n: int, seed: int = 7, transverse=None) -> FieldState:
     rng = np.random.default_rng(seed)
-    grid = make_grid(dim, n, 12.5, transverse_mode=transverse)
+    grid = make_grid(1, n, 12.5, transverse_mode=transverse)
     shape = grid.shape
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     phi = rng.standard_normal(shape)
@@ -42,7 +41,7 @@ def _csv_writer_table(state: FieldState) -> bytes:
 
 class TestSnapshots:
     def test_1d_round_trip_is_exact(self, tmp_path):
-        state = _random_state(1, 64)
+        state = _random_state(64)
         path = tmp_path / "snap.csv"
         write_snapshot(str(path), state)
         back = read_snapshot(str(path))
@@ -57,7 +56,7 @@ class TestSnapshots:
     def test_1d_bytes_match_csv_writer(self, tmp_path):
         # the table is built by hand; it must be what csv.writer writes
         # for repr'd floats, CRLF row ends included
-        state = _random_state(1, 16)
+        state = _random_state(16)
         psi, phi = state.psi.copy(), state.phi.copy()
         psi[:4] = [complex(-0.0, 1e-300), complex(1e-300, -0.0),
                    complex(5e+20, 0.1), complex(0.1, 5e+20)]
@@ -81,7 +80,7 @@ class TestSnapshots:
         # two, so the block is set smaller
         if block is not None:
             monkeypatch.setattr("solitonlab.artifacts._SNAPSHOT_BLOCK", block)
-        state = _random_state(1, n, seed=n)
+        state = _random_state(n, seed=n)
         path = tmp_path / "snap.csv"
         write_snapshot(str(path), state)
         assert path.read_bytes().partition(b"\n")[2] \
@@ -91,7 +90,7 @@ class TestSnapshots:
         # traced peak of a 4096-point write: 87,357 bytes (numpy 2.4.6),
         # one block's floats and text. The bound is that plus 10 %; the
         # whole table's text and floats (1.06 MB) fail it
-        state = _random_state(1, 4096)
+        state = _random_state(4096)
         path = tmp_path / "snap.csv"
         # a first write, so what is allocated once per process (120.6 kB
         # traced in all) stays outside the trace
@@ -105,23 +104,14 @@ class TestSnapshots:
         assert peak <= 96_100
 
     def test_1d_transverse_mode_survives(self, tmp_path):
-        state = _random_state(1, 32, transverse=(0.25, -0.5))
+        state = _random_state(32, transverse=(0.25, -0.5))
         path = tmp_path / "snap.csv"
         write_snapshot(str(path), state)
         back = read_snapshot(str(path))
         assert back.grid.transverse_mode == (0.25, -0.5)
 
-    def test_3d_round_trip_is_exact(self, tmp_path):
-        state = _random_state(3, 16)
-        path = tmp_path / "snap.bin"
-        write_snapshot(str(path), state)
-        back = read_snapshot(str(path))
-        assert back.grid.dim == 3 and back.grid.n == 16
-        np.testing.assert_array_equal(back.psi, state.psi)
-        np.testing.assert_array_equal(back.phi, state.phi)
-
     def test_header_is_human_readable(self, tmp_path):
-        state = _random_state(1, 32)
+        state = _random_state(32)
         path = tmp_path / "snap.csv"
         write_snapshot(str(path), state)
         header = path.read_text().splitlines()[0]
@@ -135,17 +125,8 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="not a snapshot header"):
             read_snapshot(str(path))
 
-    def test_rejects_truncated_3d_payload(self, tmp_path):
-        state = _random_state(3, 16)
-        path = tmp_path / "snap.bin"
-        write_snapshot(str(path), state)
-        data = path.read_bytes()
-        path.write_bytes(data[:-16])
-        with pytest.raises(ValueError, match="payload holds"):
-            read_snapshot(str(path))
-
     def test_rejects_wrong_row_count_1d(self, tmp_path):
-        state = _random_state(1, 32)
+        state = _random_state(32)
         path = tmp_path / "snap.csv"
         write_snapshot(str(path), state)
         lines = path.read_text().splitlines()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from solitonlab import evolution
+from solitonlab.diagnostics import measure
 from solitonlab.model import FieldState, PhysicalParams, make_grid
 from solitonlab.evolution import (
     BlowUpError, default_dt, evolve,
@@ -182,6 +183,29 @@ class TestConservationAndAccuracy:
         traj = evolve(st, T=0.5, dt=dt)
         ana = sample_solution(spec, P, g, t=0.5)
         assert np.max(np.abs(traj.final.psi - ana.psi)) < 1e-3
+
+    def test_transverse_momentum_only_turns_the_global_phase(self):
+        # a quasi-1D member's y, z plane wave enters the matter equation as
+        # the constant kinetic offset gamma^2 + eps^2, a global phase: the
+        # 3d_b member at (gamma, eps) = (0.3, 0.4) has the |psi|, phi and
+        # density observables of the one at (0, 0), sampled and evolved
+        runs = []
+        for gamma, eps in ((0.3, 0.4), (0.0, 0.0)):
+            spec = spec_3d_b(P, mu=0.5, gamma=gamma, eps=eps)
+            g = make_grid(1, 1024, matched_length(spec, P),
+                          transverse_mode=(gamma, eps))
+            dt = dividing_dt(2.0, g, P)
+            st = state_from_solution(spec, P, g, dt=dt)
+            runs.append((sample_solution(spec, P, g, t=0.4),
+                         evolve(st, T=2.0, dt=dt).final))
+        for moved, still in zip(*runs):
+            for a, b in ((np.abs(moved.psi), np.abs(still.psi)),
+                         (moved.phi, still.phi)):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+            got, want = measure(moved), measure(still)
+            for name in ("norm", "centroid", "width", "peak_pos", "phi_min"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert abs(a - b) <= 1e-12 * max(abs(b), 1.0), name
 
     def test_reversal_retraces_exactly(self):
         g = make_grid(1, 1024, 60.0)
@@ -560,23 +584,6 @@ class TestPerturb:
             else:
                 assert w / base == pytest.approx(expect, rel=1e-12)
 
-    def test_width_rescale_matches_the_stretched_field_in_3d(self):
-        # a packet that the lattice resolves, with a different width along
-        # each axis, and that decays within the box once stretched
-        g = make_grid(3, 64, 32.0)
-        x, y, z = np.meshgrid(g.axis, g.axis, g.axis, indexing="ij")
-
-        def packet(s):
-            r2 = x**2 + 1.5 * y**2 + 0.75 * z**2
-            return np.exp(-r2 / (4.0 * s * s) + 0.3j * x / s)
-        st = FieldState(t=0.0, psi=packet(1.0), phi=np.zeros(g.shape),
-                        params=P, grid=g)
-        got = perturb(st, "width_rescale", 0.25).psi
-        expect = packet(1.25)
-        expect *= math.sqrt(st.norm() / (np.sum(np.abs(expect) ** 2)
-                                         * g.volume_element))
-        assert np.max(np.abs(got - expect)) < 1e-9
-
     def test_phase_noise_keeps_density(self):
         p = perturb(self.state, "phase_noise", 0.05, seed=11)
         np.testing.assert_allclose(np.abs(p.psi), np.abs(self.state.psi),
@@ -821,8 +828,7 @@ class TestGautschi:
                                        rtol=0, atol=2e-14)
 
     @pytest.mark.parametrize("dim,n,mode", [(1, 256, "coupled"),
-                                            (1, 256, "free"),
-                                            (3, 16, "coupled")])
+                                            (1, 256, "free")])
     def test_one_step_matches_separate_transforms(self, dim, n, mode):
         # reverse_state hands back the update's next field, so it exposes
         # one step; the reference transforms phi and the source apart
@@ -850,9 +856,7 @@ class TestGautschi:
     @pytest.mark.parametrize("history", [True, False],
                              ids=["history", "at-rest"])
     @pytest.mark.parametrize("dim,n,mode", [(1, 256, "coupled"),
-                                            (1, 256, "free"),
-                                            (3, 16, "coupled"),
-                                            (3, 16, "free")])
+                                            (1, 256, "free")])
     def test_half_spectrum_matches_x_space_recurrence(self, monkeypatch, dim,
                                                       n, mode, history):
         # the update carries phi^ on the half spectrum for the whole loop;

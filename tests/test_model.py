@@ -178,6 +178,14 @@ class TestFieldState:
         with pytest.raises(ValueError, match="phi shape"):
             self._state(phi=np.zeros(8))
 
+    def test_refuses_a_3d_grid(self):
+        # fields live on 1D lattices; a 3D one serves the oracle alone,
+        # so even fields of its own shape are refused
+        g = make_grid(3, 16, 16.0)
+        with pytest.raises(ValueError, match="1D"):
+            self._state(grid=g, psi=np.zeros(g.shape, complex),
+                        phi=np.zeros(g.shape))
+
     def test_phi_must_be_real(self):
         with pytest.raises(ValueError, match="real"):
             self._state(phi=np.zeros(16, complex))

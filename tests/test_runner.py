@@ -995,7 +995,8 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("scenario,overrides,named", [
         ("free-spreading", ["grid.n=1000"], "grid.n"),
-        ("free-spreading", ["grid.dim=3", "grid.n=64"], "1D"),
+        # fields live on 1D lattices: there is no grid.dim to set
+        ("free-spreading", ["grid.dim=3"], "unknown setting grid.dim"),
         ("free-spreading", ["grid.length=10", "packet.sigma0=1"],
          "too short"),
         # past pi/dx - pi/sigma0 the lattice samples an aliased packet
@@ -1048,8 +1049,6 @@ class TestCliExitCodes:
         # a lattice spacing wider than the member: it falls between nodes
         ("soliton-propagation", ["grid.length=1e9", "grid.n=256"],
          "spacing"),
-        # 2048^3 points: 128 GiB per complex field
-        ("soliton-propagation", ["grid.dim=3"], "grid.n"),
         # run.mode is read by soliton-propagation alone
         ("perturbation-stability", ["run.mode=choquard"], "run.mode"),
         ("choquard-stationary", ["run.mode=coupled"], "run.mode"),
@@ -1103,7 +1102,7 @@ class TestCliExitCodes:
             "verify-negative-seed", "oracle-negative-seed",
             "propagate-negative-seed", "propagate-3d_b-mu-M-constraint",
             "propagate-3d_a-negative-alpha", "propagate-spacing-over-width",
-            "propagate-3d-too-many-points", "perturb-mode",
+            "perturb-mode",
             "choquard-mode", "free-mode", "sweep-perturb-mode",
             "propagate-1d_b-gamma", "propagate-1d_b-mu",
             "propagate-1d_b-alpha", "propagate-3d_b-alpha",
@@ -1141,18 +1140,17 @@ class TestCliExitCodes:
         assert code == 0
         assert "vs mu/M = 0.45" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("dim, n, kept", [(1, 16384, True),
-                                              (3, 128, True),
-                                              (3, 256, False)])
-    def test_member_lattice_point_limit(self, dim, n, kept):
+    @pytest.mark.parametrize("n, kept", [(16384, True), (2**21, True),
+                                         (2**22, False)])
+    def test_member_lattice_point_limit(self, n, kept):
         # Grid allocates nothing until a field asks, so this builds no array
         cfg = apply_overrides(default_config("soliton-propagation"),
-                              [f"grid.dim={dim}", f"grid.n={n}"])
+                              [f"grid.n={n}"])
         params = runner._physical_params(cfg)
         if kept:
             assert runner._member_grid(cfg, spec_1d_b(params), params).n == n
         else:
-            with pytest.raises(ConfigError, match="grid.dim"):
+            with pytest.raises(ConfigError, match="grid.n"):
                 runner._member_grid(cfg, spec_1d_b(params), params)
 
     def test_packet_lattice_point_limit(self, tmp_path, capsys, monkeypatch):

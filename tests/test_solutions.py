@@ -202,19 +202,6 @@ class TestSampling:
         shifted = np.fft.irfft(np.fft.rfft(d0) * np.exp(-1j * k * 1.0), g.n)
         np.testing.assert_allclose(d1, shifted, rtol=0, atol=1e-8)
 
-    def test_quasi_1d_matches_3d_slice(self):
-        gamma = 2.0 * np.pi * 2 / 16.0
-        eps = 2.0 * np.pi * 4 / 16.0
-        spec = spec_3d_a(P, alpha=2.0, gamma=gamma, eps=eps)
-        g1 = make_grid(1, 32, 16.0, transverse_mode=(gamma, eps))
-        g3 = make_grid(3, 32, 16.0)
-        s1 = sample_solution(spec, P, g1, t=0.4)
-        s3 = sample_solution(spec, P, g3, t=0.4)
-        # y = z = -L/2 slice carries transverse phase e^{-i(gamma+eps)L/2} = 1
-        # for even lattice-resonant mode numbers
-        np.testing.assert_allclose(s3.psi[:, 0, 0], s1.psi, atol=1e-12)
-        np.testing.assert_allclose(s3.phi[:, 0, 0], s1.phi, atol=1e-12)
-
     @pytest.mark.parametrize("x0", [0.0, 13.0, -9.5])
     def test_center_whole_periods_out_samples_the_same_member(self, x0):
         # the images are summed around the center, so a center 7 periods
@@ -229,7 +216,7 @@ class TestSampling:
             assert np.abs(b.phi - a.phi).max() <= 1e-15 * np.abs(a.phi).max()
 
     @pytest.mark.parametrize("boxes", [0.0, 1.5])
-    @pytest.mark.parametrize("case", ["1d_b", "3d_b-quasi-1d", "3d_b-16^3"])
+    @pytest.mark.parametrize("case", ["1d_b", "3d_b-quasi-1d"])
     def test_matches_per_image_carriers(self, case, boxes):
         # the sampler takes exp(iKx) once and each image's exp(iKjL) as a
         # constant; the reference evaluates exp(iK(x + jL)) per image.
@@ -238,14 +225,11 @@ class TestSampling:
         spec = spec_1d_b(P) if case == "1d_b" \
             else spec_3d_b(P, mu=0.5, gamma=0.3, eps=0.2)
         L = matched_length(spec, P)
-        if case == "3d_b-16^3":
-            g = make_grid(3, 16, L)
-        else:
-            g = make_grid(1, 2048, L, transverse_mode=(
-                None if case == "1d_b" else (0.3, 0.2)))
+        g = make_grid(1, 2048, L, transverse_mode=(
+            None if case == "1d_b" else (0.3, 0.2)))
         co = family_coefficients(spec, P)
         t, x0 = 0.7, boxes * L
-        x = g.coords[0]
+        x = g.axis
         center = x0 + co.velocity * t
         r = round(center / L)
         images = sum(_sech(co.envelope_k * (x + j * L - center))
@@ -253,9 +237,6 @@ class TestSampling:
                      * np.exp(1j * co.K_carrier * (x + j * L))
                      for j in (r - 1, r, r + 1))
         want = co.psi_amplitude * np.exp(1j * co.Omega * t) * images
-        if g.dim == 3:
-            want = want * np.exp(1j * (spec.gamma * g.coords[1]
-                                       + spec.eps * g.coords[2]))
         got = sample_solution(spec, P, g, t=t, x0=x0).psi
         phase = abs(co.K_carrier) * (np.abs(x).max() + (abs(r) + 1) * L)
         ulp = np.finfo(float).eps * phase * np.abs(want).max()
